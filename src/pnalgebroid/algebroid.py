@@ -13,7 +13,9 @@ with the anchor being a morphism, which is what ``check_algebroid`` tests.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .expr import Expr, ZERO, ONE, ExprError
 from .linalg import Matrix
@@ -50,6 +52,46 @@ class LieAlgebroid:
 
     def frame_index(self, name: str) -> int:
         return self.frame.index(name)
+
+    # -- sparse views of the anchor and structure --------------------------
+    #
+    # Cached on the instance; the class is frozen, so they cannot go stale,
+    # and they are not dataclass fields, so equality, hashing and
+    # ``dataclasses.replace`` ignore them.
+
+    @cached_property
+    def _anchor_rows(self) -> tuple[tuple[tuple[str, Expr], ...], ...]:
+        """Per frame element a, the (base var, rho_a^i) pairs with rho_a^i != 0."""
+        return tuple(
+            tuple((v, rho) for v, rho in zip(self.base_vars, row) if not rho.is_zero())
+            for row in self.anchor
+        )
+
+    @cached_property
+    def _structure_rows(self) -> tuple[tuple[tuple[tuple[int, Expr], ...], ...], ...]:
+        """Per frame pair (a, b), the (g, C_ab^g) pairs with C_ab^g != 0."""
+        return tuple(
+            tuple(
+                tuple((g, c) for g, c in enumerate(row) if not c.is_zero())
+                for row in plane
+            )
+            for plane in self.structure
+        )
+
+    def _rho_frame(self, a: int, f: Expr, grads: dict[str, Expr]) -> Expr:
+        """rho(e_a)(f) = sum_i rho_a^i df/dx^i over the nonzero anchor entries.
+
+        ``grads`` caches df/dx^i by base variable; share one dict across the
+        frame elements applied to the same f, so each derivative is taken
+        once."""
+        out = ZERO
+        for v, rho in self._anchor_rows[a]:
+            g = grads.get(v)
+            if g is None:
+                g = grads[v] = f.diff(v)
+            if not g.is_zero():
+                out = out + rho * g
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -105,31 +147,41 @@ class LieAlgebroid:
         return KForm(self, 1, {(a,): ONE})
 
     def anchor_apply(self, X: "Section", f: Expr) -> Expr:
-        """Derivation of a base function along the image of a section."""
+        """Derivation of a base function along the image of a section:
+        rho(X)(f) = sum_a X^a sum_i rho_a^i df/dx^i.
+
+        Reads the nonzero anchor entries from a view cached on this frozen
+        algebroid (it lives exactly as long as the algebroid) and takes each
+        partial derivative of f at most once per call."""
+        if f.is_zero():
+            return ZERO
+        grads: dict[str, Expr] = {}
         out = ZERO
-        for a in range(self.rank):
-            if X.comps[a].is_zero():
+        for a, xa in enumerate(X.comps):
+            if xa.is_zero():
                 continue
-            for i, v in enumerate(self.base_vars):
-                out = out + X.comps[a] * self.anchor[a][i] * f.diff(v)
+            t = self._rho_frame(a, f, grads)
+            if not t.is_zero():
+                out = out + xa * t
         return out
 
     def bracket(self, X: "Section", Y: "Section") -> "Section":
         """Section bracket from the structure functions and anchor:
         [X, Y]^g = X^a Y^b C_ab^g + rho(X)(Y^g) - rho(Y)(X^g)."""
-        r = self.rank
-        comps = []
-        for g in range(r):
-            s = self.anchor_apply(X, Y.comps[g]) - self.anchor_apply(Y, X.comps[g])
-            for a in range(r):
-                if X.comps[a].is_zero():
+        comps = [
+            self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
+            for xg, yg in zip(X.comps, Y.comps)
+        ]
+        for a, xa in enumerate(X.comps):
+            if xa.is_zero():
+                continue
+            for b, yb in enumerate(Y.comps):
+                row = self._structure_rows[a][b]
+                if not row or yb.is_zero():
                     continue
-                for b in range(r):
-                    c = self.structure[a][b][g]
-                    if c.is_zero() or Y.comps[b].is_zero():
-                        continue
-                    s = s + X.comps[a] * Y.comps[b] * c
-            comps.append(s)
+                xy = xa * yb
+                for g, c in row:
+                    comps[g] = comps[g] + xy * c
         return Section(self, tuple(comps))
 
     # -- verification ------------------------------------------------------
@@ -188,12 +240,21 @@ class LieAlgebroid:
 class CheckReport:
     ok: bool
     failures: list[tuple[str, Expr]] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the check, when run through timed_check
 
     def witness(self) -> str | None:
         if self.ok:
             return None
         msg, e = self.failures[0]
         return f"{msg}: residual {e}"
+
+
+def timed_check(check, *args) -> CheckReport:
+    """Run ``check(*args)`` and record its wall time on the returned report."""
+    t0 = time.perf_counter()
+    rep = check(*args)
+    rep.seconds = time.perf_counter() - t0
+    return rep
 
 
 @dataclass(frozen=True)
@@ -349,27 +410,30 @@ def d_A(A: LieAlgebroid, omega) -> "KForm":
 
     A degree-0 "form" may be passed as a plain expression; the result is the
     one-form with components rho(e_a)(f).
+
+    Reads the nonzero anchor and structure entries from views cached on the
+    frozen algebroid (they live exactly as long as it does) and takes each
+    partial derivative of each component of omega at most once per call.
     """
     if isinstance(omega, Expr):
-        return A.one_form([A.anchor_apply(A.frame_section(a), omega) for a in range(A.rank)])
+        grads: dict[str, Expr] = {}
+        return A.one_form([A._rho_frame(a, omega, grads) for a in range(A.rank)])
     k = omega.degree
     r = A.rank
+    grads_of: dict[tuple[int, ...], dict[str, Expr]] = {}
     d: dict[tuple[int, ...], Expr] = {}
     for idx in itertools.combinations(range(r), k + 1):
         val = ZERO
         for i in range(k + 1):
             rest = idx[:i] + idx[i + 1 :]
-            inner = omega.entry(rest)
+            inner = omega.comps.get(rest, ZERO)
             if not inner.is_zero():
-                term = A.anchor_apply(A.frame_section(idx[i]), inner)
+                term = A._rho_frame(idx[i], inner, grads_of.setdefault(rest, {}))
                 val = val + (term if i % 2 == 0 else -term)
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 rest = tuple(x for t, x in enumerate(idx) if t != i and t != j)
-                for g in range(r):
-                    c = A.structure[idx[i]][idx[j]][g]
-                    if c.is_zero():
-                        continue
+                for g, c in A._structure_rows[idx[i]][idx[j]]:
                     inner = omega.entry((g,) + rest)
                     if inner.is_zero():
                         continue

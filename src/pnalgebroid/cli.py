@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import linalg, reduction
+from .algebroid import CheckReport, timed_check
 from .expr import Expr
 from .poisson import (
     is_poisson, are_compatible, invert_poisson, symplectic_check,
@@ -73,6 +74,9 @@ class Report:
     def add(self, name: str, ok: bool, witness: Optional[str] = None,
             ill: bool = False, seconds: float = 0.0) -> None:
         self.checks.append(Check(name, bool(ok), witness, bool(ill), seconds))
+
+    def add_report(self, name: str, rep: CheckReport) -> None:
+        self.add(name, rep.ok, rep.witness(), seconds=rep.seconds)
 
     @property
     def exit_code(self) -> int:
@@ -223,8 +227,7 @@ def _timed(report: Report, name: str, fn) -> bool:
 # commands
 
 def cmd_check_algebroid(args, report: Report, doc: SpecDocument) -> None:
-    rep = doc.algebroid.check_algebroid()
-    report.add("algebroid axioms", rep.ok, rep.witness())
+    report.add_report("algebroid axioms", timed_check(doc.algebroid.check_algebroid))
 
 
 def cmd_check_poisson(args, report: Report, doc: SpecDocument) -> None:
@@ -234,11 +237,10 @@ def cmd_check_poisson(args, report: Report, doc: SpecDocument) -> None:
     for name in names:
         if name not in doc.bivectors:
             raise UsageError(f"no bivector named {name!r} in the input")
-        rep = is_poisson(doc.bivectors[name])
-        report.add(f"poisson({name})", rep.ok, rep.witness())
+        report.add_report(f"poisson({name})", timed_check(is_poisson, doc.bivectors[name]))
     if len(names) == 2:
-        rep = are_compatible(doc.bivectors[names[0]], doc.bivectors[names[1]])
-        report.add(f"compatible({names[0]},{names[1]})", rep.ok, rep.witness())
+        rep = timed_check(are_compatible, doc.bivectors[names[0]], doc.bivectors[names[1]])
+        report.add_report(f"compatible({names[0]},{names[1]})", rep)
 
 
 def _run_pn(args, report: Report, doc: SpecDocument, want_sn: bool) -> None:
@@ -249,16 +251,15 @@ def _run_pn(args, report: Report, doc: SpecDocument, want_sn: bool) -> None:
         pname, P = _pick_bivector(doc, args.bivector)
     ename, N = _pick_endo(doc, args.endo)
     rep = pn_check(P, N)
-    report.add(f"poisson({pname})", rep.poisson.ok, rep.poisson.witness())
-    report.add(f"torsion({ename})", rep.torsion.ok, rep.torsion.witness())
-    report.add(
-        f"sharp-compatibility({pname},{ename})", rep.compatible.ok, rep.compatible.witness()
-    )
-    report.add(f"concomitant({pname},{ename})", rep.concomitant.ok, rep.concomitant.witness())
+    report.add_report(f"poisson({pname})", rep.poisson)
+    report.add_report(f"torsion({ename})", rep.torsion)
+    report.add_report(f"sharp-compatibility({pname},{ename})", rep.compatible)
+    report.add_report(f"concomitant({pname},{ename})", rep.concomitant)
     if want_sn:
         report.add(
             f"nondegenerate({pname})", rep.nondegenerate,
             None if rep.nondegenerate else f"determinant {rep.determinant}",
+            seconds=rep.determinant_seconds,
         )
     report.payload["determinant"] = str(rep.determinant)
 
@@ -279,9 +280,9 @@ def cmd_hierarchy(args, report: Report, doc: SpecDocument) -> None:
     ename, N = _pick_endo(doc, args.endo)
     rep = hierarchy_check(P, N, args.depth)
     for l, r in rep.levels:
-        report.add(f"poisson({ename}^{l} {pname})", r.ok, r.witness())
+        report.add_report(f"poisson({ename}^{l} {pname})", r)
     for l, m, r in rep.pairwise:
-        report.add(f"compatible(levels {l},{m})", r.ok, r.witness())
+        report.add_report(f"compatible(levels {l},{m})", r)
 
 
 def cmd_recursion(args, report: Report, doc: SpecDocument) -> None:
@@ -441,6 +442,17 @@ COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of sample counts: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pnalgebroid",
@@ -481,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bivector")
     sp.add_argument("--endo")
     sp = add("riesz", help="stable-kernel index of the endomorphism at random points")
-    sp.add_argument("--points", type=int, required=True)
+    sp.add_argument("--points", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--endo")
     sp = add("reduce-fiberwise", help="pointwise quotient by the stable kernel")
-    sp.add_argument("--points", type=int, required=True)
+    sp.add_argument("--points", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--bivector")
     sp.add_argument("--endo")

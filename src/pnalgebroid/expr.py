@@ -141,6 +141,11 @@ class Expr:
 
     def __add__(self, other) -> "Expr":
         other = _coerce(other)
+        # every constructor yields canonical terms, so x + 0 is x itself
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = self._as_dict()
         for m, l, c in other.terms:
             k = (m, l)

@@ -47,18 +47,6 @@ def mat_identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_scale(a: Matrix, f: Expr) -> Matrix:
-    return [[f * x for x in row] for row in a]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 def det(a: Matrix) -> Expr:
     """Exact determinant by expansion with memoization over column subsets."""
     n = len(a)

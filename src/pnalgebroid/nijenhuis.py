@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
 from .expr import Expr, ZERO, ONE, ExprError, div_exact
-from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A
+from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_check
 from .poisson import (
     Bivector,
     DegenerateBivector,
@@ -199,7 +200,11 @@ def sharp_commutes(P: Bivector, N: Endo) -> CheckReport:
 def concomitant(P: Bivector, N: Endo, alpha: KForm, beta: KForm) -> KForm:
     """Magri-Morosi compatibility defect of (P, N) on one-forms:
     C(P, N)(a, b) = [a, b]_{NP} - ([N* a, b]_P + [a, N* b]_P - N*[a, b]_P)."""
-    NP = N.push_bivector(P)
+    return _concomitant(P, N, N.push_bivector(P), alpha, beta)
+
+
+def _concomitant(P: Bivector, N: Endo, NP: Bivector, alpha: KForm, beta: KForm) -> KForm:
+    """:func:`concomitant` with the contracted bivector NP = N P given."""
     lhs = koszul_bracket(NP, alpha, beta)
     rhs = (
         koszul_bracket(P, N.dual_apply(alpha), beta)
@@ -212,10 +217,11 @@ def concomitant(P: Bivector, N: Endo, alpha: KForm, beta: KForm) -> KForm:
 def concomitant_check(P: Bivector, N: Endo) -> CheckReport:
     A = P.algebroid
     r = A.rank
+    NP = N.push_bivector(P)
     failures = []
     for a in range(r):
         for b in range(a + 1, r):
-            c = concomitant(P, N, A.dual_frame_form(a), A.dual_frame_form(b))
+            c = _concomitant(P, N, NP, A.dual_frame_form(a), A.dual_frame_form(b))
             for (g,), v in c.comps.items():
                 if not v.is_zero():
                     failures.append(
@@ -236,6 +242,7 @@ class PNReport:
     concomitant: CheckReport
     nondegenerate: bool
     determinant: Expr
+    determinant_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -264,16 +271,20 @@ class PNReport:
 
 
 def pn_check(P: Bivector, N: Endo) -> PNReport:
-    """Full Poisson-Nijenhuis verdict for the pair (P, N)."""
-    poisson = is_poisson(P)
-    tors = torsion_check(N)
-    comm = sharp_commutes(P, N)
+    """Full Poisson-Nijenhuis verdict for the pair (P, N); every report
+    carries its own wall time."""
+    poisson = timed_check(is_poisson, P)
+    tors = timed_check(torsion_check, N)
+    comm = timed_check(sharp_commutes, P, N)
     if comm.ok:
-        conc = concomitant_check(P, N)
+        conc = timed_check(concomitant_check, P, N)
     else:
         conc = CheckReport(False, [("skipped: sharp maps do not commute", ZERO)])
+    t0 = time.perf_counter()
     d = P.determinant()
-    return PNReport(poisson, tors, comm, conc, not d.is_zero(), d)
+    return PNReport(
+        poisson, tors, comm, conc, not d.is_zero(), d, time.perf_counter() - t0
+    )
 
 
 def recursion_operator(P0: Bivector, P1: Bivector) -> FracEndo:
@@ -326,15 +337,16 @@ class HierarchyReport:
 
 
 def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
-    """All N^l P Poisson and pairwise compatible up to the requested depth."""
+    """All N^l P Poisson and pairwise compatible up to the requested depth;
+    every report carries its own wall time."""
     chain = hierarchy(P, N, depth)
-    levels = [(l, is_poisson(Q)) for l, Q in chain]
+    levels = [(l, timed_check(is_poisson, Q)) for l, Q in chain]
     pairwise = []
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             li, Qi = chain[i]
             lj, Qj = chain[j]
-            pairwise.append((li, lj, is_poisson(Qi + Qj)))
+            pairwise.append((li, lj, timed_check(is_poisson, Qi + Qj)))
     return HierarchyReport(levels, pairwise)
 
 

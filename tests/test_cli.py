@@ -100,3 +100,30 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") >= 10
+
+
+@pytest.mark.parametrize("points", ["-5", "0"])
+@pytest.mark.parametrize("command", ["riesz", "reduce-fiberwise"])
+def test_sampling_commands_reject_fewer_than_one_point(capsys, command, points):
+    code, out, err = run(capsys, command, "aff1", "--points", points, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--points" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-pn", "toda:2"],
+        ["check-sn", "toda:2:atiyah"],
+        ["check-poisson", "toda:2"],
+        ["check-algebroid", "toda:2:atiyah"],
+        ["hierarchy", "toda:2:atiyah", "--depth", "2"],
+    ],
+)
+def test_every_check_reports_its_own_time(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks
+    assert all(c["seconds"] > 0 for c in checks), checks
