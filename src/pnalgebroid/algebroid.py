@@ -17,8 +17,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .expr import Expr, ZERO, ONE, ExprError
-from .linalg import Matrix
+from .expr import Expr, ZERO, ONE
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,8 @@ class LieAlgebroid:
         frame elements applied to the same f, so each derivative is taken
         once."""
         out = ZERO
+        if f.is_zero():
+            return out
         for v, rho in self._anchor_rows[a]:
             g = grads.get(v)
             if g is None:

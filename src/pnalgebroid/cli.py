@@ -17,14 +17,12 @@ from typing import Optional
 
 from . import linalg, reduction
 from .algebroid import CheckReport, timed_check
-from .expr import Expr
 from .poisson import (
-    is_poisson, are_compatible, invert_poisson, symplectic_check,
-    DegenerateBivector, Bivector,
+    is_poisson, are_compatible, symplectic_check, DegenerateBivector, Bivector,
 )
 from .nijenhuis import pn_check, recursion_operator, hierarchy_check, Endo
 from .reduction import (
-    EpimorphismSpec, LeafSpec, default_tolerance, restrict_to_leaf,
+    LeafSpec, default_tolerance, restrict_to_leaf,
     riesz_report, fiberwise_reduce, sample_points,
     projectable_bivector_check, projectable_endo_check,
     project_bivector, project_endo, NotBasic,

@@ -9,12 +9,11 @@ coordinate bracket applies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, ZERO, ExprError
+from .expr import Expr, ZERO
 from .algebroid import LieAlgebroid, Section
 from .poisson import Bivector
 

@@ -10,7 +10,6 @@ from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_che
 from .poisson import (
     Bivector,
     DegenerateBivector,
-    are_compatible,
     is_poisson,
     koszul_bracket,
 )
@@ -38,10 +37,15 @@ class Endo:
         return Endo(A, tuple(tuple(row) for row in mat))
 
     def apply(self, X: Section) -> Section:
+        """(N X)^a = N^a_b X^b over the nonzero X^b and N^a_b."""
         r = self.algebroid.rank
-        comps = [
-            sum((self.mat[a][b] * X.comps[b] for b in range(r)), ZERO) for a in range(r)
-        ]
+        comps = [ZERO] * r
+        for b, xb in enumerate(X.comps):
+            if xb.is_zero():
+                continue
+            for a in range(r):
+                if not self.mat[a][b].is_zero():
+                    comps[a] = comps[a] + self.mat[a][b] * xb
         return Section(self.algebroid, tuple(comps))
 
     def dual_apply(self, alpha: KForm) -> KForm:
@@ -88,15 +92,27 @@ class Endo:
 
         Requires N o P# = P# o N* (antisymmetry of the result); raises
         otherwise."""
-        r = self.algebroid.rank
-        m = linalg.mat_mul([list(row) for row in self.mat], [list(row) for row in P.mat])
-        for a in range(r):
-            for b in range(a, r):
-                if not (m[a][b] + m[b][a]).is_zero():
-                    raise ExprError(
-                        "N P is not antisymmetric: N does not commute with the sharp map"
-                    )
+        m, defects = _contract(self, P)
+        if defects:
+            raise ExprError(
+                "N P is not antisymmetric: N does not commute with the sharp map"
+            )
         return Bivector(self.algebroid, tuple(tuple(row) for row in m))
+
+
+def _contract(N: Endo, P: Bivector) -> tuple[linalg.Matrix, list[tuple[int, int, Expr]]]:
+    """The matrix (N P)^{ab} = N^a_c P^{cb}, with its nonzero symmetric parts
+    (a, b, (N P)^{ab} + (N P)^{ba}) for a <= b; N o P# = P# o N* exactly
+    when that list is empty."""
+    m = linalg.mat_mul([list(row) for row in N.mat], [list(row) for row in P.mat])
+    r = len(m)
+    defects = []
+    for a in range(r):
+        for b in range(a, r):
+            e = m[a][b] + m[b][a]
+            if not e.is_zero():
+                defects.append((a, b, e))
+    return m, defects
 
 
 @dataclass
@@ -180,20 +196,11 @@ def deformed_algebroid(N: Endo, frame_prefix: str = "n_") -> LieAlgebroid:
 
 def sharp_commutes(P: Bivector, N: Endo) -> CheckReport:
     """N o P# = P# o N*, equivalently N P antisymmetric."""
-    r = P.algebroid.rank
-    m = linalg.mat_mul([list(row) for row in N.mat], [list(row) for row in P.mat])
-    failures = []
-    for a in range(r):
-        for b in range(a, r):
-            e = m[a][b] + m[b][a]
-            if not e.is_zero():
-                failures.append(
-                    (
-                        f"N P# != P# N* on dual pair "
-                        f"({P.algebroid.frame[a]}, {P.algebroid.frame[b]})",
-                        e,
-                    )
-                )
+    frame = P.algebroid.frame
+    failures = [
+        (f"N P# != P# N* on dual pair ({frame[a]}, {frame[b]})", e)
+        for a, b, e in _contract(N, P)[1]
+    ]
     return CheckReport(not failures, failures)
 
 

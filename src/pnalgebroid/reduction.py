@@ -17,16 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import Expr, ZERO, ONE, ExprError, Point, div_exact
-from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, interior, lie_derivative
+from .algebroid import CheckReport, KForm, LieAlgebroid, Section, interior, lie_derivative
 from .poisson import (
     Bivector,
-    FracTwoForm,
     invert_poisson,
     koszul_bracket,
     schouten_1r,
-    two_form_matrix,
 )
-from .nijenhuis import Endo, FracEndo
+from .nijenhuis import Endo
 from . import linalg
 from .linalg import Matrix, RankResult
 
@@ -56,7 +54,6 @@ class EpimorphismSpec:
     target: LieAlgebroid
     base_map: dict[str, Expr]
     fiber_map: Matrix
-    projectable_frame: list[Section] | None = None
 
     def __post_init__(self):
         if set(self.base_map) != set(self.target.base_vars):
@@ -309,19 +306,6 @@ def projectable_complement(epi: EpimorphismSpec) -> list[tuple[Section, Expr]]:
     """Sections mapping onto multiples of the target frame: for each target
     frame element a section X_a with fiber_map(X_a) = d_a * (a-th unit),
     d_a a basic function.  Used as the projectable complement of the kernel."""
-    if epi.projectable_frame is not None:
-        out = []
-        for a, X in enumerate(epi.projectable_frame):
-            push = epi.push_components(X)
-            d_a = push[a]
-            for b, e in enumerate(push):
-                if b != a and not e.is_zero():
-                    raise ExprError(
-                        f"supplied frame section {a} does not cover a single "
-                        f"target frame element"
-                    )
-            out.append((X, d_a))
-        return out
     rows, pivots = linalg.row_echelon(epi.fiber_map)
     out = []
     for a in range(epi.target.rank):

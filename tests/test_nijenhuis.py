@@ -3,7 +3,7 @@ recursion operators and hierarchies."""
 
 import pytest
 
-from pnalgebroid.expr import Expr, parse, ZERO, ONE
+from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
 from pnalgebroid.algebroid import LieAlgebroid
 from pnalgebroid.poisson import Bivector, DegenerateBivector, is_poisson
 from pnalgebroid.nijenhuis import (
@@ -107,4 +107,37 @@ def test_push_bivector_requires_antisymmetry(toda2):
         A, [[parse("q1") if i == j == 0 else ZERO for j in range(4)] for i in range(4)]
     )
     with pytest.raises(ValueError):
+        bad.push_bivector(toda2.lam0)
+
+
+def test_apply_matches_the_dense_product():
+    import random
+
+    from pnalgebroid.algebroid import Section
+
+    A = build_toda(3).tangent
+    r = A.rank
+    rng = random.Random(5)
+    xs = [Expr.var(v) for v in A.base_vars]
+
+    def sparse_entry():
+        return rng.choice([ZERO, ZERO, ONE, rng.choice(xs) * Expr.number(rng.randint(-2, 2))])
+
+    for _ in range(4):
+        N = Endo.from_matrix(A, [[sparse_entry() for _ in range(r)] for _ in range(r)])
+        X = Section(A, tuple(sparse_entry() for _ in range(r)))
+        dense = [sum((N.mat[a][b] * X.comps[b] for b in range(r)), ZERO) for a in range(r)]
+        assert N.apply(X).comps == tuple(dense)
+
+
+def test_push_bivector_and_sharp_commutes_agree(toda2):
+    A = toda2.tangent
+    good, bad = toda2.N, Endo.from_matrix(
+        A, [[parse("q1") if i == j == 0 else ZERO for j in range(4)] for i in range(4)]
+    )
+    assert sharp_commutes(toda2.lam0, good).ok
+    assert (good.push_bivector(toda2.lam0) - toda2.lam1).is_zero()
+    rep = sharp_commutes(toda2.lam0, bad)
+    assert rep.failures == [("N P# != P# N* on dual pair (Dq1, Dp1)", parse("q1"))]
+    with pytest.raises(ExprError, match="N P is not antisymmetric"):
         bad.push_bivector(toda2.lam0)

@@ -10,7 +10,7 @@ from pnalgebroid.algebroid import LieAlgebroid, KForm, d_A
 from pnalgebroid.poisson import (
     Bivector, is_poisson, are_compatible, koszul_bracket, dual_algebroid,
     induced_base_poisson, symplectic_check, invert_symplectic, invert_poisson,
-    hamiltonian_section, DegenerateBivector, two_form_from_matrix,
+    hamiltonian_section, DegenerateBivector, two_form_from_matrix, schouten_1r,
 )
 from pnalgebroid.fixtures import build_toda, build_aff1
 
@@ -154,3 +154,160 @@ def test_sharp_and_flat_are_mutually_inverse():
         # flat(sharp(alpha)) = -alpha under the fixed global convention
         back = flat(om, P.sharp(alpha))
         assert (back + alpha).is_zero()
+
+
+# -- the frame formula for [P, P] against the sharp-map route --------------
+
+
+def sharp_map_residuals(P):
+    """[P, P] through the sharp-map identity: for every dual covector theta^a,
+    B_a = [P# theta^a, P] - d theta^a (P# ., P# .).  Returns the nonzero
+    B_a^{bc}, b < c, keyed by (a, b, c) in the order a, then (b, c)."""
+    A = P.algebroid
+    r = A.rank
+    sharps = [P.sharp(A.dual_frame_form(a)) for a in range(r)]
+    out = {}
+    for a in range(r):
+        B = schouten_1r(sharps[a], P)
+        dtheta = d_A(A, A.dual_frame_form(a))
+        for b in range(r):
+            for c in range(b + 1, r):
+                e = B.mat[b][c] - dtheta(sharps[b], sharps[c])
+                if not e.is_zero():
+                    out[(a, b, c)] = e
+    return out
+
+
+def failure_message(A, a, b, c):
+    return (
+        f"Poisson condition fails against dual covector {A.frame[a]} "
+        f"on pair ({A.frame[b]}, {A.frame[c]})"
+    )
+
+
+def random_polynomial(variables, rng):
+    e = ZERO
+    for _ in range(rng.randint(1, 3)):
+        t = Expr.number(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for _ in range(rng.randint(0, 2)):
+            t = t * Expr.var(rng.choice(variables))
+        e = e + t
+    return e
+
+
+def random_bivector(A, rng, density=0.5):
+    variables = list(A.base_vars)
+    entries = {}
+    for a in range(A.rank):
+        for b in range(a + 1, A.rank):
+            if rng.random() < density:
+                entries[(a, b)] = random_polynomial(variables, rng)
+    return Bivector.from_entries(A, entries)
+
+
+def _algebroids():
+    t2, t3 = build_toda(2), build_toda(3)
+    return {
+        "tangent-R3": LieAlgebroid.tangent(["x", "y", "z"]),
+        "toda3": t3.tangent,
+        "toda2-atiyah": t2.atiyah,
+        "toda3-atiyah": t3.atiyah,
+        "toda2-flaschka": t2.flaschka,
+        "aff1": build_aff1().algebroid,
+        # anchor and structure both nontrivial: [e1, e2] = u e3
+        "nonabelian": LieAlgebroid.from_tables(
+            ["u", "v"], ["e1", "e2", "e3"], [[ONE, ZERO], [ZERO, ONE], [ZERO, ZERO]],
+            {(0, 1): {2: parse("u")}},
+        ),
+    }
+
+
+ALGEBROIDS = _algebroids()
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_is_poisson_matches_sharp_map_route(name):
+    A = ALGEBROIDS[name]
+    rng = random.Random(f"is_poisson/{name}")
+    draws = 3 if A.rank > 4 else 6
+    failing = 0
+    for _ in range(draws):
+        P = random_bivector(A, rng, density=0.4 if A.rank > 4 else 0.9)
+        ref = sharp_map_residuals(P)
+        rep = is_poisson(P)
+        assert rep.ok == (not ref)
+        if ref:
+            (a, b, c), e = next(iter(ref.items()))
+            assert rep.witness() == f"{failure_message(A, a, b, c)}: residual {e}"
+        # one failure per sorted triple, equal to the reference's entry there
+        sorted_ref = [
+            (failure_message(A, *k), e) for k, e in ref.items() if k[0] < k[1]
+        ]
+        assert rep.failures == sorted_ref
+        # B_a^{bc} is totally antisymmetric, so the other entries add nothing
+        for (a, b, c), e in ref.items():
+            if a < b:
+                continue
+            assert a != b and a != c
+            # (a, b, c) is a cyclic shift of its sorted triple when a > c, and
+            # one transposition away from it when b < a < c
+            sorted_e = ref.get(tuple(sorted((a, b, c))), ZERO)
+            assert (sorted_e - (e if a > c else -e)).is_zero()
+        failing += bool(ref)
+    assert failing
+
+
+def test_is_poisson_passes_the_fixture_pairs():
+    t = build_toda(3)
+    for P in (t.lam0, t.lam1, t.lam0_bar, t.lam1_bar, t.pi0, t.pi1, t.lam0 + t.lam1):
+        assert not sharp_map_residuals(P)
+        assert is_poisson(P).ok
+
+
+def test_is_poisson_residuals_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    A = LieAlgebroid.tangent(["x", "y", "z"])
+    xs = sympy.symbols("x y z")
+    rng = random.Random(31)
+
+    def to_sympy(e):
+        return sympy.sympify(str(e).replace("^", "**"))
+
+    seen = 0
+    for _ in range(12):
+        P = random_bivector(A, rng, density=0.9)
+        pi = [[to_sympy(P.mat[i][j]) for j in range(3)] for i in range(3)]
+        expected = {}
+        i, j, k = 0, 1, 2
+        jac = sum(
+            pi[x][l] * sympy.diff(pi[y][z], xs[l])
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+            for l in range(3)
+        )
+        jac = sympy.expand(jac)
+        if jac != 0:
+            expected[failure_message(A, i, j, k)] = jac
+        rep = is_poisson(P)
+        got = {msg: to_sympy(e) for msg, e in rep.failures}
+        assert got.keys() == expected.keys()
+        for msg, e in got.items():
+            assert sympy.expand(e - expected[msg]) == 0
+        seen += bool(expected)
+    assert seen  # the draws include non-Poisson bivectors
+
+
+def test_pinned_witnesses_on_R3():
+    A = LieAlgebroid.tangent(["x", "y", "z"])
+    P0 = Bivector.from_entries(A, {(0, 1): ONE})
+    P1 = Bivector.from_entries(A, {(0, 2): parse("x")})
+    assert are_compatible(P0, P1).witness() == (
+        "sum bivector: Poisson condition fails against dual covector Dx "
+        "on pair (Dy, Dz): residual 1"
+    )
+    P = Bivector.from_entries(
+        A, {(1, 2): parse("x"), (2, 0): parse("y"), (0, 1): parse("x^2")}
+    )
+    assert is_poisson(P).witness() == (
+        "Poisson condition fails against dual covector Dx "
+        "on pair (Dy, Dz): residual 2*x*y"
+    )
