@@ -6,19 +6,20 @@ from .expr import (
     Expr, Point, DualValue, parse, ExprError, ExprSyntaxError, div_exact,
     ZERO, ONE,
 )
+from .linalg import Frac
 from .algebroid import (
     LieAlgebroid, Section, KForm, CheckReport, d_A, interior, lie_derivative,
     zero_form,
 )
 from .poisson import (
-    Bivector, FracBivector, FracTwoForm, DegenerateBivector, SymplecticReport,
+    Bivector, DegenerateBivector, SymplecticReport,
     is_poisson, are_compatible, koszul_bracket, dual_algebroid,
     induced_base_poisson, symplectic_check, invert_symplectic, invert_poisson,
     hamiltonian_section, schouten_1r, two_form_matrix, two_form_from_matrix,
     flat,
 )
 from .nijenhuis import (
-    Endo, FracEndo, PNReport, HierarchyReport, torsion, torsion_check,
+    Endo, PNReport, HierarchyReport, torsion, torsion_check,
     deformed_bracket, deformed_algebroid, sharp_commutes, concomitant,
     concomitant_check, pn_check, recursion_operator, hierarchy,
     hierarchy_check, bihamiltonian_check,

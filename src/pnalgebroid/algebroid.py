@@ -281,6 +281,9 @@ class Section:
     def scale(self, f: Expr) -> "Section":
         return Section(self.algebroid, tuple(f * a for a in self.comps))
 
+    def map(self, f) -> "Section":
+        return Section(self.algebroid, tuple(f(a) for a in self.comps))
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
@@ -355,6 +358,9 @@ class KForm:
 
     def scale(self, f: Expr) -> "KForm":
         return KForm(self.algebroid, self.degree, _prune({k: f * v for k, v in self.comps.items()}))
+
+    def map(self, f) -> "KForm":
+        return KForm(self.algebroid, self.degree, {k: f(v) for k, v in self.comps.items()})
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.comps.values())

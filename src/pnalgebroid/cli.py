@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import linalg, reduction
+from . import __version__ as VERSION, linalg, reduction
+from .expr import ExprError
 from .algebroid import CheckReport, timed_check
 from .poisson import (
     is_poisson, are_compatible, symplectic_check, DegenerateBivector, Bivector,
@@ -29,12 +30,6 @@ from .reduction import (
 )
 from .specio import SpecDocument, SpecFileError, load_document, serialize_document
 from .fixtures import build_toda, build_aff1
-
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("artifact")
-except Exception:  # pragma: no cover
-    VERSION = "0.1.0"
 
 # sampling boxes keeping fixture points away from singular loci
 DEFAULT_BOXES = {"a": (0.5, 2.0), "mu": (-2.0, 2.0)}
@@ -140,7 +135,7 @@ def _toda_document(n: int, block: str, epi: str) -> SpecDocument:
         doc = SpecDocument(t.atiyah, bivectors={"pi0": t.pi0, "pi1": t.pi1})
         try:
             doc.endomorphisms["N"] = t.recursion_atiyah().exact()
-        except Exception:
+        except ExprError:
             pass  # the recursion operator is genuinely rational for n >= 3
     else:
         raise UsageError(f"unknown toda block {block!r}")
@@ -384,44 +379,52 @@ def cmd_fixture(args, report: Report, doc: SpecDocument) -> None:
     sys.stdout.write(serialize_document(doc))
 
 
+def _verdict(rep, verdict: str = "ok") -> tuple[bool, Optional[str], bool]:
+    """A report as (ok, witness, ill), ok read from its ``verdict`` field."""
+    return getattr(rep, verdict), rep.witness(), False
+
+
+def _stable_kernel_verdict(N: Endo, pts) -> tuple[bool, Optional[str], bool]:
+    reports = riesz_report(N, pts)
+    return (
+        all(r.index == 1 and r.dim_kernel == 2 and r.direct_sum_ok for r in reports),
+        None,
+        any(r.ill_conditioned for r in reports),
+    )
+
+
 def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
-    """Condensed verification suite over the built-in fixtures."""
+    """Condensed verification suite over the built-in fixtures: one
+    (name, thunk) row per check, each thunk giving (ok, witness, ill)."""
     t = build_toda(2)
-    for name, P in (("lam0", t.lam0), ("lam1", t.lam1), ("pi0", t.pi0), ("pi1", t.pi1)):
-        _timed(report, f"toda2 poisson({name})",
-               lambda P=P: (lambda r: (r.ok, r.witness(), False))(is_poisson(P)))
-    _timed(report, "toda2 compatible(lam0,lam1)",
-           lambda: (lambda r: (r.ok, r.witness(), False))(are_compatible(t.lam0, t.lam1)))
-    _timed(report, "toda2 recursion(lam0,lam1) = N",
-           lambda: ((recursion_operator(t.lam0, t.lam1).exact() - t.N).is_zero(), None, False))
-    _timed(report, "toda2 pn(lam0,N)",
-           lambda: (lambda r: (r.ok, r.witness(), False))(pn_check(t.lam0, t.N)))
-    _timed(report, "toda2 project(lam0) = lam0_bar",
-           lambda: ((project_bivector(t.epi_flaschka, t.lam0) - t.lam0_bar).is_zero(),
-                    None, False))
-    _timed(report, "toda2 sn(pi0,N_A)",
-           lambda: (lambda r: (r.sn, r.witness(), False))(
-               pn_check(t.pi0, t.recursion_atiyah().exact())))
     a = build_aff1()
-    _timed(report, "aff1 two-form symplectic",
-           lambda: (lambda r: (r.ok, r.witness(), False))(symplectic_check(a.omega)))
-    _timed(report, "aff1 projector idempotent",
-           lambda: ((a.N.compose(a.N) - a.N).is_zero(), None, False))
     pts = sample_points(list(a.algebroid.base_vars), 25, 7,
                         _box_for(list(a.algebroid.base_vars)))
-    _timed(report, "aff1 stable-kernel index 1 at 25 points",
-           lambda: (
-               all(r.index == 1 and r.dim_kernel == 2 and r.direct_sum_ok
-                   for r in riesz_report(a.N, pts)),
-               None,
-               any(r.ill_conditioned for r in riesz_report(a.N, pts)),
-           ))
-    _timed(report, "aff1 fiberwise reduction nondegenerate",
-           lambda: (
-               all(r.p_nondegenerate and r.n_invertible
-                   for r in fiberwise_reduce(a.P, a.N, pts)),
-               None, False,
-           ))
+    checks = [
+        *((f"toda2 poisson({name})", lambda P=P: _verdict(is_poisson(P)))
+          for name, P in (("lam0", t.lam0), ("lam1", t.lam1),
+                          ("pi0", t.pi0), ("pi1", t.pi1))),
+        ("toda2 compatible(lam0,lam1)",
+         lambda: _verdict(are_compatible(t.lam0, t.lam1))),
+        ("toda2 recursion(lam0,lam1) = N",
+         lambda: ((recursion_operator(t.lam0, t.lam1).exact() - t.N).is_zero(), None, False)),
+        ("toda2 pn(lam0,N)", lambda: _verdict(pn_check(t.lam0, t.N))),
+        ("toda2 project(lam0) = lam0_bar",
+         lambda: ((project_bivector(t.epi_flaschka, t.lam0) - t.lam0_bar).is_zero(),
+                  None, False)),
+        ("toda2 sn(pi0,N_A)",
+         lambda: _verdict(pn_check(t.pi0, t.recursion_atiyah().exact()), "sn")),
+        ("aff1 two-form symplectic", lambda: _verdict(symplectic_check(a.omega))),
+        ("aff1 projector idempotent",
+         lambda: ((a.N.compose(a.N) - a.N).is_zero(), None, False)),
+        ("aff1 stable-kernel index 1 at 25 points",
+         lambda: _stable_kernel_verdict(a.N, pts)),
+        ("aff1 fiberwise reduction nondegenerate",
+         lambda: (all(r.p_nondegenerate and r.n_invertible
+                      for r in fiberwise_reduce(a.P, a.N, pts)), None, False)),
+    ]
+    for name, thunk in checks:
+        _timed(report, name, thunk)
 
 
 COMMANDS = {

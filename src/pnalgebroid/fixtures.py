@@ -10,7 +10,7 @@ from fractions import Fraction
 from .expr import Expr, ZERO, ONE
 from .algebroid import LieAlgebroid, Section, KForm
 from .poisson import Bivector, two_form_from_matrix
-from .nijenhuis import Endo, FracEndo, recursion_operator
+from .nijenhuis import Endo, recursion_operator
 from .reduction import EpimorphismSpec
 from . import linalg
 
@@ -48,7 +48,7 @@ class TodaFixture:
     pi1: Bivector
     epi_atiyah: EpimorphismSpec
 
-    def recursion_atiyah(self) -> FracEndo:
+    def recursion_atiyah(self) -> linalg.Frac:
         return recursion_operator(self.pi0, self.pi1)
 
 
@@ -245,7 +245,7 @@ def build_semidirect(
     k = len(f_basis)
     diag = [[ONE if (i == j and i < k) else ZERO for j in range(2 * d)] for i in range(2 * d)]
     nmat_num = linalg.mat_mul(linalg.mat_mul(T, diag), inv.num)
-    nmat = FracEndo(Endo.from_matrix(A, nmat_num), inv.den).exact()
+    nmat = linalg.Frac(Endo.from_matrix(A, nmat_num), inv.den).exact()
     kernel = [Section(A, tuple(v)) for v in perp]
     return SemidirectFixture(A, omega, P, nmat, list(h1_indices), kernel)
 

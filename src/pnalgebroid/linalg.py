@@ -2,10 +2,10 @@
 
 Symbolic routines use fraction-free (cross-multiplying) elimination, so no
 division ever happens inside the ring; results that would be fractions are
-returned as (numerator, denominator) pairs.  Numeric routines wrap numpy's
-SVD with the tolerance policy used throughout: relative to max(sigma_max, 1),
-with an ill-conditioned flag when singular values straddle the cutoff with a
-small gap.
+returned as a :class:`Frac`, a numerator over a scalar denominator.  Numeric
+routines wrap numpy's SVD with the tolerance policy used throughout: relative
+to max(sigma_max, 1), with an ill-conditioned flag when singular values
+straddle the cutoff with a small gap.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError
+from .expr import Expr, ZERO, ONE, ExprError, div_exact
 
 Matrix = list[list[Expr]]
 
@@ -93,27 +93,43 @@ def adjugate(a: Matrix) -> Matrix:
 
 
 @dataclass
-class FracMatrix:
-    """A matrix of ring elements divided by a common scalar denominator."""
+class Frac:
+    """A numerator over a common scalar denominator.
 
-    num: Matrix
+    The numerator is an Expr, a (nested) list of them, or a structure with a
+    ``map(f)`` applying f to every entry (Bivector, Endo, KForm, Section).
+    """
+
+    num: object
     den: Expr
 
-    def exact(self) -> Matrix:
-        """Divide out the denominator; raises ExprError if any entry fails."""
-        from .expr import div_exact
-
+    def exact(self):
+        """Divide every entry by the denominator; raises ExprError if one
+        does not divide."""
         if self.den == ONE:
             return self.num
-        return [[div_exact(x, self.den) for x in row] for row in self.num]
+        return _map_entries(self.num, lambda e: div_exact(e, self.den))
 
 
-def inverse_pair(a: Matrix) -> FracMatrix:
-    """Exact inverse as (adjugate, determinant); raises on singular input."""
+def _map_entries(x, f):
+    if isinstance(x, Expr):
+        return f(x)
+    if isinstance(x, list):
+        return [_map_entries(e, f) for e in x]
+    return x.map(f)
+
+
+def as_frac(x) -> Frac:
+    """x itself if it is a Frac, else x over ONE."""
+    return x if isinstance(x, Frac) else Frac(x, ONE)
+
+
+def inverse_pair(a: Matrix) -> Frac:
+    """Exact inverse as adjugate over determinant; raises on singular input."""
     d = det(a)
     if d.is_zero():
         raise ExprError("matrix is singular (zero determinant)")
-    return FracMatrix(adjugate(a), d)
+    return Frac(adjugate(a), d)
 
 
 def _first_nonzero(row: list[Expr], start: int = 0) -> int:
@@ -185,8 +201,8 @@ def symbolic_nullspace(a: Matrix) -> list[list[Expr]]:
     return basis
 
 
-def solve_pair(a: Matrix, b: list[Expr]) -> tuple[list[Expr], Expr]:
-    """Solve a @ x = d * b exactly, returning (x, d) with ring entries.
+def solve_pair(a: Matrix, b: list[Expr]) -> Frac:
+    """Solve a @ x = d * b exactly, returning Frac(x, d) with ring entries.
 
     Requires a consistent system with unique solution on the generic locus;
     raises ExprError otherwise.
@@ -211,7 +227,7 @@ def solve_pair(a: Matrix, b: list[Expr]) -> tuple[list[Expr], Expr]:
         x = [piv * v for v in x]
         x[col] = rhs
         d = d * piv
-    return x, d
+    return Frac(x, d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .expr import Expr, ZERO, ONE, ExprError, div_exact
+from .expr import Expr, ZERO, ExprError
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_check
 from .poisson import (
     Bivector,
@@ -87,6 +87,9 @@ class Endo:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.mat for x in row)
 
+    def map(self, f) -> "Endo":
+        return Endo(self.algebroid, tuple(tuple(f(x) for x in row) for row in self.mat))
+
     def push_bivector(self, P: Bivector) -> Bivector:
         """The contracted bivector (N P)^{ab} = N^a_c P^{cb}.
 
@@ -113,22 +116,6 @@ def _contract(N: Endo, P: Bivector) -> tuple[linalg.Matrix, list[tuple[int, int,
             if not e.is_zero():
                 defects.append((a, b, e))
     return m, defects
-
-
-@dataclass
-class FracEndo:
-    """Endomorphism numerator over a scalar denominator."""
-
-    num: Endo
-    den: Expr
-
-    def exact(self) -> Endo:
-        if self.den == ONE:
-            return self.num
-        A = self.num.algebroid
-        return Endo.from_matrix(
-            A, [[div_exact(x, self.den) for x in row] for row in self.num.mat]
-        )
 
 
 def deformed_bracket(N: Endo, X: Section, Y: Section) -> Section:
@@ -194,12 +181,15 @@ def deformed_algebroid(N: Endo, frame_prefix: str = "n_") -> LieAlgebroid:
     )
 
 
-def sharp_commutes(P: Bivector, N: Endo) -> CheckReport:
-    """N o P# = P# o N*, equivalently N P antisymmetric."""
+def sharp_commutes(P: Bivector, N: Endo, defects=None) -> CheckReport:
+    """N o P# = P# o N*, equivalently N P antisymmetric; ``defects`` are the
+    symmetric parts from ``_contract(N, P)`` when the caller has them."""
     frame = P.algebroid.frame
+    if defects is None:
+        defects = _contract(N, P)[1]
     failures = [
         (f"N P# != P# N* on dual pair ({frame[a]}, {frame[b]})", e)
-        for a, b, e in _contract(N, P)[1]
+        for a, b, e in defects
     ]
     return CheckReport(not failures, failures)
 
@@ -221,10 +211,13 @@ def _concomitant(P: Bivector, N: Endo, NP: Bivector, alpha: KForm, beta: KForm) 
     return lhs - rhs
 
 
-def concomitant_check(P: Bivector, N: Endo) -> CheckReport:
+def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> CheckReport:
+    """The concomitant on all dual frame pairs; ``NP`` is N P when the caller
+    has it."""
     A = P.algebroid
     r = A.rank
-    NP = N.push_bivector(P)
+    if NP is None:
+        NP = N.push_bivector(P)
     failures = []
     for a in range(r):
         for b in range(a + 1, r):
@@ -282,9 +275,13 @@ def pn_check(P: Bivector, N: Endo) -> PNReport:
     carries its own wall time."""
     poisson = timed_check(is_poisson, P)
     tors = timed_check(torsion_check, N)
-    comm = timed_check(sharp_commutes, P, N)
+    t0 = time.perf_counter()
+    m, defects = _contract(N, P)
+    comm = sharp_commutes(P, N, defects)
+    comm.seconds = time.perf_counter() - t0
     if comm.ok:
-        conc = timed_check(concomitant_check, P, N)
+        NP = Bivector(P.algebroid, tuple(tuple(row) for row in m))
+        conc = timed_check(concomitant_check, P, N, NP)
     else:
         conc = CheckReport(False, [("skipped: sharp maps do not commute", ZERO)])
     t0 = time.perf_counter()
@@ -294,7 +291,7 @@ def pn_check(P: Bivector, N: Endo) -> PNReport:
     )
 
 
-def recursion_operator(P0: Bivector, P1: Bivector) -> FracEndo:
+def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
     """The unique N with N o P0# = P1#, as numerator / det(P0).
 
     Raises :class:`DegenerateBivector` with a kernel covector witness when
@@ -317,7 +314,7 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> FracEndo:
     m0t = linalg.mat_transpose(m0)
     m1t = linalg.mat_transpose([list(row) for row in P1.mat])
     num = linalg.mat_mul(m1t, linalg.adjugate(m0t))
-    return FracEndo(Endo.from_matrix(A, num), linalg.det(m0t))
+    return linalg.Frac(Endo.from_matrix(A, num), linalg.det(m0t))
 
 
 def hierarchy(P: Bivector, N: Endo, depth: int) -> list[tuple[int, Bivector]]:

@@ -11,8 +11,9 @@ fixed once and used everywhere:
   P# o Omega_b = -id, and the canonical pair (dq^dp, Dq^Dp) on the plane
   corresponds to itself.
 
-Division never happens in the ring: inverses are returned as a numerator
-structure plus a scalar denominator (the determinant).
+Division never happens in the ring: inverses are returned as a
+:class:`~pnalgebroid.linalg.Frac`, a numerator structure over a scalar
+denominator (the determinant).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .expr import Expr, ZERO, ONE, ExprError
+from .expr import Expr, ZERO, ExprError
 from .algebroid import (
     CheckReport,
     KForm,
@@ -31,7 +32,7 @@ from .algebroid import (
     lie_derivative,
 )
 from . import linalg
-from .linalg import Matrix
+from .linalg import Frac, Matrix
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,9 @@ class Bivector:
     def is_zero(self) -> bool:
         return all(x.is_zero() for row in self.mat for x in row)
 
+    def map(self, f) -> "Bivector":
+        return Bivector(self.algebroid, tuple(tuple(f(x) for x in row) for row in self.mat))
+
     def determinant(self) -> Expr:
         return linalg.det([list(row) for row in self.mat])
 
@@ -149,43 +153,6 @@ def two_form_from_matrix(A: LieAlgebroid, mat: Matrix) -> KForm:
 def flat(omega: KForm, X: Section) -> KForm:
     """(Omega_b X) = i_X omega, slot-one interior product."""
     return interior(X, omega)
-
-
-@dataclass
-class FracBivector:
-    """Bivector numerator over a scalar denominator."""
-
-    num: Bivector
-    den: Expr
-
-    def exact(self) -> Bivector:
-        from .expr import div_exact
-
-        if self.den == ONE:
-            return self.num
-        A = self.num.algebroid
-        return Bivector(
-            A, tuple(tuple(div_exact(x, self.den) for x in row) for row in self.num.mat)
-        )
-
-
-@dataclass
-class FracTwoForm:
-    """Two-form numerator over a scalar denominator."""
-
-    num: KForm
-    den: Expr
-
-    def exact(self) -> KForm:
-        from .expr import div_exact
-
-        if self.den == ONE:
-            return self.num
-        return KForm(
-            self.num.algebroid,
-            2,
-            {k: div_exact(v, self.den) for k, v in self.num.comps.items()},
-        )
 
 
 def schouten_1r(X: Section, R):
@@ -350,66 +317,45 @@ class SymplecticReport:
         return f"{msg}: {e}"
 
 
-def symplectic_check(omega) -> SymplecticReport:
+def symplectic_check(omega: KForm | Frac) -> SymplecticReport:
     """Closedness plus nondegeneracy (nonzero exact determinant).
 
-    Accepts a plain two-form or a (numerator, denominator) pair; for the
-    latter, closedness is checked after clearing denominators:
-    den * d(num) - d(den) ^ num = 0.
+    Accepts a plain two-form or a Frac; closedness of num / den is checked
+    after clearing denominators: den * d(num) - d(den) ^ num = 0.
     """
-    if isinstance(omega, FracTwoForm):
-        A = omega.num.algebroid
-        cleared = d_A(A, omega.num).scale(omega.den) - d_A(A, omega.den).wedge(omega.num)
-        closed = cleared.is_zero()
-        detnum = linalg.det(two_form_matrix(omega.num))
-        failures = []
-        if not closed:
-            idx, e = next(iter(sorted(cleared.comps.items())))
-            failures.append((f"two-form not closed at frame triple {idx}", e))
-        if detnum.is_zero():
-            failures.append(("two-form numerator is degenerate", detnum))
-        return SymplecticReport(not failures, closed, detnum, failures)
-    A = omega.algebroid
-    domega = d_A(A, omega)
-    closed = domega.is_zero()
-    determinant = linalg.det(two_form_matrix(omega))
+    omega = linalg.as_frac(omega)
+    A = omega.num.algebroid
+    cleared = d_A(A, omega.num).scale(omega.den) - d_A(A, omega.den).wedge(omega.num)
+    closed = cleared.is_zero()
+    determinant = linalg.det(two_form_matrix(omega.num))
     failures = []
     if not closed:
-        idx, e = next(iter(sorted(domega.comps.items())))
+        idx, e = next(iter(sorted(cleared.comps.items())))
         failures.append((f"two-form not closed at frame triple {idx}", e))
     if determinant.is_zero():
         failures.append(("two-form is degenerate (zero determinant)", determinant))
     return SymplecticReport(not failures, closed, determinant, failures)
 
 
-def invert_symplectic(omega) -> FracBivector:
+def invert_symplectic(omega: KForm | Frac) -> Frac:
     """Nondegenerate two-form -> bivector, as numerator / determinant.
 
     Pairing convention: P_mat = -Omega_mat^{-1}; inverse of invert_poisson.
-    Accepts a (numerator, denominator) pair as well: the denominator scales
-    into the numerator of the result."""
-    if isinstance(omega, FracTwoForm):
-        A = omega.num.algebroid
-        m = two_form_matrix(omega.num)
-        d = linalg.det(m)
-        if d.is_zero():
-            raise ExprError("two-form is degenerate; no inverse bivector")
-        adj = linalg.adjugate(m)
-        num = Bivector(
-            A, tuple(tuple(-(omega.den * x) for x in row) for row in adj)
-        )
-        return FracBivector(num, d)
-    A = omega.algebroid
-    m = two_form_matrix(omega)
+    A Frac two-form is accepted as well: its denominator scales into the
+    numerator of the result."""
+    omega = linalg.as_frac(omega)
+    m = two_form_matrix(omega.num)
     d = linalg.det(m)
     if d.is_zero():
         raise ExprError("two-form is degenerate; no inverse bivector")
     adj = linalg.adjugate(m)
-    num = Bivector(A, tuple(tuple(-x for x in row) for row in adj))
-    return FracBivector(num, d)
+    num = Bivector(
+        omega.num.algebroid, tuple(tuple(-(omega.den * x) for x in row) for row in adj)
+    )
+    return Frac(num, d)
 
 
-def invert_poisson(P: Bivector) -> FracTwoForm:
+def invert_poisson(P: Bivector) -> Frac:
     """Nondegenerate bivector -> two-form, as numerator / determinant.
 
     Returns Omega with Omega_mat = -P_mat^{-1}; kernel covectors are
@@ -432,7 +378,7 @@ def invert_poisson(P: Bivector) -> FracTwoForm:
         )
     adj = linalg.adjugate(m)
     num = two_form_from_matrix(A, [[-x for x in row] for row in adj])
-    return FracTwoForm(num, d)
+    return Frac(num, d)
 
 
 class DegenerateBivector(ExprError):

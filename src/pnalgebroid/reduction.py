@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError, Point, div_exact
+from .expr import Expr, ZERO, ONE, ExprError, Point
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, interior, lie_derivative
 from .poisson import (
     Bivector,
@@ -26,7 +26,7 @@ from .poisson import (
 )
 from .nijenhuis import Endo
 from . import linalg
-from .linalg import Matrix, RankResult
+from .linalg import Frac, Matrix, RankResult
 
 TOL_ENV_VAR = "PNALGEBROID_TOL"
 
@@ -302,25 +302,25 @@ def _is_basic_function(epi: EpimorphismSpec, f: Expr) -> bool:
     return True
 
 
-def projectable_complement(epi: EpimorphismSpec) -> list[tuple[Section, Expr]]:
-    """Sections mapping onto multiples of the target frame: for each target
-    frame element a section X_a with fiber_map(X_a) = d_a * (a-th unit),
-    d_a a basic function.  Used as the projectable complement of the kernel."""
+def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
+    """Sections mapping onto the target frame: for each target frame element
+    Frac(X_a, d_a) with fiber_map(X_a) = d_a * (a-th unit), d_a a basic
+    function.  Used as the projectable complement of the kernel."""
     rows, pivots = linalg.row_echelon(epi.fiber_map)
     out = []
     for a in range(epi.target.rank):
         sub = [[epi.fiber_map[r][c] for c in pivots] for r in range(epi.target.rank)]
         unit = [ONE if r == a else ZERO for r in range(epi.target.rank)]
-        x, den = linalg.solve_pair(sub, unit)
+        x = linalg.solve_pair(sub, unit)
         comps = [ZERO] * epi.source.rank
-        for c, val in zip(pivots, x):
+        for c, val in zip(pivots, x.num):
             comps[c] = val
-        if not _is_basic_function(epi, den):
+        if not _is_basic_function(epi, x.den):
             raise ExprError(
-                f"could not build a projectable complement: scale {den} is "
+                f"could not build a projectable complement: scale {x.den} is "
                 "not a basic function"
             )
-        out.append((Section(epi.source, tuple(comps)), den))
+        out.append(Frac(Section(epi.source, tuple(comps)), x.den))
     return out
 
 
@@ -346,7 +346,7 @@ def projectable_endo_check(epi: EpimorphismSpec, N: Endo) -> CheckReport:
         return CheckReport(False, failures)
     complement = projectable_complement(epi)
     for xi in kernel:
-        for a, (X, _) in enumerate(complement):
+        for a, X in enumerate(c.num for c in complement):
             lie = epi.source.bracket(xi, N.apply(X)) - N.apply(epi.source.bracket(xi, X))
             for b, e in enumerate(epi.push_components(lie)):
                 if not e.is_zero():
@@ -397,9 +397,9 @@ def project_endo(epi: EpimorphismSpec, N: Endo, check: bool = True) -> Endo:
             raise ExprError(f"endomorphism is not projectable: {rep.witness()}")
     rt = epi.target.rank
     cols: list[list[Expr]] = []
-    for a, (X, den) in enumerate(projectable_complement(epi)):
-        push = epi.push_components(N.apply(X))
-        cols.append([rewrite_basic(epi, div_exact(e, den)) for e in push])
+    for X in projectable_complement(epi):
+        push = Frac(epi.push_components(N.apply(X.num)), X.den).exact()
+        cols.append([rewrite_basic(epi, e) for e in push])
     mat = [[cols[a][b] for a in range(rt)] for b in range(rt)]
     return Endo.from_matrix(epi.target, mat)
 
@@ -449,29 +449,24 @@ class LeafSpec:
 @dataclass
 class LeafRestriction:
     algebroid: LieAlgebroid
-    omega: object            # KForm or FracTwoForm
+    omega: object            # KForm or Frac
     endo: object | None      # Endo or None
     frame_sections: list[Section]
     flat_sign: int | None
     report: CheckReport
 
 
-def _flat_sign_for(omega_num: KForm, den: Expr, sharps: list[Section],
-                   covs: list[KForm]) -> tuple[int | None, CheckReport]:
-    """Realized sign s in flat(sharp(alpha)) = s * alpha, checked exactly."""
+def _flat_sign_for(omega: Frac, sharps: list[Section], covs: list[KForm],
+                   message: str) -> tuple[int | None, CheckReport]:
+    """Realized sign s in flat(sharp(alpha)) = s * alpha, checked exactly
+    with the denominator of omega cleared; ``message`` is the failure."""
     for s in (-1, 1):
-        ok = True
-        for X, alpha in zip(sharps, covs):
-            lhs = interior(X, omega_num)
-            rhs = alpha.scale(den).scale(Expr.number(s))
-            if not (lhs - rhs).is_zero():
-                ok = False
-                break
-        if ok:
+        if all(
+            (interior(X, omega.num) - alpha.scale(omega.den).scale(Expr.number(s))).is_zero()
+            for X, alpha in zip(sharps, covs)
+        ):
             return s, CheckReport(True, [])
-    return None, CheckReport(
-        False, [("flat o sharp is not a scalar multiple of the identity", ZERO)]
-    )
+    return None, CheckReport(False, [(message, ZERO)])
 
 
 def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestriction:
@@ -486,7 +481,9 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
         omega = invert_poisson(P)
         covs = [A.dual_frame_form(a) for a in range(A.rank)]
         sharps = [P.sharp(c) for c in covs]
-        sign, rep = _flat_sign_for(omega.num, omega.den, sharps, covs)
+        sign, rep = _flat_sign_for(
+            omega, sharps, covs, "flat o sharp is not a scalar multiple of the identity"
+        )
         return LeafRestriction(A, omega, N, sharps, sign, rep)
 
     m = len(leaf.covectors)
@@ -509,8 +506,7 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
             )
             for i in range(A.dim)
         ]
-        w, den = linalg.solve_pair(ti, rho)
-        anchor_rows.append([div_exact(e, den) if not e.is_zero() else ZERO for e in w])
+        anchor_rows.append(linalg.solve_pair(ti, rho).exact())
 
     # structure functions from the Koszul brackets of the chosen covectors
     structure: dict[tuple[int, int], dict[int, Expr]] = {}
@@ -519,12 +515,8 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
             kb = koszul_bracket(P, leaf.covectors[s], leaf.covectors[t])
             Y = P.sharp(kb)
             y = [c.substitute(subs) for c in Y.comps]
-            coeffs, den = linalg.solve_pair(M, y)
-            row = {
-                u: div_exact(c, den)
-                for u, c in enumerate(coeffs)
-                if not c.is_zero()
-            }
+            coeffs = linalg.solve_pair(M, y).exact()
+            row = {u: c for u, c in enumerate(coeffs) if not c.is_zero()}
             if row:
                 structure[(s, t)] = row
     A_L = LieAlgebroid.from_tables(list(leaf.leaf_vars), names, anchor_rows, structure)
@@ -542,8 +534,7 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
         ncols = []
         for s in range(m):
             y = [c.substitute(subs) for c in N.apply(sharps_src[s]).comps]
-            coeffs, den = linalg.solve_pair(M, y)
-            ncols.append([div_exact(c, den) if not c.is_zero() else ZERO for c in coeffs])
+            ncols.append(linalg.solve_pair(M, y).exact())
         endo_L = Endo.from_matrix(
             A_L, [[ncols[s][u] for s in range(m)] for u in range(m)]
         )
@@ -564,21 +555,10 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
         )
         for alpha in leaf.covectors
     ]
-    frame_secs = [A_L.frame_section(s) for s in range(m)]
-    sign = None
-    rep = CheckReport(True, [])
-    for s_cand in (-1, 1):
-        ok = all(
-            (interior(frame_secs[s], omega) - pullbacks[s].scale(Expr.number(s_cand))).is_zero()
-            for s in range(m)
-        )
-        if ok:
-            sign = s_cand
-            break
-    if sign is None:
-        rep = CheckReport(
-            False, [("flat o sharp on the leaf is not +/- the pullback", ZERO)]
-        )
+    sign, rep = _flat_sign_for(
+        Frac(omega, ONE), [A_L.frame_section(s) for s in range(m)], pullbacks,
+        "flat o sharp on the leaf is not +/- the pullback",
+    )
     return LeafRestriction(A_L, omega, endo_L, sharps_src, sign, rep)
 
 

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import pnalgebroid
+from pnalgebroid import cli
 from pnalgebroid.cli import main
+from pnalgebroid.fixtures import TodaFixture
 from pnalgebroid.specio import parse_document, serialize_document
 
 
@@ -127,3 +130,39 @@ def test_every_check_reports_its_own_time(capsys, argv):
     checks = json.loads(out)["checks"]
     assert checks
     assert all(c["seconds"] > 0 for c in checks), checks
+
+
+def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import SELFTEST_CHECKS
+
+    calls = []
+    real = cli.riesz_report
+    monkeypatch.setattr(cli, "riesz_report", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "selftest", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == SELFTEST_CHECKS
+    assert all(c["verdict"] == "pass" and not c["ill_conditioned"] for c in checks)
+    assert len(calls) == 1
+
+
+def test_report_version_is_the_package_version(capsys):
+    assert cli.VERSION is pnalgebroid.__version__
+    code, out, _ = run(capsys, "check-algebroid", "aff1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["version"] == "0.1.0"
+
+
+def test_toda_atiyah_fixture_omits_only_a_rational_recursion_operator(monkeypatch):
+    assert "N" in cli._toda_document(2, "atiyah", "flaschka").endomorphisms
+    assert not cli._toda_document(3, "atiyah", "flaschka").endomorphisms
+
+    def broken(self):
+        raise RuntimeError("not a division failure")
+
+    monkeypatch.setattr(TodaFixture, "recursion_atiyah", broken)
+    with pytest.raises(RuntimeError):
+        cli._toda_document(2, "atiyah", "flaschka")

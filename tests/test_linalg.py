@@ -5,6 +5,10 @@ import pytest
 
 from pnalgebroid.expr import parse, ExprError, ZERO, ONE
 from pnalgebroid import linalg
+from pnalgebroid.algebroid import KForm, LieAlgebroid, Section
+from pnalgebroid.linalg import Frac
+from pnalgebroid.nijenhuis import Endo
+from pnalgebroid.poisson import Bivector
 
 
 def M(*rows):
@@ -36,10 +40,10 @@ def test_symbolic_rank_and_nullspace():
 def test_solve_pair():
     a = M(["x", "1"], ["0", "y"])
     b = [parse("x + 1"), parse("y")]
-    x, d = linalg.solve_pair(a, b)
+    sol = linalg.solve_pair(a, b)
     for row, rhs in zip(a, b):
-        got = sum((c * v for c, v in zip(row, x)), ZERO)
-        assert (got - d * rhs).is_zero()
+        got = sum((c * v for c, v in zip(row, sol.num)), ZERO)
+        assert (got - sol.den * rhs).is_zero()
     with pytest.raises(ExprError):
         linalg.solve_pair(M(["1", "1"], ["1", "1"]), [ONE, ZERO])
 
@@ -69,3 +73,31 @@ def test_numeric_nullspace_matches_symbolic():
     nsn = linalg.numeric_nullspace(num, 1e-9)
     assert len(sym) == nsn.shape[1] == 1
     assert np.allclose(num @ nsn, 0.0)
+
+
+# -- Frac: one numerator over a scalar denominator ----------------------------
+
+_A = LieAlgebroid.tangent(["x", "y"])
+_ENTRIES = [parse("x*y"), parse("y + 2"), ZERO, parse("3*x*x")]
+_DEN = parse("x + y")
+_BUILDERS = {
+    "matrix": lambda e: [[e(0), e(1)], [e(2), e(3)]],
+    "vector": lambda e: [e(0), e(1), e(2)],
+    "bivector": lambda e: Bivector.from_entries(_A, {(0, 1): e(0)}),
+    "two-form": lambda e: KForm(_A, 2, {(0, 1): e(0)}),
+    "endo": lambda e: Endo.from_matrix(_A, [[e(0), e(1)], [e(2), e(3)]]),
+    "section": lambda e: Section(_A, (e(0), e(1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_frac_exact(kind):
+    build = _BUILDERS[kind]
+    value = build(lambda i: _ENTRIES[i])
+    assert Frac(value, ONE).exact() is value
+    assert Frac(build(lambda i: _ENTRIES[i] * _DEN), _DEN).exact() == value
+    # x*y*(x + y) + 1 has no quotient by x + y
+    bad = build(lambda i: _ENTRIES[i] * _DEN + (ONE if i == 0 else ZERO))
+    with pytest.raises(ExprError):
+        Frac(bad, _DEN).exact()
+

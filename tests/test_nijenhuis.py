@@ -12,6 +12,7 @@ from pnalgebroid.nijenhuis import (
     hierarchy_check, bihamiltonian_check, deformed_bracket,
 )
 from pnalgebroid.fixtures import build_toda, build_aff1
+from pnalgebroid import nijenhuis
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +142,37 @@ def test_push_bivector_and_sharp_commutes_agree(toda2):
     assert rep.failures == [("N P# != P# N* on dual pair (Dq1, Dp1)", parse("q1"))]
     with pytest.raises(ExprError, match="N P is not antisymmetric"):
         bad.push_bivector(toda2.lam0)
+
+
+def _counting_contract(monkeypatch):
+    calls = []
+    real = nijenhuis._contract
+
+    def counted(N, P):
+        calls.append((N, P))
+        return real(N, P)
+
+    monkeypatch.setattr(nijenhuis, "_contract", counted)
+    return calls
+
+
+def test_pn_check_contracts_n_p_once(toda2, monkeypatch):
+    calls = _counting_contract(monkeypatch)
+    rep = pn_check(toda2.lam0, toda2.N)
+    assert rep.ok and len(calls) == 1
+    assert rep.compatible.seconds > 0
+    alone = concomitant_check(toda2.lam0, toda2.N)
+    assert rep.concomitant.failures == alone.failures
+
+
+def test_pn_check_skips_the_concomitant_when_sharps_do_not_commute(toda2, monkeypatch):
+    A = toda2.tangent
+    bad = Endo.from_matrix(
+        A, [[parse("q1") if i == j == 0 else ZERO for j in range(4)] for i in range(4)]
+    )
+    want = sharp_commutes(toda2.lam0, bad).failures
+    calls = _counting_contract(monkeypatch)
+    rep = pn_check(toda2.lam0, bad)
+    assert len(calls) == 1
+    assert rep.compatible.failures == want
+    assert rep.concomitant.failures == [("skipped: sharp maps do not commute", ZERO)]

@@ -13,6 +13,7 @@ from pnalgebroid.poisson import (
     hamiltonian_section, DegenerateBivector, two_form_from_matrix, schouten_1r,
 )
 from pnalgebroid.fixtures import build_toda, build_aff1
+from pnalgebroid.linalg import Frac
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,37 @@ def test_symplectic_check_on_aff1():
     bad = two_form_from_matrix(A, mat)
     rep = symplectic_check(bad)
     assert not rep.closed
+
+
+def _symplectic_fields(rep):
+    return rep.ok, rep.closed, rep.determinant, rep.failures
+
+
+def test_symplectic_check_of_frac_over_one_matches_plain_form():
+    a = build_aff1()
+    mat = _omega_mat(a)
+    mat[0][1] = mat[0][1] + parse("mu1*mu2")
+    mat[1][0] = -mat[0][1]
+    not_closed = two_form_from_matrix(a.algebroid, mat)
+    degenerate = KForm(a.algebroid, 2, {})
+    for omega in (a.omega, not_closed, degenerate):
+        assert _symplectic_fields(symplectic_check(Frac(omega, ONE))) == (
+            _symplectic_fields(symplectic_check(omega))
+        )
+    assert symplectic_check(Frac(degenerate, parse("mu1"))).failures == [
+        ("two-form is degenerate (zero determinant)", ZERO)
+    ]
+
+
+def test_invert_symplectic_of_frac_scales_by_denominator():
+    A = LieAlgebroid.tangent(["x", "y", "u", "v"])
+    canonical_twisted = KForm(
+        A, 2, {(0, 2): ONE, (1, 3): ONE, (0, 1): parse("x*u")}
+    )
+    for omega, c in ((build_aff1().omega, parse("mu1 + 2")),
+                     (canonical_twisted, parse("x*y + 1"))):
+        want = invert_symplectic(omega).exact().map(lambda e: c * e)
+        assert invert_symplectic(Frac(omega, c)).exact() == want
 
 
 def _omega_mat(a):
