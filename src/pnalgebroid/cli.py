@@ -280,12 +280,13 @@ def cmd_hierarchy(args, report: Report, doc: SpecDocument) -> None:
 
 def cmd_recursion(args, report: Report, doc: SpecDocument) -> None:
     n0, p0, n1, p1 = _pick_pair(doc, args.bivectors)
+    t0 = time.perf_counter()
     try:
         frac = recursion_operator(p0, p1)
     except DegenerateBivector as e:
-        report.add(f"recursion({n0},{n1})", False, str(e))
+        report.add(f"recursion({n0},{n1})", False, str(e), seconds=time.perf_counter() - t0)
         return
-    report.add(f"recursion({n0},{n1})", True)
+    report.add(f"recursion({n0},{n1})", True, seconds=time.perf_counter() - t0)
     report.payload["numerator"] = [[str(e) for e in row] for row in frac.num.mat]
     report.payload["denominator"] = str(frac.den)
 
@@ -298,25 +299,28 @@ def cmd_project(args, report: Report, doc: SpecDocument) -> None:
         raise UsageError(
             f"input's epimorphism is named {epi.name!r}, not {args.epi!r}"
         )
-    val = epi.validate()
-    report.add(f"epimorphism({epi.name}) well-formed", val.ok, val.witness())
+    report.add_report(f"epimorphism({epi.name}) well-formed", timed_check(epi.validate))
     projected = SpecDocument(epi.target)
     for name, P in sorted(doc.bivectors.items()):
-        rep = projectable_bivector_check(epi, P)
-        report.add(f"projectable bivector({name})", rep.ok, rep.witness())
+        rep = timed_check(projectable_bivector_check, epi, P)
+        report.add_report(f"projectable bivector({name})", rep)
         if rep.ok:
+            t0 = time.perf_counter()
             try:
                 projected.bivectors[name] = project_bivector(epi, P, check=False)
             except NotBasic as e:
-                report.add(f"project bivector({name})", False, str(e))
+                report.add(f"project bivector({name})", False, str(e),
+                           seconds=time.perf_counter() - t0)
     for name, N in sorted(doc.endomorphisms.items()):
-        rep = projectable_endo_check(epi, N)
-        report.add(f"projectable endomorphism({name})", rep.ok, rep.witness())
+        rep = timed_check(projectable_endo_check, epi, N)
+        report.add_report(f"projectable endomorphism({name})", rep)
         if rep.ok:
+            t0 = time.perf_counter()
             try:
                 projected.endomorphisms[name] = project_endo(epi, N, check=False)
             except NotBasic as e:
-                report.add(f"project endomorphism({name})", False, str(e))
+                report.add(f"project endomorphism({name})", False, str(e),
+                           seconds=time.perf_counter() - t0)
     if projected.bivectors or projected.endomorphisms:
         report.payload["projected"] = json.loads(serialize_document(projected))
 
@@ -327,14 +331,16 @@ def cmd_restrict_leaf(args, report: Report, doc: SpecDocument) -> None:
     ename = None
     if args.endo is not None or len(doc.endomorphisms) == 1:
         ename, N = _pick_endo(doc, args.endo)
+    t0 = time.perf_counter()
     try:
         res = restrict_to_leaf(P, N, LeafSpec(full_rank=True))
     except DegenerateBivector as e:
-        report.add(f"restrict-leaf({pname})", False, str(e))
+        report.add(f"restrict-leaf({pname})", False, str(e), seconds=time.perf_counter() - t0)
         return
-    report.add(f"restrict-leaf({pname})", res.report.ok, res.report.witness())
-    rep = symplectic_check(res.omega)
-    report.add("leaf form symplectic", rep.ok, rep.witness())
+    report.add(f"restrict-leaf({pname})", res.report.ok, res.report.witness(),
+               seconds=time.perf_counter() - t0)
+    rep = timed_check(symplectic_check, res.omega)
+    report.add_report("leaf form symplectic", rep)
     report.payload["flat_sign"] = res.flat_sign
     report.payload["determinant"] = str(rep.determinant)
 
@@ -343,6 +349,7 @@ def cmd_riesz(args, report: Report, doc: SpecDocument) -> None:
     ename, N = _pick_endo(doc, args.endo)
     variables = list(doc.algebroid.base_vars)
     points = sample_points(variables, args.points, args.seed, _box_for(variables))
+    t0 = time.perf_counter()
     reports = riesz_report(N, points)
     indices = sorted({r.index for r in reports})
     dims = sorted({r.dim_kernel for r in reports})
@@ -351,6 +358,7 @@ def cmd_riesz(args, report: Report, doc: SpecDocument) -> None:
     report.add(
         f"riesz({ename}) stable-kernel splitting at {args.points} points",
         ok, None if ok else "image + kernel of the stable power do not span", ill,
+        time.perf_counter() - t0,
     )
     report.payload["indices"] = indices
     report.payload["kernel_dimensions"] = dims
@@ -361,15 +369,18 @@ def cmd_reduce_fiberwise(args, report: Report, doc: SpecDocument) -> None:
     ename, N = _pick_endo(doc, args.endo)
     variables = list(doc.algebroid.base_vars)
     points = sample_points(variables, args.points, args.seed, _box_for(variables))
+    t0 = time.perf_counter()
     reports = fiberwise_reduce(P, N, points)
+    # both verdicts come from the one pass over the points, and report its time
+    seconds = time.perf_counter() - t0
     ill = any(r.ill_conditioned for r in reports)
     report.add(
         f"reduced bivector({pname}) nondegenerate at {args.points} points",
-        all(r.p_nondegenerate for r in reports), None, ill,
+        all(r.p_nondegenerate for r in reports), None, ill, seconds,
     )
     report.add(
         f"reduced endomorphism({ename}) invertible at {args.points} points",
-        all(r.n_invertible for r in reports), None, ill,
+        all(r.n_invertible for r in reports), None, ill, seconds,
     )
     report.payload["quotient_dimensions"] = sorted({r.dim_quotient for r in reports})
 
@@ -554,6 +565,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except DegenerateBivector as e:
         report.add(args.command, False, str(e))
+    except linalg.NonFiniteEntry as e:
+        # no verdict at that point: reported as ill-conditioned (exit 3)
+        report.add(args.command, True, str(e), ill=True)
     if args.command != "fixture":
         report.emit(args.format)
     return report.exit_code

@@ -16,6 +16,7 @@ import numpy as np
 from .expr import Expr, ZERO
 from .algebroid import LieAlgebroid, Section
 from .poisson import Bivector
+from .linalg import evaluate_matrix
 
 FIBER_PREFIX = "y_"
 DUAL_FIBER_PREFIX = "z_"
@@ -253,12 +254,5 @@ def fb_generators(
     """Numeric generators of the lifted distribution at a total-space point:
     the vectors X^c(a) and X^v(a) for X ranging over the given sections.
     Rows are generators, columns the total-space coordinates."""
-    from .expr import Point
-
-    pt = Point(point_values)
-    rows = []
-    for X in sections:
-        for kind in ("c", "v"):
-            V = lift_section(A, X, kind)
-            rows.append([c.evaluate(pt) for c in V.comps])
-    return np.array(rows, dtype=float)
+    lifts = [lift_section(A, X, kind).comps for X in sections for kind in ("c", "v")]
+    return evaluate_matrix(lifts, point_values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError, div_exact
+from .expr import Expr, ZERO, ONE, ExprError, Point, div_exact
 
 Matrix = list[list[Expr]]
 
@@ -241,11 +241,30 @@ class RankResult:
     ill_conditioned: bool
 
 
-def numeric_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankResult:
-    """SVD rank with cutoff tol * max(sigma_max, 1); flags near-cutoff gaps."""
-    if mat.size == 0:
-        return RankResult(0, [], tol, False)
-    s = np.linalg.svd(mat, compute_uv=False)
+class NonFiniteEntry(ArithmeticError):
+    """A matrix evaluated at a sample point overflowed or is not finite."""
+
+    def __init__(self, values: dict[str, float]):
+        super().__init__(f"matrix entry overflows or is not finite at {values}")
+        self.values = values
+
+
+def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
+    """Float matrix of rows of expressions at the point ``values``; raises
+    NonFiniteEntry naming the point when an entry is not finite."""
+    pt = Point(values)
+    try:
+        mat = np.array([[e.evaluate(pt) for e in row] for row in rows], dtype=float)
+    except OverflowError:
+        raise NonFiniteEntry(values) from None
+    if not np.isfinite(mat).all():
+        raise NonFiniteEntry(values)
+    return mat
+
+
+def _rank_of(s: np.ndarray, tol: float) -> RankResult:
+    """Rank from descending singular values: the cutoff rule of every numeric
+    verdict, relative to max(sigma_max, 1), with the near-cutoff gap flag."""
     cutoff = tol * max(float(s[0]) if len(s) else 0.0, 1.0)
     rank = int(np.sum(s > cutoff))
     ill = False
@@ -257,19 +276,15 @@ def numeric_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankResult:
     return RankResult(rank, [float(x) for x in s], cutoff, ill)
 
 
-def numeric_nullspace(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numeric right nullspace."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1]) if mat.ndim == 2 else np.zeros((0, 0))
-    u, s, vt = np.linalg.svd(mat)
-    cutoff = tol * max(float(s[0]) if len(s) else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
+def numeric_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankResult:
+    """SVD rank under the cutoff rule of :func:`_rank_of`."""
+    s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+    return _rank_of(s, tol)
 
 
-def numeric_colspace(mat: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the numeric column space."""
+def numeric_bases(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[RankResult, np.ndarray, np.ndarray]:
+    """Rank and orthonormal bases (columns) of the right nullspace and the
+    column space, from one full SVD."""
     u, s, vt = np.linalg.svd(mat)
-    cutoff = tol * max(float(s[0]) if len(s) else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    res = _rank_of(s, tol)
+    return res, vt[res.rank:].T, u[:, :res.rank]

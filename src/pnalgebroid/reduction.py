@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError, Point
+from .expr import Expr, ZERO, ONE, ExprError
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, interior, lie_derivative
 from .poisson import (
     Bivector,
@@ -100,10 +100,7 @@ class EpimorphismSpec:
                         )
                     )
         for values in points or []:
-            pt = Point(values)
-            m = np.array(
-                [[e.evaluate(pt) for e in row] for row in self.fiber_map], dtype=float
-            )
+            m = linalg.evaluate_matrix(self.fiber_map, values)
             if linalg.numeric_rank(m, tol).rank < self.target.rank:
                 failures.append(
                     (f"fiber map not surjective at sample point {values}", ZERO)
@@ -164,13 +161,16 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
                 [l.get(v, Fraction(0)) for _, _, l in exps] for v in hard_vars
             ]
             rhs = [lvec.get(v, Fraction(0)) for v in hard_vars]
-            sol = linalg_solve_rational(rows, rhs)
-            if sol is None:
+            try:
+                ns = [x.constant_value() for x in linalg.solve_pair(
+                    [[Expr.number(q) for q in row] for row in rows],
+                    [Expr.number(q) for q in rhs],
+                ).exact()]
+            except ExprError:
                 raise NotBasic(
                     "exponential factor does not factor through the base map: "
                     f"exp({Expr((((), lin, Fraction(1)),))})"
-                )
-            ns = sol
+                ) from None
         t_lin: dict[str, Fraction] = {}
         for (tgt, cj, lj), nj in zip(exps, ns):
             if nj.denominator != 1 or nj < 0:
@@ -199,37 +199,6 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
     if not (out.substitute(epi.base_map) - e).is_zero():
         raise NotBasic("rewriting verification failed (expression is not basic)")
     return out
-
-
-def linalg_solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Unique rational solution of rows @ x = rhs, or None if inconsistent
-    or underdetermined."""
-    m = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][col]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            return None
-    if len(pivots) < ncols:
-        return None if ncols else []
-    x = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        x[col] = m[row_idx][ncols]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +262,11 @@ def projectable_bivector_check(epi: EpimorphismSpec, P: Bivector) -> CheckReport
     return CheckReport(not failures, failures)
 
 
-def _is_basic_function(epi: EpimorphismSpec, f: Expr) -> bool:
-    """Fiberwise constancy: killed by the anchor image of every kernel
-    section (the vertical distribution, under the standing hypothesis)."""
-    for xi in epi.kernel_frame():
-        if not epi.source.anchor_apply(xi, f).is_zero():
-            return False
-    return True
+def _is_basic_function(epi: EpimorphismSpec, kernel: list[Section], f: Expr) -> bool:
+    """Fiberwise constancy: killed by the anchor image of every section of
+    ``kernel``, the kernel frame of epi (the vertical distribution, under
+    the standing hypothesis)."""
+    return all(epi.source.anchor_apply(xi, f).is_zero() for xi in kernel)
 
 
 def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
@@ -307,6 +274,7 @@ def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
     Frac(X_a, d_a) with fiber_map(X_a) = d_a * (a-th unit), d_a a basic
     function.  Used as the projectable complement of the kernel."""
     rows, pivots = linalg.row_echelon(epi.fiber_map)
+    kernel = epi.kernel_frame()
     out = []
     for a in range(epi.target.rank):
         sub = [[epi.fiber_map[r][c] for c in pivots] for r in range(epi.target.rank)]
@@ -315,7 +283,7 @@ def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
         comps = [ZERO] * epi.source.rank
         for c, val in zip(pivots, x.num):
             comps[c] = val
-        if not _is_basic_function(epi, x.den):
+        if not _is_basic_function(epi, kernel, x.den):
             raise ExprError(
                 f"could not build a projectable complement: scale {x.den} is "
                 "not a basic function"
@@ -327,6 +295,12 @@ def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
 def projectable_endo_check(epi: EpimorphismSpec, N: Endo) -> CheckReport:
     """N preserves the kernel, and L_xi N maps a projectable complement into
     the kernel, for every kernel section xi."""
+    return _endo_check(epi, N)[0]
+
+
+def _endo_check(epi: EpimorphismSpec, N: Endo) -> tuple[CheckReport, list[Frac] | None]:
+    """projectable_endo_check and the projectable complement it built (None
+    when N does not preserve the kernel)."""
     failures = []
     kernel = epi.kernel_frame()
     for xi in kernel:
@@ -343,7 +317,7 @@ def projectable_endo_check(epi: EpimorphismSpec, N: Endo) -> CheckReport:
     if failures:
         # the Lie-derivative condition is only meaningful once the kernel is
         # preserved; report the structural failure first
-        return CheckReport(False, failures)
+        return CheckReport(False, failures), None
     complement = projectable_complement(epi)
     for xi in kernel:
         for a, X in enumerate(c.num for c in complement):
@@ -357,7 +331,7 @@ def projectable_endo_check(epi: EpimorphismSpec, N: Endo) -> CheckReport:
                             e,
                         )
                     )
-    return CheckReport(not failures, failures)
+    return CheckReport(not failures, failures), complement
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +366,14 @@ def project_endo(epi: EpimorphismSpec, N: Endo, check: bool = True) -> Endo:
     """Push an endomorphism through the epimorphism using a projectable
     complement of the kernel."""
     if check:
-        rep = projectable_endo_check(epi, N)
+        rep, complement = _endo_check(epi, N)
         if not rep.ok:
             raise ExprError(f"endomorphism is not projectable: {rep.witness()}")
+    else:
+        complement = projectable_complement(epi)
     rt = epi.target.rank
     cols: list[list[Expr]] = []
-    for X in projectable_complement(epi):
+    for X in complement:
         push = Frac(epi.push_components(N.apply(X.num)), X.den).exact()
         cols.append([rewrite_basic(epi, e) for e in push])
     mat = [[cols[a][b] for a in range(rt)] for b in range(rt)]
@@ -421,12 +397,8 @@ def characteristic_rank(
         ]
         for a in range(r)
     ]
-    out = []
-    for values in points:
-        pt = Point(values)
-        m = np.array([[e.evaluate(pt) for e in row] for row in rows], dtype=float)
-        out.append(linalg.numeric_rank(m, tol))
-    return out
+    return [linalg.numeric_rank(linalg.evaluate_matrix(rows, values), tol)
+            for values in points]
 
 
 @dataclass
@@ -579,33 +551,39 @@ class RieszPointReport:
 
 def riesz_at_point(N: Endo, values: dict[str, float], tol: float | None = None) -> RieszPointReport:
     """Stable-kernel index at one point: first k with rank N^k = rank N^{k+1}
-    (k = 0 exactly when N is invertible there)."""
+    (k = 0 exactly when N is invertible there).  Raises
+    linalg.NonFiniteEntry when N or one of its powers is not finite there."""
     tol = default_tolerance() if tol is None else tol
-    r = N.algebroid.rank
-    pt = Point(values)
-    mat = np.array([[e.evaluate(pt) for e in row] for row in N.mat], dtype=float)
+    return _riesz(linalg.evaluate_matrix(N.mat, values), values, tol)
+
+
+def _riesz(mat: np.ndarray, values: dict[str, float], tol: float) -> RieszPointReport:
+    """riesz_at_point on N already evaluated at ``values``."""
+    r = mat.shape[0]
     powers = [np.eye(r)]
     ranks = [r]
     ill = False
-    k = None
     for l in range(1, r + 2):
-        powers.append(powers[-1] @ mat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers.append(powers[-1] @ mat)
+        if not np.isfinite(powers[-1]).all():
+            raise linalg.NonFiniteEntry(values)
         res = linalg.numeric_rank(powers[-1], tol)
         ranks.append(res.rank)
         ill = ill or res.ill_conditioned
         if res.rank == ranks[-2]:
             k = l - 1
             break
-    if k is None:
+    else:
         k = r
-    nk = powers[k]
-    kernel = linalg.numeric_nullspace(nk, tol)
-    image = linalg.numeric_colspace(nk, tol)
+    if k == 0:
+        kernel, image = np.zeros((r, 0)), np.eye(r)
+    else:
+        _, kernel, image = linalg.numeric_bases(powers[k], tol)
     if kernel.shape[1] == 0:
         direct = True
     else:
-        stacked = np.hstack([kernel, image])
-        res = linalg.numeric_rank(stacked, tol)
+        res = linalg.numeric_rank(np.hstack([kernel, image]), tol)
         direct = res.rank == r
         ill = ill or res.ill_conditioned
     return RieszPointReport(values, ranks, k, kernel.shape[1], kernel, image, direct, ill)
@@ -664,20 +642,14 @@ def fiberwise_reduce(
     tol = default_tolerance() if tol is None else tol
     out = []
     for values in points:
-        rz = riesz_at_point(N, values, tol)
-        pt = Point(values)
-        pmat = np.array([[e.evaluate(pt) for e in row] for row in P.mat], dtype=float)
-        nmat = np.array([[e.evaluate(pt) for e in row] for row in N.mat], dtype=float)
-        C = rz.image_basis if rz.index > 0 else np.eye(P.algebroid.rank)
-        p_t = C.T @ pmat @ C
+        nmat = linalg.evaluate_matrix(N.mat, values)
+        rz = _riesz(nmat, values, tol)
+        C = rz.image_basis
+        p_t = C.T @ linalg.evaluate_matrix(P.mat, values) @ C
         n_t = C.T @ nmat @ C
         d = C.shape[1]
-        cutoff_p = tol * max(1.0, float(np.linalg.norm(p_t, 2)) if d else 1.0)
-        cutoff_n = tol * max(1.0, float(np.linalg.norm(n_t, 2)) if d else 1.0)
-        sp = np.linalg.svd(p_t, compute_uv=False) if d else np.array([])
-        sn = np.linalg.svd(n_t, compute_uv=False) if d else np.array([])
-        p_ok = bool(d == 0 or (len(sp) and sp[-1] > cutoff_p))
-        n_ok = bool(d == 0 or (len(sn) and sn[-1] > cutoff_n))
+        p_ok = linalg.numeric_rank(p_t, tol).rank == d
+        n_ok = linalg.numeric_rank(n_t, tol).rank == d
         out.append(
             FiberReport(
                 values, rz.index, d, p_t, n_t, p_ok, n_ok, rz.direct_sum_ok,
@@ -790,37 +762,23 @@ def condition_fb_check(
     by the given sections: at points of B the lifted distribution should
     have dimension dim rho(B) + rank B.  The verdict is a consistency check
     (the count is necessary, not sufficient, for the structural condition)."""
-    from .lifts import fb_generators, fiber_vars
+    from .lifts import fiber_vars, lift_section
 
     tol = default_tolerance() if tol is None else tol
     rng = random.Random(seed)
     out = []
     ys = fiber_vars(A)
+    lifts = [lift_section(A, X, kind).comps for X in sections for kind in ("c", "v")]
     for values in points:
-        pt = Point(values)
-        span = np.array(
-            [[c.evaluate(pt) for c in X.comps] for X in sections], dtype=float
-        ).T
+        span = linalg.evaluate_matrix([X.comps for X in sections], values).T
         rank_b = linalg.numeric_rank(span, tol)
-        rho = np.array(
-            [
-                [
-                    sum(
-                        X.comps[a].evaluate(pt) * A.anchor[a][i].evaluate(pt)
-                        for a in range(A.rank)
-                    )
-                    for i in range(A.dim)
-                ]
-                for X in sections
-            ],
-            dtype=float,
-        )
-        rank_rho = linalg.numeric_rank(rho, tol)
         coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in sections])
         y = span @ coeffs
         total_values = dict(values)
         total_values.update({ys[a]: float(y[a]) for a in range(A.rank)})
-        gens = fb_generators(A, sections, total_values)
+        gens = linalg.evaluate_matrix(lifts, total_values)
+        # rows X^c, X^v per section; the base part of X^c is rho(X)
+        rank_rho = linalg.numeric_rank(gens[::2, :A.dim], tol)
         rank_f = linalg.numeric_rank(gens, tol)
         expected = rank_rho.rank + rank_b.rank
         out.append(

@@ -122,6 +122,10 @@ def test_sampling_commands_reject_fewer_than_one_point(capsys, command, points):
         ["check-poisson", "toda:2"],
         ["check-algebroid", "toda:2:atiyah"],
         ["hierarchy", "toda:2:atiyah", "--depth", "2"],
+        ["recursion", "toda:3"],
+        ["restrict-leaf", "toda:2:atiyah", "--bivector", "pi0"],
+        ["riesz", "aff1", "--points", "5", "--seed", "1"],
+        ["reduce-fiberwise", "aff1", "--points", "5", "--seed", "1"],
     ],
 )
 def test_every_check_reports_its_own_time(capsys, argv):
@@ -130,6 +134,45 @@ def test_every_check_reports_its_own_time(capsys, argv):
     checks = json.loads(out)["checks"]
     assert checks
     assert all(c["seconds"] > 0 for c in checks), checks
+
+
+def test_project_reports_the_time_of_each_check(capsys):
+    code, out, _ = run(capsys, "project", "toda:3", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 4
+    assert all(c["seconds"] > 0 for c in checks), checks
+
+
+def _spec_with_endo(tmp_path, base_vars, frame, anchor, endo):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "base_vars": base_vars, "frame": frame, "anchor": anchor,
+        "endomorphisms": {"N": endo},
+    }))
+    return str(path)
+
+
+def test_overflowing_evaluation_exits_three_naming_the_point(tmp_path, capsys):
+    # exp(1000 x) overflows a float for x > 0.71; seed 3 samples x = 0.99
+    spec = _spec_with_endo(tmp_path, ["x"], ["e"], [["1"]], [["exp(1000*x)"]])
+    code, out, err = run(capsys, "riesz", spec, "--points", "20", "--seed", "3",
+                         "--format", "json")
+    assert code == 3, err
+    (check,) = json.loads(out)["checks"]
+    assert check["ill_conditioned"]
+    assert "{'x': 0.99128967" in check["witness"]
+
+
+def test_overflowing_power_exits_three(tmp_path, capsys):
+    # N is finite on the box, N^2 = exp(800 x) N overflows at x = 0.99
+    spec = _spec_with_endo(tmp_path, ["x"], ["e", "f"], [["1"], ["0"]],
+                           [["exp(400*x)", "exp(400*x)"], ["0", "0"]])
+    code, out, err = run(capsys, "riesz", spec, "--points", "20", "--seed", "3",
+                         "--format", "json")
+    assert code == 3, err
+    (check,) = json.loads(out)["checks"]
+    assert check["ill_conditioned"] and "not finite" in check["witness"]
 
 
 def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
@@ -154,6 +197,16 @@ def test_report_version_is_the_package_version(capsys):
     code, out, _ = run(capsys, "check-algebroid", "aff1", "--format", "json")
     assert code == 0
     assert json.loads(out)["version"] == "0.1.0"
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_the_distribution_version_is_the_package_version():
+    from pathlib import Path
+
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    conf = pyprojecttoml.read_configuration(path, expand=True)
+    assert conf["project"]["version"] == pnalgebroid.__version__
 
 
 def test_toda_atiyah_fixture_omits_only_a_rational_recursion_operator(monkeypatch):

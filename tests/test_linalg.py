@@ -70,9 +70,38 @@ def test_numeric_nullspace_matches_symbolic():
     a = M(["1", "2"], ["2", "4"])
     num = np.array([[1.0, 2.0], [2.0, 4.0]])
     sym = linalg.symbolic_nullspace(a)
-    nsn = linalg.numeric_nullspace(num, 1e-9)
+    nsn = linalg.numeric_bases(num, 1e-9)[1]
     assert len(sym) == nsn.shape[1] == 1
     assert np.allclose(num @ nsn, 0.0)
+
+
+@pytest.mark.parametrize("shape, rank", [((4, 4), 2), ((3, 5), 3), ((5, 3), 1), ((3, 3), 3)])
+def test_numeric_bases(shape, rank):
+    rng = np.random.default_rng(rank)
+    mat = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    res, kernel, image = linalg.numeric_bases(mat, 1e-9)
+    assert res.rank == rank == linalg.numeric_rank(mat, 1e-9).rank
+    assert kernel.shape == (shape[1], shape[1] - rank)
+    assert image.shape == (shape[0], rank)
+    assert np.allclose(mat @ kernel, 0.0)
+    assert np.allclose(kernel.T @ kernel, np.eye(shape[1] - rank))
+    assert np.allclose(image.T @ image, np.eye(rank))
+    # the image spans the column space: projecting onto it leaves mat alone
+    assert np.allclose(image @ image.T @ mat, mat)
+
+
+def test_evaluate_matrix_names_the_point_of_a_non_finite_entry():
+    rows = M(["x", "exp(x)"], ["1", "x*y"])
+    values = {"x": 0.5, "y": 2.0}
+    assert np.array_equal(linalg.evaluate_matrix(rows, values),
+                          [[0.5, np.exp(0.5)], [1.0, 1.0]])
+    for bad in ({"x": 1000.0, "y": 1.0},          # exp overflows
+                {"x": float("nan"), "y": 1.0},
+                {"x": 1.0, "y": float("inf")}):
+        with pytest.raises(linalg.NonFiniteEntry) as info:
+            linalg.evaluate_matrix(rows, bad)
+        assert info.value.values == bad
+        assert str(bad) in str(info.value)
 
 
 # -- Frac: one numerator over a scalar denominator ----------------------------

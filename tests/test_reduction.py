@@ -240,3 +240,213 @@ def test_condition_fb_dimension_count(aff1):
     reports = condition_fb_check(aff1.algebroid, aff1.kernel_basis, pts, seed=4)
     assert all(r.consistent for r in reports)
     assert all(r.rank_subbundle == 2 for r in reports)
+
+
+# -- the per-point numeric path against the previous one ---------------------
+#
+# _reference_riesz and _reference_fiberwise are the earlier per-point code:
+# N evaluated twice, the stable power decomposed by two SVDs (one for the
+# kernel, one for the image, identity included), and the quotient verdicts
+# taken against hand-written cutoffs tol * max(1, ||.||_2).
+
+def _evaluate(rows, values):
+    import numpy as np
+    from pnalgebroid.expr import Point
+
+    pt = Point(values)
+    return np.array([[e.evaluate(pt) for e in row] for row in rows], dtype=float)
+
+
+def _reference_svd_bases(mat, tol):
+    import numpy as np
+
+    u, s, vt = np.linalg.svd(mat)
+    cutoff = tol * max(float(s[0]) if len(s) else 0.0, 1.0)
+    rank = int(np.sum(s > cutoff))
+    return vt[rank:].T, u[:, :rank]
+
+
+def _reference_riesz(N, values, tol):
+    import numpy as np
+    from pnalgebroid import linalg
+
+    r = N.algebroid.rank
+    mat = _evaluate(N.mat, values)
+    powers = [np.eye(r)]
+    ranks = [r]
+    ill = False
+    k = None
+    for l in range(1, r + 2):
+        powers.append(powers[-1] @ mat)
+        res = linalg.numeric_rank(powers[-1], tol)
+        ranks.append(res.rank)
+        ill = ill or res.ill_conditioned
+        if res.rank == ranks[-2]:
+            k = l - 1
+            break
+    if k is None:
+        k = r
+    kernel, image = _reference_svd_bases(powers[k], tol)
+    if kernel.shape[1] == 0:
+        direct = True
+    else:
+        res = linalg.numeric_rank(np.hstack([kernel, image]), tol)
+        direct = res.rank == r
+        ill = ill or res.ill_conditioned
+    return dict(ranks=ranks, index=k, dim_kernel=kernel.shape[1], kernel=kernel,
+                image=image, direct_sum_ok=direct, ill_conditioned=ill)
+
+
+def _reference_fiberwise(P, N, values, tol):
+    import numpy as np
+
+    rz = _reference_riesz(N, values, tol)
+    pmat = _evaluate(P.mat, values)
+    nmat = _evaluate(N.mat, values)
+    C = rz["image"] if rz["index"] > 0 else np.eye(P.algebroid.rank)
+    p_t = C.T @ pmat @ C
+    n_t = C.T @ nmat @ C
+    d = C.shape[1]
+    cutoff_p = tol * max(1.0, float(np.linalg.norm(p_t, 2)) if d else 1.0)
+    cutoff_n = tol * max(1.0, float(np.linalg.norm(n_t, 2)) if d else 1.0)
+    sp = np.linalg.svd(p_t, compute_uv=False) if d else np.array([])
+    sn = np.linalg.svd(n_t, compute_uv=False) if d else np.array([])
+    return dict(
+        rz, dim_quotient=d, p_tilde=p_t, n_tilde=n_t,
+        p_nondegenerate=bool(d == 0 or (len(sp) and sp[-1] > cutoff_p)),
+        n_invertible=bool(d == 0 or (len(sn) and sn[-1] > cutoff_n)),
+    )
+
+
+def _jordan_pair():
+    """A nilpotent N of index 3 and a mixed one of index 2 on R^3, which the
+    fixtures (indices 0 and 1) do not reach, with a constant bivector."""
+    A = LieAlgebroid.tangent(["x", "y", "z"])
+    x, y = parse("x"), parse("y")
+    nilpotent = Endo.from_matrix(A, [[ZERO, x, y], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
+    mixed = Endo.from_matrix(A, [[ONE, x, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
+    P = Bivector.from_entries(A, {(0, 1): ONE, (1, 2): y})
+    return A, P, [nilpotent, mixed]
+
+
+def _numeric_cases():
+    t2, t3, a = build_toda(2), build_toda(3), build_aff1()
+    A, P, jordans = _jordan_pair()
+    return [
+        ("toda2", t2.tangent, t2.lam0, [t2.N]),
+        ("toda3", t3.tangent, t3.lam0, [t3.N]),
+        ("toda2-atiyah", t2.atiyah, t2.pi0, [t2.recursion_atiyah().exact()]),
+        ("aff1", a.algebroid, a.P, [a.N]),
+        ("jordan", A, P, jordans),
+    ]
+
+
+@pytest.mark.parametrize("case", _numeric_cases(), ids=lambda c: c[0])
+def test_riesz_and_fiberwise_match_the_previous_per_point_code(case):
+    import numpy as np
+    from pnalgebroid.reduction import riesz_at_point
+
+    _, A, P, endos = case
+    tol = 1e-9
+    pts = sample_points(list(A.base_vars), 12, 5, {v: (0.5, 2.0) for v in A.base_vars
+                                                     if v.startswith("a")})
+    for N in endos:
+        new = fiberwise_reduce(P, N, pts, tol)
+        for values, fr in zip(pts, new):
+            want = _reference_fiberwise(P, N, values, tol)
+            rz = riesz_at_point(N, values, tol)
+            assert rz.ranks == want["ranks"]
+            assert (rz.index, rz.dim_kernel, rz.direct_sum_ok, rz.ill_conditioned) == (
+                want["index"], want["dim_kernel"], want["direct_sum_ok"],
+                want["ill_conditioned"])
+            assert rz.kernel_basis.shape == want["kernel"].shape
+            assert rz.image_basis.shape == want["image"].shape
+            for got, ref in ((rz.kernel_basis, want["kernel"]), (rz.image_basis, want["image"])):
+                assert np.allclose(got @ got.T, ref @ ref.T)
+            assert (fr.index, fr.dim_quotient, fr.direct_sum_ok, fr.ill_conditioned) == (
+                want["index"], want["dim_quotient"], want["direct_sum_ok"],
+                want["ill_conditioned"])
+            assert (fr.p_nondegenerate, fr.n_invertible) == (
+                want["p_nondegenerate"], want["n_invertible"])
+            assert np.allclose(fr.p_tilde, want["p_tilde"])
+            assert np.allclose(fr.n_tilde, want["n_tilde"])
+
+
+def test_the_jordan_cases_reach_index_three_and_two():
+    from pnalgebroid.reduction import riesz_at_point
+
+    _, _, (nilpotent, mixed) = _jordan_pair()
+    values = {"x": 0.3, "y": -0.7, "z": 1.1}
+    assert riesz_at_point(nilpotent, values).index == 3
+    assert riesz_at_point(mixed, values).index == 2
+
+
+@pytest.mark.parametrize("count", [1, 4, 9])
+def test_condition_fb_check_lifts_each_section_once(aff1, monkeypatch, count):
+    from pnalgebroid import lifts
+
+    calls = []
+    real = lifts.lift_section
+    monkeypatch.setattr(lifts, "lift_section",
+                        lambda *a: calls.append(a) or real(*a))
+    pts = sample_points(["mu1", "mu2"], count, 3, {"mu1": (-2, 2), "mu2": (-2, 2)})
+    reports = condition_fb_check(aff1.algebroid, aff1.kernel_basis, pts, seed=4)
+    assert len(reports) == count
+    assert len(calls) == 2 * len(aff1.kernel_basis)
+
+
+def test_condition_fb_check_reads_rho_from_the_complete_lifts(aff1):
+    """dim_anchor_image equals the rank of the directly evaluated rho(X)."""
+    import numpy as np
+    from pnalgebroid import linalg
+    from pnalgebroid.expr import Point
+
+    A = aff1.algebroid
+    pts = sample_points(["mu1", "mu2"], 10, 3, {"mu1": (-2, 2), "mu2": (-2, 2)})
+    pts.append({"mu1": 0.7, "mu2": 0.0})     # rho(B) drops rank on mu2 = 0
+    for values, rep in zip(pts, condition_fb_check(A, aff1.kernel_basis, pts, seed=4)):
+        pt = Point(values)
+        rho = [[sum(X.comps[a].evaluate(pt) * A.anchor[a][i].evaluate(pt)
+                    for a in range(A.rank)) for i in range(A.dim)]
+               for X in aff1.kernel_basis]
+        assert rep.dim_anchor_image == linalg.numeric_rank(np.array(rho)).rank
+    assert rep.dim_anchor_image == 1
+
+
+# -- the epimorphism kernel, computed once ------------------------------------
+
+def test_projectable_complement_computes_the_kernel_once(monkeypatch):
+    from pnalgebroid import linalg
+    from pnalgebroid.reduction import projectable_complement
+
+    epi = build_toda(3).epi_flaschka
+    calls = []
+    real = linalg.symbolic_nullspace
+    monkeypatch.setattr(linalg, "symbolic_nullspace",
+                        lambda *a: calls.append(a) or real(*a))
+    complement = projectable_complement(epi)
+    assert len(complement) == epi.target.rank == 5
+    assert len(calls) == 1
+
+
+def test_project_endo_builds_the_complement_once(toda2, monkeypatch):
+    from pnalgebroid import reduction
+
+    calls = []
+    real = reduction.projectable_complement
+    monkeypatch.setattr(reduction, "projectable_complement",
+                        lambda *a: calls.append(a) or real(*a))
+    got = project_endo(toda2.epi_atiyah, toda2.N, check=True)
+    assert (got - toda2.recursion_atiyah().exact()).is_zero()
+    assert len(calls) == 1
+    calls.clear()
+    project_endo(toda2.epi_atiyah, toda2.N, check=False)
+    assert len(calls) == 1
+
+
+def test_rewrite_basic_names_an_exponential_with_no_integer_preimage():
+    epi = build_toda(3).epi_flaschka
+    assert (rewrite_basic(epi, parse("exp(q1 - q3)")) - parse("a1*a2")).is_zero()
+    # exp(3 q1 - q2) = a1^3 a2^2 exp(2 q3), and exp(2 q3) is not basic
+    with pytest.raises(NotBasic, match="exponential factor does not factor"):
+        rewrite_basic(epi, parse("exp(3*q1 - q2)"))
