@@ -25,8 +25,8 @@ from .nijenhuis import pn_check, recursion_operator, hierarchy_check, Endo
 from .reduction import (
     LeafSpec, default_tolerance, restrict_to_leaf,
     riesz_report, fiberwise_reduce, sample_points,
-    projectable_bivector_check, projectable_endo_check,
-    project_bivector, project_endo, NotBasic,
+    projectable_bivector_check, project_bivector, NotBasic,
+    _endo_check, _project_endo,
 )
 from .specio import SpecDocument, SpecFileError, load_document, serialize_document
 from .fixtures import build_toda, build_aff1
@@ -312,12 +312,15 @@ def cmd_project(args, report: Report, doc: SpecDocument) -> None:
                 report.add(f"project bivector({name})", False, str(e),
                            seconds=time.perf_counter() - t0)
     for name, N in sorted(doc.endomorphisms.items()):
-        rep = timed_check(projectable_endo_check, epi, N)
+        # one projectable complement serves the check and the projection
+        t0 = time.perf_counter()
+        rep, complement = _endo_check(epi, N)
+        rep.seconds = time.perf_counter() - t0
         report.add_report(f"projectable endomorphism({name})", rep)
         if rep.ok:
             t0 = time.perf_counter()
             try:
-                projected.endomorphisms[name] = project_endo(epi, N, check=False)
+                projected.endomorphisms[name] = _project_endo(epi, N, complement)
             except NotBasic as e:
                 report.add(f"project endomorphism({name})", False, str(e),
                            seconds=time.perf_counter() - t0)

@@ -11,6 +11,12 @@ substitution by affine expressions; products of exponentials merge their
 arguments, so the representation is canonical and zero-equality is decidable
 by inspection.  There is no division node: division is only available as
 exact division (:func:`div_exact`) or by rational constants.
+
+Every rational in a term, ``c`` and the coefficients of ``l`` alike, is
+stored in one form (:func:`rational`): an ``int`` when integral, else a
+``Fraction``.  Most coefficients are integral, and ``int`` hashing and
+arithmetic are much cheaper than ``Fraction``'s.  Division of coefficients
+always goes through ``Fraction``, never ``int / int``.
 """
 
 from __future__ import annotations
@@ -21,14 +27,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+Number = Union[int, Fraction]
 # A monomial is a sorted tuple of (variable, exponent) with exponent >= 1.
 Mono = tuple[tuple[str, int], ...]
 # A linear form is a sorted tuple of (variable, coefficient); the empty
 # variable name "" holds the constant part of the exponent.
-Lin = tuple[tuple[str, Fraction], ...]
+Lin = tuple[tuple[str, Number], ...]
 TermKey = tuple[Mono, Lin]
 
-Number = Union[int, Fraction]
+
+def rational(q) -> Number:
+    """The stored form of a rational number: an int when integral, else a
+    Fraction.  Every coefficient an Expr holds passes through here."""
+    if type(q) is not Fraction:
+        if type(q) is int:
+            return q
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 class ExprError(ValueError):
@@ -51,29 +66,34 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 def _lin_add(a: Lin, b: Lin) -> Lin:
-    d: dict[str, Fraction] = dict(a)
+    # both forms are canonical, so adding the empty form is the identity
+    if not b:
+        return a
+    if not a:
+        return b
+    d: dict[str, Number] = dict(a)
     for v, c in b:
-        d[v] = d.get(v, Fraction(0)) + c
-    return tuple(sorted((v, c) for v, c in d.items() if c != 0))
+        d[v] = d.get(v, 0) + c
+    return tuple(sorted((v, rational(c)) for v, c in d.items() if c != 0))
 
 
-def _lin_scale(a: Lin, k: Fraction) -> Lin:
+def _lin_scale(a: Lin, k: Number) -> Lin:
     if k == 0:
         return ()
-    return tuple((v, c * k) for v, c in a)
+    return tuple((v, rational(c * k)) for v, c in a)
 
 
 @dataclass(frozen=True)
 class Expr:
     """Canonical sum of rational-coefficient monomial-times-exponential terms."""
 
-    terms: tuple[tuple[Mono, Lin, Fraction], ...] = ()
+    terms: tuple[tuple[Mono, Lin, Number], ...] = ()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def number(q: Number) -> "Expr":
-        q = Fraction(q)
+        q = rational(q)
         if q == 0:
             return Expr()
         return Expr((((), (), q),))
@@ -82,12 +102,12 @@ class Expr:
     def var(name: str) -> "Expr":
         if not _IDENT_RE.fullmatch(name):
             raise ExprError(f"invalid variable name {name!r}")
-        return Expr(((((name, 1),), (), Fraction(1)),))
+        return Expr(((((name, 1),), (), 1),))
 
     @staticmethod
-    def from_terms(d: Mapping[TermKey, Fraction]) -> "Expr":
+    def from_terms(d: Mapping[TermKey, Number]) -> "Expr":
         items = tuple(
-            (m, l, c) for (m, l), c in sorted(d.items()) if c != 0
+            (m, l, rational(c)) for (m, l), c in sorted(d.items()) if c != 0
         )
         return Expr(items)
 
@@ -95,7 +115,7 @@ class Expr:
     def exp_of(argument: "Expr") -> "Expr":
         """exp of an affine expression (raises if the argument is not affine)."""
         lin = argument.as_linear()
-        return Expr((((), lin, Fraction(1)),))
+        return Expr((((), lin, 1),))
 
     # -- inspection --------------------------------------------------------
 
@@ -110,7 +130,7 @@ class Expr:
             return Fraction(0)
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return self.terms[0][2]
+        return Fraction(self.terms[0][2])
 
     def variables(self) -> set[str]:
         vs: set[str] = set()
@@ -121,22 +141,22 @@ class Expr:
 
     def as_linear(self) -> Lin:
         """View as an affine form; raise if a term is nonlinear or exponential."""
-        d: dict[str, Fraction] = {}
+        d: dict[str, Number] = {}
         for m, l, c in self.terms:
             if l:
                 raise ExprError("exponential term inside a linear form")
             if m == ():
-                d[""] = d.get("", Fraction(0)) + c
+                d[""] = d.get("", 0) + c
             elif len(m) == 1 and m[0][1] == 1:
                 v = m[0][0]
-                d[v] = d.get(v, Fraction(0)) + c
+                d[v] = d.get(v, 0) + c
             else:
                 raise ExprError(f"nonlinear term in supposed linear form: {self}")
-        return tuple(sorted((v, c) for v, c in d.items() if c != 0))
+        return tuple(sorted((v, rational(c)) for v, c in d.items() if c != 0))
 
     # -- arithmetic --------------------------------------------------------
 
-    def _as_dict(self) -> dict[TermKey, Fraction]:
+    def _as_dict(self) -> dict[TermKey, Number]:
         return {(m, l): c for m, l, c in self.terms}
 
     def __add__(self, other) -> "Expr":
@@ -149,7 +169,7 @@ class Expr:
         d = self._as_dict()
         for m, l, c in other.terms:
             k = (m, l)
-            d[k] = d.get(k, Fraction(0)) + c
+            d[k] = d.get(k, 0) + c
         return Expr.from_terms(d)
 
     __radd__ = __add__
@@ -165,11 +185,11 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _coerce(other)
-        d: dict[TermKey, Fraction] = {}
+        d: dict[TermKey, Number] = {}
         for m1, l1, c1 in self.terms:
             for m2, l2, c2 in other.terms:
                 k = (_mono_mul(m1, m2), _lin_add(l1, l2))
-                d[k] = d.get(k, Fraction(0)) + c1 * c2
+                d[k] = d.get(k, 0) + c1 * c2
         return Expr.from_terms(d)
 
     __rmul__ = __mul__
@@ -180,7 +200,7 @@ class Expr:
         if n < 0:
             if len(self.terms) == 1 and self.terms[0][0] == ():
                 _, l, c = self.terms[0]
-                inv = Expr((((), _lin_scale(l, Fraction(-1)), Fraction(1) / c),))
+                inv = Expr((((), _lin_scale(l, -1), rational(Fraction(1) / c)),))
                 return inv ** (-n)
             raise ExprError("negative power of a non-invertible expression")
         out = Expr.number(1)
@@ -215,13 +235,13 @@ class Expr:
 
     def diff(self, v: str) -> "Expr":
         """Exact partial derivative with respect to the variable ``v``."""
-        d: dict[TermKey, Fraction] = {}
+        d: dict[TermKey, Number] = {}
 
-        def acc(m: Mono, l: Lin, c: Fraction) -> None:
+        def acc(m: Mono, l: Lin, c: Number) -> None:
             if c == 0:
                 return
             k = (m, l)
-            d[k] = d.get(k, Fraction(0)) + c
+            d[k] = d.get(k, 0) + c
 
         for m, l, c in self.terms:
             md = dict(m)
@@ -317,7 +337,7 @@ class Expr:
         return f"Expr({self})"
 
 
-def _fmt_frac(q: Fraction) -> str:
+def _fmt_frac(q: Number) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -522,7 +542,7 @@ def _sparse_vec(pairs: Iterable[tuple[str, object]], keys: list[str]):
     return tuple(d.get(k, 0) for k in keys)
 
 
-def _term_order_key(term: tuple[Mono, Lin, Fraction], mono_vars: list[str], lin_vars: list[str]):
+def _term_order_key(term: tuple[Mono, Lin, Number], mono_vars: list[str], lin_vars: list[str]):
     m, l, _ = term
     return (_sparse_vec(m, mono_vars), _sparse_vec(l, lin_vars))
 
@@ -541,7 +561,7 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
         return max(e.terms, key=lambda t: _term_order_key(t, vars_, lin_vars))
 
     lt_den = leading(den)
-    quot: dict[TermKey, Fraction] = {}
+    quot: dict[TermKey, Number] = {}
     rem = num
     for _ in range(max_steps):
         if rem.is_zero():
@@ -559,9 +579,9 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
                 mq[v] = q
         if dd:
             raise ExprError("exact division failed (no quotient in class)")
-        k = (tuple(sorted(mq.items())), _lin_add(lr, _lin_scale(ld, Fraction(-1))))
-        c = cr / cd
-        quot[k] = quot.get(k, Fraction(0)) + c
+        k = (tuple(sorted(mq.items())), _lin_add(lr, _lin_scale(ld, -1)))
+        c = rational(Fraction(cr, cd))
+        quot[k] = quot.get(k, 0) + c
         t = Expr(((k[0], k[1], c),))
         rem = rem - t * den
     raise ExprError("exact division did not terminate")

@@ -15,14 +15,6 @@ from .reduction import EpimorphismSpec
 from . import linalg
 
 
-def _e(text_or_expr) -> Expr:
-    from .expr import parse
-
-    if isinstance(text_or_expr, Expr):
-        return text_or_expr
-    return parse(str(text_or_expr))
-
-
 @dataclass
 class TodaFixture:
     """The open Toda lattice with n sites, in three presentations."""

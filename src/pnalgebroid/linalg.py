@@ -46,49 +46,54 @@ def mat_identity(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def det(a: Matrix) -> Expr:
-    """Exact determinant by expansion with memoization over column subsets."""
-    n = len(a)
-    if n == 0:
+def _minor(a: Matrix, rows: int, cols: int, memo: dict[tuple[int, int], Expr]) -> Expr:
+    """Determinant of ``a`` restricted to the rows and columns in two bitmasks
+    of equal size, by expansion along the first of the rows.  ``memo`` holds
+    every minor computed so far, so calls that share it share their work."""
+    if not rows:
         return ONE
-    memo: dict[tuple[int, int], Expr] = {}
-
-    def minor(row: int, cols: int) -> Expr:
-        # determinant of rows row..n-1 restricted to the columns in bitmask
-        if row == n:
-            return ONE
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        total = ZERO
-        sign = 1
-        for j in range(n):
-            if not (cols >> j) & 1:
-                continue
-            entry = a[row][j]
-            if not entry.is_zero():
-                sub = minor(row + 1, cols & ~(1 << j))
+    key = (rows, cols)
+    total = memo.get(key)
+    if total is not None:
+        return total
+    low = rows & -rows
+    row, rest = a[low.bit_length() - 1], rows ^ low
+    total = ZERO
+    sign = 1
+    for j in range(len(row)):
+        if not (cols >> j) & 1:
+            continue
+        entry = row[j]
+        if not entry.is_zero():
+            sub = _minor(a, rest, cols ^ (1 << j), memo)
+            if not sub.is_zero():
                 term = entry * sub
                 total = total + (term if sign > 0 else -term)
-            sign = -sign
-        memo[key] = total
-        return total
+        sign = -sign
+    memo[key] = total
+    return total
 
-    return minor(0, (1 << n) - 1)
+
+def det(a: Matrix) -> Expr:
+    """Exact determinant by cofactor expansion, memoized over minors."""
+    full = (1 << len(a)) - 1
+    return _minor(a, full, full, {})
 
 
 def adjugate(a: Matrix) -> Matrix:
     """Exact adjugate: adj(a) @ a = det(a) * identity."""
+    return _adjugate(a, {})
+
+
+def _adjugate(a: Matrix, memo: dict[tuple[int, int], Expr]) -> Matrix:
+    # adj[i][j] is the (j, i) cofactor; all n^2 of them read one minor table
     n = len(a)
-    adj = [[ZERO for _ in range(n)] for _ in range(n)]
+    full = (1 << n) - 1
+    adj = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        sub_rows = [a[r] for r in range(n) if r != i]
         for j in range(n):
-            sub = [[row[c] for c in range(n) if c != j] for row in sub_rows]
-            cof = det(sub)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
+            cof = _minor(a, full ^ (1 << j), full ^ (1 << i), memo)
+            adj[i][j] = -cof if (i + j) % 2 else cof
     return adj
 
 
@@ -125,18 +130,14 @@ def as_frac(x) -> Frac:
 
 
 def inverse_pair(a: Matrix) -> Frac:
-    """Exact inverse as adjugate over determinant; raises on singular input."""
-    d = det(a)
+    """Exact inverse as adjugate over determinant; raises on singular input.
+    The determinant and the cofactors come from one minor table."""
+    memo: dict[tuple[int, int], Expr] = {}
+    full = (1 << len(a)) - 1
+    d = _minor(a, full, full, memo)
     if d.is_zero():
         raise ExprError("matrix is singular (zero determinant)")
-    return Frac(adjugate(a), d)
-
-
-def _first_nonzero(row: list[Expr], start: int = 0) -> int:
-    for j in range(start, len(row)):
-        if not row[j].is_zero():
-            return j
-    return -1
+    return Frac(_adjugate(a, memo), d)
 
 
 def row_echelon(a: Matrix) -> tuple[Matrix, list[int]]:

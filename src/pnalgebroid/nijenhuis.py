@@ -298,8 +298,9 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
     P0 is degenerate."""
     A = P0.algebroid
     m0 = [list(row) for row in P0.mat]
-    d = linalg.det(m0)
-    if d.is_zero():
+    try:
+        inv = linalg.inverse_pair(m0)
+    except ExprError:  # singular
         kernel = linalg.symbolic_nullspace(m0)
         witness = kernel[0] if kernel else None
         text = "none"
@@ -310,11 +311,11 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
             text = " + ".join(parts)
         raise DegenerateBivector(
             "first bivector is degenerate; kernel covector witness: " + text, witness
-        )
-    m0t = linalg.mat_transpose(m0)
+        ) from None
+    # N = P1^T (P0^T)^-1, and adj(P0^T) = adj(P0)^T, det(P0^T) = det(P0)
     m1t = linalg.mat_transpose([list(row) for row in P1.mat])
-    num = linalg.mat_mul(m1t, linalg.adjugate(m0t))
-    return linalg.Frac(Endo.from_matrix(A, num), linalg.det(m0t))
+    num = linalg.mat_mul(m1t, linalg.mat_transpose(inv.num))
+    return linalg.Frac(Endo.from_matrix(A, num), inv.den)
 
 
 def hierarchy(P: Bivector, N: Endo, depth: int) -> list[tuple[int, Bivector]]:

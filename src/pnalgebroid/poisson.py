@@ -344,15 +344,14 @@ def invert_symplectic(omega: KForm | Frac) -> Frac:
     A Frac two-form is accepted as well: its denominator scales into the
     numerator of the result."""
     omega = linalg.as_frac(omega)
-    m = two_form_matrix(omega.num)
-    d = linalg.det(m)
-    if d.is_zero():
-        raise ExprError("two-form is degenerate; no inverse bivector")
-    adj = linalg.adjugate(m)
+    try:
+        inv = linalg.inverse_pair(two_form_matrix(omega.num))
+    except ExprError:
+        raise ExprError("two-form is degenerate; no inverse bivector") from None
     num = Bivector(
-        omega.num.algebroid, tuple(tuple(-(omega.den * x) for x in row) for row in adj)
+        omega.num.algebroid, tuple(tuple(-(omega.den * x) for x in row) for row in inv.num)
     )
-    return Frac(num, d)
+    return Frac(num, inv.den)
 
 
 def invert_poisson(P: Bivector) -> Frac:
@@ -362,8 +361,9 @@ def invert_poisson(P: Bivector) -> Frac:
     reported when P is degenerate."""
     A = P.algebroid
     m = [list(row) for row in P.mat]
-    d = linalg.det(m)
-    if d.is_zero():
+    try:
+        inv = linalg.inverse_pair(m)
+    except ExprError:  # singular
         kernel = linalg.symbolic_nullspace(linalg.mat_transpose(m))
         witness = kernel[0] if kernel else None
         text = None
@@ -375,10 +375,9 @@ def invert_poisson(P: Bivector) -> Frac:
         raise DegenerateBivector(
             "bivector is degenerate; kernel covector witness: " + (text or "none"),
             witness,
-        )
-    adj = linalg.adjugate(m)
-    num = two_form_from_matrix(A, [[-x for x in row] for row in adj])
-    return Frac(num, d)
+        ) from None
+    num = two_form_from_matrix(A, [[-x for x in row] for row in inv.num])
+    return Frac(num, inv.den)
 
 
 class DegenerateBivector(ExprError):

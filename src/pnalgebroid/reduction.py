@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError
+from .expr import Expr, ZERO, ONE, ExprError, rational
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, interior, lie_derivative
 from .poisson import (
     Bivector,
@@ -63,9 +64,14 @@ class EpimorphismSpec:
             raise ValueError("fiber_map must be target-rank x source-rank")
 
     def kernel_frame(self) -> list[Section]:
-        """Exact spanning sections of Ker(fiber map), denominators cleared."""
+        """Exact spanning sections of Ker(fiber map), denominators cleared;
+        computed on the first call and reused."""
+        return list(self._kernel_frame)
+
+    @cached_property
+    def _kernel_frame(self) -> tuple[Section, ...]:
         basis = linalg.symbolic_nullspace(self.fiber_map)
-        return [Section(self.source, tuple(v)) for v in basis]
+        return tuple(Section(self.source, tuple(v)) for v in basis)
 
     def push_components(self, X: Section) -> list[Expr]:
         """Target-frame components of the image, over source coordinates."""
@@ -138,7 +144,7 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
     out = ZERO
     for mono, lin, coeff in e.terms:
         t_mono: dict[str, int] = {}
-        c = coeff
+        c = Fraction(coeff)
         for v, k in mono:
             if v not in renames:
                 raise NotBasic(
@@ -169,7 +175,7 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
             except ExprError:
                 raise NotBasic(
                     "exponential factor does not factor through the base map: "
-                    f"exp({Expr((((), lin, Fraction(1)),))})"
+                    f"{Expr((((), lin, 1),))}"
                 ) from None
         t_lin: dict[str, Fraction] = {}
         for (tgt, cj, lj), nj in zip(exps, ns):
@@ -190,12 +196,12 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
                 )
                 if resid:
                     tgt, cv = renames[v]
-                    t_lin[tgt] = t_lin.get(tgt, Fraction(0)) + resid / cv
+                    t_lin[tgt] = t_lin.get(tgt, 0) + Fraction(resid) / cv
         if const:
             t_lin[""] = t_lin.get("", Fraction(0)) + const
         key_mono = tuple(sorted((v, k) for v, k in t_mono.items() if k))
-        key_lin = tuple(sorted((v, k) for v, k in t_lin.items() if k))
-        out = out + Expr(((key_mono, key_lin, c),))
+        key_lin = tuple(sorted((v, rational(k)) for v, k in t_lin.items() if k))
+        out = out + Expr.from_terms({(key_mono, key_lin): c})
     if not (out.substitute(epi.base_map) - e).is_zero():
         raise NotBasic("rewriting verification failed (expression is not basic)")
     return out
@@ -371,6 +377,11 @@ def project_endo(epi: EpimorphismSpec, N: Endo, check: bool = True) -> Endo:
             raise ExprError(f"endomorphism is not projectable: {rep.witness()}")
     else:
         complement = projectable_complement(epi)
+    return _project_endo(epi, N, complement)
+
+
+def _project_endo(epi: EpimorphismSpec, N: Endo, complement: list[Frac]) -> Endo:
+    """project_endo through an already built projectable complement."""
     rt = epi.target.rank
     cols: list[list[Expr]] = []
     for X in complement:
@@ -770,13 +781,15 @@ def condition_fb_check(
     ys = fiber_vars(A)
     lifts = [lift_section(A, X, kind).comps for X in sections for kind in ("c", "v")]
     for values in points:
-        span = linalg.evaluate_matrix([X.comps for X in sections], values).T
+        # explicit shapes keep an empty section list a rank-0 subbundle
+        span = linalg.evaluate_matrix([X.comps for X in sections], values)
+        span = span.reshape(len(sections), A.rank).T
         rank_b = linalg.numeric_rank(span, tol)
         coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in sections])
         y = span @ coeffs
         total_values = dict(values)
         total_values.update({ys[a]: float(y[a]) for a in range(A.rank)})
-        gens = linalg.evaluate_matrix(lifts, total_values)
+        gens = linalg.evaluate_matrix(lifts, total_values).reshape(len(lifts), A.dim + A.rank)
         # rows X^c, X^v per section; the base part of X^c is rho(X)
         rank_rho = linalg.numeric_rank(gens[::2, :A.dim], tol)
         rank_f = linalg.numeric_rank(gens, tol)

@@ -219,3 +219,27 @@ def test_toda_atiyah_fixture_omits_only_a_rational_recursion_operator(monkeypatc
     monkeypatch.setattr(TodaFixture, "recursion_atiyah", broken)
     with pytest.raises(RuntimeError):
         cli._toda_document(2, "atiyah", "flaschka")
+
+
+def test_project_builds_the_complement_and_the_kernel_once(tmp_path, capsys, monkeypatch):
+    from pnalgebroid import linalg, reduction
+
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--epi", "atiyah")
+    assert code == 0
+    spec = tmp_path / "toda2-atiyah.json"
+    spec.write_text(out)
+    calls = {"projectable_complement": 0, "symbolic_nullspace": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(reduction, "projectable_complement")
+    counting(linalg, "symbolic_nullspace")
+    code, out, _ = run(capsys, "project", str(spec), "--format", "json")
+    assert code == 0
+    assert calls == {"projectable_complement": 1, "symbolic_nullspace": 1}

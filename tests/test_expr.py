@@ -131,3 +131,49 @@ def test_zero_test_is_decidable_on_disguised_zero():
     assert a.is_zero()
     b = parse("(x + y)^2 - x^2 - 2*x*y - y^2")
     assert b.is_zero()
+
+
+# -- storage: every rational is an int when integral, else a Fraction ---------
+
+def assert_stored(e: Expr) -> None:
+    for _, lin, c in e.terms:
+        for q in [c] + [k for _, k in lin]:
+            assert type(q) is int or (type(q) is Fraction and q.denominator != 1), (e, q)
+
+
+@st.composite
+def rational_exp_exprs(draw):
+    """exprs() times exp of a rational-affine form: fractions in Lin keys."""
+    k, k0 = draw(rationals), draw(rationals)
+    return draw(exprs()) * Expr.exp_of(Expr.number(k) * Expr.var("x") + Expr.number(k0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_exp_exprs(), rational_exp_exprs(), rationals, st.sampled_from(VARS))
+def test_every_operation_stores_int_or_nonintegral_fraction(a, b, k, v):
+    results = [a, b, a + b, a - b, -a, a * b, a.diff(v), a ** 2, parse(str(a)),
+               a.substitute({v: Expr.number(k) * Expr.var("y") + Expr.number(k)})]
+    if k:
+        results.append(a / Expr.number(k))
+    if not b.is_zero():
+        results.append(div_exact(a * b, b))
+    for term in a.terms:
+        if not term[0]:  # a unit: a pure exponential times a constant
+            results.append(Expr((term,)) ** -1)
+    for e in results:
+        assert_stored(e)
+
+
+def test_integral_fractions_are_stored_as_int():
+    half = Fraction(1, 2)
+    e = Expr.number(half) * Expr.var("x") + Expr.number(half) * Expr.var("x")
+    assert e.terms == (((("x", 1),), (), 1),) and type(e.terms[0][2]) is int
+    assert type(Expr.number(Fraction(4, 2)).terms[0][2]) is int
+    lin = Expr.exp_of(parse("1/2*x + 1/2*x + 3/3")).terms[0][1]
+    assert lin == (("", 1), ("x", 1)) and all(type(k) is int for _, k in lin)
+    assert (parse("exp(1/2*x)") ** 2).terms == (((), (("x", 1),), 1),)
+    assert [type(k) for _, k in parse("x/2 + 3").as_linear()] == [int, Fraction]
+    assert div_exact(parse("3*x"), parse("2")).terms[0][2] == Fraction(3, 2)
+    # constant_value keeps returning a Fraction
+    assert type(parse("2").constant_value()) is Fraction
+    assert type(ZERO.constant_value()) is Fraction

@@ -450,3 +450,54 @@ def test_rewrite_basic_names_an_exponential_with_no_integer_preimage():
     # exp(3 q1 - q2) = a1^3 a2^2 exp(2 q3), and exp(2 q3) is not basic
     with pytest.raises(NotBasic, match="exponential factor does not factor"):
         rewrite_basic(epi, parse("exp(3*q1 - q2)"))
+
+
+def test_rewrite_basic_divides_coefficients_exactly():
+    from fractions import Fraction
+
+    epi = EpimorphismSpec("double", LieAlgebroid.tangent(["x"]), LieAlgebroid.tangent(["u"]),
+                          {"u": parse("2*x")}, [[parse("2")]])
+
+    def rewritten(text):
+        out = rewrite_basic(epi, parse(text))
+        # a float equals its Fraction, so compare the stored types as well
+        return [(m, [(v, k, type(k)) for v, k in l], c, type(c)) for m, l, c in out.terms]
+
+    assert rewritten("x") == [((("u", 1),), [], Fraction(1, 2), Fraction)]
+    assert rewritten("2*x") == [((("u", 1),), [], 1, int)]
+    assert rewritten("3*x^2 + 1") == [((), [], 1, int), ((("u", 2),), [], Fraction(3, 4), Fraction)]
+    assert rewritten("exp(x + 1)") == [((), [("", 1, int), ("u", Fraction(1, 2), Fraction)], 1, int)]
+    assert rewritten("exp(2*x)") == [((), [("u", 1, int)], 1, int)]
+    assert str(rewrite_basic(epi, parse("x"))) == "1/2*u"
+
+
+def test_rewrite_basic_witness_prints_the_exponential_once():
+    epi = build_toda(3).epi_flaschka
+    with pytest.raises(NotBasic) as exc:
+        rewrite_basic(epi, parse("exp(q1)"))
+    assert str(exc.value) == (
+        "exponential factor does not factor through the base map: exp(q1)"
+    )
+
+
+def test_condition_fb_check_with_no_sections_is_a_rank_zero_subbundle(aff1):
+    pts = sample_points(["mu1", "mu2"], 3, 1, {"mu1": (-2, 2), "mu2": (-2, 2)})
+    reports = condition_fb_check(aff1.algebroid, [], pts, seed=4)
+    assert len(reports) == 3
+    for rep in reports:
+        assert (rep.rank_subbundle, rep.dim_anchor_image, rep.dim_lifted) == (0, 0, 0)
+        assert rep.consistent and not rep.ill_conditioned
+        assert list(rep.fiber_point) == [0.0] * aff1.algebroid.rank
+
+
+def test_kernel_frame_is_computed_once_per_spec(monkeypatch):
+    from pnalgebroid import linalg
+
+    epi = build_toda(2).epi_atiyah
+    calls = []
+    real = linalg.symbolic_nullspace
+    monkeypatch.setattr(linalg, "symbolic_nullspace",
+                        lambda *a: calls.append(a) or real(*a))
+    first = epi.kernel_frame()
+    assert epi.kernel_frame() == first
+    assert len(calls) == 1
