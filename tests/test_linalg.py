@@ -130,3 +130,47 @@ def test_frac_exact(kind):
     with pytest.raises(ExprError):
         Frac(bad, _DEN).exact()
 
+
+
+def _reference_adjugate(a):
+    """Each cofactor as the determinant of its own submatrix."""
+    n = len(a)
+    adj = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            cof = linalg.det(sub)
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj
+
+
+def test_shared_minor_table_matches_separate_cofactors():
+    import random
+
+    rng = random.Random(7)
+    atoms = ["0", "0", "1", "-2", "x", "y", "x*y - 1", "1/2*x", "exp(x - y)"]
+    for n in (1, 2, 5, 6):
+        a = M(*[[rng.choice(atoms) for _ in range(n)] for _ in range(n)])
+        ref = _reference_adjugate(a)
+        assert linalg.adjugate(a) == ref
+        d = linalg.det(a)
+        if not d.is_zero():
+            inv = linalg.inverse_pair(a)
+            assert inv.num == ref and inv.den == d
+    assert linalg.det([]) == ONE and linalg.adjugate([]) == []
+
+
+def test_inverses_read_the_determinant_from_the_minor_table(monkeypatch):
+    from pnalgebroid.fixtures import build_toda
+    from pnalgebroid.nijenhuis import recursion_operator
+    from pnalgebroid.poisson import invert_poisson, invert_symplectic
+
+    t = build_toda(3)
+    calls = []
+    real = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda a: calls.append(a) or real(a))
+    linalg.inverse_pair([list(row) for row in t.lam0.mat])
+    linalg.adjugate([list(row) for row in t.lam0.mat])
+    recursion_operator(t.lam0, t.lam1)
+    invert_symplectic(invert_poisson(t.lam0))
+    assert calls == []
