@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .reduction import (
     LeafSpec, default_tolerance, restrict_to_leaf,
     riesz_report, fiberwise_reduce, sample_points,
     projectable_bivector_check, project_bivector, NotBasic,
-    _endo_check, _project_endo,
+    _endo_check, _project_endo, _riesz_blocks, _fiberwise_blocks,
 )
 from .specio import SpecDocument, SpecFileError, load_document, serialize_document
 from .fixtures import build_toda, build_aff1
@@ -52,6 +53,8 @@ class Check:
     witness: Optional[str] = None
     ill_conditioned: bool = False
     seconds: float = 0.0
+    numeric: bool = False
+    margin: Optional[float] = None
 
 
 @dataclass
@@ -67,6 +70,11 @@ class Report:
     def add(self, name: str, ok: bool, witness: Optional[str] = None,
             ill: bool = False, seconds: float = 0.0) -> None:
         self.checks.append(Check(name, bool(ok), witness, bool(ill), seconds))
+
+    def add_numeric(self, name: str, fold: "_RankFold", ill: bool, seconds: float) -> None:
+        """A check decided by numeric ranks: its JSON also carries ``margin``."""
+        self.checks.append(Check(name, fold.ok, fold.witness, bool(ill), seconds, True,
+                                 fold.margin))
 
     def add_report(self, name: str, rep: CheckReport) -> None:
         self.add(name, rep.ok, rep.witness(), seconds=rep.seconds)
@@ -95,6 +103,7 @@ class Report:
                         "witness": c.witness,
                         "ill_conditioned": c.ill_conditioned,
                         "seconds": round(c.seconds, 6),
+                        **({"margin": c.margin} if c.numeric else {}),
                     }
                     for c in self.checks
                 ],
@@ -210,10 +219,42 @@ def _pick_endo(doc: SpecDocument, name: Optional[str]) -> tuple[str, Endo]:
 
 
 def _timed(report: Report, name: str, fn) -> bool:
+    """Run a check thunk giving (ok, witness, ill), or (fold, ill) for a
+    numeric check, and add its row with its time."""
     t0 = time.perf_counter()
-    ok, witness, ill = fn()
-    report.add(name, ok, witness, ill, time.perf_counter() - t0)
+    result = fn()
+    seconds = time.perf_counter() - t0
+    if isinstance(result[0], _RankFold):
+        report.add_numeric(name, *result, seconds)
+        return result[0].ok
+    ok, witness, ill = result
+    report.add(name, ok, witness, ill, seconds)
     return ok
+
+
+class _RankFold:
+    """A numeric check folded over its per-point rank tests as they come:
+    the verdict, the first failing point as the witness, and the margin."""
+
+    def __init__(self, what: str):
+        self.what, self.ok, self.witness, self.ratio = what, True, None, math.inf
+
+    def add(self, ok: bool, values: dict, sigma: float, cutoff: float) -> None:
+        """One point; ``sigma`` and ``cutoff`` of the rank test that decided
+        it, NaN when none did."""
+        if not math.isnan(sigma):
+            self.ratio = min(self.ratio, sigma / cutoff)
+        if self.ok and not ok:
+            self.ok = False
+            self.witness = (f"{self.what} at {values}: "
+                            f"sigma_min {sigma:.6g} <= cutoff {cutoff:.6g}")
+
+    @property
+    def margin(self) -> Optional[float]:
+        """The smallest sigma_min / cutoff over the deciding rank tests, to 6
+        significant digits: above 1 every test passed with that factor to
+        spare, below 1 one failed.  None when no rank test decided."""
+        return None if self.ratio == math.inf else float(f"{self.ratio:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,18 +394,19 @@ def cmd_riesz(args, report: Report, doc: SpecDocument) -> None:
     variables = list(doc.algebroid.base_vars)
     points = sample_points(variables, args.points, args.seed, _box_for(variables))
     t0 = time.perf_counter()
-    reports = riesz_report(N, points)
-    indices = sorted({r.index for r in reports})
-    dims = sorted({r.dim_kernel for r in reports})
-    ok = all(r.direct_sum_ok for r in reports)
-    ill = any(r.ill_conditioned for r in reports)
-    report.add(
-        f"riesz({ename}) stable-kernel splitting at {args.points} points",
-        ok, None if ok else "image + kernel of the stable power do not span", ill,
-        time.perf_counter() - t0,
-    )
-    report.payload["indices"] = indices
-    report.payload["kernel_dimensions"] = dims
+    split = _RankFold("image + kernel of the stable power do not span")
+    indices, dims, ill = set(), set(), False
+    # the reports are folded one block at a time, never all held at once
+    for block in _riesz_blocks(N, points):
+        for r in block:
+            split.add(r.direct_sum_ok, r.values, r.sigma_min, r.cutoff)
+            indices.add(r.index)
+            dims.add(r.dim_kernel)
+            ill = ill or r.ill_conditioned
+    report.add_numeric(f"riesz({ename}) stable-kernel splitting at {args.points} points",
+                       split, ill, time.perf_counter() - t0)
+    report.payload["indices"] = sorted(indices)
+    report.payload["kernel_dimensions"] = sorted(dims)
 
 
 def cmd_reduce_fiberwise(args, report: Report, doc: SpecDocument) -> None:
@@ -373,19 +415,22 @@ def cmd_reduce_fiberwise(args, report: Report, doc: SpecDocument) -> None:
     variables = list(doc.algebroid.base_vars)
     points = sample_points(variables, args.points, args.seed, _box_for(variables))
     t0 = time.perf_counter()
-    reports = fiberwise_reduce(P, N, points)
+    p_fold = _RankFold("reduced bivector degenerate")
+    n_fold = _RankFold("reduced endomorphism singular")
+    dims, ill = set(), False
+    for block in _fiberwise_blocks(P, N, points):
+        for r in block:
+            p_fold.add(r.p_nondegenerate, r.values, r.p_sigma_min, r.p_cutoff)
+            n_fold.add(r.n_invertible, r.values, r.n_sigma_min, r.n_cutoff)
+            dims.add(r.dim_quotient)
+            ill = ill or r.ill_conditioned
     # both verdicts come from the one pass over the points, and report its time
     seconds = time.perf_counter() - t0
-    ill = any(r.ill_conditioned for r in reports)
-    report.add(
-        f"reduced bivector({pname}) nondegenerate at {args.points} points",
-        all(r.p_nondegenerate for r in reports), None, ill, seconds,
-    )
-    report.add(
-        f"reduced endomorphism({ename}) invertible at {args.points} points",
-        all(r.n_invertible for r in reports), None, ill, seconds,
-    )
-    report.payload["quotient_dimensions"] = sorted({r.dim_quotient for r in reports})
+    report.add_numeric(f"reduced bivector({pname}) nondegenerate at {args.points} points",
+                       p_fold, ill, seconds)
+    report.add_numeric(f"reduced endomorphism({ename}) invertible at {args.points} points",
+                       n_fold, ill, seconds)
+    report.payload["quotient_dimensions"] = sorted(dims)
 
 
 def cmd_fixture(args, report: Report, doc: SpecDocument) -> None:
@@ -398,18 +443,27 @@ def _verdict(rep, verdict: str = "ok") -> tuple[bool, Optional[str], bool]:
     return getattr(rep, verdict), rep.witness(), False
 
 
-def _stable_kernel_verdict(N: Endo, pts) -> tuple[bool, Optional[str], bool]:
+def _stable_kernel_verdict(N: Endo, pts) -> tuple[_RankFold, bool]:
+    fold = _RankFold("no stable kernel of index 1 and dimension 2")
     reports = riesz_report(N, pts)
-    return (
-        all(r.index == 1 and r.dim_kernel == 2 and r.direct_sum_ok for r in reports),
-        None,
-        any(r.ill_conditioned for r in reports),
-    )
+    for r in reports:
+        fold.add(r.index == 1 and r.dim_kernel == 2 and r.direct_sum_ok, r.values,
+                 r.sigma_min, r.cutoff)
+    return fold, any(r.ill_conditioned for r in reports)
+
+
+def _fiberwise_verdict(P: Bivector, N: Endo, pts) -> tuple[_RankFold, bool]:
+    fold = _RankFold("reduced pair degenerate")
+    for r in fiberwise_reduce(P, N, pts):
+        fold.add(r.p_nondegenerate, r.values, r.p_sigma_min, r.p_cutoff)
+        fold.add(r.n_invertible, r.values, r.n_sigma_min, r.n_cutoff)
+    return fold, False
 
 
 def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
     """Condensed verification suite over the built-in fixtures: one
-    (name, thunk) row per check, each thunk giving (ok, witness, ill)."""
+    (name, thunk) row per check, each thunk giving (ok, witness, ill), or
+    (fold, ill) for a numeric check."""
     t = build_toda(2)
     a = build_aff1()
     pts = sample_points(list(a.algebroid.base_vars), 25, 7,
@@ -434,8 +488,7 @@ def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
         ("aff1 stable-kernel index 1 at 25 points",
          lambda: _stable_kernel_verdict(a.N, pts)),
         ("aff1 fiberwise reduction nondegenerate",
-         lambda: (all(r.p_nondegenerate and r.n_invertible
-                      for r in fiberwise_reduce(a.P, a.N, pts)), None, False)),
+         lambda: _fiberwise_verdict(a.P, a.N, pts)),
     ]
     for name, thunk in checks:
         _timed(report, name, thunk)

@@ -3,18 +3,23 @@
 Symbolic routines use fraction-free (cross-multiplying) elimination, so no
 division ever happens inside the ring; results that would be fractions are
 returned as a :class:`Frac`, a numerator over a scalar denominator.  Numeric
-routines wrap numpy's SVD with the tolerance policy used throughout: relative
-to max(sigma_max, 1), with an ill-conditioned flag when singular values
-straddle the cutoff with a small gap.
+routines work on stacks of matrices, one per sample point: a matrix of
+expressions is compiled once (:class:`CompiledMatrix`) and evaluated a block
+of points at a time, and ranks come from one stacked SVD with the tolerance
+policy used throughout: relative to max(sigma_max, 1), with an
+ill-conditioned flag when singular values straddle the cutoff with a small
+gap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError, Point, div_exact
+from .expr import Expr, ZERO, ONE, ExprError, div_exact
 
 Matrix = list[list[Expr]]
 
@@ -233,6 +238,20 @@ def solve_pair(a: Matrix, b: list[Expr]) -> Frac:
 
 # ---------------------------------------------------------------------------
 # numeric
+#
+# Sample points are processed in blocks of _BLOCK: each block is one stacked
+# numpy call per step, and the temporaries of a block stay small whatever the
+# number of points.
+
+_BLOCK = 128
+_TINY = np.finfo(float).tiny              # the smallest normal float
+_LOG_TINY = math.log(_TINY)
+UNDERFLOW, OVERFLOW = 1, 2            # per-point fault codes; graver is larger
+_FAULTS = {
+    OVERFLOW: "overflows or is not finite",
+    UNDERFLOW: "underflows below the smallest normal float",
+}
+
 
 @dataclass
 class RankResult:
@@ -243,49 +262,192 @@ class RankResult:
 
 
 class NonFiniteEntry(ArithmeticError):
-    """A matrix evaluated at a sample point overflowed or is not finite."""
+    """A matrix evaluated at a sample point overflowed, underflowed or is not
+    finite; ``values`` is the point."""
 
-    def __init__(self, values: dict[str, float]):
-        super().__init__(f"matrix entry overflows or is not finite at {values}")
+    def __init__(self, values: dict[str, float], what: str = _FAULTS[OVERFLOW]):
+        super().__init__(f"matrix entry {what} at {values}")
         self.values = values
 
 
+def blocks(points: list) -> Iterator[list]:
+    """The points in consecutive blocks of the batched numeric path."""
+    for start in range(0, len(points), _BLOCK):
+        yield points[start:start + _BLOCK]
+
+
+class Faults:
+    """Fault codes of a batched pass over sample points, checked block by
+    block in sample order.
+
+    A point with an entry that is not finite raises NonFiniteEntry at once,
+    so it is the first such point of the pass.  An underflow is the lesser
+    fault: the first underflowing point is kept, and :meth:`finish` raises
+    it only when no entry of the pass was non-finite."""
+
+    def __init__(self):
+        self.underflow: dict[str, float] | None = None
+
+    def check(self, points: list[dict[str, float]], *faults: np.ndarray) -> None:
+        """``faults`` are per-point codes (0 = fine) of the stages the block
+        of ``points`` went through."""
+        codes = np.max(faults, axis=0)
+        over = np.flatnonzero(codes == OVERFLOW)
+        if over.size:
+            raise NonFiniteEntry(points[over[0]])
+        if self.underflow is None and codes.any():
+            self.underflow = points[int(np.argmax(codes))]
+
+    def finish(self) -> None:
+        if self.underflow is not None:
+            raise NonFiniteEntry(self.underflow, _FAULTS[UNDERFLOW])
+
+
+class CompiledMatrix:
+    """Rows of expressions compiled once for evaluation at many points.
+
+    Every term c * x^m * exp(l) of every entry becomes a float coefficient,
+    a row of the exponential's linear part L and constant l0, and the index
+    of its entry; each variable keeps the terms it divides with their
+    exponents.  A block of points X is then one ``exp(X @ L.T + l0)``, one
+    multiply per variable with a nonzero exponent, and one sum per entry in
+    term order.
+    """
+
+    def __init__(self, rows):
+        rows = [list(row) for row in rows]
+        n, m = len(rows), len(rows[0]) if rows else 0
+        self.shape = (n, m)
+        terms = [(i * m + j, mono, lin, c) for i, row in enumerate(rows)
+                 for j, e in enumerate(row) for mono, lin, c in e.terms]
+        self.variables = sorted({v for _, mono, lin, _ in terms for v, _ in mono}
+                                | {v for _, _, lin, _ in terms for v, _ in lin if v})
+        col = {v: k for k, v in enumerate(self.variables)}
+        self.coeff = np.array([float(c) for *_, c in terms])
+        self.log_coeff = np.log(np.abs(self.coeff))
+        entries = [t[0] for t in terms]
+        # terms come grouped by entry: the first term of each nonzero entry
+        self.starts = np.array([k for k in range(len(terms))
+                                if k == 0 or entries[k] != entries[k - 1]], dtype=np.intp)
+        self.entries = np.array([entries[k] for k in self.starts], dtype=np.intp)
+        lin = np.zeros((len(terms), len(self.variables)))
+        self.offset = np.zeros(len(terms))
+        powers: dict[str, list[tuple[int, int]]] = {}
+        for k, (_, mono, l, _) in enumerate(terms):
+            for v, e in mono:
+                powers.setdefault(v, []).append((k, e))
+            for v, q in l:
+                if v:
+                    lin[k, col[v]] = float(q)
+                else:
+                    self.offset[k] = float(q)
+        self.lin = lin if lin.any() or self.offset.any() else None
+        # per variable: the terms it divides, and its exponent in each
+        self.powers = [(col[v], np.array([k for k, _ in ks], dtype=np.intp),
+                        np.array([float(e) for _, e in ks])) for v, ks in sorted(powers.items())]
+
+    def columns(self, points: list[dict[str, float]]) -> np.ndarray:
+        """The points as a (points, variables) array in compiled order."""
+        try:
+            return np.array([[p[v] for v in self.variables] for p in points],
+                            dtype=float).reshape(len(points), len(self.variables))
+        except KeyError as e:
+            raise ExprError(f"unbound variable {e.args[0]!r} in evaluation") from None
+
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The matrices at the rows of ``x`` (from :meth:`columns`), stacked
+        as (points, n, m), and per point a fault code: 0, or an entry that is
+        not finite, or an entry whose every nonzero term has magnitude below
+        the smallest normal float (it underflowed; read as 0 it would fake a
+        rank drop)."""
+        count = x.shape[0]
+        with np.errstate(all="ignore"):
+            arg = None if self.lin is None else x @ self.lin.T + self.offset
+            t = np.ones((count, len(self.coeff))) if arg is None else np.exp(arg)
+            for v, ks, e in self.powers:
+                t[:, ks] *= x[:, v, None] ** e
+            t *= self.coeff
+            out = np.zeros((count, self.shape[0] * self.shape[1]))
+            if len(self.coeff):
+                out[:, self.entries] = np.add.reduceat(t, self.starts, axis=1)
+            fault = np.where(np.isfinite(out).all(axis=1), 0, OVERFLOW).astype(np.int8)
+            # only points with a term below the normal range can underflow
+            small = np.flatnonzero((np.abs(t) < _TINY).any(axis=1) & (fault == 0))
+            if small.size:
+                under = self._underflows(x[small], None if arg is None else arg[small])
+                fault[small[under]] = UNDERFLOW
+        return out.reshape(count, *self.shape), fault
+
+    def _underflows(self, x: np.ndarray, arg: np.ndarray | None) -> np.ndarray:
+        """Per point, whether some entry has nonzero terms and all of them
+        have log-magnitude below log(smallest normal float).  A term with a
+        zero variable raised to a positive power is exactly zero."""
+        logx = np.log(np.abs(x))
+        logmag = np.broadcast_to(self.log_coeff, (x.shape[0], len(self.coeff))).copy()
+        if arg is not None:
+            logmag += arg
+        for v, ks, e in self.powers:
+            logmag[:, ks] += e * logx[:, v, None]
+        nonzero = np.logical_or.reduceat(logmag > -np.inf, self.starts, axis=1)
+        normal = np.logical_or.reduceat(logmag >= _LOG_TINY, self.starts, axis=1)
+        return (nonzero & ~normal).any(axis=1)
+
+
 def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
-    """Float matrix of rows of expressions at the point ``values``; raises
-    NonFiniteEntry naming the point when an entry is not finite."""
-    pt = Point(values)
-    try:
-        mat = np.array([[e.evaluate(pt) for e in row] for row in rows], dtype=float)
-    except OverflowError:
-        raise NonFiniteEntry(values) from None
-    if not np.isfinite(mat).all():
-        raise NonFiniteEntry(values)
-    return mat
+    """Float matrix of rows of expressions at the point ``values``: the
+    one-point case of :class:`CompiledMatrix`.  Raises NonFiniteEntry naming
+    the point when an entry is not finite or underflows."""
+    compiled = CompiledMatrix(rows)
+    mats, fault = compiled.evaluate(compiled.columns([values]))
+    faults = Faults()
+    faults.check([values], fault)
+    faults.finish()
+    return mats[0]
 
 
-def _rank_of(s: np.ndarray, tol: float) -> RankResult:
-    """Rank from descending singular values: the cutoff rule of every numeric
-    verdict, relative to max(sigma_max, 1), with the near-cutoff gap flag."""
-    cutoff = tol * max(float(s[0]) if len(s) else 0.0, 1.0)
-    rank = int(np.sum(s > cutoff))
-    ill = False
-    if 0 < rank < len(s):
-        below = float(s[rank])
-        above = float(s[rank - 1])
-        if below > 0 and above / below < GAP_RATIO:
-            ill = True
-    return RankResult(rank, [float(x) for x in s], cutoff, ill)
+def _rank_of(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ranks, cutoffs and ill-conditioned flags from stacked descending
+    singular values (points x k): the cutoff rule of every numeric verdict,
+    relative to max(sigma_max, 1), with the near-cutoff gap flag."""
+    count, k = s.shape
+    cutoff = tol * np.maximum(s[:, 0] if k else np.zeros(count), 1.0)
+    rank = np.sum(s > cutoff[:, None], axis=1)
+    ill = np.zeros(count, dtype=bool)
+    if k > 1:
+        at = np.clip(rank, 1, k - 1)[:, None]
+        above = np.take_along_axis(s, at - 1, axis=1)[:, 0]
+        below = np.take_along_axis(s, at, axis=1)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ill = (rank > 0) & (rank < k) & (below > 0) & (above / below < GAP_RATIO)
+    return rank, cutoff, ill
+
+
+def stacked_rank(stack: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Singular values, ranks, cutoffs and ill-conditioned flags of each
+    matrix of a (points, n, m) stack, from one SVD call."""
+    s = np.linalg.svd(stack, compute_uv=False)
+    return (s, *_rank_of(s, tol))
+
+
+def rank_results(stack: np.ndarray, tol: float) -> list[RankResult]:
+    """One RankResult per matrix of a (points, n, m) stack."""
+    return _results(np.linalg.svd(stack, compute_uv=False), tol)
+
+
+def _results(s: np.ndarray, tol: float) -> list[RankResult]:
+    rank, cutoff, ill = _rank_of(s, tol)
+    return [RankResult(int(r), [float(x) for x in row], float(c), bool(f))
+            for r, row, c, f in zip(rank, s, cutoff, ill)]
 
 
 def numeric_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankResult:
     """SVD rank under the cutoff rule of :func:`_rank_of`."""
-    s = np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
-    return _rank_of(s, tol)
+    return rank_results(mat[None], tol)[0]
 
 
 def numeric_bases(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[RankResult, np.ndarray, np.ndarray]:
     """Rank and orthonormal bases (columns) of the right nullspace and the
     column space, from one full SVD."""
     u, s, vt = np.linalg.svd(mat)
-    res = _rank_of(s, tol)
+    res = _results(s[None], tol)[0]
     return res, vt[res.rank:].T, u[:, :res.rank]

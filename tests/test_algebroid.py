@@ -272,3 +272,33 @@ def test_adding_zero_returns_the_other_operand():
     assert (a + 0).terms == a.terms
     assert (0 + a).terms == a.terms
     assert (ZERO + ZERO).terms == ()
+
+
+D_A_CASES = {
+    "toda3": lambda: build_toda(3).tangent,
+    "toda2-atiyah": lambda: build_toda(2).atiyah,
+    "toda5-atiyah": lambda: build_toda(5).atiyah,
+    "aff1": lambda: build_aff1().algebroid,
+    "skewed": skewed_algebroid,
+}
+
+
+@pytest.mark.parametrize("case", sorted(D_A_CASES))
+def test_d_A_visits_only_reachable_index_sets(case):
+    """d_A against the walk over every (k+1)-subset: the same components in
+    the same order, on dense random forms and on one-component forms."""
+    from math import comb
+    from pnalgebroid.algebroid import _reachable
+
+    A = D_A_CASES[case]()
+    rng = random.Random(sorted(D_A_CASES).index(case))
+    forms = [random_form(A, degree, rng) for degree in (1, 2, 3) for _ in range(2)]
+    for degree in (1, 2):
+        for idx in rng.sample(list(itertools.combinations(range(A.rank), degree)), 3):
+            forms.append(KForm(A, degree, {idx: random_expr(A, rng) + ONE}))
+    for omega in forms:
+        got, want = d_A(A, omega), reference_d_A(A, omega)
+        assert list(got.comps) == list(want.comps)
+        assert [e.terms for e in got.comps.values()] == [e.terms for e in want.comps.values()]
+        if len(omega.comps) == 1 and A.rank > 4:
+            assert len(_reachable(A, omega)) < comb(A.rank, omega.degree + 1)

@@ -243,3 +243,63 @@ def test_project_builds_the_complement_and_the_kernel_once(tmp_path, capsys, mon
     code, out, _ = run(capsys, "project", str(spec), "--format", "json")
     assert code == 0
     assert calls == {"projectable_complement": 1, "symbolic_nullspace": 1}
+
+
+def test_underflowing_evaluation_exits_three_naming_the_point(tmp_path, capsys):
+    # exp(1000 x) at the first point, x = -0.7313, is the subnormal 2.6e-318:
+    # read as 0 it made N singular there and the index 1
+    spec = _spec_with_endo(tmp_path, ["x"], ["e"], [["1"]], [["exp(1000*x)"]])
+    code, out, err = run(capsys, "riesz", spec, "--points", "3", "--seed", "1",
+                         "--format", "json")
+    assert code == 3, err
+    (check,) = json.loads(out)["checks"]
+    assert check["ill_conditioned"] and "underflows" in check["witness"]
+    assert "{'x': -0.7312715117751976}" in check["witness"]
+
+
+def _numeric_checks(capsys, *argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    checks = json.loads(out)["checks"]
+    for c in checks:
+        assert set(c) == {"name", "verdict", "witness", "ill_conditioned", "seconds", "margin"}
+    return code, checks
+
+
+def test_numeric_checks_report_a_margin(capsys):
+    code, (split,) = _numeric_checks(capsys, "riesz", "aff1", "--points", "30", "--seed", "1")
+    assert code == 0 and split["witness"] is None and split["margin"] > 1
+    code, checks = _numeric_checks(capsys, "reduce-fiberwise", "toda:3", "--bivector", "lam0",
+                                   "--points", "30", "--seed", "1")
+    assert code == 0 and all(c["margin"] > 1 for c in checks)
+    code, out, _ = run(capsys, "check-algebroid", "aff1", "--format", "json")
+    assert "margin" not in json.loads(out)["checks"][0]
+
+
+def test_failing_riesz_names_its_first_point_sigma_and_cutoff(tmp_path, capsys):
+    # N = [[0, 1], [0, e]] with e = 1.5e-9: N^2 keeps rank 1, so the index is
+    # 1, but Ker N and Im N are e apart, below the cutoff of the direct sum
+    spec = _spec_with_endo(tmp_path, ["x"], ["e", "f"], [["1"], ["0"]],
+                           [["0", "1"], ["0", "3/2000000000"]])
+    code, (split,) = _numeric_checks(capsys, "riesz", spec, "--points", "5", "--seed", "1")
+    assert code == 1 and split["verdict"] == "fail"
+    assert split["witness"] == (
+        "image + kernel of the stable power do not span at {'x': -0.7312715117751976}: "
+        "sigma_min 1.06066e-09 <= cutoff 1.41421e-09")
+    assert split["margin"] == 0.75
+
+
+def test_failing_reduce_fiberwise_names_its_first_point(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "base_vars": ["x"], "frame": ["e", "f"], "anchor": [["1"], ["0"]],
+        "bivectors": {"P": {}}, "endomorphisms": {"N": [["1", "0"], ["0", "x"]]},
+    }))
+    code, (p_check, n_check) = _numeric_checks(capsys, "reduce-fiberwise", str(path),
+                                               "--points", "5", "--seed", "1")
+    assert code == 1
+    assert p_check["verdict"] == "fail" and p_check["margin"] == 0.0
+    assert p_check["witness"] == (
+        "reduced bivector degenerate at {'x': -0.7312715117751976}: "
+        "sigma_min 0 <= cutoff 1e-09")
+    assert n_check["verdict"] == "pass" and n_check["witness"] is None
+    assert n_check["margin"] > 1

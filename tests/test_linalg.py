@@ -104,6 +104,95 @@ def test_evaluate_matrix_names_the_point_of_a_non_finite_entry():
         assert str(bad) in str(info.value)
 
 
+# -- the compiled, batched evaluator -------------------------------------------
+
+def _loop_evaluate(rows, values):
+    """The per-point reference: every entry through Expr.evaluate."""
+    from pnalgebroid.expr import Point
+
+    pt = Point(values)
+    return np.array([[e.evaluate(pt) for e in row] for row in rows], dtype=float)
+
+
+def test_compiled_matrix_matches_expr_evaluate():
+    rows = M(["x^2*y - 3/2*exp(x - 2*y + 1)", "0", "7"],
+             ["x*exp(-y)", "y^3 + x^2 - exp(1/3*x)", "exp(2)"])
+    rng = np.random.default_rng(1)
+    points = [{"x": float(a), "y": float(b)} for a, b in rng.uniform(-2, 2, (40, 2))]
+    compiled = linalg.CompiledMatrix(rows)
+    mats, fault = compiled.evaluate(compiled.columns(points))
+    assert mats.shape == (40, 2, 3) and not fault.any()
+    for values, mat in zip(points, mats):
+        # the sums run in term order, the products in another order: a few ulps
+        assert np.allclose(mat, _loop_evaluate(rows, values), rtol=1e-14, atol=0)
+    assert np.array_equal(linalg.evaluate_matrix(rows, points[0]), mats[0])
+
+
+def test_compiled_matrix_handles_constants_empty_rows_and_no_points():
+    compiled = linalg.CompiledMatrix(M(["2", "0"], ["0", "-1/2"]))
+    mats, fault = compiled.evaluate(compiled.columns([{}, {"x": 1.0}]))
+    assert np.array_equal(mats, [[[2, 0], [0, -0.5]]] * 2) and not fault.any()
+    empty = linalg.CompiledMatrix([])
+    assert empty.evaluate(empty.columns([{}, {}]))[0].shape == (2, 0, 0)
+    xs = linalg.CompiledMatrix(M(["x"]))
+    assert xs.evaluate(xs.columns([]))[0].shape == (0, 1, 1)
+    with pytest.raises(ExprError, match="unbound variable 'x'"):
+        xs.columns([{"y": 1.0}])
+
+
+@pytest.mark.parametrize("entry, values, underflows", [
+    ("exp(1000*x)", {"x": -0.7312715117751976}, True),    # a subnormal, 2.6e-318
+    ("exp(1000*x)", {"x": -0.8689}, True),                # flushed to 0
+    ("exp(1000*x) + exp(999*x)", {"x": -0.8}, True),
+    ("x^400", {"x": 0.1}, True),
+    ("exp(1000*x) + 1", {"x": -0.8}, False),              # the 1 carries the entry
+    ("y*exp(1000*x)", {"x": -0.8, "y": 0.0}, False),      # exactly 0, not underflow
+    ("x^400", {"x": 0.0}, False),
+    ("exp(700*x)", {"x": -1.0}, False),                   # 1e-304 is a normal float
+])
+def test_underflowing_entries_are_flagged(entry, values, underflows):
+    rows = M([entry, "1"])
+    if underflows:
+        with pytest.raises(linalg.NonFiniteEntry, match="underflows") as info:
+            linalg.evaluate_matrix(rows, values)
+        assert info.value.values == values
+    else:
+        linalg.evaluate_matrix(rows, values)
+
+
+def test_a_non_finite_entry_outranks_an_earlier_underflow():
+    compiled = linalg.CompiledMatrix(M(["exp(1000*x)"]))
+    points = [{"x": 0.0}, {"x": -0.8}, {"x": 0.0}, {"x": 0.9}, {"x": 1.0}]
+    mats, fault = compiled.evaluate(compiled.columns(points))
+    assert fault.tolist() == [0, 1, 0, 2, 2]
+    faults = linalg.Faults()
+    with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
+        faults.check(points, fault)
+    assert info.value.values == {"x": 0.9}
+    # with no non-finite entry, the first underflow is raised at the end
+    faults = linalg.Faults()
+    faults.check(points[:3], fault[:3])
+    faults.check(points[:1], fault[:1])
+    with pytest.raises(linalg.NonFiniteEntry, match="underflows") as info:
+        faults.finish()
+    assert info.value.values == {"x": -0.8}
+
+
+def test_stacked_rank_rule_matches_the_per_matrix_rule():
+    def reference(s, tol):
+        cutoff = tol * max(float(s[0]) if len(s) else 0.0, 1.0)
+        rank = int(np.sum(s > cutoff))
+        ill = 0 < rank < len(s) and s[rank] > 0 and s[rank - 1] / s[rank] < linalg.GAP_RATIO
+        return rank, cutoff, bool(ill)
+
+    rng = np.random.default_rng(3)
+    stacks = [np.sort(rng.uniform(0, 3, (50, k)) ** 12, axis=1)[:, ::-1] for k in (0, 1, 2, 5)]
+    stacks.append(np.array([[1.0, 2e-9, 5e-10], [1.0, 1e-30, 0.0], [0.0, 0.0, 0.0]]))
+    for s in stacks:
+        rank, cutoff, ill = linalg._rank_of(s, 1e-9)
+        assert [reference(row, 1e-9) for row in s] == list(zip(rank, cutoff, ill))
+
+
 # -- Frac: one numerator over a scalar denominator ----------------------------
 
 _A = LieAlgebroid.tangent(["x", "y"])

@@ -330,46 +330,125 @@ def _jordan_pair():
 
 
 def _numeric_cases():
-    t2, t3, a = build_toda(2), build_toda(3), build_aff1()
+    t2, t3, t5, a = build_toda(2), build_toda(3), build_toda(5), build_aff1()
     A, P, jordans = _jordan_pair()
     return [
         ("toda2", t2.tangent, t2.lam0, [t2.N]),
         ("toda3", t3.tangent, t3.lam0, [t3.N]),
+        ("toda5", t5.tangent, t5.lam0, [t5.N]),
         ("toda2-atiyah", t2.atiyah, t2.pi0, [t2.recursion_atiyah().exact()]),
         ("aff1", a.algebroid, a.P, [a.N]),
         ("jordan", A, P, jordans),
     ]
 
 
-@pytest.mark.parametrize("case", _numeric_cases(), ids=lambda c: c[0])
-def test_riesz_and_fiberwise_match_the_previous_per_point_code(case):
+NUMERIC_CASES = _numeric_cases()
+
+
+def _case_points(A, count, seed):
+    return sample_points(list(A.base_vars), count, seed,
+                         {v: (0.5, 2.0) for v in A.base_vars if v.startswith("a")})
+
+
+def _assert_matches_reference(P, N, pts, tol=1e-9):
+    """The batched riesz_report and fiberwise_reduce against the per-point
+    reference: equal integers and flags, and floats to a few ulps (the
+    stacked products and SVDs sum in another order)."""
     import numpy as np
+
+    riesz, fiber = riesz_report(N, pts, tol), fiberwise_reduce(P, N, pts, tol)
+    assert len(riesz) == len(fiber) == len(pts)
+    for values, rz, fr in zip(pts, riesz, fiber):
+        want = _reference_fiberwise(P, N, values, tol)
+        assert rz.values is values and fr.values is values
+        assert rz.ranks == want["ranks"]
+        assert (rz.index, rz.dim_kernel, rz.direct_sum_ok, rz.ill_conditioned) == (
+            want["index"], want["dim_kernel"], want["direct_sum_ok"],
+            want["ill_conditioned"])
+        assert rz.kernel_basis.shape == want["kernel"].shape
+        assert rz.image_basis.shape == want["image"].shape
+        for got, ref in ((rz.kernel_basis, want["kernel"]), (rz.image_basis, want["image"])):
+            assert np.allclose(got @ got.T, ref @ ref.T, rtol=0, atol=1e-12)
+        assert (fr.index, fr.dim_quotient, fr.direct_sum_ok, fr.ill_conditioned) == (
+            want["index"], want["dim_quotient"], want["direct_sum_ok"],
+            want["ill_conditioned"])
+        assert (fr.p_nondegenerate, fr.n_invertible) == (
+            want["p_nondegenerate"], want["n_invertible"])
+        assert np.allclose(fr.p_tilde, want["p_tilde"], rtol=1e-12, atol=1e-12)
+        assert np.allclose(fr.n_tilde, want["n_tilde"], rtol=1e-12, atol=1e-12)
+        # the deciding rank tests: N itself at index 0, else [kernel | image]
+        assert (rz.sigma_min > rz.cutoff) == (rz.index == 0 or rz.direct_sum_ok)
+        if fr.dim_quotient:
+            assert (fr.p_sigma_min > fr.p_cutoff) == fr.p_nondegenerate
+            assert (fr.n_sigma_min > fr.n_cutoff) == fr.n_invertible
+        else:
+            assert np.isnan([fr.p_sigma_min, fr.p_cutoff, fr.n_sigma_min, fr.n_cutoff]).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 23])
+@pytest.mark.parametrize("case", NUMERIC_CASES, ids=lambda c: c[0])
+def test_riesz_and_fiberwise_match_the_per_point_code(case, seed):
     from pnalgebroid.reduction import riesz_at_point
 
     _, A, P, endos = case
-    tol = 1e-9
-    pts = sample_points(list(A.base_vars), 12, 5, {v: (0.5, 2.0) for v in A.base_vars
-                                                     if v.startswith("a")})
+    pts = _case_points(A, 24, seed)
     for N in endos:
-        new = fiberwise_reduce(P, N, pts, tol)
-        for values, fr in zip(pts, new):
-            want = _reference_fiberwise(P, N, values, tol)
-            rz = riesz_at_point(N, values, tol)
-            assert rz.ranks == want["ranks"]
-            assert (rz.index, rz.dim_kernel, rz.direct_sum_ok, rz.ill_conditioned) == (
-                want["index"], want["dim_kernel"], want["direct_sum_ok"],
-                want["ill_conditioned"])
-            assert rz.kernel_basis.shape == want["kernel"].shape
-            assert rz.image_basis.shape == want["image"].shape
-            for got, ref in ((rz.kernel_basis, want["kernel"]), (rz.image_basis, want["image"])):
-                assert np.allclose(got @ got.T, ref @ ref.T)
-            assert (fr.index, fr.dim_quotient, fr.direct_sum_ok, fr.ill_conditioned) == (
-                want["index"], want["dim_quotient"], want["direct_sum_ok"],
-                want["ill_conditioned"])
-            assert (fr.p_nondegenerate, fr.n_invertible) == (
-                want["p_nondegenerate"], want["n_invertible"])
-            assert np.allclose(fr.p_tilde, want["p_tilde"])
-            assert np.allclose(fr.n_tilde, want["n_tilde"])
+        _assert_matches_reference(P, N, pts)
+        one = riesz_at_point(N, pts[0], 1e-9)
+        assert (one.ranks, one.index) == (riesz_report(N, pts[:1], 1e-9)[0].ranks,
+                                          riesz_report(N, pts[:1], 1e-9)[0].index)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+@pytest.mark.parametrize("case", [NUMERIC_CASES[3], NUMERIC_CASES[5]], ids=lambda c: c[0])
+def test_batched_path_at_block_boundaries(case, offset):
+    from pnalgebroid import linalg
+
+    _, A, P, endos = case
+    count = 1 if offset is None else linalg._BLOCK + offset
+    for N in endos:
+        _assert_matches_reference(P, N, _case_points(A, count, 7))
+        assert riesz_report(N, []) == [] and fiberwise_reduce(P, N, []) == []
+
+
+def _overflow_case():
+    """N is finite at x = 0.99 but N^2 = exp(400 x) N overflows there; N
+    itself overflows at x = 2 and underflows at x = -1.9."""
+    A = LieAlgebroid.tangent(["x", "y"])
+    e = parse("exp(400*x)")
+    N = Endo.from_matrix(A, [[e, e], [ZERO, ZERO]])
+    return A, Bivector.from_entries(A, {(0, 1): ONE}), N
+
+
+@pytest.mark.parametrize("first, second", [("power", "eval"), ("eval", "power")])
+@pytest.mark.parametrize("shift", [0, 200])
+def test_non_finite_entry_names_the_first_bad_point(first, second, shift):
+    from pnalgebroid import linalg
+
+    _, P, N = _overflow_case()
+    bad = {"power": 0.99, "eval": 2.0}
+    pts = [{"x": 0.0, "y": float(i)} for i in range(shift + 8)]
+    pts[shift + 3]["x"] = bad[first]
+    pts[shift + 5]["x"] = bad[second]
+    for run in (lambda: riesz_report(N, pts), lambda: fiberwise_reduce(P, N, pts)):
+        with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
+            run()
+        assert info.value.values is pts[shift + 3]
+
+
+def test_underflow_is_raised_only_without_a_non_finite_point():
+    from pnalgebroid import linalg
+
+    _, P, N = _overflow_case()
+    pts = [{"x": 0.0, "y": 0.0}, {"x": -1.9, "y": 0.0}, {"x": 0.0, "y": 0.0}]
+    for run in (lambda: riesz_report(N, pts), lambda: fiberwise_reduce(P, N, pts)):
+        with pytest.raises(linalg.NonFiniteEntry, match="underflows") as info:
+            run()
+        assert info.value.values is pts[1]
+    pts.append({"x": 2.0, "y": 0.0})
+    with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
+        riesz_report(N, pts)
+    assert info.value.values is pts[3]
 
 
 def test_the_jordan_cases_reach_index_three_and_two():
@@ -501,3 +580,52 @@ def test_kernel_frame_is_computed_once_per_spec(monkeypatch):
     first = epi.kernel_frame()
     assert epi.kernel_frame() == first
     assert len(calls) == 1
+
+
+def _reference_fb(A, sections, points, seed, tol=1e-9):
+    """condition_fb_check one point at a time, as before the batched path."""
+    import random
+
+    import numpy as np
+    from pnalgebroid import linalg
+    from pnalgebroid.lifts import fiber_vars, lift_section
+
+    rng = random.Random(seed)
+    ys = fiber_vars(A)
+    lifts = [lift_section(A, X, kind).comps for X in sections for kind in ("c", "v")]
+    out = []
+    for values in points:
+        span = _evaluate([X.comps for X in sections], values).reshape(len(sections), A.rank).T
+        rank_b = linalg.numeric_rank(span, tol)
+        y = span @ np.array([rng.uniform(-1.0, 1.0) for _ in sections])
+        total = dict(values, **{ys[a]: float(y[a]) for a in range(A.rank)})
+        gens = _evaluate(lifts, total).reshape(len(lifts), A.dim + A.rank)
+        rank_rho = linalg.numeric_rank(gens[::2, :A.dim], tol)
+        rank_f = linalg.numeric_rank(gens, tol)
+        out.append((y, rank_f.rank, rank_rho.rank, rank_b.rank,
+                    rank_f.rank == rank_rho.rank + rank_b.rank,
+                    rank_f.ill_conditioned or rank_b.ill_conditioned or rank_rho.ill_conditioned))
+    return out
+
+
+def _fb_cases():
+    a, t2 = build_aff1(), build_toda(2)
+    A = t2.atiyah
+    b1 = parse("b1")
+    frame = [A.frame_section(0).scale(b1), A.frame_section(2) + A.frame_section(1)]
+    return [("aff1", a.algebroid, a.kernel_basis), ("toda2-atiyah", A, frame)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 23])
+@pytest.mark.parametrize("case", _fb_cases(), ids=lambda c: c[0])
+def test_condition_fb_check_matches_the_per_point_code(case, seed):
+    """The same rng draws in the same order: fiber points bit for bit."""
+    import numpy as np
+
+    _, A, sections = case
+    pts = _case_points(A, 150, seed)
+    got = condition_fb_check(A, sections, pts, seed)
+    for rep, want in zip(got, _reference_fb(A, sections, pts, seed), strict=True):
+        assert np.array_equal(rep.fiber_point, want[0])
+        assert (rep.dim_lifted, rep.dim_anchor_image, rep.rank_subbundle, rep.consistent,
+                rep.ill_conditioned) == want[1:]
