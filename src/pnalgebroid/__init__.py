@@ -30,13 +30,16 @@ from .lifts import (
     wedge_fields, fb_generators,
 )
 from .reduction import (
-    EpimorphismSpec, NotBasic, LeafSpec, LeafRestriction, RieszPointReport,
-    FiberReport, SubalgebroidReport, FBPointReport, default_tolerance,
+    EpimorphismSpec, NotBasic, LeafSpec, LeafRestriction, SubalgebroidReport,
     rewrite_basic, projectable_section_check, projectable_form_check,
     projectable_bivector_check, projectable_endo_check, project_section,
-    project_bivector, project_endo, characteristic_rank, restrict_to_leaf,
-    riesz_at_point, riesz_report, sample_points, fiberwise_reduce,
-    symbolic_riesz_index, kernel_subalgebroid_check, condition_fb_check,
+    project_bivector, project_endo, restrict_to_leaf, symbolic_riesz_index,
+    kernel_subalgebroid_check,
+)
+from .pointwise import (
+    RieszPointReport, FiberReport, FBPointReport, default_tolerance,
+    characteristic_rank, riesz_at_point, riesz_report, sample_points,
+    fiberwise_reduce, condition_fb_check,
 )
 from .fixtures import (
     TodaFixture, SemidirectFixture, build_toda, build_semidirect, build_aff1,

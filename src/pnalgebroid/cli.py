@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import __version__ as VERSION, linalg, reduction
+from . import __version__ as VERSION, linalg
 from .expr import ExprError
 from .algebroid import CheckReport, timed_check
 from .poisson import (
@@ -24,10 +24,12 @@ from .poisson import (
 )
 from .nijenhuis import pn_check, recursion_operator, hierarchy_check, Endo
 from .reduction import (
-    LeafSpec, default_tolerance, restrict_to_leaf,
-    riesz_report, fiberwise_reduce, sample_points,
-    projectable_bivector_check, project_bivector, NotBasic,
-    _endo_check, _project_endo, _riesz_blocks, _fiberwise_blocks,
+    LeafSpec, restrict_to_leaf, projectable_bivector_check, project_bivector,
+    NotBasic, _endo_check, _project_endo,
+)
+from .pointwise import (
+    TOL_ENV_VAR, default_tolerance, riesz_report, fiberwise_reduce, sample_points,
+    _riesz_blocks, _fiberwise_blocks,
 )
 from .specio import SpecDocument, SpecFileError, load_document, serialize_document
 from .fixtures import build_toda, build_aff1
@@ -246,8 +248,7 @@ class _RankFold:
             self.ratio = min(self.ratio, sigma / cutoff)
         if self.ok and not ok:
             self.ok = False
-            self.witness = (f"{self.what} at {values}: "
-                            f"sigma_min {sigma:.6g} <= cutoff {cutoff:.6g}")
+            self.witness = f"{self.what} at {values}: sigma_min {sigma:.6g}, cutoff {cutoff:.6g}"
 
     @property
     def margin(self) -> Optional[float]:
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
             "structures.  Inputs are JSON spec files or builtin fixture "
             "names (aff1, toda:<n>[:canonical|flaschka|atiyah]).  The "
             f"default numeric tolerance is {linalg.DEFAULT_TOL} and can "
-            f"be overridden with the {reduction.TOL_ENV_VAR} environment "
+            f"be overridden with the {TOL_ENV_VAR} environment "
             "variable."
         ),
     )

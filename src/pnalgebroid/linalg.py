@@ -346,8 +346,9 @@ class CompiledMatrix:
         self.powers = [(col[v], np.array([k for k, _ in ks], dtype=np.intp),
                         np.array([float(e) for _, e in ks])) for v, ks in sorted(powers.items())]
 
-    def columns(self, points: list[dict[str, float]]) -> np.ndarray:
-        """The points as a (points, variables) array in compiled order."""
+    def coordinates(self, points: list[dict[str, float]]) -> np.ndarray:
+        """The coordinates of the points as a (points, variables) array, in
+        the order of ``variables``."""
         try:
             return np.array([[p[v] for v in self.variables] for p in points],
                             dtype=float).reshape(len(points), len(self.variables))
@@ -355,7 +356,7 @@ class CompiledMatrix:
             raise ExprError(f"unbound variable {e.args[0]!r} in evaluation") from None
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The matrices at the rows of ``x`` (from :meth:`columns`), stacked
+        """The matrices at the rows of ``x`` (from :meth:`coordinates`), stacked
         as (points, n, m), and per point a fault code: 0, or an entry that is
         not finite, or an entry whose every nonzero term has magnitude below
         the smallest normal float (it underflowed; read as 0 it would fake a
@@ -398,7 +399,7 @@ def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
     one-point case of :class:`CompiledMatrix`.  Raises NonFiniteEntry naming
     the point when an entry is not finite or underflows."""
     compiled = CompiledMatrix(rows)
-    mats, fault = compiled.evaluate(compiled.columns([values]))
+    mats, fault = compiled.evaluate(compiled.coordinates([values]))
     faults = Faults()
     faults.check([values], fault)
     faults.finish()

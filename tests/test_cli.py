@@ -284,7 +284,7 @@ def test_failing_riesz_names_its_first_point_sigma_and_cutoff(tmp_path, capsys):
     assert code == 1 and split["verdict"] == "fail"
     assert split["witness"] == (
         "image + kernel of the stable power do not span at {'x': -0.7312715117751976}: "
-        "sigma_min 1.06066e-09 <= cutoff 1.41421e-09")
+        "sigma_min 1.06066e-09, cutoff 1.41421e-09")
     assert split["margin"] == 0.75
 
 
@@ -300,6 +300,6 @@ def test_failing_reduce_fiberwise_names_its_first_point(tmp_path, capsys):
     assert p_check["verdict"] == "fail" and p_check["margin"] == 0.0
     assert p_check["witness"] == (
         "reduced bivector degenerate at {'x': -0.7312715117751976}: "
-        "sigma_min 0 <= cutoff 1e-09")
+        "sigma_min 0, cutoff 1e-09")
     assert n_check["verdict"] == "pass" and n_check["witness"] is None
     assert n_check["margin"] > 1

@@ -120,7 +120,7 @@ def test_compiled_matrix_matches_expr_evaluate():
     rng = np.random.default_rng(1)
     points = [{"x": float(a), "y": float(b)} for a, b in rng.uniform(-2, 2, (40, 2))]
     compiled = linalg.CompiledMatrix(rows)
-    mats, fault = compiled.evaluate(compiled.columns(points))
+    mats, fault = compiled.evaluate(compiled.coordinates(points))
     assert mats.shape == (40, 2, 3) and not fault.any()
     for values, mat in zip(points, mats):
         # the sums run in term order, the products in another order: a few ulps
@@ -130,14 +130,14 @@ def test_compiled_matrix_matches_expr_evaluate():
 
 def test_compiled_matrix_handles_constants_empty_rows_and_no_points():
     compiled = linalg.CompiledMatrix(M(["2", "0"], ["0", "-1/2"]))
-    mats, fault = compiled.evaluate(compiled.columns([{}, {"x": 1.0}]))
+    mats, fault = compiled.evaluate(compiled.coordinates([{}, {"x": 1.0}]))
     assert np.array_equal(mats, [[[2, 0], [0, -0.5]]] * 2) and not fault.any()
     empty = linalg.CompiledMatrix([])
-    assert empty.evaluate(empty.columns([{}, {}]))[0].shape == (2, 0, 0)
+    assert empty.evaluate(empty.coordinates([{}, {}]))[0].shape == (2, 0, 0)
     xs = linalg.CompiledMatrix(M(["x"]))
-    assert xs.evaluate(xs.columns([]))[0].shape == (0, 1, 1)
+    assert xs.evaluate(xs.coordinates([]))[0].shape == (0, 1, 1)
     with pytest.raises(ExprError, match="unbound variable 'x'"):
-        xs.columns([{"y": 1.0}])
+        xs.coordinates([{"y": 1.0}])
 
 
 @pytest.mark.parametrize("entry, values, underflows", [
@@ -163,7 +163,7 @@ def test_underflowing_entries_are_flagged(entry, values, underflows):
 def test_a_non_finite_entry_outranks_an_earlier_underflow():
     compiled = linalg.CompiledMatrix(M(["exp(1000*x)"]))
     points = [{"x": 0.0}, {"x": -0.8}, {"x": 0.0}, {"x": 0.9}, {"x": 1.0}]
-    mats, fault = compiled.evaluate(compiled.columns(points))
+    mats, fault = compiled.evaluate(compiled.coordinates(points))
     assert fault.tolist() == [0, 1, 0, 2, 2]
     faults = linalg.Faults()
     with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
