@@ -324,7 +324,6 @@ class CompiledMatrix:
                                 | {v for _, _, lin, _ in terms for v, _ in lin if v})
         col = {v: k for k, v in enumerate(self.variables)}
         self.coeff = np.array([float(c) for *_, c in terms])
-        self.log_coeff = np.log(np.abs(self.coeff))
         entries = [t[0] for t in terms]
         # terms come grouped by entry: the first term of each nonzero entry
         self.starts = np.array([k for k in range(len(terms))
@@ -384,7 +383,7 @@ class CompiledMatrix:
         have log-magnitude below log(smallest normal float).  A term with a
         zero variable raised to a positive power is exactly zero."""
         logx = np.log(np.abs(x))
-        logmag = np.broadcast_to(self.log_coeff, (x.shape[0], len(self.coeff))).copy()
+        logmag = np.broadcast_to(np.log(np.abs(self.coeff)), (x.shape[0], len(self.coeff))).copy()
         if arg is not None:
             logmag += arg
         for v, ks, e in self.powers:

@@ -101,7 +101,8 @@ class EpimorphismSpec:
                             lhs - rhs,
                         )
                     )
-        for values, rank in zip(points or [], _ranks(self.fiber_map, points or [], tol)):
+        ranks = _ranks(self.fiber_map, points, tol) if points else []
+        for values, rank in zip(points or [], ranks):
             if rank.rank < self.target.rank:
                 failures.append(
                     (f"fiber map not surjective at sample point {values}", ZERO)
