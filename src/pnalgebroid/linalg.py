@@ -244,9 +244,9 @@ def solve_pair(a: Matrix, b: list[Expr]) -> Frac:
 # number of points.
 
 _BLOCK = 128
-_TINY = np.finfo(float).tiny              # the smallest normal float
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _LOG_TINY = math.log(_TINY)
-UNDERFLOW, OVERFLOW = 1, 2            # per-point fault codes; graver is larger
+UNDERFLOW, OVERFLOW = 1, 2  # per-point fault codes; the graver is larger
 _FAULTS = {
     OVERFLOW: "overflows or is not finite",
     UNDERFLOW: "underflows below the smallest normal float",

@@ -388,7 +388,7 @@ def _project_endo(epi: EpimorphismSpec, N: Endo, complement: list[Frac]) -> Endo
 
 
 # ---------------------------------------------------------------------------
-# characteristic distribution and leaf restriction
+# leaf restriction
 
 @dataclass
 class LeafSpec:

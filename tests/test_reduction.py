@@ -385,18 +385,17 @@ def _assert_matches_reference(P, N, pts, tol=1e-9):
             assert np.isnan([fr.p_sigma_min, fr.p_cutoff, fr.n_sigma_min, fr.n_cutoff]).all()
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 23])
 @pytest.mark.parametrize("case", NUMERIC_CASES, ids=lambda c: c[0])
-def test_riesz_and_fiberwise_match_the_per_point_code(case, seed):
+def test_riesz_and_fiberwise_match_the_previous_per_point_code(case):
     from pnalgebroid.reduction import riesz_at_point
 
     _, A, P, endos = case
-    pts = _case_points(A, 24, seed)
-    for N in endos:
-        _assert_matches_reference(P, N, pts)
-        one = riesz_at_point(N, pts[0], 1e-9)
-        assert (one.ranks, one.index) == (riesz_report(N, pts[:1], 1e-9)[0].ranks,
-                                          riesz_report(N, pts[:1], 1e-9)[0].index)
+    for seed in (1, 2, 3, 5, 23):
+        pts = _case_points(A, 24, seed)
+        for N in endos:
+            _assert_matches_reference(P, N, pts)
+            one, = riesz_report(N, pts[:1], 1e-9)
+            assert riesz_at_point(N, pts[0], 1e-9).ranks == one.ranks
 
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
