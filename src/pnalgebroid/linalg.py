@@ -361,36 +361,44 @@ class CompiledMatrix:
         the smallest normal float (it underflowed; read as 0 it would fake a
         rank drop)."""
         count = x.shape[0]
+        under = np.zeros(count, dtype=bool)
         with np.errstate(all="ignore"):
             arg = None if self.lin is None else x @ self.lin.T + self.offset
             t = np.ones((count, len(self.coeff))) if arg is None else np.exp(arg)
             for v, ks, e in self.powers:
                 t[:, ks] *= x[:, v, None] ** e
             t *= self.coeff
+            # only points with a term below the normal range need a second look
+            small = np.flatnonzero((np.abs(t) < _TINY).any(axis=1))
+            if small.size:
+                t[small], under[small] = self._small_terms(
+                    x[small], None if arg is None else arg[small], t[small])
             out = np.zeros((count, self.shape[0] * self.shape[1]))
             if len(self.coeff):
                 out[:, self.entries] = np.add.reduceat(t, self.starts, axis=1)
-            fault = np.where(np.isfinite(out).all(axis=1), 0, OVERFLOW).astype(np.int8)
-            # only points with a term below the normal range can underflow
-            small = np.flatnonzero((np.abs(t) < _TINY).any(axis=1) & (fault == 0))
-            if small.size:
-                under = self._underflows(x[small], None if arg is None else arg[small])
-                fault[small[under]] = UNDERFLOW
-        return out.reshape(count, *self.shape), fault
+        fault = np.where(np.isfinite(out).all(axis=1), np.where(under, UNDERFLOW, 0), OVERFLOW)
+        return out.reshape(count, *self.shape), fault.astype(np.int8)
 
-    def _underflows(self, x: np.ndarray, arg: np.ndarray | None) -> np.ndarray:
-        """Per point, whether some entry has nonzero terms and all of them
+    def _small_terms(self, x: np.ndarray, arg: np.ndarray | None,
+                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The terms ``t`` at these points, each recomputed from its
+        log-magnitude when it came out below the normal range although its
+        value is a normal float (a power underflowed inside the product);
+        and per point, whether some entry has nonzero terms and all of them
         have log-magnitude below log(smallest normal float).  A term with a
         zero variable raised to a positive power is exactly zero."""
+        logmag = np.log(np.abs(self.coeff)) + (0.0 if arg is None else arg)
+        logmag = np.broadcast_to(logmag, t.shape).copy()
+        sign = np.broadcast_to(np.sign(self.coeff), t.shape).copy()
         logx = np.log(np.abs(x))
-        logmag = np.broadcast_to(np.log(np.abs(self.coeff)), (x.shape[0], len(self.coeff))).copy()
-        if arg is not None:
-            logmag += arg
         for v, ks, e in self.powers:
             logmag[:, ks] += e * logx[:, v, None]
+            sign[:, ks] *= np.sign(x[:, v, None]) ** e
+        lost = (np.abs(t) < _TINY) & (logmag >= _LOG_TINY)
+        t = np.where(lost, sign * np.exp(logmag), t)
         nonzero = np.logical_or.reduceat(logmag > -np.inf, self.starts, axis=1)
         normal = np.logical_or.reduceat(logmag >= _LOG_TINY, self.starts, axis=1)
-        return (nonzero & ~normal).any(axis=1)
+        return t, (nonzero & ~normal).any(axis=1)
 
 
 def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:

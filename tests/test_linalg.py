@@ -160,6 +160,15 @@ def test_underflowing_entries_are_flagged(entry, values, underflows):
         linalg.evaluate_matrix(rows, values)
 
 
+def test_a_power_that_underflows_inside_its_product_is_recomputed():
+    # 0.1^400 flushes to 0 before exp(500) scales the term up to 1.4e-183
+    rows = M(["x^400*exp(500*y)", "-2*x^401*exp(500*y) + 1", "x^401*exp(500*y)"])
+    got = linalg.evaluate_matrix(rows, {"x": -0.1, "y": 1.0})
+    want = np.exp(400 * np.log(0.1) + 500)
+    assert np.allclose(got, [[want, 1.0, -want / 10]], rtol=1e-12, atol=0)
+    assert got[0, 0] > 0 and got[0, 2] < 0
+
+
 def test_a_non_finite_entry_outranks_an_earlier_underflow():
     compiled = linalg.CompiledMatrix(M(["exp(1000*x)"]))
     points = [{"x": 0.0}, {"x": -0.8}, {"x": 0.0}, {"x": 0.9}, {"x": 1.0}]
