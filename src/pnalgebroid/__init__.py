@@ -25,9 +25,8 @@ from .nijenhuis import (
     hierarchy_check, bihamiltonian_check,
 )
 from .lifts import (
-    TotalVectorField, TotalBivector, lift_function, lift_section,
-    lift_bivector, star_complete_lift, linear_function, total_space_bracket,
-    wedge_fields, fb_generators,
+    total_space, dual_total_space, lift_function, lift_section,
+    lift_bivector, star_complete_lift, linear_function, fb_generators,
 )
 from .reduction import (
     EpimorphismSpec, NotBasic, LeafSpec, LeafRestriction, SubalgebroidReport,

@@ -21,8 +21,8 @@ from pnalgebroid.nijenhuis import (
     hierarchy, hierarchy_check, bihamiltonian_check, sharp_commutes,
 )
 from pnalgebroid.lifts import (
-    lift_section, star_complete_lift, linear_function, total_space_bracket,
-    fiber_vars,
+    lift_section, star_complete_lift, linear_function, total_space,
+    dual_total_space, fiber_vars,
 )
 from pnalgebroid.reduction import (
     LeafSpec, restrict_to_leaf, projectable_endo_check, project_bivector,
@@ -241,18 +241,19 @@ def test_criterion_8_lift_bracket_identities(toda, aff1, which):
     A = toda[2].atiyah if which == "toda-invariant" else aff1.algebroid
     rng = random.Random(23)
     secs = _random_sections(A, rng, 60)
+    T, Tstar = total_space(A), dual_total_space(A)
     for X, Y in zip(secs[::2], secs[1::2]):  # 30 pairs
-        cc = total_space_bracket(lift_section(A, X, "c"), lift_section(A, Y, "c"))
+        cc = T.bracket(lift_section(A, X, "c"), lift_section(A, Y, "c"))
         assert (cc - lift_section(A, A.bracket(X, Y), "c")).is_zero(), (
             "[X^c, Y^c] != [X, Y]^c"
         )
-        cv = total_space_bracket(lift_section(A, X, "c"), lift_section(A, Y, "v"))
+        cv = T.bracket(lift_section(A, X, "c"), lift_section(A, Y, "v"))
         assert (cv - lift_section(A, A.bracket(X, Y), "v")).is_zero(), (
             "[X^c, Y^v] != [X, Y]^v"
         )
-        vv = total_space_bracket(lift_section(A, X, "v"), lift_section(A, Y, "v"))
+        vv = T.bracket(lift_section(A, X, "v"), lift_section(A, Y, "v"))
         assert vv.is_zero(), "[X^v, Y^v] != 0"
-        got = star_complete_lift(A, X).apply(linear_function(A, Y))
+        got = Tstar.anchor_apply(star_complete_lift(A, X), linear_function(A, Y))
         assert (got - linear_function(A, A.bracket(X, Y))).is_zero(), (
             "X^{*c} does not act as the bracket on linear functions"
         )

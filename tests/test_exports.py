@@ -27,9 +27,8 @@ EXPORTS = {
     "concomitant_check", "pn_check", "recursion_operator", "hierarchy",
     "hierarchy_check", "bihamiltonian_check",
     # lifts
-    "TotalVectorField", "TotalBivector", "lift_function", "lift_section",
-    "lift_bivector", "star_complete_lift", "linear_function",
-    "total_space_bracket", "wedge_fields", "fb_generators",
+    "total_space", "dual_total_space", "lift_function", "lift_section",
+    "lift_bivector", "star_complete_lift", "linear_function", "fb_generators",
     # reduction
     "EpimorphismSpec", "NotBasic", "LeafSpec", "LeafRestriction",
     "RieszPointReport", "FiberReport", "SubalgebroidReport", "FBPointReport",
