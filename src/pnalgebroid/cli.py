@@ -455,10 +455,11 @@ def _stable_kernel_verdict(N: Endo, pts) -> tuple[_RankFold, bool]:
 
 def _fiberwise_verdict(P: Bivector, N: Endo, pts) -> tuple[_RankFold, bool]:
     fold = _RankFold("reduced pair degenerate")
-    for r in fiberwise_reduce(P, N, pts):
+    reports = fiberwise_reduce(P, N, pts)
+    for r in reports:
         fold.add(r.p_nondegenerate, r.values, r.p_sigma_min, r.p_cutoff)
         fold.add(r.n_invertible, r.values, r.n_sigma_min, r.n_cutoff)
-    return fold, False
+    return fold, any(r.ill_conditioned for r in reports)
 
 
 def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:

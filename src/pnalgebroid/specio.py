@@ -28,7 +28,32 @@ class SpecDocument:
     bivectors: dict[str, Bivector] = field(default_factory=dict)
     endomorphisms: dict[str, Endo] = field(default_factory=dict)
     epimorphism: Optional[EpimorphismSpec] = None
-    basic_substitutions: dict[str, str] = field(default_factory=dict)
+
+
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _expect(value: Any, kind: type, where: str) -> Any:
+    """``value`` when it is of the JSON kind ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise SpecFileError(
+            f"{where}: expected {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}"
+        )
+    return value
+
+
+def _names(value: Any, where: str) -> list[str]:
+    return [_expect(v, str, where) for v in _expect(value, list, where)]
+
+
+def _matrix(value: Any, rows: int, cols: int, where: str) -> list[list[Expr]]:
+    """A rows x cols array of expression strings."""
+    if not isinstance(value, list) or len(value) != rows or any(
+        not isinstance(row, list) or len(row) != cols for row in value
+    ):
+        raise SpecFileError(f"{where}: expected a {rows}x{cols} matrix")
+    return [[_expr(e, f"{where}[{i}]") for e in row] for i, row in enumerate(value)]
 
 
 def _expr(text: Any, where: str) -> Expr:
@@ -60,24 +85,24 @@ def _algebroid_from_obj(obj: dict, where: str = "algebroid") -> LieAlgebroid:
     for req in ("base_vars", "frame", "anchor"):
         if req not in obj:
             raise SpecFileError(f"{where}: missing required field {req!r}")
-    base_vars = list(obj["base_vars"])
-    frame = list(obj["frame"])
-    anchor_rows = obj["anchor"]
+    base_vars = _names(obj["base_vars"], f"{where}.base_vars")
+    frame = _names(obj["frame"], f"{where}.frame")
+    anchor_rows = _expect(obj["anchor"], list, f"{where}.anchor")
     if len(anchor_rows) != len(frame):
         raise SpecFileError(f"{where}: anchor must have one row per frame element")
     anchor = []
     for a, row in enumerate(anchor_rows):
-        if len(row) != len(base_vars):
+        if len(_expect(row, list, f"{where}.anchor[{a}]")) != len(base_vars):
             raise SpecFileError(f"{where}: anchor row {a} has wrong length")
         anchor.append([_expr(e, f"{where}.anchor[{a}]") for e in row])
     structure: dict[tuple[int, int], dict[int, Expr]] = {}
-    for key, row in obj.get("structure", {}).items():
+    for key, row in _expect(obj.get("structure", {}), dict, f"{where}.structure").items():
         i, j = _pair_key(key, frame, f"{where}.structure")
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
         out: dict[int, Expr] = dict(structure.get((i, j), {}))
-        for gname, etext in row.items():
+        for gname, etext in _expect(row, dict, f"{where}.structure[{key}]").items():
             try:
                 g = frame.index(gname)
             except ValueError:
@@ -102,48 +127,38 @@ def parse_document(text: str) -> SpecDocument:
         raise SpecFileError("top level of a spec file must be a JSON object")
     A = _algebroid_from_obj(obj)
     doc = SpecDocument(A)
-    for name, entries in obj.get("bivectors", {}).items():
+    for name, entries in _expect(obj.get("bivectors", {}), dict, "bivectors").items():
         mat_entries: dict[tuple[int, int], Expr] = {}
-        for key, etext in entries.items():
+        for key, etext in _expect(entries, dict, f"bivectors[{name}]").items():
             i, j = _pair_key(key, list(A.frame), f"bivectors[{name}]")
             mat_entries[(i, j)] = _expr(etext, f"bivectors[{name}][{key}]")
         try:
             doc.bivectors[name] = Bivector.from_entries(A, mat_entries)
         except ValueError as e:
             raise SpecFileError(f"bivectors[{name}]: {e}") from e
-    for name, rows in obj.get("endomorphisms", {}).items():
-        if len(rows) != A.rank or any(len(r) != A.rank for r in rows):
-            raise SpecFileError(f"endomorphisms[{name}]: expected a {A.rank}x{A.rank} matrix")
-        mat = [
-            [_expr(e, f"endomorphisms[{name}][{i}]") for e in row]
-            for i, row in enumerate(rows)
-        ]
+    for name, rows in _expect(obj.get("endomorphisms", {}), dict, "endomorphisms").items():
+        mat = _matrix(rows, A.rank, A.rank, f"endomorphisms[{name}]")
         doc.endomorphisms[name] = Endo.from_matrix(A, mat)
     if "epimorphism" in obj:
         epi = obj["epimorphism"]
         if not isinstance(epi, dict) or "target" not in epi:
             raise SpecFileError("epimorphism: missing 'target' block")
-        target = _algebroid_from_obj(epi["target"], "epimorphism.target")
+        target = _algebroid_from_obj(
+            _expect(epi["target"], dict, "epimorphism.target"), "epimorphism.target"
+        )
         base_map = {
             v: _expr(e, f"epimorphism.base_map[{v}]")
-            for v, e in epi.get("base_map", {}).items()
+            for v, e in _expect(epi.get("base_map", {}), dict, "epimorphism.base_map").items()
         }
         if set(base_map) != set(target.base_vars):
             raise SpecFileError(
                 "epimorphism.base_map: must give one expression per target base variable"
             )
-        fm_rows = epi.get("fiber_map", [])
-        if len(fm_rows) != target.rank or any(len(r) != A.rank for r in fm_rows):
-            raise SpecFileError(
-                f"epimorphism.fiber_map: expected a {target.rank}x{A.rank} matrix"
-            )
-        fiber_map = [
-            [_expr(e, f"epimorphism.fiber_map[{i}]") for e in row]
-            for i, row in enumerate(fm_rows)
-        ]
-        name = epi.get("name", "epimorphism")
+        fiber_map = _matrix(
+            epi.get("fiber_map", []), target.rank, A.rank, "epimorphism.fiber_map"
+        )
+        name = _expect(epi.get("name", "epimorphism"), str, "epimorphism.name")
         doc.epimorphism = EpimorphismSpec(name, A, target, base_map, fiber_map)
-        doc.basic_substitutions = dict(epi.get("basic_substitutions", {}))
     return doc
 
 
@@ -194,8 +209,6 @@ def serialize_document(doc: SpecDocument) -> str:
             "base_map": {v: str(epi.base_map[v]) for v in epi.target.base_vars},
             "fiber_map": [[str(e) for e in row] for row in epi.fiber_map],
         }
-        if doc.basic_substitutions:
-            block["basic_substitutions"] = dict(doc.basic_substitutions)
         obj["epimorphism"] = block
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 

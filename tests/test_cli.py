@@ -55,6 +55,22 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("field,value,where", [
+    ("frame", 5, "algebroid.frame"),
+    ("structure", [], "algebroid.structure"),
+    ("bivectors", [], "bivectors"),
+    ("endomorphisms", {"N": 5}, "endomorphisms[N]"),
+])
+def test_malformed_spec_shape_exits_two(tmp_path, capsys, field, value, where):
+    obj = {"base_vars": ["x"], "frame": ["e"], "anchor": [["1"]], field: value}
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check-algebroid", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {where}: expected")
+    assert "Traceback" not in err
+
+
 def test_recursion_on_degenerate_pair_exits_one(capsys):
     code, out, _ = run(capsys, "recursion", "toda:2:flaschka")
     assert code == 1
@@ -190,6 +206,27 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
     assert [c["name"] for c in checks] == SELFTEST_CHECKS
     assert all(c["verdict"] == "pass" and not c["ill_conditioned"] for c in checks)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flagged", [None, 0, 24])
+def test_selftest_fiberwise_row_reads_ill_conditioning(monkeypatch, capsys, flagged):
+    import dataclasses
+
+    real = cli.fiberwise_reduce
+
+    def flag_one(*args):
+        reports = real(*args)
+        if flagged is not None:
+            reports[flagged] = dataclasses.replace(reports[flagged], ill_conditioned=True)
+        return reports
+
+    monkeypatch.setattr(cli, "fiberwise_reduce", flag_one)
+    code, out, _ = run(capsys, "selftest", "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    row = checks["aff1 fiberwise reduction nondegenerate"]
+    assert row["verdict"] == "pass"
+    assert row["ill_conditioned"] is (flagged is not None)
+    assert code == (0 if flagged is None else 3)
 
 
 def test_report_version_is_the_package_version(capsys):

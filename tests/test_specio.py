@@ -1,8 +1,10 @@
 """Spec-file parsing, canonical serialization and error reporting."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnalgebroid.specio import (
     SpecDocument, SpecFileError, parse_document, serialize_document,
@@ -101,3 +103,88 @@ def test_malformed_documents_are_rejected(mangle, fragment):
 def test_invalid_json_is_a_spec_error():
     with pytest.raises(SpecFileError):
         parse_document("{not json")
+
+
+# every field of the format, each with a well-formed value
+FULL = {
+    "base_vars": ["x", "y"],
+    "frame": ["e1", "e2"],
+    "anchor": [["1", "0"], ["0", "x"]],
+    "structure": {"(e1,e2)": {"e2": "1"}},
+    "bivectors": {"P": {"(e1,e2)": "x"}},
+    "endomorphisms": {"N": [["1", "0"], ["0", "2"]]},
+    "epimorphism": {
+        "name": "proj",
+        "target": {"base_vars": ["u"], "frame": ["f"], "anchor": [["1"]]},
+        "base_map": {"u": "x"},
+        "fiber_map": [["1", "0"]],
+    },
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, prefix=()):
+    """The key path of every value nested in a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield prefix + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _paths(inner, prefix + (key,))
+
+
+def _document_or_spec_error(obj):
+    try:
+        doc = parse_document(json.dumps(obj))
+    except SpecFileError:
+        return
+    assert isinstance(doc, SpecDocument)
+
+
+def test_full_document_parses():
+    doc = parse_document(json.dumps(FULL))
+    assert doc.epimorphism.name == "proj" and set(doc.endomorphisms) == {"N"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_any_json_value_is_a_document_or_a_spec_error(value):
+    _document_or_spec_error(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_paths(FULL))), json_values)
+def test_any_field_replaced_is_a_document_or_a_spec_error(path, value):
+    obj = json.loads(json.dumps(FULL))
+    owner = obj
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    _document_or_spec_error(obj)
+
+
+@pytest.mark.parametrize("field,value,where", [
+    ("frame", 5, "algebroid.frame"),
+    ("frame", ["e1", 2], "algebroid.frame"),
+    ("structure", [], "algebroid.structure"),
+    ("bivectors", [], "bivectors"),
+    ("endomorphisms", {"N": 5}, "endomorphisms[N]"),
+])
+def test_malformed_shapes_name_the_field(field, value, where):
+    obj = json.loads(json.dumps(FULL))
+    obj[field] = value
+    with pytest.raises(SpecFileError, match=rf"^{re.escape(where)}: expected"):
+        parse_document(json.dumps(obj))
+
+
+def test_basic_substitutions_key_is_ignored():
+    obj = json.loads(json.dumps(FULL))
+    obj["epimorphism"]["basic_substitutions"] = {"u": "x"}
+    doc = parse_document(json.dumps(obj))
+    assert serialize_document(doc) == serialize_document(parse_document(json.dumps(FULL)))
