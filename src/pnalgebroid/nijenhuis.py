@@ -301,17 +301,7 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
     try:
         inv = linalg.inverse_pair(m0)
     except ExprError:  # singular
-        kernel = linalg.symbolic_nullspace(m0)
-        witness = kernel[0] if kernel else None
-        text = "none"
-        if witness is not None:
-            parts = [
-                f"({c})*th_{A.frame[a]}" for a, c in enumerate(witness) if not c.is_zero()
-            ]
-            text = " + ".join(parts)
-        raise DegenerateBivector(
-            "first bivector is degenerate; kernel covector witness: " + text, witness
-        ) from None
+        raise DegenerateBivector.from_matrix("first bivector", A, m0) from None
     # N = P1^T (P0^T)^-1, and adj(P0^T) = adj(P0)^T, det(P0^T) = det(P0)
     m1t = linalg.mat_transpose([list(row) for row in P1.mat])
     num = linalg.mat_mul(m1t, linalg.mat_transpose(inv.num))

@@ -364,18 +364,7 @@ def invert_poisson(P: Bivector) -> Frac:
     try:
         inv = linalg.inverse_pair(m)
     except ExprError:  # singular
-        kernel = linalg.symbolic_nullspace(linalg.mat_transpose(m))
-        witness = kernel[0] if kernel else None
-        text = None
-        if witness is not None:
-            parts = [
-                f"({c})*th_{A.frame[a]}" for a, c in enumerate(witness) if not c.is_zero()
-            ]
-            text = " + ".join(parts)
-        raise DegenerateBivector(
-            "bivector is degenerate; kernel covector witness: " + (text or "none"),
-            witness,
-        ) from None
+        raise DegenerateBivector.from_matrix("bivector", A, linalg.mat_transpose(m)) from None
     num = two_form_from_matrix(A, [[-x for x in row] for row in inv.num])
     return Frac(num, inv.den)
 
@@ -387,6 +376,17 @@ class DegenerateBivector(ExprError):
     def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
+
+    @classmethod
+    def from_matrix(cls, what: str, A: LieAlgebroid, m: Matrix) -> "DegenerateBivector":
+        """The error for ``what``, witnessed by the first vector of an exact
+        basis of ker ``m`` read as a covector on the frame of ``A``."""
+        kernel = linalg.symbolic_nullspace(m)
+        witness = kernel[0] if kernel else None
+        text = " + ".join(
+            f"({c})*th_{A.frame[a]}" for a, c in enumerate(witness or ()) if not c.is_zero()
+        )
+        return cls(f"{what} is degenerate; kernel covector witness: {text or 'none'}", witness)
 
 
 def hamiltonian_section(P: Bivector, H: Expr) -> Section:

@@ -47,6 +47,10 @@ def test_recursion_operator_degenerate_gives_witness(toda2):
     with pytest.raises(DegenerateBivector) as exc:
         recursion_operator(toda2.lam0_bar, toda2.lam1_bar)
     assert exc.value.witness is not None
+    # the witness spans ker P0 (invert_poisson's spans ker P0^T)
+    assert str(exc.value) == (
+        "first bivector is degenerate; kernel covector witness: (a1)*th_Db1 + (a1)*th_Db2")
+    assert [str(c) for c in exc.value.witness] == ["0", "a1", "a1"]
 
 
 def test_toda_pn_verdicts(toda2):

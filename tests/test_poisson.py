@@ -112,6 +112,10 @@ def test_invert_poisson_degenerate_witness(toda2):
     with pytest.raises(DegenerateBivector) as exc:
         invert_poisson(toda2.lam0_bar)
     assert exc.value.witness is not None
+    # the witness spans ker P^T, with the sign the exact nullspace gives it
+    assert str(exc.value) == (
+        "bivector is degenerate; kernel covector witness: (-a1)*th_Db1 + (-a1)*th_Db2")
+    assert [str(c) for c in exc.value.witness] == ["0", "-a1", "-a1"]
 
 
 def test_symplectic_check_on_aff1():
