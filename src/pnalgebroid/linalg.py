@@ -451,11 +451,3 @@ def _results(s: np.ndarray, tol: float) -> list[RankResult]:
 def numeric_rank(mat: np.ndarray, tol: float = DEFAULT_TOL) -> RankResult:
     """SVD rank under the cutoff rule of :func:`_rank_of`."""
     return rank_results(mat[None], tol)[0]
-
-
-def numeric_bases(mat: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[RankResult, np.ndarray, np.ndarray]:
-    """Rank and orthonormal bases (columns) of the right nullspace and the
-    column space, from one full SVD."""
-    u, s, vt = np.linalg.svd(mat)
-    res = _results(s[None], tol)[0]
-    return res, vt[res.rank:].T, u[:, :res.rank]

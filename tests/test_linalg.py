@@ -70,24 +70,18 @@ def test_numeric_nullspace_matches_symbolic():
     a = M(["1", "2"], ["2", "4"])
     num = np.array([[1.0, 2.0], [2.0, 4.0]])
     sym = linalg.symbolic_nullspace(a)
-    nsn = linalg.numeric_bases(num, 1e-9)[1]
+    vt = np.linalg.svd(num)[2]
+    nsn = vt[linalg.numeric_rank(num, 1e-9).rank:].T
     assert len(sym) == nsn.shape[1] == 1
     assert np.allclose(num @ nsn, 0.0)
 
 
 @pytest.mark.parametrize("shape, rank", [((4, 4), 2), ((3, 5), 3), ((5, 3), 1), ((3, 3), 3)])
-def test_numeric_bases(shape, rank):
+def test_numeric_rank_of_low_rank_products(shape, rank):
     rng = np.random.default_rng(rank)
     mat = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
-    res, kernel, image = linalg.numeric_bases(mat, 1e-9)
-    assert res.rank == rank == linalg.numeric_rank(mat, 1e-9).rank
-    assert kernel.shape == (shape[1], shape[1] - rank)
-    assert image.shape == (shape[0], rank)
-    assert np.allclose(mat @ kernel, 0.0)
-    assert np.allclose(kernel.T @ kernel, np.eye(shape[1] - rank))
-    assert np.allclose(image.T @ image, np.eye(rank))
-    # the image spans the column space: projecting onto it leaves mat alone
-    assert np.allclose(image @ image.T @ mat, mat)
+    res = linalg.numeric_rank(mat, 1e-9)
+    assert res.rank == rank and not res.ill_conditioned
 
 
 def test_evaluate_matrix_names_the_point_of_a_non_finite_entry():
