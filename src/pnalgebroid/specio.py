@@ -81,7 +81,8 @@ def _pair_key(key: str, names: list[str], where: str) -> tuple[int, int]:
     return i, j
 
 
-def _algebroid_from_obj(obj: dict, where: str = "algebroid") -> LieAlgebroid:
+def _algebroid_from_obj(obj: Any, where: str = "algebroid") -> LieAlgebroid:
+    _expect(obj, dict, where)
     for req in ("base_vars", "frame", "anchor"):
         if req not in obj:
             raise SpecFileError(f"{where}: missing required field {req!r}")
@@ -143,9 +144,7 @@ def parse_document(text: str) -> SpecDocument:
         epi = obj["epimorphism"]
         if not isinstance(epi, dict) or "target" not in epi:
             raise SpecFileError("epimorphism: missing 'target' block")
-        target = _algebroid_from_obj(
-            _expect(epi["target"], dict, "epimorphism.target"), "epimorphism.target"
-        )
+        target = _algebroid_from_obj(epi["target"], "epimorphism.target")
         base_map = {
             v: _expr(e, f"epimorphism.base_map[{v}]")
             for v, e in _expect(epi.get("base_map", {}), dict, "epimorphism.base_map").items()
@@ -203,13 +202,12 @@ def serialize_document(doc: SpecDocument) -> str:
         }
     if doc.epimorphism is not None:
         epi = doc.epimorphism
-        block: dict = {
+        obj["epimorphism"] = {
             "name": epi.name,
             "target": _algebroid_obj(epi.target),
             "base_map": {v: str(epi.base_map[v]) for v in epi.target.base_vars},
             "fiber_map": [[str(e) for e in row] for row in epi.fiber_map],
         }
-        obj["epimorphism"] = block
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
