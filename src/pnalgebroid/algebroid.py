@@ -77,16 +77,6 @@ class LieAlgebroid:
             for plane in self.structure
         )
 
-    @cached_property
-    def _structure_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per frame element g, the pairs a < b with C_ab^g != 0."""
-        pairs: list[list[tuple[int, int]]] = [[] for _ in self.frame]
-        for a, plane in enumerate(self._structure_rows):
-            for b in range(a + 1, len(plane)):
-                for g, _ in plane[b]:
-                    pairs[g].append((a, b))
-        return tuple(tuple(p) for p in pairs)
-
     def _rho_frame(self, a: int, f: Expr, grads: dict[str, Expr]) -> Expr:
         """rho(e_a)(f) = sum_i rho_a^i df/dx^i over the nonzero anchor entries.
 
@@ -431,17 +421,15 @@ def d_A(A: LieAlgebroid, omega) -> "KForm":
     Reads the nonzero anchor and structure entries from views cached on the
     frozen algebroid (they live exactly as long as it does) and takes each
     partial derivative of each component of omega at most once per call.
-    Only the index sets a term of the formula can reach are visited: a
-    support S of omega with one more anchored index, and S \\ {g} with i, j
-    where C_ij^g != 0; in increasing order, as the walk over all of them.
     """
     if isinstance(omega, Expr):
         grads: dict[str, Expr] = {}
         return A.one_form([A._rho_frame(a, omega, grads) for a in range(A.rank)])
     k = omega.degree
+    r = A.rank
     grads_of: dict[tuple[int, ...], dict[str, Expr]] = {}
     d: dict[tuple[int, ...], Expr] = {}
-    for idx in _reachable(A, omega):
+    for idx in itertools.combinations(range(r), k + 1):
         val = ZERO
         for i in range(k + 1):
             rest = idx[:i] + idx[i + 1 :]
@@ -461,24 +449,6 @@ def d_A(A: LieAlgebroid, omega) -> "KForm":
         if not val.is_zero():
             d[idx] = val
     return KForm(A, k + 1, d)
-
-
-def _reachable(A: LieAlgebroid, omega: KForm) -> list[tuple[int, ...]]:
-    """The (k+1)-index sets at which d_A(omega) can be nonzero, sorted."""
-    anchored = [a for a in range(A.rank) if A._anchor_rows[a]]
-    reach: set[tuple[int, ...]] = set()
-    for S, c in omega.comps.items():
-        if c.is_zero():
-            continue
-        for a in anchored:
-            if a not in S:
-                reach.add(tuple(sorted(S + (a,))))
-        for g in S:
-            rest = tuple(x for x in S if x != g)
-            for i, j in A._structure_pairs[g]:
-                if i not in rest and j not in rest:
-                    reach.add(tuple(sorted(rest + (i, j))))
-    return sorted(reach)
 
 
 def interior(X: Section, omega: KForm) -> KForm:

@@ -250,30 +250,43 @@ def koszul_bracket(P: Bivector, alpha: KForm, beta: KForm) -> KForm:
     )
 
 
-def dual_algebroid(P: Bivector, dual_prefix: str = "th_") -> LieAlgebroid:
-    """Algebroid structure on the dual bundle: bracket of one-forms is the
-    Koszul bracket, anchor is rho o P#.  Valid when P is Poisson."""
+def dual_algebroid(P: Bivector) -> LieAlgebroid:
+    """Algebroid structure on the dual bundle, its frame the dual frame
+    theta^a named after the frame of A: the anchor is rho o P#, and the
+    bracket of one-forms is the Koszul bracket, read off the frame formula
+
+        ([theta^a, theta^b]_P)_g = rho_g(P^{ab}) - P^{ad} C_dg^b + P^{bd} C_dg^a
+
+    over the nonzero anchor and structure rows.  Valid when P is Poisson."""
     A = P.algebroid
     r = A.rank
-    frame = [dual_prefix + name for name in A.frame]
-    theta = [A.dual_frame_form(a) for a in range(r)]
-    anchor = []
+    m = P.mat
+    anchor = [
+        [sum((m[a][b] * A.anchor[b][i] for b in range(r)), ZERO) for i in range(A.dim)]
+        for a in range(r)
+    ]
+    # PC[a][g][h] = P^{ad} C_dg^h
+    PC = []
     for a in range(r):
-        X = P.sharp(theta[a])
-        anchor.append(
-            [
-                sum((X.comps[b] * A.anchor[b][i] for b in range(r)), ZERO)
-                for i in range(A.dim)
-            ]
-        )
+        t = [[ZERO] * r for _ in range(r)]
+        for d, pad in enumerate(m[a]):
+            if pad.is_zero():
+                continue
+            for g, row in enumerate(A._structure_rows[d]):
+                for h, c in row:
+                    t[g][h] = t[g][h] + pad * c
+        PC.append(t)
     structure: dict[tuple[int, int], dict[int, Expr]] = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            kb = koszul_bracket(P, theta[a], theta[b])
-            row = {g: c for (g,), c in kb.comps.items() if not c.is_zero()}
-            if row:
-                structure[(a, b)] = row
-    return LieAlgebroid.from_tables(list(A.base_vars), frame, anchor, structure)
+    for a, b in itertools.combinations(range(r), 2):
+        grads: dict[str, Expr] = {}
+        row = {}
+        for g in range(r):
+            c = A._rho_frame(g, m[a][b], grads) - PC[a][g][b] + PC[b][g][a]
+            if not c.is_zero():
+                row[g] = c
+        if row:
+            structure[(a, b)] = row
+    return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 
 def induced_base_poisson(P: Bivector, target: LieAlgebroid | None = None) -> Bivector:

@@ -284,12 +284,9 @@ D_A_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(D_A_CASES))
-def test_d_A_visits_only_reachable_index_sets(case):
+def test_d_A_matches_the_reference_on_dense_and_one_component_forms(case):
     """d_A against the walk over every (k+1)-subset: the same components in
     the same order, on dense random forms and on one-component forms."""
-    from math import comb
-    from pnalgebroid.algebroid import _reachable
-
     A = D_A_CASES[case]()
     rng = random.Random(sorted(D_A_CASES).index(case))
     forms = [random_form(A, degree, rng) for degree in (1, 2, 3) for _ in range(2)]
@@ -300,5 +297,3 @@ def test_d_A_visits_only_reachable_index_sets(case):
         got, want = d_A(A, omega), reference_d_A(A, omega)
         assert list(got.comps) == list(want.comps)
         assert [e.terms for e in got.comps.values()] == [e.terms for e in want.comps.values()]
-        if len(omega.comps) == 1 and A.rank > 4:
-            assert len(_reachable(A, omega)) < comb(A.rank, omega.degree + 1)

@@ -340,3 +340,25 @@ def test_failing_reduce_fiberwise_names_its_first_point(tmp_path, capsys):
         "sigma_min 0, cutoff 1e-09")
     assert n_check["verdict"] == "pass" and n_check["witness"] is None
     assert n_check["margin"] > 1
+
+
+def test_check_pn_with_a_base_variable_named_like_a_dual_frame(tmp_path, capsys):
+    # the dual algebroids of the concomitant are framed by the names of A's
+    # frame, so a base variable "th_e1" does not collide with them
+    spec = tmp_path / "th.json"
+    spec.write_text(json.dumps({
+        "base_vars": ["th_e1", "y"], "frame": ["e1", "e2"],
+        "anchor": [["1", "0"], ["0", "1"]],
+        "bivectors": {"P": {"(e1,e2)": "1"}},
+        "endomorphisms": {"N": [["2", "0"], ["0", "2"]]},
+    }))
+    code, out, _ = run(capsys, "check-pn", str(spec), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [(c["name"], c["verdict"], c["witness"]) for c in report["checks"]] == [
+        ("poisson(P)", "pass", None),
+        ("torsion(N)", "pass", None),
+        ("sharp-compatibility(P,N)", "pass", None),
+        ("concomitant(P,N)", "pass", None),
+    ]
+    assert report["result"] == {"determinant": "1"}

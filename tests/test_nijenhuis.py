@@ -1,6 +1,8 @@
 """Endomorphism calculus: torsion, deformed brackets, concomitant,
 recursion operators and hierarchies."""
 
+import random
+
 import pytest
 
 from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
@@ -8,7 +10,7 @@ from pnalgebroid.algebroid import LieAlgebroid
 from pnalgebroid.poisson import Bivector, DegenerateBivector, is_poisson
 from pnalgebroid.nijenhuis import (
     Endo, torsion, torsion_check, deformed_algebroid, sharp_commutes,
-    concomitant_check, pn_check, recursion_operator, hierarchy,
+    concomitant, concomitant_check, pn_check, recursion_operator, hierarchy,
     hierarchy_check, bihamiltonian_check, deformed_bracket,
 )
 from pnalgebroid.fixtures import build_toda, build_aff1
@@ -180,3 +182,124 @@ def test_pn_check_skips_the_concomitant_when_sharps_do_not_commute(toda2, monkey
     assert len(calls) == 1
     assert rep.compatible.failures == want
     assert rep.concomitant.failures == [("skipped: sharp maps do not commute", ZERO)]
+
+
+# -- concomitant_check (dual algebroids) against the textbook concomitant ----
+
+
+def _skewed4():
+    # non-constant anchor and structure entries (not a Lie algebroid: the
+    # two routes are compared as formulas)
+    x, y = parse("x"), parse("y")
+    return LieAlgebroid.from_tables(
+        ["x", "y"],
+        ["e1", "e2", "e3", "e4"],
+        [[x, ONE], [ZERO, y * Expr.exp_of(x)], [ZERO, ZERO], [ONE, ZERO]],
+        {(0, 1): {2: x}, (0, 2): {0: y, 3: ONE}, (1, 3): {1: x * y}, (2, 3): {0: parse("2")}},
+    )
+
+
+CONCOMITANT_CASES = {
+    "tangent-R4": lambda: LieAlgebroid.tangent(["x", "y", "z", "w"]),
+    "toda2": lambda: build_toda(2).tangent,
+    "toda2-atiyah": lambda: build_toda(2).atiyah,
+    "aff1": lambda: build_aff1().algebroid,
+    "skewed4": _skewed4,
+}
+
+
+def _random_poly(variables, rng, degree):
+    e = ZERO
+    for _ in range(rng.randint(0, 2)):
+        t = Expr.number(rng.choice([-2, -1, 1, 2]))
+        for _ in range(rng.randint(0, degree)):
+            t = t * Expr.var(rng.choice(variables))
+        e = e + t
+    return e
+
+
+def _random_pn_pair(A, rng, degree=2):
+    """A constant nondegenerate P and N = Q adj(P) for a random antisymmetric
+    Q of polynomial degree at most ``degree``, so that N P = det(P) Q is
+    antisymmetric."""
+    from pnalgebroid import linalg
+
+    r = A.rank
+    while True:
+        P = Bivector.from_entries(A, {
+            (a, b): Expr.number(rng.randint(-2, 2))
+            for a in range(r) for b in range(a + 1, r)
+        })
+        if not P.determinant().is_zero():
+            break
+    Q = Bivector.from_entries(A, {
+        (a, b): _random_poly(list(A.base_vars), rng, degree)
+        for a in range(r) for b in range(a + 1, r)
+    })
+    return P, Endo.from_matrix(A, linalg.mat_mul(Q.mat, linalg.adjugate(P.mat)))
+
+
+def textbook_failures(P, N):
+    """The failures of the concomitant check, computed pair by pair from the
+    Koszul brackets of :func:`concomitant`, components in frame order."""
+    A = P.algebroid
+    out = []
+    for a in range(A.rank):
+        for b in range(a + 1, A.rank):
+            c = concomitant(P, N, A.dual_frame_form(a), A.dual_frame_form(b))
+            out += [
+                (f"concomitant nonzero on dual pair ({A.frame[a]}, {A.frame[b]}) "
+                 f"component {A.frame[g]}", c.entry((g,)))
+                for g in range(A.rank)
+                if not c.entry((g,)).is_zero()
+            ]
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CONCOMITANT_CASES))
+def test_concomitant_check_matches_the_textbook_concomitant(case):
+    A = CONCOMITANT_CASES[case]()
+    rng = random.Random(f"concomitant/{case}")
+    failing = 0
+    for k in range(6):
+        # every third Q is constant, which passes on the tangent algebroids
+        P, N = _random_pn_pair(A, rng, degree=2 if k % 3 else 0)
+        want = textbook_failures(P, N)
+        rep = concomitant_check(P, N)
+        assert rep.failures == want
+        assert rep.ok == (not want)
+        failing += bool(want)
+    assert failing
+
+
+def test_concomitant_check_passes_the_toda_pairs():
+    for n in (2, 3):
+        t = build_toda(n)
+        assert not textbook_failures(t.lam0, t.N)
+        assert concomitant_check(t.lam0, t.N).ok
+
+
+def test_concomitant_check_makes_no_koszul_bracket_or_d_A_call(toda2, monkeypatch):
+    from pnalgebroid import algebroid, poisson
+
+    calls = []
+
+    def refuse(name):
+        return lambda *args: calls.append(name)
+
+    for module in (algebroid, poisson, nijenhuis):
+        for name in ("koszul_bracket", "d_A"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    assert concomitant_check(toda2.lam0, toda2.N).ok
+    P, N = _random_pn_pair(build_aff1().algebroid, random.Random(3))
+    assert not concomitant_check(P, N).ok
+    assert calls == []
+
+
+def test_deformed_algebroid_keeps_frame_names_apart_from_base_variables():
+    # a base variable named like the old "n_" deformed frame names
+    A = LieAlgebroid.from_tables(["n_e1", "y"], ["e1", "e2"], [[ONE, ZERO], [ZERO, ONE]])
+    B = deformed_algebroid(Endo.from_matrix(A, [[parse("2"), ZERO], [ZERO, parse("2")]]))
+    assert B.frame == A.frame
+    assert B.check_algebroid().ok

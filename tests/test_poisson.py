@@ -347,3 +347,44 @@ def test_pinned_witnesses_on_R3():
         "Poisson condition fails against dual covector Dx "
         "on pair (Dy, Dz): residual 2*x*y"
     )
+
+
+# -- the frame formula for the dual algebroid against the Koszul bracket ---
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_dual_algebroid_structure_matches_koszul_bracket(name):
+    A = ALGEBROIDS[name]
+    rng = random.Random(f"dual_algebroid/{name}")
+    theta = [A.dual_frame_form(a) for a in range(A.rank)]
+    for _ in range(2 if A.rank > 4 else 4):
+        P = random_bivector(A, rng, density=0.5 if A.rank > 4 else 0.9)
+        D = dual_algebroid(P)
+        assert D.frame == A.frame and D.base_vars == A.base_vars
+        for a in range(A.rank):
+            X = P.sharp(theta[a])
+            for i, v in enumerate(A.base_vars):
+                assert (D.anchor[a][i] - A.anchor_apply(X, Expr.var(v))).is_zero()
+            for b in range(A.rank):
+                kb = koszul_bracket(P, theta[a], theta[b])
+                for g in range(A.rank):
+                    assert (D.structure[a][b][g] - kb.entry((g,))).is_zero(), (a, b, g)
+
+
+def test_dual_algebroid_makes_no_koszul_bracket_call(monkeypatch):
+    from pnalgebroid import poisson
+
+    calls = []
+    monkeypatch.setattr(poisson, "koszul_bracket", lambda *a: calls.append(a))
+    D = dual_algebroid(build_toda(3).lam1)
+    assert not calls
+    assert D.check_algebroid().ok
+
+
+def test_dual_algebroid_keeps_frame_names_apart_from_base_variables():
+    # a base variable named like the old "th_" dual frame names
+    A = LieAlgebroid.from_tables(["th_e1", "y"], ["e1", "e2"], [[ONE, ZERO], [ZERO, ONE]])
+    P = Bivector.from_entries(A, {(0, 1): parse("th_e1")})
+    D = dual_algebroid(P)
+    assert D.frame == ("e1", "e2")
+    assert D.check_algebroid().ok
