@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .expr import Expr, parse as parse_expr, ExprSyntaxError, ZERO
+from .expr import _IDENT_RE, Expr, parse as parse_expr, ExprSyntaxError, ZERO
 from .algebroid import LieAlgebroid
 from .poisson import Bivector
 from .nijenhuis import Endo
@@ -87,7 +87,16 @@ def _algebroid_from_obj(obj: Any, where: str = "algebroid") -> LieAlgebroid:
         if req not in obj:
             raise SpecFileError(f"{where}: missing required field {req!r}")
     base_vars = _names(obj["base_vars"], f"{where}.base_vars")
+    for v in base_vars:
+        if not _IDENT_RE.fullmatch(v) or v == "exp":
+            raise SpecFileError(f"{where}.base_vars: {v!r} is not a variable name")
     frame = _names(obj["frame"], f"{where}.frame")
+    for name in frame:
+        if not name or name != name.strip() or any(c in name for c in ",()"):
+            raise SpecFileError(
+                f"{where}.frame: {name!r} is empty, has surrounding whitespace "
+                "or contains ',', '(' or ')'"
+            )
     anchor_rows = _expect(obj["anchor"], list, f"{where}.anchor")
     if len(anchor_rows) != len(frame):
         raise SpecFileError(f"{where}: anchor must have one row per frame element")

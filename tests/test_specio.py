@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 from pnalgebroid.specio import (
     SpecDocument, SpecFileError, parse_document, serialize_document,
 )
+from pnalgebroid.algebroid import LieAlgebroid
+from pnalgebroid.expr import ONE, ZERO
 from pnalgebroid.fixtures import build_toda, build_aff1
+from pnalgebroid.poisson import Bivector
 
 MINIMAL = """
 {
@@ -95,6 +98,12 @@ def test_roundtrip_preserves_epimorphism():
     (lambda o: o.__setitem__("structure", []), "algebroid.structure: expected an object"),
     (lambda o: o.__setitem__("bivectors", []), "bivectors: expected an object"),
     (lambda o: o.__setitem__("endomorphisms", {"N": 5}), "endomorphisms[N]: expected a 2x2"),
+    # names that no key or expression could name back
+    (lambda o: o.__setitem__("frame", ["e,1", "e2"]), "algebroid.frame: 'e,1'"),
+    (lambda o: o.__setitem__("frame", [" e1 ", "e2"]), "algebroid.frame: ' e1 '"),
+    (lambda o: o.__setitem__("base_vars", ["", "y"]), "algebroid.base_vars: ''"),
+    (lambda o: o.__setitem__("base_vars", ["x y", "y"]), "algebroid.base_vars: 'x y'"),
+    (lambda o: o.__setitem__("base_vars", ["exp", "y"]), "algebroid.base_vars: 'exp'"),
 ])
 def test_malformed_documents_are_rejected(mangle, fragment):
     obj = json.loads(MINIMAL)
@@ -144,11 +153,15 @@ def _paths(value, prefix=()):
 
 
 def _document_or_spec_error(obj):
+    """A document that parses serializes to bytes that parse back to the
+    same bytes."""
     try:
         doc = parse_document(json.dumps(obj))
     except SpecFileError:
         return
     assert isinstance(doc, SpecDocument)
+    text = serialize_document(doc)
+    assert serialize_document(parse_document(text)) == text
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,3 +187,25 @@ def test_full_document_parses_and_ignores_basic_substitutions():
     obj = json.loads(json.dumps(FULL))
     obj["epimorphism"]["basic_substitutions"] = {"u": "x"}
     assert serialize_document(parse_document(json.dumps(obj))) == serialize_document(full)
+
+
+name_text = st.text(alphabet="ab1_ ,()", max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name_text, name_text, name_text)
+def test_a_serialized_algebroid_round_trips_or_its_names_are_rejected(e, f, x):
+    # frame names e, f and base variable x, each written into a key by the
+    # serializer
+    try:
+        A = LieAlgebroid.from_tables([x], [e, f], [[ONE], [ZERO]], {(0, 1): {1: ONE}})
+    except ValueError:
+        return
+    text = serialize_document(SpecDocument(A, bivectors={"P": Bivector.from_entries(
+        A, {(0, 1): ONE})}))
+    try:
+        again = serialize_document(parse_document(text))
+    except SpecFileError as exc:
+        assert str(exc).startswith(("algebroid.frame: ", "algebroid.base_vars: "))
+        return
+    assert again == text
