@@ -439,11 +439,7 @@ def stacked_rank(stack: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
 
 def rank_results(stack: np.ndarray, tol: float) -> list[RankResult]:
     """One RankResult per matrix of a (points, n, m) stack."""
-    return _results(np.linalg.svd(stack, compute_uv=False), tol)
-
-
-def _results(s: np.ndarray, tol: float) -> list[RankResult]:
-    rank, cutoff, ill = _rank_of(s, tol)
+    s, rank, cutoff, ill = stacked_rank(stack, tol)
     return [RankResult(int(r), [float(x) for x in row], float(c), bool(f))
             for r, row, c, f in zip(rank, s, cutoff, ill)]
 

@@ -65,7 +65,7 @@ class Endo:
     def compose(self, other: "Endo") -> "Endo":
         return Endo.from_matrix(
             self.algebroid,
-            linalg.mat_mul([list(r) for r in self.mat], [list(r) for r in other.mat]),
+            linalg.mat_mul(self.mat, other.mat),
         )
 
     def power(self, k: int) -> "Endo":
@@ -109,7 +109,7 @@ def _contract(N: Endo, P: Bivector) -> tuple[linalg.Matrix, list[tuple[int, int,
     """The matrix (N P)^{ab} = N^a_c P^{cb}, with its nonzero symmetric parts
     (a, b, (N P)^{ab} + (N P)^{ba}) for a <= b; N o P# = P# o N* exactly
     when that list is empty."""
-    m = linalg.mat_mul([list(row) for row in N.mat], [list(row) for row in P.mat])
+    m = linalg.mat_mul(N.mat, P.mat)
     r = len(m)
     defects = []
     for a in range(r):
@@ -295,13 +295,12 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
     Raises :class:`DegenerateBivector` with a kernel covector witness when
     P0 is degenerate."""
     A = P0.algebroid
-    m0 = [list(row) for row in P0.mat]
     try:
-        inv = linalg.inverse_pair(m0)
+        inv = linalg.inverse_pair(P0.mat)
     except ExprError:  # singular
-        raise DegenerateBivector.from_matrix("first bivector", A, m0) from None
+        raise DegenerateBivector.from_matrix("first bivector", A, P0.mat) from None
     # N = P1^T (P0^T)^-1, and adj(P0^T) = adj(P0)^T, det(P0^T) = det(P0)
-    m1t = linalg.mat_transpose([list(row) for row in P1.mat])
+    m1t = linalg.mat_transpose(P1.mat)
     num = linalg.mat_mul(m1t, linalg.mat_transpose(inv.num))
     return linalg.Frac(Endo.from_matrix(A, num), inv.den)
 

@@ -114,7 +114,7 @@ class Bivector:
         return Bivector(self.algebroid, tuple(tuple(f(x) for x in row) for row in self.mat))
 
     def determinant(self) -> Expr:
-        return linalg.det([list(row) for row in self.mat])
+        return linalg.det(self.mat)
 
     def __str__(self) -> str:
         names = self.algebroid.frame
@@ -373,11 +373,10 @@ def invert_poisson(P: Bivector) -> Frac:
     Returns Omega with Omega_mat = -P_mat^{-1}; kernel covectors are
     reported when P is degenerate."""
     A = P.algebroid
-    m = [list(row) for row in P.mat]
     try:
-        inv = linalg.inverse_pair(m)
+        inv = linalg.inverse_pair(P.mat)
     except ExprError:  # singular
-        raise DegenerateBivector.from_matrix("bivector", A, linalg.mat_transpose(m)) from None
+        raise DegenerateBivector.from_matrix("bivector", A, linalg.mat_transpose(P.mat)) from None
     num = two_form_from_matrix(A, [[-x for x in row] for row in inv.num])
     return Frac(num, inv.den)
 

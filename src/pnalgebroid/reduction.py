@@ -353,7 +353,7 @@ def project_bivector(epi: EpimorphismSpec, P: Bivector, check: bool = True) -> B
             raise ExprError(f"bivector is not projectable: {rep.witness()}")
     rt = epi.target.rank
     pm = linalg.mat_mul(
-        linalg.mat_mul(epi.fiber_map, [list(r) for r in P.mat]),
+        linalg.mat_mul(epi.fiber_map, P.mat),
         linalg.mat_transpose(epi.fiber_map),
     )
     entries = {}
@@ -548,7 +548,7 @@ def symbolic_riesz_index(N: Endo, max_power: int | None = None) -> int:
     power = Endo.identity(N.algebroid)
     for l in range(1, limit + 2):
         power = power.compose(N)
-        rk = linalg.symbolic_rank([list(row) for row in power.mat])
+        rk = linalg.symbolic_rank(power.mat)
         if rk == prev:
             return l - 1
         prev = rk
@@ -561,15 +561,13 @@ def kernel_subalgebroid_check(N: Endo, index: int | None = None) -> Subalgebroid
     A = N.algebroid
     k = symbolic_riesz_index(N) if index is None else index
     nk = N.power(max(k, 1)) if k > 0 else Endo.identity(A)
-    nk_mat = [list(row) for row in nk.mat]
-    kernel = [Section(A, tuple(v)) for v in linalg.symbolic_nullspace(nk_mat)]
-    rank_im = linalg.symbolic_rank(nk_mat)
+    kernel = [Section(A, tuple(v)) for v in linalg.symbolic_nullspace(nk.mat)]
+    rank_im = linalg.symbolic_rank(nk.mat)
     # image frame: a maximal independent set of columns of N^k
-    _, pivots = linalg.row_echelon(linalg.mat_transpose(nk_mat))
-    cols = linalg.mat_transpose(nk_mat)
-    image = [Section(A, tuple(cols[a])) for a in range(A.rank)]
-    image = [image[a] for a in pivots] if pivots else []
-    left_null = linalg.symbolic_nullspace(linalg.mat_transpose(nk_mat))
+    cols = linalg.mat_transpose(nk.mat)
+    _, pivots = linalg.row_echelon(cols)
+    image = [Section(A, tuple(cols[a])) for a in pivots]
+    left_null = linalg.symbolic_nullspace(cols)
 
     k_fail = []
     for i in range(len(kernel)):
