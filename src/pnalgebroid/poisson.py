@@ -279,13 +279,9 @@ def dual_algebroid(P: Bivector) -> LieAlgebroid:
     structure: dict[tuple[int, int], dict[int, Expr]] = {}
     for a, b in itertools.combinations(range(r), 2):
         grads: dict[str, Expr] = {}
-        row = {}
-        for g in range(r):
-            c = A._rho_frame(g, m[a][b], grads) - PC[a][g][b] + PC[b][g][a]
-            if not c.is_zero():
-                row[g] = c
-        if row:
-            structure[(a, b)] = row
+        structure[a, b] = {
+            g: A._rho_frame(g, m[a][b], grads) - PC[a][g][b] + PC[b][g][a] for g in range(r)
+        }
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 

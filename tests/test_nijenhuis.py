@@ -272,13 +272,6 @@ def test_concomitant_check_matches_the_textbook_concomitant(case):
     assert failing
 
 
-def test_concomitant_check_passes_the_toda_pairs():
-    for n in (2, 3):
-        t = build_toda(n)
-        assert not textbook_failures(t.lam0, t.N)
-        assert concomitant_check(t.lam0, t.N).ok
-
-
 def test_concomitant_check_makes_no_koszul_bracket_or_d_A_call(toda2, monkeypatch):
     from pnalgebroid import algebroid, poisson
 
