@@ -14,7 +14,7 @@ from pnalgebroid.nijenhuis import (
     hierarchy_check, bihamiltonian_check, deformed_bracket,
 )
 from pnalgebroid.fixtures import build_toda, build_aff1
-from pnalgebroid import nijenhuis
+from pnalgebroid import linalg, nijenhuis
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +222,6 @@ def _random_pn_pair(A, rng, degree=2):
     """A constant nondegenerate P and N = Q adj(P) for a random antisymmetric
     Q of polynomial degree at most ``degree``, so that N P = det(P) Q is
     antisymmetric."""
-    from pnalgebroid import linalg
-
     r = A.rank
     while True:
         P = Bivector.from_entries(A, {
@@ -262,7 +260,8 @@ def test_concomitant_check_matches_the_textbook_concomitant(case):
     rng = random.Random(f"concomitant/{case}")
     failing = 0
     for k in range(6):
-        # every third Q is constant, which passes on the tangent algebroids
+        # every third Q is constant; those draws pass on the algebroids
+        # whose structure functions vanish
         P, N = _random_pn_pair(A, rng, degree=2 if k % 3 else 0)
         want = textbook_failures(P, N)
         rep = concomitant_check(P, N)
