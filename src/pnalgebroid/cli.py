@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -627,8 +628,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         # no verdict at that point: reported as ill-conditioned (exit 3)
         report.add(args.command, True, str(e), ill=True)
     if args.command != "fixture":
-        report.emit(args.format)
+        try:
+            report.emit(args.format)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _silence_stdout()
     return report.exit_code
+
+
+def _silence_stdout() -> None:
+    """Point the descriptor of standard output at the null device once its
+    reader has gone, so that the flush at shutdown cannot raise
+    BrokenPipeError again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # a stream with no descriptor: nothing to redirect
+        return
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), fd)
 
 
 if __name__ == "__main__":  # pragma: no cover

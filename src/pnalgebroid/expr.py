@@ -17,10 +17,17 @@ stored in one form (:func:`rational`): an ``int`` when integral, else a
 ``Fraction``.  Most coefficients are integral, and ``int`` hashing and
 arithmetic are much cheaper than ``Fraction``'s.  Division of coefficients
 always goes through ``Fraction``, never ``int / int``.
+
+Products of terms multiply their keys, a monomial and a linear form.  The
+same few key pairs recur throughout a computation, so both key products are
+memoised (bounded LRU caches); the stored rationals are canonical, so equal
+keys are equal tuples.  A sum of products is formed by :func:`dot` in one
+term table, sorted once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -58,6 +65,12 @@ class ExprSyntaxError(ExprError):
         self.pos = pos
 
 
+# entries in each key-product cache; an entry holds about 400 bytes, and a
+# pass of the big-operand benchmark workload needs about 4,900 of them
+_KEY_CACHE_SIZE = 1 << 13
+
+
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     d: dict[str, int] = dict(a)
     for v, e in b:
@@ -65,6 +78,7 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted((v, e) for v, e in d.items() if e != 0))
 
 
+@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _lin_add(a: Lin, b: Lin) -> Lin:
     # both forms are canonical, so adding the empty form is the identity
     if not b:
@@ -107,7 +121,9 @@ class Expr:
     @staticmethod
     def from_terms(d: Mapping[TermKey, Number]) -> "Expr":
         items = tuple(
-            (m, l, rational(c)) for (m, l), c in sorted(d.items()) if c != 0
+            (m, l, c if type(c) is int else rational(c))
+            for (m, l), c in sorted(d.items())
+            if c != 0
         )
         return Expr(items)
 
@@ -185,14 +201,24 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _coerce(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ZERO
+        if len(b) == 1 and not b[0][0] and not b[0][1]:
+            return self._scaled(b[0][2])
+        if len(a) == 1 and not a[0][0] and not a[0][1]:
+            return other._scaled(a[0][2])
         d: dict[TermKey, Number] = {}
-        for m1, l1, c1 in self.terms:
-            for m2, l2, c2 in other.terms:
-                k = (_mono_mul(m1, m2), _lin_add(l1, l2))
-                d[k] = d.get(k, 0) + c1 * c2
+        _mul_into(d, a, b)
         return Expr.from_terms(d)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: Number) -> "Expr":
+        # a nonzero constant factor keeps every key, so the order stays canonical
+        if k == 1:
+            return self
+        return Expr(tuple((m, l, rational(c * k)) for m, l, c in self.terms))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -365,6 +391,23 @@ def _lookup(values: Mapping[str, float], v: str) -> float:
         return values[v]
     except KeyError:
         raise ExprError(f"unbound variable {v!r} in evaluation") from None
+
+
+def _mul_into(d: dict[TermKey, Number], a, b) -> None:
+    """Add the product of the term tuples ``a`` and ``b`` into the table ``d``."""
+    for m1, l1, c1 in a:
+        for m2, l2, c2 in b:
+            k = (_mono_mul(m1, m2), _lin_add(l1, l2))
+            d[k] = d.get(k, 0) + c1 * c2
+
+
+def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
+    """The sum of ``a * b`` over the pairs, formed in one term table and
+    sorted once rather than re-sorted after every product."""
+    d: dict[TermKey, Number] = {}
+    for a, b in pairs:
+        _mul_into(d, a.terms, b.terms)
+    return Expr.from_terms(d)
 
 
 ZERO = Expr()

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError, div_exact
+from .expr import Expr, ZERO, ONE, ExprError, div_exact, dot
 
 Matrix = list[list[Expr]]
 
@@ -28,19 +28,13 @@ GAP_RATIO = 10.0
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ZERO for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = ZERO
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
-    return out
+    """The product a @ b; empty operands give an empty product."""
+    cols = list(zip(*b))
+    return [[dot(zip(row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a: Matrix, v: list[Expr]) -> list[Expr]:
-    return [sum((a[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(a))]
+    return [dot(zip(row, v)) for row in a]
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -63,7 +57,7 @@ def _minor(a: Matrix, rows: int, cols: int, memo: dict[tuple[int, int], Expr]) -
         return total
     low = rows & -rows
     row, rest = a[low.bit_length() - 1], rows ^ low
-    total = ZERO
+    pairs = []
     sign = 1
     for j in range(len(row)):
         if not (cols >> j) & 1:
@@ -72,10 +66,9 @@ def _minor(a: Matrix, rows: int, cols: int, memo: dict[tuple[int, int], Expr]) -
         if not entry.is_zero():
             sub = _minor(a, rest, cols ^ (1 << j), memo)
             if not sub.is_zero():
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
+                pairs.append((entry if sign > 0 else -entry, sub))
         sign = -sign
-    memo[key] = total
+    total = memo[key] = dot(pairs)
     return total
 
 
@@ -194,9 +187,7 @@ def symbolic_nullspace(a: Matrix) -> list[list[Expr]]:
         scale = ONE
         for r in range(len(pivots) - 1, -1, -1):
             col = pivots[r]
-            rhs = ZERO
-            for j in range(col + 1, m):
-                rhs = rhs + rows[r][j] * v[j]
+            rhs = dot(zip(rows[r][col + 1:], v[col + 1:]))
             piv = rows[r][col]
             # piv * v[col] + rhs = 0  =>  scale all by piv, set v[col] = -rhs
             if not rhs.is_zero():

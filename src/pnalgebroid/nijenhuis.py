@@ -6,7 +6,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .expr import Expr, ZERO, ExprError
+from .expr import Expr, ZERO, ExprError, dot
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_check
 from .poisson import (
     Bivector,
@@ -166,7 +166,7 @@ def deformed_algebroid(N: Endo) -> LieAlgebroid:
     r = A.rank
     anchor = [
         [
-            sum((N.mat[b][a] * A.anchor[b][i] for b in range(r)), ZERO)
+            dot((N.mat[b][a], A.anchor[b][i]) for b in range(r))
             for i in range(A.dim)
         ]
         for a in range(r)

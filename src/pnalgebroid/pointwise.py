@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .expr import ZERO
+from .expr import dot
 from .algebroid import LieAlgebroid, Section
 from .poisson import Bivector
 from .nijenhuis import Endo
@@ -57,7 +57,7 @@ def characteristic_rank(
     r, n = A.rank, A.dim
     rows = [
         [
-            sum((P.mat[a][b] * A.anchor[b][i] for b in range(r)), ZERO)
+            dot((P.mat[a][b], A.anchor[b][i]) for b in range(r))
             for i in range(n)
         ]
         for a in range(r)

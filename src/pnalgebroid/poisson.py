@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .expr import Expr, ZERO, ExprError
+from .expr import Expr, ZERO, ExprError, dot
 from .algebroid import (
     CheckReport,
     KForm,
@@ -207,7 +207,7 @@ def is_poisson(P: Bivector) -> CheckReport:
         rho = [A._rho_frame(d, m[y][z], grads) for d in range(r)]
         t = [
             ZERO if x in (y, z)
-            else sum((p * rho[d] for d, p in rows[x] if not rho[d].is_zero()), ZERO)
+            else dot((p, rho[d]) for d, p in rows[x])
             for x in range(r)
         ]
         for d, pyd in rows[y]:
@@ -262,7 +262,7 @@ def dual_algebroid(P: Bivector) -> LieAlgebroid:
     r = A.rank
     m = P.mat
     anchor = [
-        [sum((m[a][b] * A.anchor[b][i] for b in range(r)), ZERO) for i in range(A.dim)]
+        [dot((m[a][b], A.anchor[b][i]) for b in range(r)) for i in range(A.dim)]
         for a in range(r)
     ]
     # PC[a][g][h] = P^{ad} C_dg^h

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .expr import Expr, ZERO, ONE, ExprError, rational
+from .expr import Expr, ZERO, ONE, ExprError, dot, rational
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, interior, lie_derivative
 from .poisson import (
     Bivector,
@@ -461,10 +461,7 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
     anchor_rows = []
     for s in range(m):
         rho = [
-            sum(
-                (cols[s][a] * A.anchor[a][i].substitute(subs) for a in range(A.rank)),
-                ZERO,
-            )
+            dot((cols[s][a], A.anchor[a][i].substitute(subs)) for a in range(A.rank))
             for i in range(A.dim)
         ]
         anchor_rows.append(linalg.solve_pair(ti, rho).exact())
@@ -504,12 +501,9 @@ def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestric
     pullbacks = [
         A_L.one_form(
             [
-                sum(
-                    (
-                        dict(alpha.comps).get((a,), ZERO).substitute(subs) * cols[t][a]
-                        for a in range(A.rank)
-                    ),
-                    ZERO,
+                dot(
+                    (dict(alpha.comps).get((a,), ZERO).substitute(subs), cols[t][a])
+                    for a in range(A.rank)
                 )
                 for t in range(m)
             ]
@@ -585,7 +579,7 @@ def kernel_subalgebroid_check(N: Endo, index: int | None = None) -> Subalgebroid
         for j in range(i + 1, len(image)):
             br = A.bracket(image[i], image[j])
             for w in left_null:
-                pairing = sum((wc * bc for wc, bc in zip(w, br.comps)), ZERO)
+                pairing = dot(zip(w, br.comps))
                 if not pairing.is_zero():
                     i_fail.append(
                         (f"image bracket ({i}, {j}) leaves Im N^{k}", pairing)

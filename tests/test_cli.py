@@ -1,6 +1,11 @@
 """End-to-end command-line behavior: exit codes, witnesses, report formats."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +367,52 @@ def test_check_pn_with_a_base_variable_named_like_a_dual_frame(tmp_path, capsys)
         ("concomitant(P,N)", "pass", None),
     ]
     assert report["result"] == {"determinant": "1"}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("check-pn", []),
+    ("check-sn", [("nondegenerate(P)", "pass", None)]),
+])
+def test_checks_on_an_empty_frame_pass(tmp_path, capsys, command, extra):
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({
+        "base_vars": ["x"], "frame": [], "anchor": [],
+        "bivectors": {"P": {}}, "endomorphisms": {"N": []},
+    }))
+    code, out, err = run(capsys, command, str(spec), "--format", "json")
+    assert (code, err) == (0, "")
+    checks = [(c["name"], c["verdict"], c["witness"]) for c in json.loads(out)["checks"]]
+    assert checks == [
+        ("poisson(P)", "pass", None),
+        ("torsion(N)", "pass", None),
+        ("sharp-compatibility(P,N)", "pass", None),
+        ("concomitant(P,N)", "pass", None),
+    ] + extra
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_to_a_closed_pipe_returns_its_exit_code(monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["recursion", "toda:2", "--format", fmt]) == 0
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["recursion", "toda:2:flaschka", "--format", fmt]) == 1
+
+
+def test_report_to_a_pipe_with_no_reader_exits_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(pnalgebroid.__file__).resolve().parent.parent
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnalgebroid.cli", "check-pn", "toda:2", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

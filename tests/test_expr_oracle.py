@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from pnalgebroid import linalg  # noqa: E402
-from pnalgebroid.expr import Expr, ZERO, div_exact, parse  # noqa: E402
+from pnalgebroid.expr import Expr, ZERO, div_exact, dot, parse  # noqa: E402
 
 VARS = ["x", "y", "z"]
 SYM = {v: sympy.Symbol(v) for v in VARS}
@@ -62,6 +62,27 @@ def test_add_sub_mul_match_sympy(a, b):
     assert same(to_sympy(ea + eb), sa + sb)
     assert same(to_sympy(ea - eb), sa - sb)
     assert same(to_sympy(ea * eb), sa * sb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(pairs(), pairs()), max_size=4))
+def test_dot_matches_sympy_sum_of_products(factors):
+    got = dot((ea, eb) for (ea, _), (eb, _) in factors)
+    assert same(to_sympy(got), sum((sa * sb for (_, sa), (_, sb) in factors), sympy.Integer(0)))
+    assert got == sum((ea * eb for (ea, _), (eb, _) in factors), ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, pairs())
+def test_constant_factor_scales_as_the_generic_product(k, a):
+    e, _ = a
+    c = Expr.number(k)
+    generic = dot([(c, e)])  # dot always runs the term-by-term product
+    for got in (c * e, e * c):
+        assert got.terms == generic.terms
+        assert all(type(t[2]) is int for t in got.terms if t[2].denominator == 1)
+    x = Expr.number(Fraction(1, 2)) * parse("2*x")
+    assert x.terms == (((("x", 1),), (), 1),) and type(x.terms[0][2]) is int
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,3 +137,18 @@ def test_det_and_adjugate_match_sympy(n, max_terms, data):
     if not d.is_zero():
         inv = linalg.inverse_pair(m)
         assert inv.den == d and inv.num == adj
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_mat_mul_matches_sympy(n, k, m, data):
+    a = [[data.draw(pairs(2)) for _ in range(k)] for _ in range(n)]
+    b = [[data.draw(pairs(2)) for _ in range(m)] for _ in range(k)]
+    got = linalg.mat_mul([[e for e, _ in row] for row in a], [[e for e, _ in row] for row in b])
+    assert len(got) == n and all(len(row) == m for row in got)
+    a_s = sympy.Matrix(n, k, [s for row in a for _, s in row])
+    b_s = sympy.Matrix(k, m, [s for row in b for _, s in row])
+    want = a_s * b_s
+    for i in range(n):
+        for j in range(m):
+            assert same(to_sympy(got[i][j]), want[i, j])

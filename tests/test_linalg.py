@@ -27,6 +27,15 @@ def test_det_and_adjugate_identity():
             assert (prod[i][j] - want).is_zero()
 
 
+def test_mat_mul_and_mat_vec_take_empty_operands():
+    assert linalg.mat_mul([], []) == []
+    assert linalg.mat_mul(M([], []), []) == [[], []]
+    assert linalg.mat_mul([], M(["x", "1"])) == []
+    assert linalg.mat_mul(M(["x"], ["y"]), [[]]) == [[], []]
+    assert linalg.mat_vec([], []) == []
+    assert linalg.mat_vec(M([], []), []) == [ZERO, ZERO]
+
+
 def test_symbolic_rank_and_nullspace():
     a = M(["1", "x"], ["y", "x*y"])  # second row = y * first row
     assert linalg.symbolic_rank(a) == 1
