@@ -3,7 +3,8 @@ files were written.
 
 Each command below runs in-process with ``--format json``; its exit code
 and its report, with every check's ``seconds`` removed, must equal
-``tests/golden/cli/<name>.json``.  A change that alters a verdict, a
+``tests/golden/cli/<name>.json``.  Spec-file arguments are paths relative to
+the repository root, under ``tests/golden/spec``.  A change that alters a verdict, a
 witness or a payload on purpose rewrites the golden file and says why.
 
 To rewrite every golden file from the current code::
@@ -22,7 +23,8 @@ import pytest
 from pnalgebroid.cli import main
 from pnalgebroid.pointwise import TOL_ENV_VAR
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli"
 
 COMMANDS = {
     "check-pn-toda4": ["check-pn", "toda:4"],
@@ -30,8 +32,10 @@ COMMANDS = {
     "check-sn-toda2-atiyah": ["check-sn", "toda:2:atiyah"],
     "check-poisson-toda4-atiyah": ["check-poisson", "toda:4:atiyah"],
     "check-poisson-aff1": ["check-poisson", "aff1"],
+    "check-poisson-xyz-pair": ["check-poisson", "tests/golden/spec/poisson-pair-xyz.json"],
     "check-algebroid-toda3-atiyah": ["check-algebroid", "toda:3:atiyah"],
     "hierarchy-toda3-depth2": ["hierarchy", "toda:3", "--depth", "2"],
+    "hierarchy-aff1-depth2": ["hierarchy", "aff1", "--depth", "2"],
     "recursion-toda4": ["recursion", "toda:4"],
     "project-toda3": ["project", "toda:3"],
     "restrict-leaf-toda2-atiyah-pi0": ["restrict-leaf", "toda:2:atiyah", "--bivector", "pi0"],
@@ -61,11 +65,13 @@ def test_every_command_has_a_golden_file():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_report_matches_its_golden_file(name, monkeypatch):
     monkeypatch.delenv(TOL_ENV_VAR, raising=False)
+    monkeypatch.chdir(ROOT)  # spec-file arguments are relative to the repository
     assert run_json(COMMANDS[name]) == json.loads((GOLDEN / f"{name}.json").read_text())
 
 
 if __name__ == "__main__":  # pragma: no cover
     os.environ.pop(TOL_ENV_VAR, None)
+    os.chdir(ROOT)
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, argv in COMMANDS.items():
         got = run_json(argv)
