@@ -11,6 +11,8 @@ from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_che
 from .poisson import (
     Bivector,
     DegenerateBivector,
+    _frame_residuals,
+    _residual_report,
     dual_algebroid,
     is_poisson,
     koszul_bracket,
@@ -330,15 +332,28 @@ class HierarchyReport:
 
 def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
     """All N^l P Poisson and pairwise compatible up to the requested depth;
-    every report carries its own wall time."""
+    every report carries its own wall time.
+
+    Each level's residuals are computed once.  A pair's residual is level
+    i's plus level j's plus the mixed bracket's, the residual of
+    Qi + Qj, so a pair is reported as ``is_poisson(Qi + Qj)`` would be."""
+    A = P.algebroid
     chain = hierarchy(P, N, depth)
-    levels = [(l, timed_check(is_poisson, Q)) for l, Q in chain]
-    pairwise = []
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            li, Qi = chain[i]
-            lj, Qj = chain[j]
-            pairwise.append((li, lj, timed_check(is_poisson, Qi + Qj)))
+    own = []
+
+    def level(Q):
+        own.append(_frame_residuals((Q, Q)))
+        return _residual_report(A, own[-1])
+
+    def pair(i, j):
+        mixed = _frame_residuals((chain[i][1], chain[j][1]), (chain[j][1], chain[i][1]))
+        return _residual_report(A, [x + y + z for x, y, z in zip(own[i], own[j], mixed)])
+
+    levels = [(l, timed_check(level, Q)) for l, Q in chain]
+    pairwise = [
+        (chain[i][0], chain[j][0], timed_check(pair, i, j))
+        for i, j in itertools.combinations(range(len(chain)), 2)
+    ]
     return HierarchyReport(levels, pairwise)
 
 

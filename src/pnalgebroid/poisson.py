@@ -182,57 +182,82 @@ def schouten_1r(X: Section, R):
     raise TypeError(f"unsupported multivector type {type(R).__name__}")
 
 
-def is_poisson(P: Bivector) -> CheckReport:
-    """Decide [P, P] = 0 from the frame components of P.
+def _frame_residuals(*pairs: tuple[Bivector, Bivector]) -> list[Expr]:
+    """The residuals of the bilinear frame bracket summed over ``pairs``.
 
     With rho_d the anchor of e_d and C_de^x the structure functions,
 
-        (1/2) [P, P]^{abc} = sum over the cyclic shifts (x, y, z) of (a, b, c)
-            of  sum_d P^{xd} rho_d(P^{yz}) + sum_{d,e} P^{yd} P^{ze} C_de^x,
+        B(P, Q)[y, z][x] = sum_d P^{xd} rho_d(Q^{yz}) + sum_{d,e} P^{yd} Q^{ze} C_de^x,
 
-    the first sum being rho(P# theta^x)(P^{yz}).  On a tangent algebroid this
-    is the Jacobiator sum_l P^{xl} d_l P^{yz} of {f, g} = P(df, dg).  The
-    component is totally antisymmetric, so each frame triple a < b < c is
-    checked once; a nonzero one is reported against the dual covector a on
-    the pair (b, c), with the component above as the residual."""
-    A = P.algebroid
+    and the residual on a frame triple a < b < c is the cyclic sum
+    B[b, c][a] - B[a, c][b] + B[a, b][c].  One residual per triple, in
+    ``itertools.combinations`` order.  B(P, P) gives (1/2) [P, P], and
+    B(P, Q) + B(Q, P) the mixed bracket [P, Q]; each table entry is one
+    ``dot`` over the terms of every pair."""
+    A = pairs[0][0].algebroid
     r = A.rank
-    m = P.mat
-    rows = [[(d, e) for d, e in enumerate(row) if not e.is_zero()] for row in m]
-    # T[y, z][x], y < z: the summand of the cyclic sum at (x, y, z);
+    rows = {
+        id(Q): [[(d, e) for d, e in enumerate(row) if not e.is_zero()] for row in Q.mat]
+        for pair in pairs for Q in pair
+    }
+    # B[y, z][x], y < z: the summand of the cyclic sum at (x, y, z);
     # x in {y, z} is never read
-    T: dict[tuple[int, int], list[Expr]] = {}
+    B: dict[tuple[int, int], list[Expr]] = {}
     for y, z in itertools.combinations(range(r), 2):
-        grads: dict[str, Expr] = {}
-        rho = [A._rho_frame(d, m[y][z], grads) for d in range(r)]
-        t = [
-            ZERO if x in (y, z)
-            else dot((p, rho[d]) for d, p in rows[x])
-            for x in range(r)
-        ]
-        for d, pyd in rows[y]:
-            for e, pze in rows[z]:
-                for g, c in A._structure_rows[d][e]:
-                    t[g] = t[g] + pyd * pze * c
-        T[y, z] = t
-    failures = []
-    for a, b, c in itertools.combinations(range(r), 3):
-        e = T[b, c][a] - T[a, c][b] + T[a, b][c]
-        if not e.is_zero():
-            failures.append(
-                (
-                    f"Poisson condition fails against dual covector "
-                    f"{A.frame[a]} on pair ({A.frame[b]}, {A.frame[c]})",
-                    e,
-                )
-            )
+        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        for P, Q in pairs:
+            grads: dict[str, Expr] = {}
+            rho = [A._rho_frame(d, Q.mat[y][z], grads) for d in range(r)]
+            for x in range(r):
+                terms[x] += [(p, rho[d]) for d, p in rows[id(P)][x]]
+            for d, pyd in rows[id(P)][y]:
+                for e, qze in rows[id(Q)][z]:
+                    for g, c in A._structure_rows[d][e]:
+                        terms[g].append((pyd * c, qze))
+        B[y, z] = [ZERO if x in (y, z) else dot(t) for x, t in enumerate(terms)]
+    return [
+        B[b, c][a] - B[a, c][b] + B[a, b][c]
+        for a, b, c in itertools.combinations(range(r), 3)
+    ]
+
+
+def _residual_report(A: LieAlgebroid, residuals: list[Expr]) -> CheckReport:
+    """The Poisson verdict on ``residuals`` from ``_frame_residuals``: a
+    nonzero residual on (a, b, c) is reported against the dual covector a on
+    the pair (b, c)."""
+    failures = [
+        (
+            f"Poisson condition fails against dual covector "
+            f"{A.frame[a]} on pair ({A.frame[b]}, {A.frame[c]})",
+            e,
+        )
+        for (a, b, c), e in zip(itertools.combinations(range(A.rank), 3), residuals)
+        if not e.is_zero()
+    ]
     return CheckReport(not failures, failures)
 
 
+def is_poisson(P: Bivector) -> CheckReport:
+    """Decide [P, P] = 0 from the frame components of P.
+
+    The component (1/2) [P, P]^{abc} is the cyclic residual of B(P, P) (see
+    ``_frame_residuals``), whose first sum is rho(P# theta^x)(P^{yz}); on a
+    tangent algebroid it is the Jacobiator sum_l P^{xl} d_l P^{yz} of
+    {f, g} = P(df, dg).  The component is totally antisymmetric, so each
+    frame triple a < b < c is checked once."""
+    return _residual_report(P.algebroid, _frame_residuals((P, P)))
+
+
 def are_compatible(P0: Bivector, P1: Bivector) -> CheckReport:
-    """Both Poisson and the sum Poisson (equivalently, mixed bracket zero)."""
-    for name, Q in (("first", P0), ("second", P1), ("sum", P0 + P1)):
-        rep = is_poisson(Q)
+    """Both Poisson and the sum Poisson.  The sum is read from the mixed
+    bracket B(P0, P1) + B(P1, P0) alone: once both levels pass, its residual
+    is that of P0 + P1."""
+    for name, pairs in (
+        ("first", [(P0, P0)]),
+        ("second", [(P1, P1)]),
+        ("sum", [(P0, P1), (P1, P0)]),
+    ):
+        rep = _residual_report(P0.algebroid, _frame_residuals(*pairs))
         if not rep.ok:
             msg, e = rep.failures[0]
             return CheckReport(False, [(f"{name} bivector: {msg}", e)])

@@ -102,3 +102,19 @@ def test_pair_verdicts_equal_is_poisson_of_the_sum(case, monkeypatch):
                 seen["level fails"] += 1
     # the draws reach every branch of are_compatible
     assert all(seen.values()), seen
+
+
+def test_no_verdict_forms_a_bivector_sum(monkeypatch):
+    calls = []
+    add = Bivector.__add__
+    monkeypatch.setattr(Bivector, "__add__", lambda P, Q: calls.append(1) or add(P, Q))
+    t, a = build_toda(3), build_aff1()
+    assert are_compatible(t.lam0, t.lam1).ok
+    assert hierarchy_check(t.lam0, t.N, 3).ok
+    assert not hierarchy_check(a.P, a.N, 2).ok
+    A, draws = triples("toda2-atiyah", count=3)
+    for Pi, Pj in itertools.combinations(draws[0], 2):
+        are_compatible(Pi, Pj)
+    assert calls == []
+    t.lam0 + t.lam1  # the count sees a sum when one is formed
+    assert calls == [1]
