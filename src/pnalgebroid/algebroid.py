@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .expr import Expr, ZERO, ONE
+from .expr import Expr, ZERO, ONE, dot
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,9 @@ class LieAlgebroid:
         for a in range(r):
             for b in range(a + 1, r):
                 for i in range(n):
-                    lhs = ZERO
-                    for g in range(r):
-                        lhs = lhs + self.structure[a][b][g] * self.anchor[g][i]
-                    rhs = ZERO
-                    for j, v in enumerate(self.base_vars):
-                        rhs = (
-                            rhs
-                            + self.anchor[a][j] * self.anchor[b][i].diff(v)
-                            - self.anchor[b][j] * self.anchor[a][i].diff(v)
-                        )
+                    lhs = dot((c, self.anchor[g][i]) for g, c in self._structure_rows[a][b])
+                    rhs = (self._rho_frame(a, self.anchor[b][i], {})
+                           - self._rho_frame(b, self.anchor[a][i], {}))
                     if not (lhs - rhs).is_zero():
                         failures.append(
                             (

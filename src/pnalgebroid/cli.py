@@ -309,6 +309,8 @@ def cmd_check_sn(args, report: Report, doc: SpecDocument) -> None:
 
 
 def cmd_hierarchy(args, report: Report, doc: SpecDocument) -> None:
+    if args.depth < 0:
+        raise UsageError(f"--depth must be nonnegative, got {args.depth}")
     if args.bivector is None and len(doc.bivectors) == 2:
         pname, P = sorted(doc.bivectors.items())[0]
     else:

@@ -194,10 +194,16 @@ class Expr:
         return Expr(tuple((m, l, -c) for m, l, c in self.terms))
 
     def __sub__(self, other) -> "Expr":
-        return self + (-_coerce(other))
+        other = _coerce(other)
+        if not other.terms:
+            return self
+        d = self._as_dict()
+        for m, l, c in other.terms:
+            d[m, l] = d.get((m, l), 0) - c
+        return Expr.from_terms(d)
 
     def __rsub__(self, other) -> "Expr":
-        return _coerce(other) + (-self)
+        return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Expr":
         other = _coerce(other)

@@ -11,8 +11,7 @@ from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_che
 from .poisson import (
     Bivector,
     DegenerateBivector,
-    _frame_residuals,
-    _residual_report,
+    _bracket_check,
     dual_algebroid,
     is_poisson,
     koszul_bracket,
@@ -308,7 +307,9 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
 
 
 def hierarchy(P: Bivector, N: Endo, depth: int) -> list[tuple[int, Bivector]]:
-    """The bivectors N^l P for l = 0..depth (depth capped at the rank)."""
+    """The bivectors N^l P for l = 0..depth (depth >= 0, capped at the rank)."""
+    if depth < 0:
+        raise ValueError(f"hierarchy depth must be nonnegative, got {depth}")
     depth = min(depth, P.algebroid.rank)
     out = [(0, P)]
     current = P
@@ -332,28 +333,22 @@ class HierarchyReport:
 
 def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
     """All N^l P Poisson and pairwise compatible up to the requested depth;
-    every report carries its own wall time.
-
-    Each level's residuals are computed once.  A pair's residual is level
-    i's plus level j's plus the mixed bracket's, the residual of
-    Qi + Qj, so a pair is reported as ``is_poisson(Qi + Qj)`` would be."""
-    A = P.algebroid
+    every report carries its own wall time.  A pair's residuals are level i's
+    plus level j's, each computed once, plus the mixed bracket's: those of
+    is_poisson(Qi + Qj), failures included."""
     chain = hierarchy(P, N, depth)
-    own = []
+    own = {}
 
-    def level(Q):
-        own.append(_frame_residuals((Q, Q)))
-        return _residual_report(A, own[-1])
+    def check(i, j):
+        Qi, Qj = chain[i][1], chain[j][1]
+        if i == j:
+            rep, own[i] = _bracket_check([(Qi, Qi)])
+            return rep
+        return _bracket_check([(Qi, Qj), (Qj, Qi)], own[i], own[j])[0]
 
-    def pair(i, j):
-        mixed = _frame_residuals((chain[i][1], chain[j][1]), (chain[j][1], chain[i][1]))
-        return _residual_report(A, [x + y + z for x, y, z in zip(own[i], own[j], mixed)])
-
-    levels = [(l, timed_check(level, Q)) for l, Q in chain]
-    pairwise = [
-        (chain[i][0], chain[j][0], timed_check(pair, i, j))
-        for i, j in itertools.combinations(range(len(chain)), 2)
-    ]
+    levels = [(l, timed_check(check, i, i)) for i, (l, _) in enumerate(chain)]
+    pairwise = [(chain[i][0], chain[j][0], timed_check(check, i, j))
+                for i, j in itertools.combinations(range(len(chain)), 2)]
     return HierarchyReport(levels, pairwise)
 
 

@@ -192,16 +192,15 @@ def sample_points(
     count: int,
     seed: int,
     box: dict[str, tuple[float, float]] | None = None,
-    default_box: tuple[float, float] = (-1.0, 1.0),
 ) -> list[dict[str, float]]:
-    """Reproducible sample points inside per-variable boxes."""
+    """Reproducible sample points inside per-variable boxes, (-1, 1) by default."""
     rng = random.Random(seed)
     box = box or {}
     out = []
     for _ in range(count):
         values = {}
         for v in variables:
-            lo, hi = box.get(v, default_box)
+            lo, hi = box.get(v, (-1.0, 1.0))
             values[v] = rng.uniform(lo, hi)
         out.append(values)
     return out

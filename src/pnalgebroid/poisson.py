@@ -182,26 +182,22 @@ def schouten_1r(X: Section, R):
     raise TypeError(f"unsupported multivector type {type(R).__name__}")
 
 
-def _frame_residuals(*pairs: tuple[Bivector, Bivector]) -> list[Expr]:
-    """The residuals of the bilinear frame bracket summed over ``pairs``.
+def _bracket_check(pairs, *known: list[Expr]) -> tuple[CheckReport, list[Expr]]:
+    """The Poisson verdict and residuals of the bilinear frame bracket
 
-    With rho_d the anchor of e_d and C_de^x the structure functions,
+        B(P, Q)[y, z][x] = sum_d P^{xd} rho_d(Q^{yz}) + sum_{d,e} P^{yd} Q^{ze} C_de^x
 
-        B(P, Q)[y, z][x] = sum_d P^{xd} rho_d(Q^{yz}) + sum_{d,e} P^{yd} Q^{ze} C_de^x,
-
-    and the residual on a frame triple a < b < c is the cyclic sum
-    B[b, c][a] - B[a, c][b] + B[a, b][c].  One residual per triple, in
-    ``itertools.combinations`` order.  B(P, P) gives (1/2) [P, P], and
-    B(P, Q) + B(Q, P) the mixed bracket [P, Q]; each table entry is one
-    ``dot`` over the terms of every pair."""
+    summed over the (P, Q) in ``pairs``, rho_d the anchor of e_d and C_de^x
+    the structure functions.  The residual on a frame triple a < b < c is
+    B[b, c][a] - B[a, c][b] + B[a, b][c] plus its entry in each ``known``
+    residual list (``itertools.combinations`` order).  B(P, P) gives
+    (1/2) [P, P] and B(P, Q) + B(Q, P) the mixed bracket; with the residuals
+    of (P, P) and (Q, Q) added, the mixed ones are those of P + Q."""
     A = pairs[0][0].algebroid
     r = A.rank
-    rows = {
-        id(Q): [[(d, e) for d, e in enumerate(row) if not e.is_zero()] for row in Q.mat]
-        for pair in pairs for Q in pair
-    }
-    # B[y, z][x], y < z: the summand of the cyclic sum at (x, y, z);
-    # x in {y, z} is never read
+    rows = {id(Q): [[(d, e) for d, e in enumerate(row) if not e.is_zero()] for row in Q.mat]
+            for pair in pairs for Q in pair}
+    # B[y, z][x], y < z, each entry one dot over its terms; x in {y, z} is never read
     B: dict[tuple[int, int], list[Expr]] = {}
     for y, z in itertools.combinations(range(r), 2):
         terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
@@ -215,49 +211,30 @@ def _frame_residuals(*pairs: tuple[Bivector, Bivector]) -> list[Expr]:
                     for g, c in A._structure_rows[d][e]:
                         terms[g].append((pyd * c, qze))
         B[y, z] = [ZERO if x in (y, z) else dot(t) for x, t in enumerate(terms)]
-    return [
-        B[b, c][a] - B[a, c][b] + B[a, b][c]
-        for a, b, c in itertools.combinations(range(r), 3)
-    ]
-
-
-def _residual_report(A: LieAlgebroid, residuals: list[Expr]) -> CheckReport:
-    """The Poisson verdict on ``residuals`` from ``_frame_residuals``: a
-    nonzero residual on (a, b, c) is reported against the dual covector a on
-    the pair (b, c)."""
-    failures = [
-        (
-            f"Poisson condition fails against dual covector "
-            f"{A.frame[a]} on pair ({A.frame[b]}, {A.frame[c]})",
-            e,
-        )
-        for (a, b, c), e in zip(itertools.combinations(range(A.rank), 3), residuals)
-        if not e.is_zero()
-    ]
-    return CheckReport(not failures, failures)
+    triples = list(itertools.combinations(range(r), 3))
+    residuals = [sum(es, B[b, c][a] - B[a, c][b] + B[a, b][c])
+                 for (a, b, c), *es in zip(triples, *known)]
+    failures = [(f"Poisson condition fails against dual covector {A.frame[a]} on pair "
+                 f"({A.frame[b]}, {A.frame[c]})", e)
+                for (a, b, c), e in zip(triples, residuals) if not e.is_zero()]
+    return CheckReport(not failures, failures), residuals
 
 
 def is_poisson(P: Bivector) -> CheckReport:
-    """Decide [P, P] = 0 from the frame components of P.
-
-    The component (1/2) [P, P]^{abc} is the cyclic residual of B(P, P) (see
-    ``_frame_residuals``), whose first sum is rho(P# theta^x)(P^{yz}); on a
-    tangent algebroid it is the Jacobiator sum_l P^{xl} d_l P^{yz} of
-    {f, g} = P(df, dg).  The component is totally antisymmetric, so each
-    frame triple a < b < c is checked once."""
-    return _residual_report(P.algebroid, _frame_residuals((P, P)))
+    """Decide [P, P] = 0 from the residuals of B(P, P) (``_bracket_check``),
+    whose first sum is rho(P# theta^x)(P^{yz}); on a tangent algebroid, the
+    Jacobiator sum_l P^{xl} d_l P^{yz} of {f, g} = P(df, dg).  The component
+    is totally antisymmetric, so each frame triple a < b < c is checked once;
+    a nonzero one is reported against the dual covector a on the pair (b, c)."""
+    return _bracket_check([(P, P)])[0]
 
 
 def are_compatible(P0: Bivector, P1: Bivector) -> CheckReport:
-    """Both Poisson and the sum Poisson.  The sum is read from the mixed
-    bracket B(P0, P1) + B(P1, P0) alone: once both levels pass, its residual
-    is that of P0 + P1."""
-    for name, pairs in (
-        ("first", [(P0, P0)]),
-        ("second", [(P1, P1)]),
-        ("sum", [(P0, P1), (P1, P0)]),
-    ):
-        rep = _residual_report(P0.algebroid, _frame_residuals(*pairs))
+    """Both Poisson and the sum Poisson, the sum read from the mixed bracket
+    B(P0, P1) + B(P1, P0) alone: once both pass, its residuals are P0 + P1's."""
+    for name, pairs in (("first", [(P0, P0)]), ("second", [(P1, P1)]),
+                        ("sum", [(P0, P1), (P1, P0)])):
+        rep = _bracket_check(pairs)[0]
         if not rep.ok:
             msg, e = rep.failures[0]
             return CheckReport(False, [(f"{name} bivector: {msg}", e)])
@@ -320,20 +297,12 @@ def induced_base_poisson(P: Bivector, target: LieAlgebroid | None = None) -> Biv
         target = LieAlgebroid.tangent(list(A.base_vars))
     if tuple(target.base_vars) != tuple(A.base_vars):
         raise ValueError("target base coordinates do not match")
-    n = A.dim
-    r = A.rank
-    entries: dict[tuple[int, int], Expr] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = ZERO
-            for a in range(r):
-                for b in range(r):
-                    e = P.mat[a][b]
-                    if e.is_zero():
-                        continue
-                    val = val + A.anchor[a][i] * e * A.anchor[b][j]
-            if not val.is_zero():
-                entries[(i, j)] = val
+    lam = linalg.mat_mul(linalg.mat_mul(linalg.mat_transpose(A.anchor), P.mat), A.anchor)
+    entries = {
+        (i, j): lam[i][j]
+        for i, j in itertools.combinations(range(len(lam)), 2)
+        if not lam[i][j].is_zero()
+    }
     return Bivector.from_entries(target, entries)
 
 

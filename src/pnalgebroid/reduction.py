@@ -83,16 +83,12 @@ class EpimorphismSpec:
         fiberwise surjectivity (numeric)."""
         tol = default_tolerance() if tol is None else tol
         failures = []
+        rho = {w: [row[wi].substitute(self.base_map) for row in self.target.anchor]
+               for wi, w in enumerate(self.target.base_vars)}  # rho_a^w o pi
         for b in range(self.source.rank):
             for w in self.target.base_vars:
-                lhs = ZERO
-                for i, x in enumerate(self.source.base_vars):
-                    lhs = lhs + self.source.anchor[b][i] * self.base_map[w].diff(x)
-                rhs = ZERO
-                wi = self.target.base_vars.index(w)
-                for a in range(self.target.rank):
-                    rho = self.target.anchor[a][wi].substitute(self.base_map)
-                    rhs = rhs + self.fiber_map[a][b] * rho
+                lhs = self.source._rho_frame(b, self.base_map[w], {})
+                rhs = dot((self.fiber_map[a][b], rho_a) for a, rho_a in enumerate(rho[w]))
                 if not (lhs - rhs).is_zero():
                     failures.append(
                         (
@@ -534,26 +530,24 @@ class SubalgebroidReport:
         return self.kernel_closed.ok and self.image_closed.ok and self.decomposition_ok
 
 
-def symbolic_riesz_index(N: Endo, max_power: int | None = None) -> int:
+def symbolic_riesz_index(N: Endo) -> int:
     """First k with generic rank N^k = rank N^{k+1} (symbolic ranks)."""
-    r = N.algebroid.rank
-    limit = r if max_power is None else max_power
-    prev = r
+    r = prev = N.algebroid.rank
     power = Endo.identity(N.algebroid)
-    for l in range(1, limit + 2):
+    for l in range(1, r + 2):
         power = power.compose(N)
         rk = linalg.symbolic_rank(power.mat)
         if rk == prev:
             return l - 1
         prev = rk
-    return limit
+    return r
 
 
-def kernel_subalgebroid_check(N: Endo, index: int | None = None) -> SubalgebroidReport:
+def kernel_subalgebroid_check(N: Endo) -> SubalgebroidReport:
     """Bracket closure of Ker N^k and Im N^k and the generic direct-sum
     decomposition, k the (symbolic) stable index."""
     A = N.algebroid
-    k = symbolic_riesz_index(N) if index is None else index
+    k = symbolic_riesz_index(N)
     nk = N.power(max(k, 1)) if k > 0 else Endo.identity(A)
     kernel = [Section(A, tuple(v)) for v in linalg.symbolic_nullspace(nk.mat)]
     rank_im = linalg.symbolic_rank(nk.mat)

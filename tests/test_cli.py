@@ -52,6 +52,15 @@ def test_check_poisson_perturbed_spec_exits_one_with_witness(tmp_path, capsys):
     assert "FAIL" in out and "residual" in out
 
 
+def test_hierarchy_negative_depth_exits_two_and_depth_zero_passes(capsys):
+    # a negative depth used to check level 0 alone and exit 0
+    code, out, err = run(capsys, "hierarchy", "aff1", "--depth", "-3")
+    assert code == 2 and out == ""
+    assert "--depth must be nonnegative" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "hierarchy", "aff1", "--depth", "0")
+    assert code == 0 and "PASS  poisson(N^0 P)" in out and "compatible" not in out
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{oops")

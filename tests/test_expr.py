@@ -177,3 +177,22 @@ def test_integral_fractions_are_stored_as_int():
     # constant_value keeps returning a Fraction
     assert type(parse("2").constant_value()) is Fraction
     assert type(ZERO.constant_value()) is Fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(exprs(), exprs(), rationals)
+def test_subtraction_equals_addition_of_the_negation(a, b, q):
+    assert (a - b).terms == (a + (-b)).terms
+    assert (q - a).terms == (Expr.number(q) + (-a)).terms
+    assert (a - q).terms == (a + Expr.number(-q)).terms
+
+
+def test_subtraction_makes_no_negated_copy(monkeypatch):
+    a, b = parse("x^2 + 3*y - exp(x)"), parse("2*x^2 - y/2 - exp(x)")
+    want = [a + (-b), ZERO, -b, a, a + Expr.number(-2), Expr.number(Fraction(1, 3)) + (-b)]
+    calls = []
+    neg = Expr.__neg__
+    monkeypatch.setattr(Expr, "__neg__", lambda e: calls.append(1) or neg(e))
+    got = [a - b, a - a, ZERO - b, a - ZERO, a - 2, Fraction(1, 3) - b]
+    assert [e.terms for e in got] == [e.terms for e in want]
+    assert calls == []

@@ -101,6 +101,16 @@ def test_hierarchy_of_bivectors(toda2):
     assert rep.ok
 
 
+def test_hierarchy_depth_zero_is_valid_and_a_negative_depth_raises(toda2):
+    assert hierarchy(toda2.lam0, toda2.N, 0) == [(0, toda2.lam0)]
+    assert hierarchy_check(toda2.lam0, toda2.N, 0).ok
+    for depth in (-1, -3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hierarchy(toda2.lam0, toda2.N, depth)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hierarchy_check(toda2.lam0, toda2.N, depth)
+
+
 def test_bihamiltonian_ladder(toda2):
     rep = bihamiltonian_check(toda2.lam0, toda2.lam1, toda2.H0, toda2.H1)
     assert rep.ok, rep.witness()
