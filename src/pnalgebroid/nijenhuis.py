@@ -336,18 +336,17 @@ def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
     every report carries its own wall time.  A pair's residuals are level i's
     plus level j's, each computed once, plus the mixed bracket's: those of
     is_poisson(Qi + Qj), failures included."""
-    chain = hierarchy(P, N, depth)
+    chain = [Q for _, Q in hierarchy(P, N, depth)]  # N^l P at index l
     own = {}
 
     def check(i, j):
-        Qi, Qj = chain[i][1], chain[j][1]
         if i == j:
-            rep, own[i] = _bracket_check([(Qi, Qi)])
+            rep, own[i] = _bracket_check([(chain[i], chain[i])])
             return rep
-        return _bracket_check([(Qi, Qj), (Qj, Qi)], own[i], own[j])[0]
+        return _bracket_check([(chain[i], chain[j]), (chain[j], chain[i])], own[i], own[j])[0]
 
-    levels = [(l, timed_check(check, i, i)) for i, (l, _) in enumerate(chain)]
-    pairwise = [(chain[i][0], chain[j][0], timed_check(check, i, j))
+    levels = [(l, timed_check(check, l, l)) for l in range(len(chain))]
+    pairwise = [(i, j, timed_check(check, i, j))
                 for i, j in itertools.combinations(range(len(chain)), 2)]
     return HierarchyReport(levels, pairwise)
 

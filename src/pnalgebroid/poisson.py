@@ -182,7 +182,8 @@ def schouten_1r(X: Section, R):
     raise TypeError(f"unsupported multivector type {type(R).__name__}")
 
 
-def _bracket_check(pairs, *known: list[Expr]) -> tuple[CheckReport, list[Expr]]:
+def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
+                   *known: list[Expr]) -> tuple[CheckReport, list[Expr]]:
     """The Poisson verdict and residuals of the bilinear frame bracket
 
         B(P, Q)[y, z][x] = sum_d P^{xd} rho_d(Q^{yz}) + sum_{d,e} P^{yd} Q^{ze} C_de^x
@@ -203,9 +204,11 @@ def _bracket_check(pairs, *known: list[Expr]) -> tuple[CheckReport, list[Expr]]:
         terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
         for P, Q in pairs:
             grads: dict[str, Expr] = {}
-            rho = [A._rho_frame(d, Q.mat[y][z], grads) for d in range(r)]
-            for x in range(r):
-                terms[x] += [(p, rho[d]) for d, p in rows[id(P)][x]]
+            for d in range(r):
+                v = A._rho_frame(d, Q.mat[y][z], grads)
+                if not v.is_zero():  # P^{xd} is nonzero where P^{dx} is, P antisymmetric
+                    for x, _ in rows[id(P)][d]:
+                        terms[x].append((P.mat[x][d], v))
             for d, pyd in rows[id(P)][y]:
                 for e, qze in rows[id(Q)][z]:
                     for g, c in A._structure_rows[d][e]:
