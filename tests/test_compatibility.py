@@ -87,7 +87,7 @@ def test_pair_verdicts_equal_is_poisson_of_the_sum(case, monkeypatch):
         # hierarchy_check reads its levels from hierarchy(); hand it the draw
         monkeypatch.setattr(nijenhuis, "hierarchy", lambda P, N, depth: list(enumerate(chain)))
         rep = hierarchy_check(chain[0], N, 2)
-        for (l, got), Q in zip(rep.levels, chain):
+        for (_, got), Q in zip(rep.levels, chain):
             assert same(got, is_poisson(Q))
         for li, lj, got in rep.pairwise:
             assert same(got, is_poisson(chain[li] + chain[lj]))
@@ -112,7 +112,7 @@ def test_no_verdict_forms_a_bivector_sum(monkeypatch):
     assert are_compatible(t.lam0, t.lam1).ok
     assert hierarchy_check(t.lam0, t.N, 3).ok
     assert not hierarchy_check(a.P, a.N, 2).ok
-    A, draws = triples("toda2-atiyah", count=3)
+    _, draws = triples("toda2-atiyah", count=3)
     for Pi, Pj in itertools.combinations(draws[0], 2):
         are_compatible(Pi, Pj)
     assert calls == []
