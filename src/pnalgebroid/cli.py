@@ -21,7 +21,7 @@ from . import __version__ as VERSION, linalg
 from .expr import ExprError
 from .algebroid import CheckReport, timed_check
 from .poisson import (
-    is_poisson, are_compatible, symplectic_check, DegenerateBivector, Bivector,
+    is_poisson, are_compatible, poisson_pair, symplectic_check, DegenerateBivector, Bivector,
 )
 from .nijenhuis import pn_check, recursion_operator, hierarchy_check, Endo
 from .reduction import (
@@ -273,10 +273,14 @@ def cmd_check_poisson(args, report: Report, doc: SpecDocument) -> None:
     for name in names:
         if name not in doc.bivectors:
             raise UsageError(f"no bivector named {name!r} in the input")
-        report.add_report(f"poisson({name})", timed_check(is_poisson, doc.bivectors[name]))
     if len(names) == 2:
-        rep = timed_check(are_compatible, doc.bivectors[names[0]], doc.bivectors[names[1]])
-        report.add_report(f"compatible({names[0]},{names[1]})", rep)
+        reps = poisson_pair(*(doc.bivectors[name] for name in names))
+        for name, rep in zip(names, reps):
+            report.add_report(f"poisson({name})", rep)
+        report.add_report(f"compatible({names[0]},{names[1]})", reps[2])
+        return
+    for name in names:
+        report.add_report(f"poisson({name})", timed_check(is_poisson, doc.bivectors[name]))
 
 
 def _run_pn(args, report: Report, doc: SpecDocument, want_sn: bool) -> None:

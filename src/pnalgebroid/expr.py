@@ -18,19 +18,22 @@ stored in one form (:func:`rational`): an ``int`` when integral, else a
 arithmetic are much cheaper than ``Fraction``'s.  Division of coefficients
 always goes through ``Fraction``, never ``int / int``.
 
-Products of terms multiply their keys, a monomial and a linear form.  The
-same few key pairs recur throughout a computation, so both key products are
-memoised (bounded LRU caches); the stored rationals are canonical, so equal
-keys are equal tuples.  A sum of products is formed by :func:`dot` in one
-term table, sorted once.
+A term's key, its monomial and linear form, is interned to a small int, and
+an Expr stores a dict from key id to coefficient.  Sums, products,
+:func:`dot` and :meth:`Expr.diff` work on the ids and never sort; equality
+and hashing compare the dicts as mappings.  The canonical sorted tuple
+:attr:`Expr.terms` is built only when read (printing, serialising,
+evaluation, compiling a matrix, rewriting in ``reduction``) and kept on the
+Expr.  The same few key pairs recur throughout a computation, so the
+product of two keys and the derivative of a key are memoised in tables that
+are cleared when they reach a fixed size.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -65,12 +68,55 @@ class ExprSyntaxError(ExprError):
         self.pos = pos
 
 
-# entries in each key-product cache; an entry holds about 400 bytes, and a
-# pass of the big-operand benchmark workload needs about 4,900 of them
-_KEY_CACHE_SIZE = 1 << 13
+# -- interned term keys --------------------------------------------------------
+#
+# _KEYS[i] is the key (mono, lin) with id i and _IDS maps it back.  Ids are
+# never freed or reused, so an id names one key for the life of the process.
+# _PARTS holds one object for each monomial, monomial factor and linear form
+# in a stored key: keys far outnumber them, and fresh copies come from every
+# key product.
+_KEYS: list[TermKey] = []
+_IDS: dict[TermKey, int] = {}
+_PARTS: dict[tuple, tuple] = {}
 
 
-@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
+def _intern(m: Mono, l: Lin) -> int:
+    i = _IDS.get((m, l))
+    if i is None:
+        shared = _PARTS.setdefault
+        if m not in _PARTS:
+            m = tuple([shared(f, f) for f in m])
+            _PARTS[m] = m
+        k = (_PARTS[m], shared(l, l))
+        i = _IDS[k] = len(_KEYS)
+        _KEYS.append(k)
+    return i
+
+
+_ONE = _intern((), ())  # the key of a constant term
+
+# Memoised key products, one row per first key: _PROD[i][j] is the id of key
+# i times key j.  Memoised derivatives: _DIFF[i, v] is d/dv of key i as
+# ((id, factor), ...).  Both tables are cleared together once they hold
+# _TABLE_BOUND entries.  A pass of the big-operand benchmark workload stores
+# about 15,000 products over 5,300 keys, and the same key pairs recur across
+# operations, so the bound keeps a pass's products with room to spare.
+_TABLE_BOUND = 1 << 16
+_PROD: dict[int, dict[int, int]] = {}
+_DIFF: dict[tuple[int, str], tuple[tuple[int, Number], ...]] = {}
+_entries = 0
+
+
+def _memo_entry() -> None:
+    """Count one new memo entry, clearing both tables first when full."""
+    global _entries
+    if _entries >= _TABLE_BOUND:
+        _PROD.clear()
+        _DIFF.clear()
+        _entries = 0
+    _entries += 1
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     d: dict[str, int] = dict(a)
     for v, e in b:
@@ -78,7 +124,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted((v, e) for v, e in d.items() if e != 0))
 
 
-@functools.lru_cache(maxsize=_KEY_CACHE_SIZE)
 def _lin_add(a: Lin, b: Lin) -> Lin:
     # both forms are canonical, so adding the empty form is the identity
     if not b:
@@ -97,11 +142,74 @@ def _lin_scale(a: Lin, k: Number) -> Lin:
     return tuple((v, rational(c * k)) for v, c in a)
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Canonical sum of rational-coefficient monomial-times-exponential terms."""
+def _product(i: int, j: int, row: dict[int, int]) -> int:
+    """The id of key i times key j, stored in ``row``, the product row of i."""
+    (m1, l1), (m2, l2) = _KEYS[i], _KEYS[j]
+    k = _intern(_mono_mul(m1, m2), _lin_add(l1, l2))
+    _memo_entry()
+    row[j] = k
+    return k
 
-    terms: tuple[tuple[Mono, Lin, Number], ...] = ()
+
+def _derivative(i: int, v: str) -> tuple[tuple[int, Number], ...]:
+    """d/dv of key i as (id, factor) pairs, stored in _DIFF."""
+    m, l = _KEYS[i]
+    out = []
+    md = dict(m)
+    e = md.pop(v, 0)
+    if e:
+        if e != 1:
+            md[v] = e - 1
+        out.append((_intern(tuple(sorted(md.items())), l), e))
+    lv = dict(l).get(v)
+    if lv is not None:
+        out.append((i, lv))
+    _memo_entry()
+    row = _DIFF[i, v] = tuple(out)
+    return row
+
+
+def _canonical(d: dict[int, Number]) -> dict[int, Number]:
+    """``d`` without its zero coefficients, each stored by :func:`rational`."""
+    return {k: c if type(c) is int else rational(c) for k, c in d.items() if c}
+
+
+class Expr:
+    """Canonical sum of rational-coefficient monomial-times-exponential terms.
+
+    ``Expr(terms)`` builds one from (mono, lin, c) triples.  An Expr is
+    immutable and hashable; it stores a dict from interned key id to nonzero
+    coefficient, and equality and hashing compare that dict as a mapping."""
+
+    # _t: key id -> coefficient.  _terms and _hash are filled on first read.
+    __slots__ = ("_t", "_terms", "_hash")
+
+    def __init__(self, terms: Iterable[tuple[Mono, Lin, Number]] = ()):
+        d: dict[int, Number] = {}
+        for m, l, c in terms:
+            k = _intern(m, l)
+            d[k] = d.get(k, 0) + c
+        _set_t(self, _canonical(d))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # key ids are local to a process; a copy or pickle carries the terms
+        return (Expr, (self.terms,))
+
+    @property
+    def terms(self) -> tuple[tuple[Mono, Lin, Number], ...]:
+        """The terms as (mono, lin, c) triples in canonical (sorted key) order."""
+        try:
+            return self._terms
+        except AttributeError:
+            t = tuple(sorted([_KEYS[i] + (c,) for i, c in self._t.items()]))
+            _set_terms(self, t)
+            return t
 
     # -- constructors ------------------------------------------------------
 
@@ -110,47 +218,44 @@ class Expr:
         q = rational(q)
         if q == 0:
             return Expr()
-        return Expr((((), (), q),))
+        return _wrap({_ONE: q})
 
     @staticmethod
     def var(name: str) -> "Expr":
         if not _IDENT_RE.fullmatch(name):
             raise ExprError(f"invalid variable name {name!r}")
-        return Expr(((((name, 1),), (), 1),))
+        return _wrap({_intern(((name, 1),), ()): 1})
 
     @staticmethod
     def from_terms(d: Mapping[TermKey, Number]) -> "Expr":
-        items = tuple(
-            (m, l, c if type(c) is int else rational(c))
-            for (m, l), c in sorted(d.items())
-            if c != 0
-        )
-        return Expr(items)
+        return _wrap(_canonical({_intern(m, l): c for (m, l), c in d.items()}))
 
     @staticmethod
     def exp_of(argument: "Expr") -> "Expr":
         """exp of an affine expression (raises if the argument is not affine)."""
         lin = argument.as_linear()
-        return Expr((((), lin, 1),))
+        return _wrap({_intern((), lin): 1})
 
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return all(m == () and l == () for m, l, _ in self.terms)
+        t = self._t
+        return not t or (len(t) == 1 and _ONE in t)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return Fraction(self.terms[0][2])
+        return Fraction(self._t[_ONE])
 
     def variables(self) -> set[str]:
         vs: set[str] = set()
-        for m, l, _ in self.terms:
+        for i in self._t:
+            m, l = _KEYS[i]
             vs.update(v for v, _ in m)
             vs.update(v for v, _ in l if v)
         return vs
@@ -158,7 +263,8 @@ class Expr:
     def as_linear(self) -> Lin:
         """View as an affine form; raise if a term is nonlinear or exponential."""
         d: dict[str, Number] = {}
-        for m, l, c in self.terms:
+        for i, c in self._t.items():
+            m, l = _KEYS[i]
             if l:
                 raise ExprError("exponential term inside a linear form")
             if m == ():
@@ -172,68 +278,81 @@ class Expr:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _as_dict(self) -> dict[TermKey, Number]:
-        return {(m, l): c for m, l, c in self.terms}
-
     def __add__(self, other) -> "Expr":
-        other = _coerce(other)
+        if type(other) is not Expr:
+            other = _coerce(other)
+        a, b = self._t, other._t
         # every constructor yields canonical terms, so x + 0 is x itself
-        if not other.terms:
+        if not b:
             return self
-        if not self.terms:
+        if not a:
             return other
-        d = self._as_dict()
-        for m, l, c in other.terms:
-            k = (m, l)
-            d[k] = d.get(k, 0) + c
-        return Expr.from_terms(d)
+        if len(a) < len(b):
+            a, b = b, a
+        d = a.copy()
+        for k, c in b.items():
+            s = d.get(k, 0) + c
+            if s:
+                d[k] = s if type(s) is int else rational(s)
+            else:
+                del d[k]
+        return _wrap(d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(tuple((m, l, -c) for m, l, c in self.terms))
+        return _wrap({k: -c for k, c in self._t.items()})
 
     def __sub__(self, other) -> "Expr":
-        other = _coerce(other)
-        if not other.terms:
+        if type(other) is not Expr:
+            other = _coerce(other)
+        b = other._t
+        if not b:
             return self
-        d = self._as_dict()
-        for m, l, c in other.terms:
-            d[m, l] = d.get((m, l), 0) - c
-        return Expr.from_terms(d)
+        d = self._t.copy()
+        for k, c in b.items():
+            s = d.get(k, 0) - c
+            if s:
+                d[k] = s if type(s) is int else rational(s)
+            else:
+                del d[k]
+        return _wrap(d)
 
     def __rsub__(self, other) -> "Expr":
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Expr":
-        other = _coerce(other)
-        a, b = self.terms, other.terms
+        if type(other) is not Expr:
+            other = _coerce(other)
+        a, b = self._t, other._t
         if not a or not b:
             return ZERO
-        if len(b) == 1 and not b[0][0] and not b[0][1]:
-            return self._scaled(b[0][2])
-        if len(a) == 1 and not a[0][0] and not a[0][1]:
-            return other._scaled(a[0][2])
-        d: dict[TermKey, Number] = {}
+        if len(b) == 1 and _ONE in b:
+            return self._scaled(b[_ONE])
+        if len(a) == 1 and _ONE in a:
+            return other._scaled(a[_ONE])
+        d: dict[int, Number] = {}
         _mul_into(d, a, b)
-        return Expr.from_terms(d)
+        return _wrap(_canonical(d))
 
     __rmul__ = __mul__
 
     def _scaled(self, k: Number) -> "Expr":
-        # a nonzero constant factor keeps every key, so the order stays canonical
+        # a nonzero constant factor keeps every key and leaves no zero
         if k == 1:
             return self
-        return Expr(tuple((m, l, rational(c * k)) for m, l, c in self.terms))
+        return _wrap({i: rational(c * k) for i, c in self._t.items()})
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
             raise ExprError("only integer powers are supported")
         if n < 0:
-            if len(self.terms) == 1 and self.terms[0][0] == ():
-                _, l, c = self.terms[0]
-                inv = Expr((((), _lin_scale(l, -1), rational(Fraction(1) / c)),))
-                return inv ** (-n)
+            if len(self._t) == 1:
+                ((i, c),) = self._t.items()
+                m, l = _KEYS[i]
+                if not m:
+                    inv = _wrap({_intern((), _lin_scale(l, -1)): rational(Fraction(1) / c)})
+                    return inv ** (-n)
             raise ExprError("negative power of a non-invertible expression")
         out = Expr.number(1)
         base = self
@@ -254,41 +373,32 @@ class Expr:
         return div_exact(self, other)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Expr:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Expr.number(other)
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self._t.items()))
+            _set_hash(self, h)
+            return h
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, v: str) -> "Expr":
         """Exact partial derivative with respect to the variable ``v``."""
-        d: dict[TermKey, Number] = {}
-
-        def acc(m: Mono, l: Lin, c: Number) -> None:
-            if c == 0:
-                return
-            k = (m, l)
-            d[k] = d.get(k, 0) + c
-
-        for m, l, c in self.terms:
-            md = dict(m)
-            if v in md:
-                e = md[v]
-                m2 = dict(md)
-                if e == 1:
-                    del m2[v]
-                else:
-                    m2[v] = e - 1
-                acc(tuple(sorted(m2.items())), l, c * e)
-            lv = dict(l).get(v)
-            if lv is not None:
-                acc(m, l, c * lv)
-        return Expr.from_terms(d)
+        d: dict[int, Number] = {}
+        for i, c in self._t.items():
+            row = _DIFF.get((i, v))
+            if row is None:
+                row = _derivative(i, v)
+            for k, f in row:
+                d[k] = d.get(k, 0) + c * f
+        return _wrap(_canonical(d))
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Replace variables by expressions.
@@ -298,7 +408,8 @@ class Expr:
         """
         mapping = {v: _coerce(e) for v, e in mapping.items()}
         out = Expr()
-        for m, l, c in self.terms:
+        for i, c in self._t.items():
+            m, l = _KEYS[i]
             t = Expr.number(c)
             for v, e in m:
                 t = t * (mapping[v] ** e if v in mapping else Expr.var(v) ** e)
@@ -399,21 +510,39 @@ def _lookup(values: Mapping[str, float], v: str) -> float:
         raise ExprError(f"unbound variable {v!r} in evaluation") from None
 
 
-def _mul_into(d: dict[TermKey, Number], a, b) -> None:
-    """Add the product of the term tuples ``a`` and ``b`` into the table ``d``."""
-    for m1, l1, c1 in a:
-        for m2, l2, c2 in b:
-            k = (_mono_mul(m1, m2), _lin_add(l1, l2))
-            d[k] = d.get(k, 0) + c1 * c2
+def _wrap(t: dict[int, Number]) -> Expr:
+    """An Expr holding the canonical table ``t`` itself, not a copy."""
+    e = _new(Expr)
+    _set_t(e, t)
+    return e
+
+
+_new = object.__new__
+_set_t = Expr._t.__set__
+_set_terms = Expr._terms.__set__
+_set_hash = Expr._hash.__set__
+
+
+def _mul_into(d: dict[int, Number], a: dict[int, Number], b: dict[int, Number]) -> None:
+    """Add the product of the term tables ``a`` and ``b`` into the table ``d``."""
+    get = d.get
+    for i, c1 in a.items():
+        row = _PROD.get(i)
+        if row is None:
+            row = _PROD[i] = {}
+        for j, c2 in b.items():
+            k = row.get(j)
+            if k is None:
+                k = _product(i, j, row)
+            d[k] = get(k, 0) + c1 * c2
 
 
 def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
-    """The sum of ``a * b`` over the pairs, formed in one term table and
-    sorted once rather than re-sorted after every product."""
-    d: dict[TermKey, Number] = {}
+    """The sum of ``a * b`` over the pairs, formed in one term table."""
+    d: dict[int, Number] = {}
     for a, b in pairs:
-        _mul_into(d, a.terms, b.terms)
-    return Expr.from_terms(d)
+        _mul_into(d, a._t, b._t)
+    return _wrap(_canonical(d))
 
 
 ZERO = Expr()
@@ -607,7 +736,9 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
     lin_vars = [""] + vars_
 
     def leading(e: Expr):
-        return max(e.terms, key=lambda t: _term_order_key(t, vars_, lin_vars))
+        # keys are distinct, so the maximum does not depend on the table order
+        return max((_KEYS[i] + (c,) for i, c in e._t.items()),
+                   key=lambda t: _term_order_key(t, vars_, lin_vars))
 
     lt_den = leading(den)
     quot: dict[TermKey, Number] = {}
@@ -631,6 +762,6 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
         k = (tuple(sorted(mq.items())), _lin_add(lr, _lin_scale(ld, -1)))
         c = rational(Fraction(cr, cd))
         quot[k] = quot.get(k, 0) + c
-        t = Expr(((k[0], k[1], c),))
+        t = _wrap({_intern(*k): c})
         rem = rem - t * den
     raise ExprError("exact division did not terminate")

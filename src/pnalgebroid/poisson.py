@@ -19,6 +19,7 @@ denominator (the determinant).
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from .expr import Expr, ZERO, ExprError, dot
@@ -30,6 +31,7 @@ from .algebroid import (
     d_A,
     interior,
     lie_derivative,
+    timed_check,
 )
 from . import linalg
 from .linalg import Frac, Matrix
@@ -232,16 +234,29 @@ def is_poisson(P: Bivector) -> CheckReport:
     return _bracket_check([(P, P)])[0]
 
 
+def poisson_pair(P0: Bivector, P1: Bivector) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """``is_poisson(P0)``, ``is_poisson(P1)`` and ``are_compatible(P0, P1)``,
+    each level's table built once.  The pair is read from the mixed bracket
+    B(P0, P1) + B(P1, P0) alone: once both levels pass, its residuals are
+    P0 + P1's.  Each report carries its own wall time; the pair's is that of
+    the mixed bracket."""
+    first, second = (timed_check(is_poisson, P) for P in (P0, P1))
+    t0 = time.perf_counter()
+    failed = [(name, rep) for name, rep in (("first", first), ("second", second)) if not rep.ok]
+    name, rep = failed[0] if failed else ("sum", _bracket_check([(P0, P1), (P1, P0)])[0])
+    if rep.ok:
+        pair = CheckReport(True, [])
+    else:
+        msg, e = rep.failures[0]
+        pair = CheckReport(False, [(f"{name} bivector: {msg}", e)])
+    pair.seconds = time.perf_counter() - t0
+    return first, second, pair
+
+
 def are_compatible(P0: Bivector, P1: Bivector) -> CheckReport:
-    """Both Poisson and the sum Poisson, the sum read from the mixed bracket
-    B(P0, P1) + B(P1, P0) alone: once both pass, its residuals are P0 + P1's."""
-    for name, pairs in (("first", [(P0, P0)]), ("second", [(P1, P1)]),
-                        ("sum", [(P0, P1), (P1, P0)])):
-        rep = _bracket_check(pairs)[0]
-        if not rep.ok:
-            msg, e = rep.failures[0]
-            return CheckReport(False, [(f"{name} bivector: {msg}", e)])
-    return CheckReport(True, [])
+    """Both Poisson and the sum Poisson; the first failure is reported
+    against the first, the second or the sum bivector (``poisson_pair``)."""
+    return poisson_pair(P0, P1)[2]
 
 
 def koszul_bracket(P: Bivector, alpha: KForm, beta: KForm) -> KForm:

@@ -425,3 +425,24 @@ def test_report_to_a_pipe_with_no_reader_exits_without_a_traceback():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("toda:3", 0),
+    ("tests/golden/spec/poisson-pair-xyz.json", 1),  # the mixed bracket fails
+])
+def test_check_poisson_builds_each_level_table_once(monkeypatch, capsys, spec, code):
+    from pnalgebroid import poisson
+
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    calls = []
+    real = poisson._bracket_check
+    monkeypatch.setattr(poisson, "_bracket_check",
+                        lambda pairs, *known: calls.append(pairs) or real(pairs, *known))
+    got, out, _ = run(capsys, "check-poisson", spec, "--format", "json")
+    assert got == code
+    assert len(json.loads(out)["checks"]) == 3
+    (P0, _), = calls[0]
+    (P1, _), = calls[1]
+    assert P0 != P1
+    assert calls == [[(P0, P0)], [(P1, P1)], [(P0, P1), (P1, P0)]]

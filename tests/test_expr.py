@@ -2,16 +2,22 @@
 expression class (rational coefficients, monomials, exponentials of affine
 forms)."""
 
+import copy
+import functools
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pnalgebroid.expr import (
-    Expr, Point, DualValue, parse, div_exact, ExprError, ExprSyntaxError,
+    Expr, Point, DualValue, parse, div_exact, dot, ExprError, ExprSyntaxError,
     ZERO, ONE,
 )
+from pnalgebroid.fixtures import build_toda
+from pnalgebroid.poisson import Bivector
 
 VARS = ["x", "y", "z"]
 
@@ -196,3 +202,72 @@ def test_subtraction_makes_no_negated_copy(monkeypatch):
     got = [a - b, a - a, ZERO - b, a - ZERO, a - 2, Fraction(1, 3) - b]
     assert [e.terms for e in got] == [e.terms for e in want]
     assert calls == []
+
+
+# -- term tables: the order a value was built in is invisible ----------------
+
+def rebuilt(e: Expr, rnd) -> Expr:
+    """``e`` built again from its terms in a shuffled order."""
+    terms = list(e.terms)
+    rnd.shuffle(terms)
+    return Expr(terms)
+
+
+def assert_same(x: Expr, y: Expr) -> None:
+    assert x == y and hash(x) == hash(y)
+    assert x.terms == y.terms and str(x) == str(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(exprs(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_results_do_not_depend_on_the_order_of_construction(es, rnd):
+    other = [rebuilt(e, rnd) for e in es]
+    for e, f in zip(es, other):
+        assert_same(e, f)
+    assert_same(sum(es, ZERO), sum(reversed(other), ZERO))
+    assert_same(functools.reduce(operator.mul, es), functools.reduce(operator.mul, other[::-1]))
+    pairs = list(zip(es, es[1:] + es[:1]))
+    swapped = [(rebuilt(b, rnd), rebuilt(a, rnd)) for a, b in pairs]
+    rnd.shuffle(swapped)
+    assert_same(dot(pairs), dot(swapped))
+    assert_same(dot(pairs), sum((a * b for a, b in pairs), ZERO))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_exp_exprs(), exprs(), rationals, st.sampled_from(VARS))
+def test_terms_are_sorted_after_every_operation(a, b, k, v):
+    results = [a, b, a + b, a - b, k - a, -a, a * b, k * a, a ** 2, dot([(a, b), (b, a)]),
+               a.diff(v), parse(str(a)), Expr(reversed(a.terms)),
+               a.substitute({v: Expr.number(k) * Expr.var("y") + Expr.number(k)})]
+    if not b.is_zero():
+        results.append(div_exact(a * b, b))
+    for e in results:
+        keys = [(m, l) for m, l, _ in e.terms]
+        assert keys == sorted(set(keys))
+        assert all(c != 0 for _, _, c in e.terms)
+
+
+def test_expr_is_immutable():
+    e = parse("x^2 + 3*exp(y)")
+    for name in ("terms", "_t", "_hash", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, ())
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert str(e) == "3*exp(y) + x^2" and e == parse("3*exp(y) + x^2")
+    # copies and pickles carry the terms, not the interned key ids
+    assert copy.deepcopy(e) == e and pickle.loads(pickle.dumps(e)) == e
+
+
+def test_bivectors_built_in_different_orders_are_equal():
+    t = build_toda(3)
+    lam2 = t.N.push_bivector(t.lam1)  # entries of up to three terms
+    entries = {(a, b): e for a, row in enumerate(lam2.mat)
+               for b, e in enumerate(row) if a < b and not e.is_zero()}
+    assert max(len(e.terms) for e in entries.values()) == 3
+    one = Bivector.from_entries(t.tangent, entries)
+    # the entries in reverse order, each summed from its terms in reverse order
+    reverse = {ab: sum((Expr([term]) for term in reversed(e.terms)), ZERO)
+               for ab, e in reversed(entries.items())}
+    two = Bivector.from_entries(t.tangent, reverse)
+    assert one == two == lam2 and hash(one) == hash(two) == hash(lam2)

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from pnalgebroid import linalg  # noqa: E402
+from pnalgebroid import expr, linalg  # noqa: E402
 from pnalgebroid.expr import Expr, ZERO, div_exact, dot, parse  # noqa: E402
+from pnalgebroid.fixtures import build_toda  # noqa: E402
 
 VARS = ["x", "y", "z"]
 SYM = {v: sympy.Symbol(v) for v in VARS}
@@ -152,3 +153,84 @@ def test_mat_mul_matches_sympy(n, k, m, data):
     for i in range(n):
         for j in range(m):
             assert same(to_sympy(got[i][j]), want[i, j])
+
+
+# -- the memo tables of key products and derivatives ---------------------------
+#
+# They only memoise: clearing them, even after every few entries, must change
+# no result.
+
+def fresh_tables(mp, bound=None) -> None:
+    """Empty product and derivative tables, and the bound if given, for the
+    life of the monkeypatch ``mp``."""
+    mp.setattr(expr, "_PROD", {})
+    mp.setattr(expr, "_DIFF", {})
+    mp.setattr(expr, "_entries", 0)
+    if bound is not None:
+        mp.setattr(expr, "_TABLE_BOUND", bound)
+
+
+def under_bound(bound, compute):
+    """``compute()`` with fresh tables under ``bound`` (None: the default),
+    and the number of memo entries it stored."""
+    with pytest.MonkeyPatch.context() as mp:
+        fresh_tables(mp, bound)
+        stored = []
+        entry = expr._memo_entry
+        mp.setattr(expr, "_memo_entry", lambda: stored.append(1) or entry())
+        got = compute()
+        assert expr._entries <= (bound or expr._TABLE_BOUND)
+        return got, len(stored)
+
+
+def kernel_results(a: Expr, b: Expr, m, v: str, k: Fraction) -> list:
+    """The terms of every kernel operation the oracle tests above check."""
+    out = [a + b, a - b, a * b, b * a, Expr.number(k) * a, dot([(a, b), (b, a)]),
+           a.diff(v), a.substitute({v: Expr.number(k) * Expr.var("y") + Expr.number(k)}),
+           parse(str(a)), linalg.det(m)]
+    out += [e for row in linalg.adjugate(m) for e in row]
+    out += [e for row in linalg.mat_mul(m, m) for e in row]
+    if not b.is_zero():
+        out.append(div_exact(a * b, b))
+    return [e.terms for e in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs(), pairs(), st.sampled_from(VARS), rationals, st.data())
+def test_a_tiny_memo_bound_changes_no_kernel_result(a, b, v, k, data):
+    (ea, _), (eb, _) = a, b
+    m = [[data.draw(pairs(2))[0] for _ in range(3)] for _ in range(3)]
+    want, _ = under_bound(None, lambda: kernel_results(ea, eb, m, v, k))
+    got, _ = under_bound(4, lambda: kernel_results(ea, eb, m, v, k))
+    assert got == want
+
+
+def test_a_tiny_memo_bound_keeps_det_and_adjugate_on_toda3():
+    t = build_toda(3)
+
+    def results():
+        out = []
+        for mat in (t.N.mat, t.pi1.mat, t.lam1.mat):
+            out.append(linalg.det(mat).terms)
+            out.append([e.terms for row in linalg.adjugate(mat) for e in row])
+        return out
+
+    want, stored = under_bound(None, results)
+    got, _ = under_bound(4, results)
+    assert got == want
+    assert stored > 4  # so the tiny bound emptied the tables
+
+
+def test_each_distinct_key_product_is_computed_once(monkeypatch):
+    x, y = Expr.var("x"), Expr.var("y")
+    a = sum((Expr.number(e) * x ** e for e in range(1, 21)), ZERO)
+    b = sum((y ** e * Expr.exp_of(Expr.number(e) * x) for e in range(1, 21)), ZERO)
+    assert len(a.terms) == len(b.terms) == 20
+    fresh_tables(monkeypatch)
+    misses = []
+    miss = expr._product
+    monkeypatch.setattr(expr, "_product", lambda i, j, row: misses.append((i, j)) or miss(i, j, row))
+    want = a * b
+    assert len(misses) == len(set(misses)) == 400
+    assert a * b == want and dot([(a, b)] * 3) == 3 * want
+    assert len(misses) == 400
