@@ -623,16 +623,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         tolerance=default_tolerance(),
         seed=getattr(args, "seed", None),
     )
+    t0 = time.perf_counter()
     try:
         COMMANDS[args.command](args, report, doc)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DegenerateBivector as e:
-        report.add(args.command, False, str(e))
+        report.add(args.command, False, str(e), seconds=time.perf_counter() - t0)
     except linalg.NonFiniteEntry as e:
         # no verdict at that point: reported as ill-conditioned (exit 3)
-        report.add(args.command, True, str(e), ill=True)
+        report.add(args.command, True, str(e), ill=True, seconds=time.perf_counter() - t0)
     if args.command != "fixture":
         try:
             report.emit(args.format)

@@ -550,10 +550,10 @@ def kernel_subalgebroid_check(N: Endo) -> SubalgebroidReport:
     k = symbolic_riesz_index(N)
     nk = N.power(max(k, 1)) if k > 0 else Endo.identity(A)
     kernel = [Section(A, tuple(v)) for v in linalg.symbolic_nullspace(nk.mat)]
-    rank_im = linalg.symbolic_rank(nk.mat)
-    # image frame: a maximal independent set of columns of N^k
+    # image frame: the pivot columns of N^k, a maximal independent set
+    _, pivots = linalg.row_echelon(nk.mat)
+    rank_im = len(pivots)
     cols = linalg.mat_transpose(nk.mat)
-    _, pivots = linalg.row_echelon(cols)
     image = [Section(A, tuple(cols[a])) for a in pivots]
     left_null = linalg.symbolic_nullspace(cols)
 

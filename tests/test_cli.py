@@ -194,6 +194,25 @@ def test_overflowing_evaluation_exits_three_naming_the_point(tmp_path, capsys):
     assert "{'x': 0.99128967" in check["witness"]
 
 
+def test_an_escaping_error_row_reports_the_time_of_its_command(tmp_path, capsys):
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--block", "flaschka")
+    spec = tmp_path / "toda2-flaschka.json"
+    spec.write_text(out)
+    code, out, _ = run(capsys, "check-pn", str(spec), "--format", "json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "check-pn" and "degenerate" in check["witness"]
+    assert check["seconds"] > 0
+
+    spec = _spec_with_endo(tmp_path, ["x"], ["e"], [["1"]], [["exp(1000*x)"]])
+    code, out, _ = run(capsys, "riesz", spec, "--points", "20", "--seed", "3",
+                       "--format", "json")
+    assert code == 3
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "riesz" and check["ill_conditioned"]
+    assert check["seconds"] > 0
+
+
 def test_overflowing_power_exits_three(tmp_path, capsys):
     # N is finite on the box, N^2 = exp(800 x) N overflows at x = 0.99
     spec = _spec_with_endo(tmp_path, ["x"], ["e", "f"], [["1"], ["0"]],
@@ -294,6 +313,31 @@ def test_project_builds_the_complement_and_the_kernel_once(tmp_path, capsys, mon
     code, out, _ = run(capsys, "project", str(spec), "--format", "json")
     assert code == 0
     assert calls == {"projectable_complement": 1, "symbolic_nullspace": 1}
+
+
+def test_the_paper_example_projects_to_the_invariant_frame_and_is_sn(tmp_path, capsys):
+    # Toda n = 2: project the canonical PN pair along the invariant-frame
+    # epimorphism, then decide the projected pair symplectic-Nijenhuis
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--epi", "atiyah")
+    spec = tmp_path / "toda2-atiyah.json"
+    spec.write_text(out)
+    code, out, _ = run(capsys, "project", str(spec), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [c["verdict"] for c in report["checks"]] == ["pass"] * 4
+    projected = report["result"]["projected"]
+
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--block", "atiyah")
+    block = json.loads(out)
+    block["bivectors"] = {name.replace("pi", "lam"): P
+                          for name, P in block["bivectors"].items()}
+    assert projected == block
+
+    reduced = tmp_path / "projected.json"
+    reduced.write_text(json.dumps(projected))
+    code, out, _ = run(capsys, "check-sn", str(reduced), "--format", "json")
+    assert code == 0
+    assert [c["verdict"] for c in json.loads(out)["checks"]] == ["pass"] * 5
 
 
 def test_underflowing_evaluation_exits_three_naming_the_point(tmp_path, capsys):

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from pnalgebroid.expr import Expr, parse, ZERO, ONE
+from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
 from pnalgebroid.algebroid import LieAlgebroid, KForm
 from pnalgebroid.poisson import Bivector, symplectic_check
 from pnalgebroid.nijenhuis import Endo
@@ -93,6 +93,63 @@ def test_projectable_section_check(toda2):
     assert projectable_section_check(toda2.epi_flaschka, A.frame_section(2)).ok
     X = A.section([parse("q1"), ZERO, ZERO, ZERO])
     assert not projectable_section_check(toda2.epi_flaschka, X).ok
+
+
+# the plane onto its first coordinate: the kernel is spanned by Dy
+def _plane_to_line():
+    S, T = LieAlgebroid.tangent(["x", "y"]), LieAlgebroid.tangent(["u"])
+    return EpimorphismSpec("p", S, T, {"u": parse("x")}, [[ONE, ZERO]])
+
+
+def test_endo_preserving_the_kernel_and_invariant_along_it_projects():
+    epi = _plane_to_line()
+    N = Endo.from_matrix(epi.source, [[parse("2*x"), ZERO], [ZERO, parse("y")]])
+    assert projectable_endo_check(epi, N).ok
+    assert project_endo(epi, N).mat == ((parse("2*u"),),)
+
+
+def test_endo_not_invariant_along_the_kernel_names_the_lie_derivative():
+    epi = _plane_to_line()
+    N = Endo.from_matrix(epi.source, [[parse("y"), ZERO], [ZERO, ONE]])
+    rep = projectable_endo_check(epi, N)
+    assert not rep.ok
+    assert rep.witness() == ("(L_xi N) of complement section 0 leaves the kernel "
+                             "(target component Du): residual 1")
+    with pytest.raises(ExprError, match="endomorphism is not projectable"):
+        project_endo(epi, N)
+
+
+def test_bivector_not_invariant_along_the_kernel_names_the_component():
+    S, T = LieAlgebroid.tangent(["x", "y", "z"]), LieAlgebroid.tangent(["u", "v"])
+    epi = EpimorphismSpec("q", S, T, {"u": parse("x"), "v": parse("y")},
+                          [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]])
+    P = Bivector.from_entries(S, {(0, 1): parse("z")})
+    rep = projectable_bivector_check(epi, P)
+    assert not rep.ok
+    assert rep.witness() == ("([xi, P])# of pulled-back covector Du leaves the kernel "
+                             "(component Dv): residual 1")
+
+
+def test_projectable_form_check_names_each_condition():
+    from pnalgebroid.reduction import projectable_form_check
+
+    epi = _plane_to_line()
+    S = epi.source
+    assert projectable_form_check(epi, S.one_form([ONE, ZERO])).ok
+    rep = projectable_form_check(epi, S.one_form([parse("y"), ZERO]))
+    assert rep.witness() == ("form not invariant along kernel section (1)*Dy at (0,): "
+                             "residual 1")
+    rep = projectable_form_check(epi, S.one_form([ZERO, ONE]))
+    assert rep.witness() == "form does not annihilate kernel section (1)*Dy: residual 1"
+
+
+def test_validate_names_the_anchors_that_do_not_intertwine():
+    good = _plane_to_line()
+    bad = EpimorphismSpec("p", good.source, good.target, good.base_map, [[ZERO, ONE]])
+    rep = bad.validate()
+    assert not rep.ok
+    assert rep.witness() == ("anchors do not intertwine on source frame Dx, "
+                             "target coordinate u: residual 1")
 
 
 def test_characteristic_rank(toda2):
@@ -206,6 +263,25 @@ def test_kernel_subalgebroid_closed_for_torsion_free(toda2):
     assert rep.index == 1
     assert rep.kernel_closed.ok and rep.image_closed.ok
     assert rep.decomposition_ok and rep.ok
+
+
+def test_kernel_subalgebroid_image_frame_is_the_pivot_columns():
+    # a projector whose image span(Dx + Dy, x Dx + Dz) is not bracket-closed:
+    # [Dx + Dy, x Dx + Dz] = Dx
+    A = LieAlgebroid.tangent(["x", "y", "z"])
+    x = parse("x")
+    N = Endo.from_matrix(A, [[ZERO, ONE, x], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
+    rep = kernel_subalgebroid_check(N)
+    assert rep.index == 1
+    assert [X.comps for X in rep.image_frame] == [(ONE, ONE, ZERO), (x, ZERO, ONE)]
+    assert not rep.image_closed.ok
+    assert rep.image_closed.witness().startswith("image bracket (0, 1) leaves Im N^1")
+    assert rep.decomposition_ok
+
+    B = LieAlgebroid.tangent(["x", "y"])
+    rep = kernel_subalgebroid_check(Endo.from_matrix(B, [[ZERO, ONE], [ZERO, ONE]]))
+    assert [X.comps for X in rep.image_frame] == [(ONE, ONE)]
+    assert rep.ok
 
 
 def test_rank_drop_of_anchor_image_on_kernel(aff1):
