@@ -26,7 +26,7 @@ from .poisson import (
 from .nijenhuis import pn_check, recursion_operator, hierarchy_check, Endo
 from .reduction import (
     LeafSpec, restrict_to_leaf, projectable_bivector_check, project_bivector,
-    NotBasic, _endo_check, _project_endo,
+    projectable_endo_check, project_endo, NotBasic,
 )
 from .pointwise import (
     TOL_ENV_VAR, default_tolerance, riesz_report, fiberwise_reduce, sample_points,
@@ -350,29 +350,22 @@ def cmd_project(args, report: Report, doc: SpecDocument) -> None:
         )
     report.add_report(f"epimorphism({epi.name}) well-formed", timed_check(epi.validate))
     projected = SpecDocument(epi.target)
-    for name, P in sorted(doc.bivectors.items()):
-        rep = timed_check(projectable_bivector_check, epi, P)
-        report.add_report(f"projectable bivector({name})", rep)
-        if rep.ok:
-            t0 = time.perf_counter()
-            try:
-                projected.bivectors[name] = project_bivector(epi, P, check=False)
-            except NotBasic as e:
-                report.add(f"project bivector({name})", False, str(e),
-                           seconds=time.perf_counter() - t0)
-    for name, N in sorted(doc.endomorphisms.items()):
-        # one projectable complement serves the check and the projection
-        t0 = time.perf_counter()
-        rep, complement = _endo_check(epi, N)
-        rep.seconds = time.perf_counter() - t0
-        report.add_report(f"projectable endomorphism({name})", rep)
-        if rep.ok:
-            t0 = time.perf_counter()
-            try:
-                projected.endomorphisms[name] = _project_endo(epi, N, complement)
-            except NotBasic as e:
-                report.add(f"project endomorphism({name})", False, str(e),
-                           seconds=time.perf_counter() - t0)
+    for kind, items, check, project, out in (
+        ("bivector", doc.bivectors, projectable_bivector_check, project_bivector,
+         projected.bivectors),
+        ("endomorphism", doc.endomorphisms, projectable_endo_check, project_endo,
+         projected.endomorphisms),
+    ):
+        for name, obj in sorted(items.items()):
+            rep = timed_check(check, epi, obj)
+            report.add_report(f"projectable {kind}({name})", rep)
+            if rep.ok:
+                t0 = time.perf_counter()
+                try:
+                    out[name] = project(epi, obj, check=False)
+                except NotBasic as e:
+                    report.add(f"project {kind}({name})", False, str(e),
+                               seconds=time.perf_counter() - t0)
     if projected.bivectors or projected.endomorphisms:
         report.payload["projected"] = json.loads(serialize_document(projected))
 

@@ -69,6 +69,12 @@ class EpimorphismSpec:
         basis = linalg.symbolic_nullspace(self.fiber_map)
         return tuple(Section(self.source, tuple(v)) for v in basis)
 
+    @cached_property
+    def _complement(self) -> tuple[Frac, ...]:
+        """The projectable complement of the kernel, built on first use and
+        shared by the endomorphism check and the projection."""
+        return tuple(projectable_complement(self))
+
     def push_components(self, X: Section) -> list[Expr]:
         """Target-frame components of the image, over source coordinates."""
         return linalg.mat_vec(self.fiber_map, list(X.comps))
@@ -203,20 +209,20 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
 # projectability (valid under the hypothesis that the anchor maps the kernel
 # onto the vertical distribution of the base surjection)
 
+def _off_kernel(epi: EpimorphismSpec, X: Section) -> list[tuple[str, Expr]]:
+    """(target frame name, component) for each nonzero component of X pushed
+    through the fiber map: empty exactly when X takes values in the kernel."""
+    return [(epi.target.frame[b], e)
+            for b, e in enumerate(epi.push_components(X)) if not e.is_zero()]
+
+
 def projectable_section_check(epi: EpimorphismSpec, X: Section) -> CheckReport:
     """[xi, X] must take values in the kernel for every kernel section xi."""
-    failures = []
-    for xi in epi.kernel_frame():
-        br = epi.source.bracket(xi, X)
-        for a, e in enumerate(epi.push_components(br)):
-            if not e.is_zero():
-                failures.append(
-                    (
-                        f"[{xi}, X] leaves the kernel in target component "
-                        f"{epi.target.frame[a]}",
-                        e,
-                    )
-                )
+    failures = [
+        (f"[{xi}, X] leaves the kernel in target component {name}", e)
+        for xi in epi.kernel_frame()
+        for name, e in _off_kernel(epi, epi.source.bracket(xi, X))
+    ]
     return CheckReport(not failures, failures)
 
 
@@ -245,18 +251,12 @@ def projectable_bivector_check(epi: EpimorphismSpec, P: Bivector) -> CheckReport
     pullbacks = [epi.pullback_dual_frame(a) for a in range(epi.target.rank)]
     for xi in epi.kernel_frame():
         Q = schouten_1r(xi, P)
-        for a, beta in enumerate(pullbacks):
-            img = Q.sharp(beta)
-            for b, e in enumerate(epi.push_components(img)):
-                if not e.is_zero():
-                    failures.append(
-                        (
-                            f"([xi, P])# of pulled-back covector "
-                            f"{epi.target.frame[a]} leaves the kernel "
-                            f"(component {epi.target.frame[b]})",
-                            e,
-                        )
-                    )
+        for covector, beta in zip(epi.target.frame, pullbacks):
+            failures += [
+                (f"([xi, P])# of pulled-back covector {covector} leaves the kernel "
+                 f"(component {name})", e)
+                for name, e in _off_kernel(epi, Q.sharp(beta))
+            ]
     return CheckReport(not failures, failures)
 
 
@@ -271,11 +271,11 @@ def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
     """Sections mapping onto the target frame: for each target frame element
     Frac(X_a, d_a) with fiber_map(X_a) = d_a * (a-th unit), d_a a basic
     function.  Used as the projectable complement of the kernel."""
-    rows, pivots = linalg.row_echelon(epi.fiber_map)
+    _, pivots = linalg.row_echelon(epi.fiber_map)
     kernel = epi.kernel_frame()
+    sub = [[row[c] for c in pivots] for row in epi.fiber_map]
     out = []
     for a in range(epi.target.rank):
-        sub = [[epi.fiber_map[r][c] for c in pivots] for r in range(epi.target.rank)]
         unit = [ONE if r == a else ZERO for r in range(epi.target.rank)]
         x = linalg.solve_pair(sub, unit)
         comps = [ZERO] * epi.source.rank
@@ -293,43 +293,26 @@ def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
 def projectable_endo_check(epi: EpimorphismSpec, N: Endo) -> CheckReport:
     """N preserves the kernel, and L_xi N maps a projectable complement into
     the kernel, for every kernel section xi."""
-    return _endo_check(epi, N)[0]
-
-
-def _endo_check(epi: EpimorphismSpec, N: Endo) -> tuple[CheckReport, list[Frac] | None]:
-    """projectable_endo_check and the projectable complement it built (None
-    when N does not preserve the kernel)."""
-    failures = []
     kernel = epi.kernel_frame()
-    for xi in kernel:
-        img = N.apply(xi)
-        for b, e in enumerate(epi.push_components(img)):
-            if not e.is_zero():
-                failures.append(
-                    (
-                        f"endomorphism does not preserve the kernel: N({xi}) "
-                        f"has target component {epi.target.frame[b]}",
-                        e,
-                    )
-                )
+    failures = [
+        (f"endomorphism does not preserve the kernel: N({xi}) has target "
+         f"component {name}", e)
+        for xi in kernel
+        for name, e in _off_kernel(epi, N.apply(xi))
+    ]
     if failures:
         # the Lie-derivative condition is only meaningful once the kernel is
         # preserved; report the structural failure first
-        return CheckReport(False, failures), None
-    complement = projectable_complement(epi)
+        return CheckReport(False, failures)
     for xi in kernel:
-        for a, X in enumerate(c.num for c in complement):
+        for a, X in enumerate(c.num for c in epi._complement):
             lie = epi.source.bracket(xi, N.apply(X)) - N.apply(epi.source.bracket(xi, X))
-            for b, e in enumerate(epi.push_components(lie)):
-                if not e.is_zero():
-                    failures.append(
-                        (
-                            f"(L_xi N) of complement section {a} leaves the "
-                            f"kernel (target component {epi.target.frame[b]})",
-                            e,
-                        )
-                    )
-    return CheckReport(not failures, failures), complement
+            failures += [
+                (f"(L_xi N) of complement section {a} leaves the kernel "
+                 f"(target component {name})", e)
+                for name, e in _off_kernel(epi, lie)
+            ]
+    return CheckReport(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +347,12 @@ def project_endo(epi: EpimorphismSpec, N: Endo, check: bool = True) -> Endo:
     """Push an endomorphism through the epimorphism using a projectable
     complement of the kernel."""
     if check:
-        rep, complement = _endo_check(epi, N)
+        rep = projectable_endo_check(epi, N)
         if not rep.ok:
             raise ExprError(f"endomorphism is not projectable: {rep.witness()}")
-    else:
-        complement = projectable_complement(epi)
-    return _project_endo(epi, N, complement)
-
-
-def _project_endo(epi: EpimorphismSpec, N: Endo, complement: list[Frac]) -> Endo:
-    """project_endo through an already built projectable complement."""
     rt = epi.target.rank
     cols: list[list[Expr]] = []
-    for X in complement:
+    for X in epi._complement:
         push = Frac(epi.push_components(N.apply(X.num)), X.den).exact()
         cols.append([rewrite_basic(epi, e) for e in push])
     mat = [[cols[a][b] for a in range(rt)] for b in range(rt)]

@@ -583,18 +583,18 @@ def test_projectable_complement_computes_the_kernel_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_project_endo_builds_the_complement_once(toda2, monkeypatch):
+def test_project_endo_builds_the_complement_once(monkeypatch):
     from pnalgebroid import reduction
 
+    t = build_toda(2)
     calls = []
     real = reduction.projectable_complement
     monkeypatch.setattr(reduction, "projectable_complement",
                         lambda *a: calls.append(a) or real(*a))
-    got = project_endo(toda2.epi_atiyah, toda2.N, check=True)
-    assert (got - toda2.recursion_atiyah().exact()).is_zero()
-    assert len(calls) == 1
-    calls.clear()
-    project_endo(toda2.epi_atiyah, toda2.N, check=False)
+    assert projectable_endo_check(t.epi_atiyah, t.N).ok
+    want = t.recursion_atiyah().exact()
+    for check in (True, False):
+        assert (project_endo(t.epi_atiyah, t.N, check=check) - want).is_zero()
     assert len(calls) == 1
 
 
