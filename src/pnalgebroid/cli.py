@@ -8,6 +8,7 @@ report), 2 parse/usage error, 3 a numeric check was ill-conditioned.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -16,6 +17,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from . import __version__ as VERSION, linalg
 from .expr import ExprError
@@ -29,8 +32,7 @@ from .reduction import (
     projectable_endo_check, project_endo, NotBasic,
 )
 from .pointwise import (
-    TOL_ENV_VAR, default_tolerance, riesz_report, fiberwise_reduce, sample_points,
-    _riesz_blocks, _fiberwise_blocks,
+    TOL_ENV_VAR, default_tolerance, Points, _sample, _riesz_blocks, _fiberwise_blocks,
 )
 from .specio import SpecDocument, SpecFileError, load_document, serialize_document
 from .fixtures import build_toda, build_aff1
@@ -236,20 +238,27 @@ def _timed(report: Report, name: str, fn) -> bool:
 
 
 class _RankFold:
-    """A numeric check folded over its per-point rank tests as they come:
-    the verdict, the first failing point as the witness, and the margin."""
+    """A numeric check folded over its per-point rank tests a block of points
+    at a time: the verdict, the first failing point as the witness, and the
+    margin."""
 
     def __init__(self, what: str):
         self.what, self.ok, self.witness, self.ratio = what, True, None, math.inf
 
-    def add(self, ok: bool, values: dict, sigma: float, cutoff: float) -> None:
-        """One point; ``sigma`` and ``cutoff`` of the rank test that decided
-        it, NaN when none did."""
-        if not math.isnan(sigma):
-            self.ratio = min(self.ratio, sigma / cutoff)
-        if self.ok and not ok:
+    def block(self, pts: Points, start: int, ok: np.ndarray, sigma: np.ndarray,
+              cutoff: np.ndarray) -> None:
+        """The points of ``pts`` from index ``start`` on: per point one test,
+        or one row of tests folded in row order; ``sigma`` and ``cutoff`` of
+        each, NaN where no rank test decided."""
+        decided = ~np.isnan(sigma)
+        if decided.any():
+            self.ratio = min(self.ratio, float((sigma[decided] / cutoff[decided]).min()))
+        if self.ok and not ok.all():
+            first = np.unravel_index(np.argmin(ok), ok.shape)
             self.ok = False
-            self.witness = f"{self.what} at {values}: sigma_min {sigma:.6g}, cutoff {cutoff:.6g}"
+            self.witness = (f"{self.what} at {pts.point(start + int(first[0]))}: "
+                            f"sigma_min {float(sigma[first]):.6g}, "
+                            f"cutoff {float(cutoff[first]):.6g}")
 
     @property
     def margin(self) -> Optional[float]:
@@ -393,17 +402,16 @@ def cmd_restrict_leaf(args, report: Report, doc: SpecDocument) -> None:
 def cmd_riesz(args, report: Report, doc: SpecDocument) -> None:
     ename, N = _pick_endo(doc, args.endo)
     variables = list(doc.algebroid.base_vars)
-    points = sample_points(variables, args.points, args.seed, _box_for(variables))
+    pts = _sample(variables, args.points, args.seed, _box_for(variables))
     t0 = time.perf_counter()
     split = _RankFold("image + kernel of the stable power do not span")
     indices, dims, ill = set(), set(), False
-    # the reports are folded one block at a time, never all held at once
-    for block in _riesz_blocks(N, points):
-        for r in block:
-            split.add(r.direct_sum_ok, r.values, r.sigma_min, r.cutoff)
-            indices.add(r.index)
-            dims.add(r.dim_kernel)
-            ill = ill or r.ill_conditioned
+    # folded one block at a time, never all held at once
+    for start, rz in _riesz_blocks(N, pts):
+        split.block(pts, start, *rz.split)
+        indices.update(rz.index.tolist())
+        dims.update(rz.dim_kernel.tolist())
+        ill = ill or bool(rz.ill.any())
     report.add_numeric(f"riesz({ename}) stable-kernel splitting at {args.points} points",
                        split, ill, time.perf_counter() - t0)
     report.payload["indices"] = sorted(indices)
@@ -414,17 +422,16 @@ def cmd_reduce_fiberwise(args, report: Report, doc: SpecDocument) -> None:
     pname, P = _pick_bivector(doc, args.bivector)
     ename, N = _pick_endo(doc, args.endo)
     variables = list(doc.algebroid.base_vars)
-    points = sample_points(variables, args.points, args.seed, _box_for(variables))
+    pts = _sample(variables, args.points, args.seed, _box_for(variables))
     t0 = time.perf_counter()
     p_fold = _RankFold("reduced bivector degenerate")
     n_fold = _RankFold("reduced endomorphism singular")
     dims, ill = set(), False
-    for block in _fiberwise_blocks(P, N, points):
-        for r in block:
-            p_fold.add(r.p_nondegenerate, r.values, r.p_sigma_min, r.p_cutoff)
-            n_fold.add(r.n_invertible, r.values, r.n_sigma_min, r.n_cutoff)
-            dims.add(r.dim_quotient)
-            ill = ill or r.ill_conditioned
+    for start, fb in _fiberwise_blocks(P, N, pts):
+        p_fold.block(pts, start, *fb.p)
+        n_fold.block(pts, start, *fb.n)
+        dims.update(fb.dim_quotient.tolist())
+        ill = ill or bool(fb.riesz.ill.any())
     # both verdicts come from the one pass over the points, and report its time
     seconds = time.perf_counter() - t0
     report.add_numeric(f"reduced bivector({pname}) nondegenerate at {args.points} points",
@@ -444,22 +451,22 @@ def _verdict(rep, verdict: str = "ok") -> tuple[bool, Optional[str], bool]:
     return getattr(rep, verdict), rep.witness(), False
 
 
-def _stable_kernel_verdict(N: Endo, pts) -> tuple[_RankFold, bool]:
-    fold = _RankFold("no stable kernel of index 1 and dimension 2")
-    reports = riesz_report(N, pts)
-    for r in reports:
-        fold.add(r.index == 1 and r.dim_kernel == 2 and r.direct_sum_ok, r.values,
-                 r.sigma_min, r.cutoff)
-    return fold, any(r.ill_conditioned for r in reports)
+def _stable_kernel_verdict(N: Endo, pts: Points) -> tuple[_RankFold, bool]:
+    fold, ill = _RankFold("no stable kernel of index 1 and dimension 2"), False
+    for start, rz in _riesz_blocks(N, pts):
+        ok = (rz.index == 1) & (rz.dim_kernel == 2) & rz.split.ok
+        fold.block(pts, start, ok, rz.split.sigma, rz.split.cutoff)
+        ill = ill or bool(rz.ill.any())
+    return fold, ill
 
 
-def _fiberwise_verdict(P: Bivector, N: Endo, pts) -> tuple[_RankFold, bool]:
-    fold = _RankFold("reduced pair degenerate")
-    reports = fiberwise_reduce(P, N, pts)
-    for r in reports:
-        fold.add(r.p_nondegenerate, r.values, r.p_sigma_min, r.p_cutoff)
-        fold.add(r.n_invertible, r.values, r.n_sigma_min, r.n_cutoff)
-    return fold, any(r.ill_conditioned for r in reports)
+def _fiberwise_verdict(P: Bivector, N: Endo, pts: Points) -> tuple[_RankFold, bool]:
+    fold, ill = _RankFold("reduced pair degenerate"), False
+    for start, fb in _fiberwise_blocks(P, N, pts):
+        # per point the bivector's test, then the endomorphism's
+        fold.block(pts, start, *(np.stack(pair, axis=1) for pair in zip(fb.p, fb.n)))
+        ill = ill or bool(fb.riesz.ill.any())
+    return fold, ill
 
 
 def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
@@ -468,8 +475,7 @@ def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
     (fold, ill) for a numeric check."""
     t = build_toda(2)
     a = build_aff1()
-    pts = sample_points(list(a.algebroid.base_vars), 25, 7,
-                        _box_for(list(a.algebroid.base_vars)))
+    pts = _sample(list(a.algebroid.base_vars), 25, 7, _box_for(list(a.algebroid.base_vars)))
     checks = [
         *((f"toda2 poisson({name})", lambda P=P: _verdict(is_poisson(P)))
           for name, P in (("lam0", t.lam0), ("lam1", t.lam1),
@@ -523,7 +529,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     p = argparse.ArgumentParser(
         prog="pnalgebroid",
         description=(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -236,7 +236,8 @@ def solve_pair(a: Matrix, b: list[Expr]) -> Frac:
 
 _BLOCK = 128
 _TINY = np.finfo(float).tiny  # the smallest normal float
-_LOG_TINY = math.log(_TINY)
+_HUGE = np.finfo(float).max
+_LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(_HUGE)
 UNDERFLOW, OVERFLOW = 1, 2  # per-point fault codes; the graver is larger
 _FAULTS = {
     OVERFLOW: "overflows or is not finite",
@@ -261,37 +262,49 @@ class NonFiniteEntry(ArithmeticError):
         self.values = values
 
 
-def blocks(points: list) -> Iterator[list]:
-    """The points in consecutive blocks of the batched numeric path."""
-    for start in range(0, len(points), _BLOCK):
-        yield points[start:start + _BLOCK]
+def point_array(points: list[dict[str, float]], names: list[str]) -> np.ndarray:
+    """Sample points given as dicts, as one (points, names) float array."""
+    try:
+        return np.array([[p[v] for v in names] for p in points],
+                        dtype=float).reshape(len(points), len(names))
+    except KeyError as e:
+        raise ExprError(f"unbound variable {e.args[0]!r} in evaluation") from None
+
+
+def blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The rows of a points array in consecutive blocks of the batched
+    numeric path, each with the index of its first row."""
+    for start in range(0, x.shape[0], _BLOCK):
+        yield start, x[start:start + _BLOCK]
 
 
 class Faults:
     """Fault codes of a batched pass over sample points, checked block by
-    block in sample order.
+    block in sample order; ``point(i)`` is the i-th point of the pass as the
+    dict that a fault names.
 
     A point with an entry that is not finite raises NonFiniteEntry at once,
     so it is the first such point of the pass.  An underflow is the lesser
     fault: the first underflowing point is kept, and :meth:`finish` raises
     it only when no entry of the pass was non-finite."""
 
-    def __init__(self):
-        self.underflow: dict[str, float] | None = None
+    def __init__(self, point: Callable[[int], dict[str, float]]):
+        self.point = point
+        self.underflow: int | None = None
 
-    def check(self, points: list[dict[str, float]], *faults: np.ndarray) -> None:
-        """``faults`` are per-point codes (0 = fine) of the stages the block
-        of ``points`` went through."""
+    def check(self, start: int, *faults: np.ndarray) -> None:
+        """``faults`` are per-point codes (0 = fine) of the stages that the
+        block of points from index ``start`` on went through."""
         codes = np.max(faults, axis=0)
         over = np.flatnonzero(codes == OVERFLOW)
         if over.size:
-            raise NonFiniteEntry(points[over[0]])
+            raise NonFiniteEntry(self.point(start + int(over[0])))
         if self.underflow is None and codes.any():
-            self.underflow = points[int(np.argmax(codes))]
+            self.underflow = start + int(np.argmax(codes))
 
     def finish(self) -> None:
         if self.underflow is not None:
-            raise NonFiniteEntry(self.underflow, _FAULTS[UNDERFLOW])
+            raise NonFiniteEntry(self.point(self.underflow), _FAULTS[UNDERFLOW])
 
 
 class CompiledMatrix:
@@ -336,14 +349,14 @@ class CompiledMatrix:
         self.powers = [(col[v], np.array([k for k, _ in ks], dtype=np.intp),
                         np.array([float(e) for _, e in ks])) for v, ks in sorted(powers.items())]
 
-    def coordinates(self, points: list[dict[str, float]]) -> np.ndarray:
-        """The coordinates of the points as a (points, variables) array, in
-        the order of ``variables``."""
-        try:
-            return np.array([[p[v] for v in self.variables] for p in points],
-                            dtype=float).reshape(len(points), len(self.variables))
-        except KeyError as e:
-            raise ExprError(f"unbound variable {e.args[0]!r} in evaluation") from None
+    def coordinates(self, x: np.ndarray, names: list[str]) -> np.ndarray:
+        """The columns of ``x``, a (points, names) array, that this matrix
+        reads, in the order of ``variables``."""
+        col = {v: k for k, v in enumerate(names)}
+        missing = [v for v in self.variables if v not in col]
+        if missing:
+            raise ExprError(f"unbound variable {missing[0]!r} in evaluation")
+        return x[:, [col[v] for v in self.variables]]
 
     def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The matrices at the rows of ``x`` (from :meth:`coordinates`), stacked
@@ -359,25 +372,29 @@ class CompiledMatrix:
             for v, ks, e in self.powers:
                 t[:, ks] *= x[:, v, None] ** e
             t *= self.coeff
-            # only points with a term below the normal range need a second look
-            small = np.flatnonzero((np.abs(t) < _TINY).any(axis=1))
-            if small.size:
-                t[small], under[small] = self._small_terms(
-                    x[small], None if arg is None else arg[small], t[small])
+            # only points with a term below the normal range, or not finite,
+            # need a second look
+            mag = np.abs(t)
+            odd = np.flatnonzero(~((mag >= _TINY) & (mag <= _HUGE)).all(axis=1))
+            if odd.size:
+                t[odd], under[odd] = self._log_terms(
+                    x[odd], None if arg is None else arg[odd], t[odd])
             out = np.zeros((count, self.shape[0] * self.shape[1]))
             if len(self.coeff):
                 out[:, self.entries] = np.add.reduceat(t, self.starts, axis=1)
         fault = np.where(np.isfinite(out).all(axis=1), np.where(under, UNDERFLOW, 0), OVERFLOW)
         return out.reshape(count, *self.shape), fault.astype(np.int8)
 
-    def _small_terms(self, x: np.ndarray, arg: np.ndarray | None,
-                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _log_terms(self, x: np.ndarray, arg: np.ndarray | None,
+                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The terms ``t`` at these points, each recomputed from its
-        log-magnitude when it came out below the normal range although its
-        value is a normal float (a power underflowed inside the product);
-        and per point, whether some entry has nonzero terms and all of them
-        have log-magnitude below log(smallest normal float).  A term with a
-        zero variable raised to a positive power is exactly zero."""
+        log-magnitude when its value is a float but the product came out
+        below the normal range or not finite (a factor underflowed or
+        overflowed inside it); and per point, whether some entry has nonzero
+        terms and all of them have log-magnitude below log(smallest normal
+        float).  A term with a zero variable raised to a positive power is
+        exactly zero; a term whose log-magnitude is beyond the float range,
+        or not a number, stays not finite."""
         logmag = np.log(np.abs(self.coeff)) + (0.0 if arg is None else arg)
         logmag = np.broadcast_to(logmag, t.shape).copy()
         sign = np.broadcast_to(np.sign(self.coeff), t.shape).copy()
@@ -385,7 +402,8 @@ class CompiledMatrix:
         for v, ks, e in self.powers:
             logmag[:, ks] += e * logx[:, v, None]
             sign[:, ks] *= np.sign(x[:, v, None]) ** e
-        lost = (np.abs(t) < _TINY) & (logmag >= _LOG_TINY)
+        lost = (((np.abs(t) < _TINY) & (logmag >= _LOG_TINY))
+                | (~np.isfinite(t) & (logmag <= _LOG_HUGE)))
         t = np.where(lost, sign * np.exp(logmag), t)
         nonzero = np.logical_or.reduceat(logmag > -np.inf, self.starts, axis=1)
         normal = np.logical_or.reduceat(logmag >= _LOG_TINY, self.starts, axis=1)
@@ -397,9 +415,9 @@ def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
     one-point case of :class:`CompiledMatrix`.  Raises NonFiniteEntry naming
     the point when an entry is not finite or underflows."""
     compiled = CompiledMatrix(rows)
-    mats, fault = compiled.evaluate(compiled.coordinates([values]))
-    faults = Faults()
-    faults.check([values], fault)
+    mats, fault = compiled.evaluate(point_array([values], compiled.variables))
+    faults = Faults(lambda i: values)
+    faults.check(0, fault)
     faults.finish()
     return mats[0]
 
@@ -413,9 +431,8 @@ def _rank_of(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     rank = np.sum(s > cutoff[:, None], axis=1)
     ill = np.zeros(count, dtype=bool)
     if k > 1:
-        at = np.clip(rank, 1, k - 1)[:, None]
-        above = np.take_along_axis(s, at - 1, axis=1)[:, 0]
-        below = np.take_along_axis(s, at, axis=1)[:, 0]
+        rows, at = np.arange(count), np.clip(rank, 1, k - 1)
+        above, below = s[rows, at - 1], s[rows, at]
         with np.errstate(divide="ignore", invalid="ignore"):
             ill = (rank > 0) & (rank < k) & (below > 0) & (above / below < GAP_RATIO)
     return rank, cutoff, ill

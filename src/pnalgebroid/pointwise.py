@@ -5,8 +5,10 @@ the characteristic distribution, and the lifted-distribution count.
 Every routine here is batched: its matrices of expressions are compiled once
 (:class:`pnalgebroid.linalg.CompiledMatrix`) and each block of points is
 evaluated and ranked in stacked numpy calls, under the numeric rank
-conventions of :mod:`pnalgebroid.linalg`.  :mod:`pnalgebroid.reduction`
-re-exports the public names.
+conventions of :mod:`pnalgebroid.linalg`.  The points are one float array
+(:class:`Points`) and the results of a block are arrays with one entry per
+point; the report dataclasses are built from them.
+:mod:`pnalgebroid.reduction` re-exports the public names.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,16 +35,46 @@ def default_tolerance() -> float:
     return float(os.environ.get(TOL_ENV_VAR, linalg.DEFAULT_TOL))
 
 
-def _ranks(rows, points: list[dict[str, float]], tol: float) -> list[RankResult]:
-    """Numeric rank of a matrix of expressions at each point, batched."""
-    compiled, faults = linalg.CompiledMatrix(rows), linalg.Faults()
-    out = []
-    for block in linalg.blocks(points):
-        mats, fault = compiled.evaluate(compiled.coordinates(block))
-        faults.check(block, fault)
-        out += linalg.rank_results(mats, tol)
+class Points:
+    """Sample points as one (count, len(names)) float array.  ``given`` holds
+    the caller's dicts when the points came as dicts, so that a report or a
+    fault names the caller's own dict; otherwise a dict is built only for a
+    point that is named."""
+
+    def __init__(self, names: list[str], x: np.ndarray,
+                 given: list[dict[str, float]] | None = None):
+        self.names, self.x, self.given = list(names), x, given
+
+    @classmethod
+    def of(cls, points: list[dict[str, float]], names: list[str]) -> "Points":
+        return cls(names, linalg.point_array(points, names), points)
+
+    def point(self, i: int) -> dict[str, float]:
+        if self.given is not None:
+            return self.given[i]
+        return dict(zip(self.names, self.x[i].tolist()))
+
+
+def _as_points(points: Points | list[dict[str, float]],
+               *compiled: linalg.CompiledMatrix) -> Points:
+    """Points given as dicts, as an array over the variables that the
+    compiled matrices read; a :class:`Points` as it is."""
+    if isinstance(points, Points):
+        return points
+    return Points.of(points, sorted(set().union(*(c.variables for c in compiled))))
+
+
+def _stacks(rows, points: list[dict[str, float]]) -> Iterator[tuple[int, np.ndarray]]:
+    """A matrix of expressions evaluated at the points, one stack per block
+    with the index of its first point (faults raised as in every pass)."""
+    compiled = linalg.CompiledMatrix(rows)
+    pts = _as_points(points, compiled)
+    faults = linalg.Faults(pts.point)
+    for start, x in linalg.blocks(pts.x):
+        mats, fault = compiled.evaluate(x)
+        faults.check(start, fault)
+        yield start, mats
     faults.finish()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +94,7 @@ def characteristic_rank(
         ]
         for a in range(r)
     ]
-    return _ranks(rows, points, tol)
+    return [res for _, mats in _stacks(rows, points) for res in linalg.rank_results(mats, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,33 +135,83 @@ def riesz_report(
     decomposed in stacked numpy calls.  Raises linalg.NonFiniteEntry naming
     the first point, in sample order, at which N or a power of N that the
     index needs is not finite (or N underflows)."""
-    return [r for block in _riesz_blocks(N, points, tol) for r in block]
+    r = N.algebroid.rank
+    # points of index 0 share one read-only empty kernel and identity image
+    kernel0, image0 = np.zeros((r, 0)), np.eye(r)
+    kernel0.flags.writeable = image0.flags.writeable = False
+    out = []
+    for start, rz in _riesz_blocks(N, points, tol):
+        count = rz.index.size
+        kernels, images = [kernel0] * count, [image0] * count
+        for group, ker, img in rz.bases.values():
+            for i, a, b in zip(group.tolist(), ker, img):
+                kernels[i], images[i] = a, b
+        out += [
+            RieszPointReport(values, [k for k in ranks if k >= 0], index, dim,
+                             kernels[i], images[i], direct, ill, sigma, cutoff)
+            for i, (values, ranks, index, dim, direct, ill, sigma, cutoff) in enumerate(zip(
+                points[start:start + count], rz.ranks.tolist(), rz.index.tolist(),
+                rz.dim_kernel.tolist(),
+                *(a.tolist() for a in (rz.split.ok, rz.ill, rz.split.sigma, rz.split.cutoff))))
+        ]
+    return out
 
 
-def _riesz_blocks(N: Endo, points: list[dict[str, float]],
-                  tol: float | None = None) -> Iterator[list[RieszPointReport]]:
-    """riesz_report one block of points at a time, so that a caller folding
-    the reports holds one block of them.  An underflow is raised after the
-    last block (see linalg.Faults)."""
+class _Tests(NamedTuple):
+    """Rank tests at a block of points: whether each passed, and the
+    sigma_min and cutoff of each, NaN where no test ran."""
+
+    ok: np.ndarray
+    sigma: np.ndarray
+    cutoff: np.ndarray
+
+
+@dataclass
+class _RieszBlock:
+    """The stable-kernel splitting at a block of points, one entry per point
+    (the fields of RieszPointReport).  ``split`` is the deciding rank test:
+    rank N = r at index 0, else the direct-sum test.  ``ranks`` holds the
+    ranks of N^0, N^1, ... up to the power that decided the index, then -1.
+    ``bases`` maps each rank k of a stable power of index >= 1 to its points
+    and their stacked kernel (r - k columns) and image (k columns) bases;
+    points of index 0 are in none: their kernel is empty and their image is
+    all of A.  ``fault`` is the fault code of the powers (a point with a
+    fault has no meaningful entries)."""
+
+    index: np.ndarray
+    dim_kernel: np.ndarray
+    split: _Tests
+    ill: np.ndarray
+    ranks: np.ndarray
+    bases: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    fault: np.ndarray
+
+
+def _riesz_blocks(N: Endo, points: Points | list[dict[str, float]],
+                  tol: float | None = None) -> Iterator[tuple[int, _RieszBlock]]:
+    """The Riesz splitting one block of points at a time, each with the index
+    of its first point, so that a caller folding the blocks holds one of
+    them.  An underflow is raised after the last block (see linalg.Faults)."""
     tol = default_tolerance() if tol is None else tol
-    compiled, faults = linalg.CompiledMatrix(N.mat), linalg.Faults()
-    for block in linalg.blocks(points):
-        mats, fault = compiled.evaluate(compiled.coordinates(block))
-        reports, power_fault = _riesz_block(mats, block, tol)
-        faults.check(block, fault, power_fault)
-        yield reports
+    compiled = linalg.CompiledMatrix(N.mat)
+    pts = _as_points(points, compiled)
+    faults = linalg.Faults(pts.point)
+    for start, x in linalg.blocks(pts.x):
+        mats, fault = compiled.evaluate(compiled.coordinates(x, pts.names))
+        rz = _riesz_block(mats, tol)
+        faults.check(start, fault, rz.fault)
+        yield start, rz
     faults.finish()
 
 
-def _riesz_block(mats: np.ndarray, block: list[dict[str, float]],
-                 tol: float) -> tuple[list[RieszPointReport], np.ndarray]:
-    """Riesz reports for a stack of evaluated N, and the per-point fault code
-    of the powers (a point with a fault has no meaningful report).
+def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
+    """The Riesz splitting for a stack of evaluated N.
 
     Only the points still active (not yet stabilised) are raised to the next
     power, and only the previous and the current power are kept."""
     count, r = mats.shape[0], mats.shape[1]
-    ranks = [[r] for _ in range(count)]
+    ranks = np.full((count, r + 2), -1)
+    ranks[:, 0] = r
     index = np.full(count, r)
     ill = np.zeros(count, dtype=bool)
     fault = np.zeros(count, dtype=np.int8)
@@ -145,8 +227,7 @@ def _riesz_block(mats: np.ndarray, block: list[dict[str, float]],
             active, cur, prev_rank = active[finite], cur[finite], prev_rank[finite]
             prev = None if prev is None else prev[finite]
         s, rank, cut, il = linalg.stacked_rank(cur, tol)
-        for i, k in zip(active, rank):
-            ranks[i].append(int(k))
+        ranks[active, l] = rank
         ill[active] |= il
         if l == 1 and r:
             sigma[active], cutoff[active] = s[:, -1], cut
@@ -157,34 +238,41 @@ def _riesz_block(mats: np.ndarray, block: list[dict[str, float]],
         active, prev, prev_rank = active[~done], cur[~done], rank[~done]
         if not active.size:
             break
-    # points of index 0 share one read-only empty kernel and identity image
-    kernel0, image0 = np.zeros((r, 0)), np.eye(r)
-    kernel0.flags.writeable = image0.flags.writeable = False
-    kernels, images = [kernel0] * count, [image0] * count
+    dim_kernel = np.zeros(count, dtype=int)
     direct = np.ones(count, dtype=bool)
+    bases = {}
     if finished:
         split = np.concatenate([i for i, _ in finished])
         u, s, vt = np.linalg.svd(np.concatenate([p for _, p in finished]))
         rank = linalg._rank_of(s, tol)[0]
-        for i, k, ui, vti in zip(split, rank, u, vt):
-            kernels[i], images[i] = vti[k:].T, ui[:, :k]
+        dim_kernel[split] = r - rank
         # the direct-sum test, one stacked rank per kernel dimension
-        for k in sorted(set(rank.tolist())):
+        for k in np.unique(rank).tolist():
             sel = rank == k
-            group = split[sel]
-            stack = np.concatenate([vt[sel, k:].transpose(0, 2, 1), u[sel, :, :k]], axis=2)
-            s, full, cut, il = linalg.stacked_rank(stack, tol)
+            group, kernels, images = split[sel], vt[sel, k:].transpose(0, 2, 1), u[sel, :, :k]
+            s, full, cut, il = linalg.stacked_rank(np.concatenate([kernels, images], axis=2), tol)
             direct[group] = full == r
             ill[group] |= il
             sigma[group], cutoff[group] = s[:, -1], cut
-    reports = [
-        RieszPointReport(
-            values, ranks[i], int(index[i]), kernels[i].shape[1], kernels[i], images[i],
-            bool(direct[i]), bool(ill[i]), float(sigma[i]), float(cutoff[i]),
-        )
-        for i, values in enumerate(block)
-    ]
-    return reports, fault
+            bases[k] = (group, kernels, images)
+    return _RieszBlock(index, dim_kernel, _Tests(direct, sigma, cutoff), ill, ranks, bases, fault)
+
+
+def _sample(
+    variables: list[str],
+    count: int,
+    seed: int,
+    box: dict[str, tuple[float, float]] | None = None,
+) -> Points:
+    """:func:`sample_points` as one array: one ``rng.random()`` per value,
+    point by point in the order of the variables, scaled to its box as
+    ``rng.uniform`` scales it."""
+    rng = random.Random(seed)
+    box = box or {}
+    lo, hi = np.array([box.get(v, (-1.0, 1.0)) for v in variables],
+                      dtype=float).reshape(len(variables), 2).T
+    r = np.array([rng.random() for _ in range(count * len(variables))])
+    return Points(variables, lo + (hi - lo) * r.reshape(count, len(variables)))
 
 
 def sample_points(
@@ -194,16 +282,7 @@ def sample_points(
     box: dict[str, tuple[float, float]] | None = None,
 ) -> list[dict[str, float]]:
     """Reproducible sample points inside per-variable boxes, (-1, 1) by default."""
-    rng = random.Random(seed)
-    box = box or {}
-    out = []
-    for _ in range(count):
-        values = {}
-        for v in variables:
-            lo, hi = box.get(v, (-1.0, 1.0))
-            values[v] = rng.uniform(lo, hi)
-        out.append(values)
-    return out
+    return [dict(zip(variables, row)) for row in _sample(variables, count, seed, box).x.tolist()]
 
 
 @dataclass
@@ -242,49 +321,86 @@ def fiberwise_reduce(
     quotient dimension.  Raises linalg.NonFiniteEntry naming the first
     point, in sample order, at which N, a needed power of N, or P is not
     finite (or N or P underflows)."""
-    return [r for block in _fiberwise_blocks(P, N, points, tol) for r in block]
+    out = []
+    for start, fb in _fiberwise_blocks(P, N, points, tol):
+        count = fb.dim_quotient.size
+        p_tilde, n_tilde = [None] * count, [None] * count
+        for group, p_red, n_red in fb.reduced:
+            for i, a, b in zip(group.tolist(), p_red, n_red):
+                p_tilde[i], n_tilde[i] = a, b
+        rz = fb.riesz
+        out += [
+            FiberReport(values, index, dim, p_tilde[i], n_tilde[i], *rest)
+            for i, (values, index, dim, *rest) in enumerate(zip(
+                points[start:start + count], rz.index.tolist(), fb.dim_quotient.tolist(),
+                *(a.tolist() for a in (fb.p.ok, fb.n.ok, rz.split.ok, rz.ill, fb.p.sigma,
+                                       fb.p.cutoff, fb.n.sigma, fb.n.cutoff))))
+        ]
+    return out
 
 
-def _fiberwise_blocks(P: Bivector, N: Endo, points: list[dict[str, float]],
-                      tol: float | None = None) -> Iterator[list[FiberReport]]:
-    """fiberwise_reduce one block of points at a time, as _riesz_blocks."""
+@dataclass
+class _FiberBlock:
+    """The quotient by the stable kernel at a block of points, one entry per
+    point (the fields of FiberReport): ``p`` and ``n`` are the rank tests of
+    P~ and N~, and ``reduced`` lists per quotient its points and their
+    stacked P~ and N~."""
+
+    riesz: _RieszBlock
+    dim_quotient: np.ndarray
+    p: _Tests
+    n: _Tests
+    reduced: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _fiberwise_blocks(P: Bivector, N: Endo, points: Points | list[dict[str, float]],
+                      tol: float | None = None) -> Iterator[tuple[int, _FiberBlock]]:
+    """The fiberwise quotient one block of points at a time, as _riesz_blocks."""
     tol = default_tolerance() if tol is None else tol
     cn, cp = linalg.CompiledMatrix(N.mat), linalg.CompiledMatrix(P.mat)
-    faults = linalg.Faults()
-    for block in linalg.blocks(points):
-        nmats, n_fault = cn.evaluate(cn.coordinates(block))
-        rz, power_fault = _riesz_block(nmats, block, tol)
-        pmats, p_fault = cp.evaluate(cp.coordinates(block))
-        faults.check(block, n_fault, power_fault, p_fault)
-        # one stack per quotient dimension; at index 0 the quotient is all of A
-        groups: dict[int | None, list[int]] = {}
-        for i, z in enumerate(rz):
-            groups.setdefault(z.image_basis.shape[1] if z.index else None, []).append(i)
-        p_tests, n_tests = [None] * len(rz), [None] * len(rz)
-        for d, group in groups.items():
-            C = None if d is None else np.stack([rz[i].image_basis for i in group])
-            for tests, mats in ((p_tests, pmats), (n_tests, nmats)):
-                for i, test in zip(group, _quotient_tests(C, mats[group], tol)):
-                    tests[i] = test
-        yield [
-            FiberReport(z.values, z.index, z.image_basis.shape[1], p[0], n[0], p[1], n[1],
-                        z.direct_sum_ok, z.ill_conditioned, p[2], p[3], n[2], n[3])
-            for z, p, n in zip(rz, p_tests, n_tests)
-        ]
+    pts = _as_points(points, cn, cp)
+    faults = linalg.Faults(pts.point)
+    for start, x in linalg.blocks(pts.x):
+        nmats, n_fault = cn.evaluate(cn.coordinates(x, pts.names))
+        rz = _riesz_block(nmats, tol)
+        pmats, p_fault = cp.evaluate(cp.coordinates(x, pts.names))
+        faults.check(start, n_fault, rz.fault, p_fault)
+        yield start, _fiber_block(rz, nmats, pmats, tol)
     faults.finish()
 
 
-def _quotient_tests(C: np.ndarray | None, mats: np.ndarray, tol: float) -> list[tuple]:
-    """Per matrix M of a stack, with C the stacked quotient bases (None for
-    the identity): (C^T M C, whether it has full rank, its sigma_min, its
-    cutoff)."""
-    reduced = mats if C is None else C.transpose(0, 2, 1) @ mats @ C
-    d = reduced.shape[1]
-    if not d:
-        return [(m, True, math.nan, math.nan) for m in reduced]
-    s, rank, cutoff, _ = linalg.stacked_rank(reduced, tol)
-    return [(m, bool(k == d), float(sig), float(cut))
-            for m, k, sig, cut in zip(reduced, rank, s[:, -1], cutoff)]
+def _fiber_block(rz: _RieszBlock, nmats: np.ndarray, pmats: np.ndarray,
+                 tol: float) -> _FiberBlock:
+    """P~ and N~ and their rank tests, one stack per quotient: at index 0 the
+    quotient is all of A, else the image of the stable power.  A
+    zero-dimensional quotient passes both tests, with NaN sigma and cutoff."""
+    count, r = nmats.shape[0], nmats.shape[1]
+    p, n = (_Tests(np.ones(count, dtype=bool), np.full(count, math.nan),
+                   np.full(count, math.nan)) for _ in range(2))
+    reduced = []
+    quotients = [(np.flatnonzero(rz.index == 0), None)]
+    quotients += [(group, images) for group, _, images in rz.bases.values()]
+    for group, C in quotients:
+        if not group.size:
+            continue
+        if C is None:
+            p_red, n_red = pmats[group], nmats[group]
+        else:
+            Ct = C.transpose(0, 2, 1)
+            p_red, n_red = Ct @ pmats[group] @ C, Ct @ nmats[group] @ C
+        reduced.append((group, p_red, n_red))
+        d = p_red.shape[1]
+        if not d:
+            continue
+        s, rank, cut, _ = linalg.stacked_rank(p_red, tol)
+        p.ok[group], p.sigma[group], p.cutoff[group] = rank == d, s[:, -1], cut
+        if C is None:
+            # N~ = N, whose rank test is the first power's of the Riesz pass
+            n.sigma[group], n.cutoff[group] = rz.split.sigma[group], rz.split.cutoff[group]
+        else:
+            s, rank, cut, _ = linalg.stacked_rank(n_red, tol)
+            n.ok[group], n.sigma[group], n.cutoff[group] = rank == d, s[:, -1], cut
+    return _FiberBlock(rz, r - rz.dim_kernel, p, n, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +437,30 @@ def condition_fb_check(
     cs = linalg.CompiledMatrix([X.comps for X in sections])
     cl = linalg.CompiledMatrix([lift_section(A, X, kind).comps
                                 for X in sections for kind in ("c", "v")])
-    faults = linalg.Faults()
-    for block in linalg.blocks(points):
-        count = len(block)
+    # the base coordinates read; the fiber coordinates become extra columns
+    names = sorted(set(cs.variables) | (set(cl.variables) - set(ys)))
+    pts = Points.of(points, names)
+    faults = linalg.Faults(pts.point)
+    for start, x in linalg.blocks(pts.x):
+        count = x.shape[0]
         # explicit shapes keep an empty section list a rank-0 subbundle
-        span, span_fault = cs.evaluate(cs.coordinates(block))
+        span, span_fault = cs.evaluate(cs.coordinates(x, names))
         span = span.reshape(count, len(sections), A.rank).transpose(0, 2, 1)
         # the same draws, in the same order, as one point at a time
         coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in range(count * len(sections))])
         y = (span @ coeffs.reshape(count, len(sections), 1))[:, :, 0]
-        total = [dict(values, **{ys[a]: float(y[k, a]) for a in range(A.rank)})
-                 for k, values in enumerate(block)]
-        gens, gens_fault = cl.evaluate(cl.coordinates(total))
-        faults.check(block, span_fault, gens_fault)
+        gens, gens_fault = cl.evaluate(cl.coordinates(np.hstack([x, y]), names + ys))
+        faults.check(start, span_fault, gens_fault)
         gens = gens.reshape(count, 2 * len(sections), A.dim + A.rank)
         # rows X^c, X^v per section; the base part of X^c is rho(X)
         _, rank_b, _, ill_b = linalg.stacked_rank(span, tol)
         _, rank_rho, _, ill_rho = linalg.stacked_rank(gens[:, ::2, :A.dim], tol)
         _, rank_f, _, ill_f = linalg.stacked_rank(gens, tol)
-        for k, values in enumerate(block):
-            out.append(
-                FBPointReport(
-                    values, y[k], int(rank_f[k]), int(rank_rho[k]), int(rank_b[k]),
-                    bool(rank_f[k] == rank_rho[k] + rank_b[k]),
-                    bool(ill_f[k] or ill_b[k] or ill_rho[k]),
-                )
-            )
+        out += [
+            FBPointReport(values, fiber_point, f, rho, b, f == rho + b, ill)
+            for values, fiber_point, f, rho, b, ill in zip(
+                points[start:start + count], y, rank_f.tolist(), rank_rho.tolist(),
+                rank_b.tolist(), (ill_f | ill_b | ill_rho).tolist())
+        ]
     faults.finish()
     return out

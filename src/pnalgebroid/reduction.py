@@ -28,7 +28,7 @@ from .linalg import Frac, Matrix
 from .pointwise import (
     TOL_ENV_VAR, default_tolerance, characteristic_rank, sample_points,
     RieszPointReport, riesz_at_point, riesz_report, FiberReport, fiberwise_reduce,
-    FBPointReport, condition_fb_check, _ranks,
+    FBPointReport, condition_fb_check, _stacks,
 )
 
 
@@ -103,12 +103,10 @@ class EpimorphismSpec:
                             lhs - rhs,
                         )
                     )
-        ranks = _ranks(self.fiber_map, points, tol) if points else []
-        for values, rank in zip(points or [], ranks):
-            if rank.rank < self.target.rank:
-                failures.append(
-                    (f"fiber map not surjective at sample point {values}", ZERO)
-                )
+        for start, mats in _stacks(self.fiber_map, points) if points else ():
+            rank = linalg.stacked_rank(mats, tol)[1]
+            failures += [(f"fiber map not surjective at sample point {points[start + i]}", ZERO)
+                         for i in (rank < self.target.rank).nonzero()[0].tolist()]
         return CheckReport(not failures, failures)
 
 

@@ -231,8 +231,8 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
     from workloads import SELFTEST_CHECKS
 
     calls = []
-    real = cli.riesz_report
-    monkeypatch.setattr(cli, "riesz_report", lambda *a: calls.append(a) or real(*a))
+    real = cli._riesz_blocks
+    monkeypatch.setattr(cli, "_riesz_blocks", lambda *a: calls.append(a) or real(*a))
     code, out, _ = run(capsys, "selftest", "--format", "json")
     assert code == 0
     checks = json.loads(out)["checks"]
@@ -243,17 +243,15 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flagged", [None, 24])
 def test_selftest_fiberwise_row_reads_ill_conditioning(monkeypatch, capsys, flagged):
-    import dataclasses
-
-    real = cli.fiberwise_reduce
+    real = cli._fiberwise_blocks
 
     def flag_one(*args):
-        reports = real(*args)
-        if flagged is not None:
-            reports[flagged] = dataclasses.replace(reports[flagged], ill_conditioned=True)
-        return reports
+        for start, block in real(*args):
+            if flagged is not None and 0 <= flagged - start < block.riesz.ill.size:
+                block.riesz.ill[flagged - start] = True
+            yield start, block
 
-    monkeypatch.setattr(cli, "fiberwise_reduce", flag_one)
+    monkeypatch.setattr(cli, "_fiberwise_blocks", flag_one)
     code, out, _ = run(capsys, "selftest", "--format", "json")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     row = checks["aff1 fiberwise reduction nondegenerate"]
@@ -490,3 +488,32 @@ def test_check_poisson_builds_each_level_table_once(monkeypatch, capsys, spec, c
     (P1, _), = calls[1]
     assert P0 != P1
     assert calls == [[(P0, P0)], [(P1, P1)], [(P0, P1), (P1, P0)]]
+
+
+def test_one_process_runs_commands_through_one_parser(monkeypatch, capsys):
+    """main builds its parser once per process; a command, a usage error and
+    --help in between leave it as a fresh process finds it."""
+    monkeypatch.setenv("COLUMNS", "80")   # the help text wraps to the terminal
+    src = Path(pnalgebroid.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def without_seconds(text):
+        if not text.startswith("{"):
+            return text
+        report = json.loads(text)
+        for check in report["checks"]:
+            check.pop("seconds")
+        return report
+
+    for argv, want in ((["check-pn", "toda:2", "--format", "json"], 0),
+                       (["riesz", "aff1", "--points", "0", "--seed", "1"], 2),
+                       (["riesz", "aff1", "--points", "40", "--seed", "3", "--format", "json"], 0),
+                       (["--help"], 0),
+                       (["check-pn", "toda:2", "--format", "json"], 0)):
+        fresh = subprocess.run([sys.executable, "-m", "pnalgebroid.cli", *argv],
+                               capture_output=True, text=True, timeout=300, env=env)
+        code, out, err = run(capsys, *argv)
+        assert (code, without_seconds(out), err) == (
+            want, without_seconds(fresh.stdout), fresh.stderr), argv
+        assert fresh.returncode == want
+    assert cli.build_parser() is cli.build_parser()

@@ -1,5 +1,7 @@
 """Fraction-free symbolic linear algebra and the SVD rank policy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -123,7 +125,7 @@ def test_compiled_matrix_matches_expr_evaluate():
     rng = np.random.default_rng(1)
     points = [{"x": float(a), "y": float(b)} for a, b in rng.uniform(-2, 2, (40, 2))]
     compiled = linalg.CompiledMatrix(rows)
-    mats, fault = compiled.evaluate(compiled.coordinates(points))
+    mats, fault = compiled.evaluate(linalg.point_array(points, compiled.variables))
     assert mats.shape == (40, 2, 3) and not fault.any()
     for values, mat in zip(points, mats):
         # the sums run in term order, the products in another order: a few ulps
@@ -133,14 +135,18 @@ def test_compiled_matrix_matches_expr_evaluate():
 
 def test_compiled_matrix_handles_constants_empty_rows_and_no_points():
     compiled = linalg.CompiledMatrix(M(["2", "0"], ["0", "-1/2"]))
-    mats, fault = compiled.evaluate(compiled.coordinates([{}, {"x": 1.0}]))
+    mats, fault = compiled.evaluate(linalg.point_array([{}, {"x": 1.0}], compiled.variables))
     assert np.array_equal(mats, [[[2, 0], [0, -0.5]]] * 2) and not fault.any()
     empty = linalg.CompiledMatrix([])
-    assert empty.evaluate(empty.coordinates([{}, {}]))[0].shape == (2, 0, 0)
+    assert empty.evaluate(linalg.point_array([{}, {}], empty.variables))[0].shape == (2, 0, 0)
     xs = linalg.CompiledMatrix(M(["x"]))
-    assert xs.evaluate(xs.coordinates([]))[0].shape == (0, 1, 1)
+    assert xs.evaluate(linalg.point_array([], xs.variables))[0].shape == (0, 1, 1)
     with pytest.raises(ExprError, match="unbound variable 'x'"):
-        xs.coordinates([{"y": 1.0}])
+        linalg.point_array([{"y": 1.0}], xs.variables)
+    with pytest.raises(ExprError, match="unbound variable 'x'"):
+        xs.coordinates(np.ones((1, 1)), ["y"])
+    both = np.array([[2.0, 3.0]])
+    assert xs.evaluate(xs.coordinates(both, ["y", "x"]))[0].tolist() == [[[3.0]]]
 
 
 @pytest.mark.parametrize("entry, values, underflows", [
@@ -172,19 +178,72 @@ def test_a_power_that_underflows_inside_its_product_is_recomputed():
     assert got[0, 0] > 0 and got[0, 2] < 0
 
 
+@pytest.mark.parametrize("entry, values, log_value, sign", [
+    # 0.1^400 flushes to 0 and exp(1000) to inf: the product is 2e34
+    ("x^400*exp(1000)", {"x": 0.1}, 400 * math.log(0.1) + 1000, 1.0),
+    # 10^400 overflows and exp(-1000) flushes to 0: the product is 5e-35
+    ("x^400*exp(-1000)", {"x": 10.0}, 400 * math.log(10.0) - 1000, 1.0),
+    ("-3*x^401*exp(1000*y)", {"x": -0.1, "y": 1.0},
+     math.log(3) + 401 * math.log(0.1) + 1000, 1.0),
+    ("x^401*exp(1000*y)", {"x": -0.1, "y": 1.0}, 401 * math.log(0.1) + 1000, -1.0),
+], ids=["tiny-power", "huge-power", "negative-base-even-sign", "negative-base-odd"])
+def test_a_term_that_overflows_inside_its_finite_product_is_recomputed(
+        entry, values, log_value, sign):
+    got = linalg.evaluate_matrix(M([entry, "1"]), values)
+    assert got[0, 1] == 1.0
+    assert np.isclose(got[0, 0], sign * math.exp(log_value), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("entry, values", [
+    ("x^400*exp(1000*y)", {"x": 10.0, "y": 1.0}),     # 1e400 * e^1000
+    ("x^400*exp(1000*y) + 1", {"x": 10.0, "y": 1.0}),
+    ("x^400*exp(1000*y)", {"x": float("nan"), "y": 1.0}),
+    ("x^400*exp(1000*y)", {"x": 0.1, "y": float("inf")}),
+])
+def test_a_term_beyond_the_float_range_still_overflows(entry, values):
+    with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
+        linalg.evaluate_matrix(M([entry]), values)
+    assert info.value.values == values
+
+
+def test_a_zero_variable_makes_an_overflowing_factor_exactly_zero():
+    got = linalg.evaluate_matrix(M(["x^400*exp(1000)", "1"]), {"x": 0.0})
+    assert got.tolist() == [[0.0, 1.0]]
+
+
+def test_a_recomputed_overflow_keeps_the_fault_order():
+    """x^400 exp(1000 y) underflows at (0.1, -1), is 2e34 at (0.1, 1) and is
+    not finite at (10, 1): the non-finite point is named, whatever came first."""
+    from pnalgebroid.algebroid import LieAlgebroid
+    from pnalgebroid.nijenhuis import Endo
+    from pnalgebroid.pointwise import riesz_report
+
+    A = LieAlgebroid.tangent(["x", "y"])
+    e = parse("x^400*exp(1000*y)")
+    N = Endo.from_matrix(A, [[e, ZERO], [ZERO, e]])
+    under, fine, over = {"x": 0.1, "y": -1.0}, {"x": 0.1, "y": 1.0}, {"x": 10.0, "y": 1.0}
+    assert [r.index for r in riesz_report(N, [fine, fine])] == [0, 0]
+    with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
+        riesz_report(N, [under, fine, over])
+    assert info.value.values is over
+    with pytest.raises(linalg.NonFiniteEntry, match="underflows") as info:
+        riesz_report(N, [fine, under, fine])
+    assert info.value.values is under
+
+
 def test_a_non_finite_entry_outranks_an_earlier_underflow():
     compiled = linalg.CompiledMatrix(M(["exp(1000*x)"]))
     points = [{"x": 0.0}, {"x": -0.8}, {"x": 0.0}, {"x": 0.9}, {"x": 1.0}]
-    mats, fault = compiled.evaluate(compiled.coordinates(points))
+    mats, fault = compiled.evaluate(linalg.point_array(points, compiled.variables))
     assert fault.tolist() == [0, 1, 0, 2, 2]
-    faults = linalg.Faults()
+    faults = linalg.Faults(points.__getitem__)
     with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
-        faults.check(points, fault)
+        faults.check(0, fault)
     assert info.value.values == {"x": 0.9}
     # with no non-finite entry, the first underflow is raised at the end
-    faults = linalg.Faults()
-    faults.check(points[:3], fault[:3])
-    faults.check(points[:1], fault[:1])
+    faults = linalg.Faults(points.__getitem__)
+    faults.check(0, fault[:3])
+    faults.check(0, fault[:1])
     with pytest.raises(linalg.NonFiniteEntry, match="underflows") as info:
         faults.finish()
     assert info.value.values == {"x": -0.8}

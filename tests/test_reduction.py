@@ -224,6 +224,26 @@ def test_fiberwise_reduce_aff1(aff1):
         assert np.allclose(r.n_tilde, np.eye(2), atol=1e-9)
 
 
+def test_sample_points_are_the_uniform_draws_bit_for_bit():
+    """One rng.uniform(lo, hi) per value, point by point and in the order of
+    the variables, with (-1, 1) where the box names no range."""
+    import random
+
+    variables = ["a1", "x", "mu2", "b"]
+    box = {"a1": (0.5, 2.0), "mu2": (-2.0, 2.0), "b": (-1e-3, 5.0)}
+    for count, seed in ((1, 0), (300, 17), (129, 2**40 + 3)):
+        rng = random.Random(seed)
+        pts = sample_points(variables, count, seed, box)
+        assert len(pts) == count
+        for values in pts:
+            assert list(values) == variables
+            for v in variables:
+                want = rng.uniform(*box.get(v, (-1.0, 1.0)))
+                assert type(values[v]) is float and values[v].hex() == want.hex()
+    assert sample_points(variables, 0, 1, box) == []
+    assert sample_points([], 2, 1) == [{}, {}]
+
+
 def test_sample_points_reproducible():
     a = sample_points(["x", "y"], 5, 42)
     b = sample_points(["x", "y"], 5, 42)
@@ -352,11 +372,17 @@ def _reference_riesz(N, values, tol):
     ranks = [r]
     ill = False
     k = None
+    sigma = cutoff = float("nan")   # of the deciding rank test
     for l in range(1, r + 2):
-        powers.append(powers[-1] @ mat)
+        with np.errstate(all="ignore"):
+            powers.append(powers[-1] @ mat)
+        if not np.isfinite(powers[-1]).all():
+            return dict(overflow=True)
         res = linalg.numeric_rank(powers[-1], tol)
         ranks.append(res.rank)
         ill = ill or res.ill_conditioned
+        if l == 1 and r:
+            sigma, cutoff = res.singular_values[-1], res.tolerance
         if res.rank == ranks[-2]:
             k = l - 1
             break
@@ -369,14 +395,18 @@ def _reference_riesz(N, values, tol):
         res = linalg.numeric_rank(np.hstack([kernel, image]), tol)
         direct = res.rank == r
         ill = ill or res.ill_conditioned
+        sigma, cutoff = res.singular_values[-1], res.tolerance
     return dict(ranks=ranks, index=k, dim_kernel=kernel.shape[1], kernel=kernel,
-                image=image, direct_sum_ok=direct, ill_conditioned=ill)
+                image=image, direct_sum_ok=direct, ill_conditioned=ill,
+                sigma_min=sigma, cutoff=cutoff, overflow=False)
 
 
 def _reference_fiberwise(P, N, values, tol):
     import numpy as np
 
     rz = _reference_riesz(N, values, tol)
+    if rz["overflow"]:
+        return rz
     pmat = _evaluate(P.mat, values)
     nmat = _evaluate(N.mat, values)
     C = rz["image"] if rz["index"] > 0 else np.eye(P.algebroid.rank)
@@ -387,10 +417,13 @@ def _reference_fiberwise(P, N, values, tol):
     cutoff_n = tol * max(1.0, float(np.linalg.norm(n_t, 2)) if d else 1.0)
     sp = np.linalg.svd(p_t, compute_uv=False) if d else np.array([])
     sn = np.linalg.svd(n_t, compute_uv=False) if d else np.array([])
+    nan = float("nan")
     return dict(
         rz, dim_quotient=d, p_tilde=p_t, n_tilde=n_t,
         p_nondegenerate=bool(d == 0 or (len(sp) and sp[-1] > cutoff_p)),
         n_invertible=bool(d == 0 or (len(sn) and sn[-1] > cutoff_n)),
+        p_sigma_min=float(sp[-1]) if d else nan, p_cutoff=cutoff_p if d else nan,
+        n_sigma_min=float(sn[-1]) if d else nan, n_cutoff=cutoff_n if d else nan,
     )
 
 
@@ -533,6 +566,154 @@ def test_the_jordan_cases_reach_index_three_and_two():
     values = {"x": 0.3, "y": -0.7, "z": 1.1}
     assert riesz_at_point(nilpotent, values).index == 3
     assert riesz_at_point(mixed, values).index == 2
+
+
+# -- the CLI's numeric rows against a fold of the per-point reference ---------
+
+def _write_spec(tmp_path, name, body):
+    import json
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def _cli_numeric_cases(tmp_path):
+    """(label, input, bivector name, tolerance): fixtures of index 0 and 1, a
+    spec whose indices vary and whose reduced bivector fails at the points
+    with |x| < 0.1, one whose direct sum fails in a band of |x| under a
+    coarse tolerance, and three with non-finite points: exp(1000 x)
+    overflows for x > 0.71 and underflows for x < -0.71, exp(1000 x - 1500)
+    only underflows, and N^2 = exp(800 x) N overflows for x > 0.89 although
+    N is finite."""
+    two = {"base_vars": ["x"], "frame": ["e", "f"], "anchor": [["1"], ["0"]]}
+    return [
+        ("aff1", "aff1", "P", None),
+        ("toda2", "toda:2", "lam0", None),
+        ("mixed", _write_spec(tmp_path, "mixed", dict(
+            two, bivectors={"P": {"(e,f)": "x^9"}},
+            endomorphisms={"N": [["1", "0"], ["0", "x^9"]]})), "P", None),
+        ("band", _write_spec(tmp_path, "band", dict(
+            two, bivectors={"P": {"(e,f)": "1"}},
+            endomorphisms={"N": [["0", "1"], ["0", "x"]]})), "P", "0.1"),
+        ("exp", _write_spec(tmp_path, "exp", {
+            "base_vars": ["x"], "frame": ["e"], "anchor": [["1"]],
+            "bivectors": {"P": {}}, "endomorphisms": {"N": [["exp(1000*x)"]]}}), "P", None),
+        ("tiny", _write_spec(tmp_path, "tiny", {
+            "base_vars": ["x"], "frame": ["e"], "anchor": [["1"]],
+            "bivectors": {"P": {}}, "endomorphisms": {"N": [["exp(1000*x - 1500)"]]}}),
+         "P", None),
+        ("power", _write_spec(tmp_path, "power", dict(
+            two, bivectors={"P": {"(e,f)": "1"}},
+            endomorphisms={"N": [["exp(400*x)", "exp(400*x)"], ["0", "0"]]})), "P", None),
+    ]
+
+
+def _matrix_fault(rows, values):
+    """The fault code of one evaluated matrix: 0, 1 (underflow) or 2."""
+    from pnalgebroid import linalg
+
+    try:
+        linalg.evaluate_matrix(rows, values)
+    except linalg.NonFiniteEntry as e:
+        return 1 if "underflows" in str(e) else 2
+    return 0
+
+
+def _fold_rows(what, rows):
+    """A numeric row folded one point at a time: (verdict, witness, margin)
+    from (values, ok, sigma_min, cutoff) per point."""
+    import math
+
+    witness, ratio = None, math.inf
+    for values, ok, sigma, cutoff in rows:
+        if not math.isnan(sigma):
+            ratio = min(ratio, sigma / cutoff)
+        if witness is None and not ok:
+            witness = f"{what} at {values}: sigma_min {sigma:.6g}, cutoff {cutoff:.6g}"
+    margin = None if ratio == math.inf else float(f"{ratio:.6g}")
+    return "pass" if witness is None else "fail", witness, margin
+
+
+def _reference_cli(command, spec, pname, count, seed, tol):
+    """The report of ``riesz`` or ``reduce-fiberwise`` without its times,
+    computed one point at a time by the per-point reference."""
+    from pnalgebroid import cli
+
+    doc, _ = cli.resolve_input(spec)
+    N, P = doc.endomorphisms["N"], doc.bivectors[pname]
+    variables = list(doc.algebroid.base_vars)
+    pts = sample_points(variables, count, seed, cli._box_for(variables))
+    fiberwise = command == "reduce-fiberwise"
+    faults, refs = {}, []
+    for values in pts:
+        code = _matrix_fault(N.mat, values)
+        if fiberwise:
+            code = max(code, _matrix_fault(P.mat, values))
+        ref = None
+        if code < 2:
+            ref = _reference_fiberwise(P, N, values, tol) if fiberwise else \
+                _reference_riesz(N, values, tol)
+            code = 2 if ref["overflow"] else code
+        if code:
+            faults.setdefault(code, values)
+        refs.append((values, ref))
+    if faults:
+        what = ("overflows or is not finite" if 2 in faults
+                else "underflows below the smallest normal float")
+        witness = f"matrix entry {what} at {faults[max(faults)]}"
+        return 3, [(command, "pass", witness, True, None)], {}
+    ill = any(ref["ill_conditioned"] for _, ref in refs)
+    if fiberwise:
+        rows = [
+            (f"reduced bivector({pname}) nondegenerate at {count} points",
+             "reduced bivector degenerate", "p_nondegenerate", "p_"),
+            (f"reduced endomorphism(N) invertible at {count} points",
+             "reduced endomorphism singular", "n_invertible", "n_"),
+        ]
+        checks = [(name, *_fold_rows(what, [
+            (values, ref[ok], ref[prefix + "sigma_min"], ref[prefix + "cutoff"])
+            for values, ref in refs])) for name, what, ok, prefix in rows]
+        payload = {"quotient_dimensions": sorted({ref["dim_quotient"] for _, ref in refs})}
+    else:
+        checks = [(f"riesz(N) stable-kernel splitting at {count} points", *_fold_rows(
+            "image + kernel of the stable power do not span",
+            [(values, ref["direct_sum_ok"], ref["sigma_min"], ref["cutoff"])
+             for values, ref in refs]))]
+        payload = {"indices": sorted({ref["index"] for _, ref in refs}),
+                   "kernel_dimensions": sorted({ref["dim_kernel"] for _, ref in refs})}
+    checks = [(name, verdict, witness, ill, margin) for name, verdict, witness, margin in checks]
+    code = 1 if any(c[1] == "fail" for c in checks) else 3 if ill else 0
+    return code, checks, payload
+
+
+@pytest.mark.parametrize("count", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize("command", ["riesz", "reduce-fiberwise"])
+def test_cli_numeric_rows_match_a_fold_of_the_per_point_reference(
+        tmp_path, capsys, monkeypatch, command, count):
+    import json
+
+    from pnalgebroid import cli
+
+    seen = set()
+    for label, spec, pname, tol in _cli_numeric_cases(tmp_path):
+        if tol is None:
+            monkeypatch.delenv("PNALGEBROID_TOL", raising=False)
+        else:
+            monkeypatch.setenv("PNALGEBROID_TOL", tol)
+        extra = ["--bivector", pname] if command == "reduce-fiberwise" else []
+        code = cli.main([command, spec, *extra, "--points", str(count), "--seed", "5",
+                         "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        got = (code, [(c["name"], c["verdict"], c["witness"], c["ill_conditioned"],
+                       c.get("margin")) for c in report["checks"]],
+               report.get("result", {}))
+        want = _reference_cli(command, spec, pname, count, 5, default_tolerance())
+        assert got == want, label
+        seen.add(code)
+    if count >= 127:
+        # the cases reach a passing, a failing and a non-finite report
+        assert seen == {0, 1, 3}
 
 
 @pytest.mark.parametrize("count", [1, 4, 9])
