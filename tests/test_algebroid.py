@@ -11,7 +11,8 @@ from pnalgebroid.expr import Expr, parse, ZERO, ONE
 from pnalgebroid.algebroid import (
     LieAlgebroid, Section, KForm, d_A, interior, lie_derivative, zero_form,
 )
-from pnalgebroid.fixtures import build_aff1, build_toda
+from pnalgebroid.fixtures import build_aff1, build_semidirect, build_toda
+from pnalgebroid.poisson import dual_algebroid
 
 
 def random_section(A, rng):
@@ -297,3 +298,69 @@ def test_d_A_matches_the_reference_on_dense_and_one_component_forms(case):
         got, want = d_A(A, omega), reference_d_A(A, omega)
         assert list(got.comps) == list(want.comps)
         assert [e.terms for e in got.comps.values()] == [e.terms for e in want.comps.values()]
+
+
+# -- check_algebroid's frame tables against nested section brackets ----------
+
+
+def reference_algebroid_failures(A):
+    """check_algebroid's failures from sections: the anchor of [e_a, e_b]
+    against the commutator of the anchors, then the cyclic sum of the nested
+    brackets [e_a, [e_b, e_c]] on each frame triple."""
+    out = []
+    e = [A.frame_section(a) for a in range(A.rank)]
+    for a, b in itertools.combinations(range(A.rank), 2):
+        br = A.bracket(e[a], e[b])
+        for i in range(A.dim):
+            lhs = sum((c * A.anchor[g][i] for g, c in enumerate(br.comps)), ZERO)
+            rhs = A.anchor_apply(e[a], A.anchor[b][i]) - A.anchor_apply(e[b], A.anchor[a][i])
+            if not (lhs - rhs).is_zero():
+                out.append((f"anchor morphism fails on ({A.frame[a]}, {A.frame[b]}) "
+                            f"component {A.base_vars[i]}", lhs - rhs))
+    for a, b, c in itertools.combinations(range(A.rank), 3):
+        jac = (A.bracket(e[a], A.bracket(e[b], e[c]))
+               + A.bracket(e[b], A.bracket(e[c], e[a]))
+               + A.bracket(e[c], A.bracket(e[a], e[b])))
+        out += [(f"Jacobi fails on ({A.frame[a]}, {A.frame[b]}, {A.frame[c]}) "
+                 f"component {A.frame[g]}", t)
+                for g, t in enumerate(jac.comps) if not t.is_zero()]
+    return out
+
+
+def random_tables(A, rng):
+    """Random anchor and structure tables on the base and frame of A; the
+    result is almost never a Lie algebroid."""
+    anchor = [[random_expr(A, rng) if rng.random() < 0.5 else ZERO for _ in A.base_vars]
+              for _ in A.frame]
+    structure = {
+        (a, b): {g: random_expr(A, rng) for g in range(A.rank) if rng.random() < 0.4}
+        for a, b in itertools.combinations(range(A.rank), 2) if rng.random() < 0.6
+    }
+    return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
+
+
+JACOBI_CASES = {
+    "toda3": lambda: build_toda(3).tangent,
+    "toda3-atiyah": lambda: build_toda(3).atiyah,
+    "aff1": lambda: build_aff1().algebroid,
+    "semidirect3": lambda: build_semidirect(
+        3, {(0, 1): {1: Fraction(1)}, (0, 2): {2: Fraction(1)}}, [0]).algebroid,
+    "toda2-lam1-dual": lambda: dual_algebroid(build_toda(2).lam1),
+    "toda3-lam0-dual": lambda: dual_algebroid(build_toda(3).lam0),
+    "skewed": skewed_algebroid,
+}
+
+
+@pytest.mark.parametrize("case", sorted(JACOBI_CASES))
+def test_check_algebroid_matches_nested_brackets(case):
+    A = JACOBI_CASES[case]()
+    rng = random.Random(f"jacobi/{case}")
+    algebroids = [A] + [random_tables(A, rng) for _ in range(4)]
+    failing = 0
+    for B in algebroids:
+        want = reference_algebroid_failures(B)
+        rep = B.check_algebroid()
+        assert rep.failures == want
+        assert rep.ok == (not want)
+        failing += any(msg.startswith("Jacobi") for msg, _ in want)
+    assert failing >= 3

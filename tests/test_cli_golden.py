@@ -34,6 +34,11 @@ COMMANDS = {
     "check-poisson-aff1": ["check-poisson", "aff1"],
     "check-poisson-xyz-pair": ["check-poisson", "tests/golden/spec/poisson-pair-xyz.json"],
     "check-algebroid-toda3-atiyah": ["check-algebroid", "toda:3:atiyah"],
+    "check-algebroid-anchor-and-jacobi-fail": [
+        "check-algebroid", "tests/golden/spec/algebroid-anchor-and-jacobi-fail.json",
+    ],
+    "check-algebroid-jacobi-fail": ["check-algebroid", "tests/golden/spec/algebroid-jacobi-fail.json"],
+    "check-pn-torsion-exp-frame": ["check-pn", "tests/golden/spec/pn-torsion-exp-frame.json"],
     "hierarchy-toda3-depth2": ["hierarchy", "toda:3", "--depth", "2"],
     "hierarchy-aff1-depth2": ["hierarchy", "aff1", "--depth", "2"],
     "recursion-toda4": ["recursion", "toda:4"],

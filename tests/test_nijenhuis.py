@@ -1,19 +1,22 @@
 """Endomorphism calculus: torsion, deformed brackets, concomitant,
 recursion operators and hierarchies."""
 
+import itertools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
 from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
 from pnalgebroid.algebroid import LieAlgebroid
-from pnalgebroid.poisson import Bivector, DegenerateBivector, is_poisson
+from pnalgebroid.poisson import Bivector, DegenerateBivector, dual_algebroid, is_poisson
 from pnalgebroid.nijenhuis import (
     Endo, torsion, torsion_check, deformed_algebroid, sharp_commutes,
     concomitant, concomitant_check, pn_check, recursion_operator, hierarchy,
     hierarchy_check, bihamiltonian_check, deformed_bracket,
 )
-from pnalgebroid.fixtures import build_toda, build_aff1
+from pnalgebroid.fixtures import build_toda, build_aff1, build_semidirect
 from pnalgebroid import linalg, nijenhuis
 
 
@@ -305,3 +308,138 @@ def test_deformed_algebroid_keeps_frame_names_apart_from_base_variables():
     B = deformed_algebroid(Endo.from_matrix(A, [[parse("2"), ZERO], [ZERO, parse("2")]]))
     assert B.frame == A.frame
     assert B.check_algebroid().ok
+
+
+# -- the frame-table verdicts against their textbook routes ------------------
+
+
+def _exp_frame():
+    # a Lie algebroid whose anchor and structure functions are not constant
+    x = parse("x")
+    return LieAlgebroid.from_tables(
+        ["x", "y"],
+        ["e1", "e2", "e3", "e4"],
+        [[ONE, ZERO], [ZERO, Expr.exp_of(x)], [ZERO, ZERO], [ZERO, ZERO]],
+        {(0, 1): {1: ONE}, (0, 3): {3: ONE}, (2, 3): {2: Expr.exp_of(x)}},
+    )
+
+
+FRAME_TABLE_CASES = {
+    "toda3": lambda: build_toda(3).tangent,
+    "toda3-atiyah": lambda: build_toda(3).atiyah,
+    "aff1": lambda: build_aff1().algebroid,
+    "semidirect3": lambda: build_semidirect(
+        3, {(0, 1): {1: Fraction(1)}, (0, 2): {2: Fraction(1)}}, [0]).algebroid,
+    "toda2-lam1-dual": lambda: dual_algebroid(build_toda(2).lam1),
+    "toda3-lam0-dual": lambda: dual_algebroid(build_toda(3).lam0),
+    "exp-frame": _exp_frame,
+    "skewed4": _skewed4,
+}
+
+
+def _random_endo(A, rng, degree=2):
+    """Entries random polynomials in the base variables, about a third of
+    them zero: such an N almost never has vanishing torsion."""
+    return Endo.from_matrix(A, [
+        [ZERO if rng.random() < 0.3 else _random_poly(list(A.base_vars), rng, degree)
+         for _ in range(A.rank)]
+        for _ in range(A.rank)
+    ])
+
+
+def _nonzero_comps(section, label):
+    A = section.algebroid
+    return [(f"{label} component {A.frame[g]}", c)
+            for g, c in enumerate(section.comps) if not c.is_zero()]
+
+
+def reference_torsion_failures(N):
+    """The torsion check's failures from ``torsion`` on each frame pair."""
+    A = N.algebroid
+    out = []
+    for a, b in itertools.combinations(range(A.rank), 2):
+        T = torsion(N, A.frame_section(a), A.frame_section(b))
+        out += _nonzero_comps(T, f"torsion nonzero on ({A.frame[a]}, {A.frame[b]})")
+    return out
+
+
+def reference_concomitant_failures(P, N):
+    """The concomitant check's failures from the structure of
+    ``dual_algebroid(N P)`` and ``deformed_bracket`` of N* on the dual frame
+    of ``dual_algebroid(P)``."""
+    A = P.algebroid
+    dual = dual_algebroid(P)
+    N_star = Endo.from_matrix(dual, linalg.mat_transpose(N.mat))
+    lhs = dual_algebroid(N.push_bivector(P))
+    out = []
+    for a, b in itertools.combinations(range(A.rank), 2):
+        rhs = deformed_bracket(N_star, dual.frame_section(a), dual.frame_section(b))
+        diff = dual.section(list(lhs.structure[a][b])) - rhs
+        out += _nonzero_comps(diff, f"concomitant nonzero on dual pair ({A.frame[a]}, {A.frame[b]})")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_TABLE_CASES))
+def test_torsion_check_matches_the_torsion_of_each_frame_pair(case):
+    A = FRAME_TABLE_CASES[case]()
+    rng = random.Random(f"torsion/{case}")
+    failing = 0
+    for k in range(4):
+        N = _random_endo(A, rng, degree=2 if k % 2 else 1)
+        want = reference_torsion_failures(N)
+        rep = torsion_check(N)
+        assert rep.failures == want
+        assert rep.ok == (not want)
+        failing += bool(want)
+    assert failing >= 3
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_TABLE_CASES))
+def test_concomitant_check_matches_the_deformed_dual_bracket(case):
+    A = FRAME_TABLE_CASES[case]()
+    rng = random.Random(f"deformed-dual/{case}")
+    failing = 0
+    for k in range(3):
+        P, N = _random_pn_pair(A, rng, degree=2 if k % 2 else 1)
+        want = reference_concomitant_failures(P, N)
+        rep = concomitant_check(P, N)
+        assert rep.failures == want
+        assert rep.ok == (not want)
+        failing += bool(want)
+    assert failing >= 2
+
+
+def _scaled_identity(A, c):
+    return Endo.from_matrix(
+        A, [[Expr.number(c) if i == j else ZERO for j in range(A.rank)] for i in range(A.rank)])
+
+
+TORSION_FREE_CASES = {
+    "toda2": lambda: build_toda(2).N,
+    "toda3": lambda: build_toda(3).N,
+    "toda2-atiyah": lambda: build_toda(2).recursion_atiyah().exact(),
+    "aff1-scaled": lambda: _scaled_identity(build_aff1().algebroid, 3),
+    "exp-frame-scaled": lambda: _scaled_identity(_exp_frame(), -2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TORSION_FREE_CASES))
+def test_deformed_algebroid_matches_the_deformed_bracket(case):
+    N = TORSION_FREE_CASES[case]()
+    A = N.algebroid
+    B = deformed_algebroid(N)
+    for a in range(A.rank):
+        for b in range(A.rank):
+            want = deformed_bracket(N, A.frame_section(a), A.frame_section(b))
+            assert B.structure[a][b] == want.comps, (a, b)
+        for i in range(A.dim):
+            want = sum((N.mat[c][a] * A.anchor[c][i] for c in range(A.rank)), ZERO)
+            assert B.anchor[a][i] == want
+
+
+def test_deformed_algebroid_refuses_an_endomorphism_with_torsion():
+    N = _random_endo(_exp_frame(), random.Random(7))
+    want = reference_torsion_failures(N)
+    assert want
+    with pytest.raises(ExprError, match="cannot deform: " + re.escape(f"{want[0][0]}: residual")):
+        deformed_algebroid(N)
