@@ -192,41 +192,28 @@ class LieAlgebroid:
         failures = []
         r, n = self.rank, self.dim
         # anchor is a morphism: rho([e_a, e_b]) = [rho e_a, rho e_b]
-        for a in range(r):
-            for b in range(a + 1, r):
-                for i in range(n):
-                    lhs = dot((c, self.anchor[g][i]) for g, c in self._structure_rows[a][b])
-                    rhs = (self._rho_frame(a, self.anchor[b][i], {})
-                           - self._rho_frame(b, self.anchor[a][i], {}))
-                    if not (lhs - rhs).is_zero():
-                        failures.append(
-                            (
-                                f"anchor morphism fails on ({self.frame[a]}, "
-                                f"{self.frame[b]}) component {self.base_vars[i]}",
-                                lhs - rhs,
-                            )
-                        )
-        # Jacobi on frame triples
-        for a in range(r):
-            for b in range(a + 1, r):
-                for c in range(b + 1, r):
-                    ea, eb, ec = (self.frame_section(k) for k in (a, b, c))
-                    j = (
-                        self.bracket(ea, self.bracket(eb, ec)).comps
-                    )
-                    j2 = self.bracket(eb, self.bracket(ec, ea)).comps
-                    j3 = self.bracket(ec, self.bracket(ea, eb)).comps
-                    for g in range(r):
-                        tot = j[g] + j2[g] + j3[g]
-                        if not tot.is_zero():
-                            failures.append(
-                                (
-                                    f"Jacobi fails on ({self.frame[a]}, "
-                                    f"{self.frame[b]}, {self.frame[c]}) "
-                                    f"component {self.frame[g]}",
-                                    tot,
-                                )
-                            )
+        for a, b in itertools.combinations(range(r), 2):
+            for i in range(n):
+                e = (dot((c, self.anchor[g][i]) for g, c in self._structure_rows[a][b])
+                     - self._rho_frame(a, self.anchor[b][i], {})
+                     + self._rho_frame(b, self.anchor[a][i], {}))
+                if not e.is_zero():
+                    failures.append((f"anchor morphism fails on ({self.frame[a]}, "
+                                     f"{self.frame[b]}) component {self.base_vars[i]}", e))
+        # Jacobi, one dot per component: the cyclic sum over (x, y, z) of
+        # [e_x, [e_y, e_z]]^g = sum_h C_yz^h C_xh^g + rho_x(C_yz^g)
+        grads: dict[tuple[int, int, int], dict[str, Expr]] = {}
+        for a, b, c in itertools.combinations(range(r), 3):
+            terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for h, cyz in self._structure_rows[y][z]:
+                    _scatter(terms, cyz, self._structure_rows[x][h])
+                    terms[h].append((ONE, self._rho_frame(x, cyz, grads.setdefault((y, z, h), {}))))
+            failures += [
+                (f"Jacobi fails on ({self.frame[a]}, {self.frame[b]}, {self.frame[c]}) "
+                 f"component {self.frame[g]}", t)
+                for g, t in enumerate(dot(t) if t else ZERO for t in terms) if not t.is_zero()
+            ]
         return CheckReport(not failures, failures)
 
 
@@ -241,6 +228,12 @@ class CheckReport:
             return None
         msg, e = self.failures[0]
         return f"{msg}: residual {e}"
+
+
+def _scatter(terms: list[list[tuple[Expr, Expr]]], f: Expr, row) -> None:
+    """Append the pair (f, x) to ``terms[h]`` for each (h, x) in ``row``."""
+    for h, x in row:
+        terms[h].append((f, x))
 
 
 def timed_check(check, *args) -> CheckReport:

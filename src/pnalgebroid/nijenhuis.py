@@ -6,8 +6,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .expr import Expr, ZERO, ExprError, dot
-from .algebroid import CheckReport, KForm, LieAlgebroid, Section, d_A, timed_check
+from .expr import Expr, ONE, ZERO, ExprError, dot
+from .algebroid import CheckReport, KForm, LieAlgebroid, Section, _scatter, d_A, timed_check
 from .poisson import (
     Bivector,
     DegenerateBivector,
@@ -137,23 +137,71 @@ def torsion(N: Endo, X: Section, Y: Section) -> Section:
     return A.bracket(N.apply(X), N.apply(Y)) - N.apply(deformed_bracket(N, X, Y))
 
 
+def _deformed_structure(N: Endo) -> tuple[list, dict[tuple[int, int], list[Expr]]]:
+    """R[c][b], the (h, rho_c(N^h_b)) with rho_c(N^h_b) != 0, each partial
+    derivative of each entry of N taken once; and CN[a, b], the deformed
+    structure functions C^N_ab^h = ([e_a, e_b]_N)^h for a < b, each one dot:
+
+        C^N_ab^h = sum_c N^c_a C_cb^h + sum_d N^d_b C_ad^h
+                   + rho_a(N^h_b) - rho_b(N^h_a) - sum_k N^h_k C_ab^k."""
+    A, r, cols = N.algebroid, len(N.mat), _columns(N)
+    C = A._structure_rows
+    R: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    for b, col in enumerate(cols):
+        for h, nhb in col:
+            grads: dict[str, Expr] = {}
+            for c in range(r):
+                if not (v := A._rho_frame(c, nhb, grads)).is_zero():
+                    R[c][b].append((h, v))
+    CN = {}
+    for a, b in itertools.combinations(range(r), 2):
+        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        for c, nca in cols[a]:
+            _scatter(terms, nca, C[c][b])
+        for d, ndb in cols[b]:
+            _scatter(terms, ndb, C[a][d])
+        for k, x in C[b][a]:  # C_ba^k = -C_ab^k
+            _scatter(terms, x, cols[k])
+        _scatter(terms, ONE, R[a][b])
+        _scatter(terms, -ONE, R[b][a])
+        CN[a, b] = [dot(t) if t else ZERO for t in terms]
+    return R, CN
+
+
+def _columns(N: Endo) -> list[list[tuple[int, Expr]]]:
+    """Per column b, the (a, N^a_b) with N^a_b != 0."""
+    return [[(a, row[b]) for a, row in enumerate(N.mat) if not row[b].is_zero()]
+            for b in range(len(N.mat))]
+
+
 def torsion_check(N: Endo) -> CheckReport:
-    """Vanishing of the torsion on all frame pairs (tensoriality makes this
-    sufficient)."""
-    A = N.algebroid
+    """Vanishing of the torsion on all frame pairs a < b (tensoriality makes
+    this sufficient), each component one dot over the tables of
+    ``_deformed_structure``; the first three sums are [N e_a, N e_b]^g:
+
+        T(e_a, e_b)^g = sum_{c,d} N^c_a N^d_b C_cd^g + sum_c N^c_a rho_c(N^g_b)
+                        - sum_d N^d_b rho_d(N^g_a) - sum_h N^g_h C^N_ab^h."""
+    A, r, cols = N.algebroid, len(N.mat), _columns(N)
+    C = A._structure_rows
+    R, CN = _deformed_structure(N)
+    neg = [[(a, -n) for a, n in col] for col in cols]
     failures = []
-    for a in range(A.rank):
-        for b in range(a + 1, A.rank):
-            T = torsion(N, A.frame_section(a), A.frame_section(b))
-            for g, c in enumerate(T.comps):
-                if not c.is_zero():
-                    failures.append(
-                        (
-                            f"torsion nonzero on ({A.frame[a]}, {A.frame[b]}) "
-                            f"component {A.frame[g]}",
-                            c,
-                        )
-                    )
+    for a, b in itertools.combinations(range(r), 2):
+        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        for c, nca in cols[a]:
+            for d, ndb in cols[b]:
+                if C[c][d]:
+                    _scatter(terms, nca * ndb, C[c][d])
+            _scatter(terms, nca, R[c][b])
+        for d, ndb in neg[b]:
+            _scatter(terms, ndb, R[d][a])
+        for h, cn in enumerate(CN[a, b]):
+            if not cn.is_zero():
+                _scatter(terms, cn, neg[h])
+        failures += [
+            (f"torsion nonzero on ({A.frame[a]}, {A.frame[b]}) component {A.frame[g]}", t)
+            for g, t in enumerate(dot(t) if t else ZERO for t in terms) if not t.is_zero()
+        ]
     return CheckReport(not failures, failures)
 
 
@@ -164,21 +212,10 @@ def deformed_algebroid(N: Endo) -> LieAlgebroid:
     if not rep.ok:
         raise ExprError(f"cannot deform: {rep.witness()}")
     A = N.algebroid
-    r = A.rank
-    anchor = [
-        [
-            dot((N.mat[b][a], A.anchor[b][i]) for b in range(r))
-            for i in range(A.dim)
-        ]
-        for a in range(r)
-    ]
-    structure: dict[tuple[int, int], dict[int, Expr]] = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            br = deformed_bracket(N, A.frame_section(a), A.frame_section(b))
-            row = {g: c for g, c in enumerate(br.comps) if not c.is_zero()}
-            if row:
-                structure[(a, b)] = row
+    anchor = [[dot((N.mat[b][a], A.anchor[b][i]) for b in range(A.rank)) for i in range(A.dim)]
+              for a in range(A.rank)]
+    structure = {ab: {g: c for g, c in enumerate(row) if not c.is_zero()}
+                 for ab, row in _deformed_structure(N)[1].items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 
@@ -214,20 +251,20 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
     C vanishes exactly when the dual algebroid of NP equals the dual
     algebroid of P deformed by N*, so C(theta^a, theta^b) is the structure
     row (a, b) of ``dual_algebroid(NP)`` minus the N*-deformed bracket of
-    theta^a and theta^b on ``dual_algebroid(P)``."""
+    theta^a and theta^b on ``dual_algebroid(P)``: the structure functions
+    of N* on that algebroid from ``_deformed_structure``."""
     A = P.algebroid
     if NP is None:
         NP = N.push_bivector(P)
-    dual = dual_algebroid(P)
-    N_star = Endo.from_matrix(dual, linalg.mat_transpose(N.mat))
+    N_star = Endo.from_matrix(dual_algebroid(P), linalg.mat_transpose(N.mat))
+    rhs = _deformed_structure(N_star)[1]
     lhs = dual_algebroid(NP).structure
     failures = []
     for a, b in itertools.combinations(range(A.rank), 2):
-        rhs = deformed_bracket(N_star, dual.frame_section(a), dual.frame_section(b))
         failures += [
             (f"concomitant nonzero on dual pair ({A.frame[a]}, {A.frame[b]}) "
              f"component {A.frame[g]}", v)
-            for g, v in enumerate(x - y for x, y in zip(lhs[a][b], rhs.comps))
+            for g, v in enumerate(x - y for x, y in zip(lhs[a][b], rhs[a, b]))
             if not v.is_zero()
         ]
     return CheckReport(not failures, failures)

@@ -443,3 +443,23 @@ def test_deformed_algebroid_refuses_an_endomorphism_with_torsion():
     assert want
     with pytest.raises(ExprError, match="cannot deform: " + re.escape(f"{want[0][0]}: residual")):
         deformed_algebroid(N)
+
+
+def test_frame_verdicts_make_no_section_bracket_or_anchor_apply_call(monkeypatch):
+    calls = []
+
+    def refuse(name):
+        return lambda *args: calls.append(name)
+
+    for name in ("bracket", "anchor_apply"):
+        monkeypatch.setattr(LieAlgebroid, name, refuse(name))
+    toda = build_toda(2)
+    assert torsion_check(toda.N).ok
+    assert concomitant_check(toda.lam0, toda.N).ok
+    assert deformed_algebroid(toda.N).check_algebroid().ok
+    N = _random_endo(_exp_frame(), random.Random(5))
+    assert not torsion_check(N).ok
+    assert not FRAME_TABLE_CASES["skewed4"]().check_algebroid().ok
+    P, N = _random_pn_pair(build_aff1().algebroid, random.Random(3))
+    assert not concomitant_check(P, N).ok
+    assert calls == []
