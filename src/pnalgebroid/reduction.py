@@ -85,24 +85,23 @@ class EpimorphismSpec:
 
     def validate(self, points: list[dict[str, float]] | None = None,
                  tol: float | None = None) -> CheckReport:
-        """Anchor compatibility (symbolic) and, given sample points,
-        fiberwise surjectivity (numeric)."""
+        """Anchor compatibility and generic surjectivity of the fiber map
+        (symbolic) and, given sample points, fiberwise surjectivity (numeric)."""
         tol = default_tolerance() if tol is None else tol
         failures = []
         rho = {w: [row[wi].substitute(self.base_map) for row in self.target.anchor]
                for wi, w in enumerate(self.target.base_vars)}  # rho_a^w o pi
         for b in range(self.source.rank):
             for w in self.target.base_vars:
-                lhs = self.source._rho_frame(b, self.base_map[w], {})
-                rhs = dot((self.fiber_map[a][b], rho_a) for a, rho_a in enumerate(rho[w]))
-                if not (lhs - rhs).is_zero():
-                    failures.append(
-                        (
-                            f"anchors do not intertwine on source frame "
-                            f"{self.source.frame[b]}, target coordinate {w}",
-                            lhs - rhs,
-                        )
-                    )
+                e = (self.source._rho_frame(b, self.base_map[w], {})
+                     - dot((self.fiber_map[a][b], rho_a) for a, rho_a in enumerate(rho[w])))
+                if not e.is_zero():
+                    failures.append((f"anchors do not intertwine on source frame "
+                                     f"{self.source.frame[b]}, target coordinate {w}", e))
+        generic = linalg.symbolic_rank(self.fiber_map)
+        if generic < self.target.rank:
+            failures.append((f"fiber map not surjective: generic rank {generic} "
+                             f"< target rank {self.target.rank}", ZERO))
         for start, mats in _stacks(self.fiber_map, points) if points else ():
             rank = linalg.stacked_rank(mats, tol)[1]
             failures += [(f"fiber map not surjective at sample point {points[start + i]}", ZERO)
@@ -522,11 +521,10 @@ def kernel_subalgebroid_check(N: Endo) -> SubalgebroidReport:
     decomposition, k the (symbolic) stable index."""
     A = N.algebroid
     k = symbolic_riesz_index(N)
-    nk = N.power(max(k, 1)) if k > 0 else Endo.identity(A)
+    nk = N.power(k)
     kernel = [Section(A, tuple(v)) for v in linalg.symbolic_nullspace(nk.mat)]
     # image frame: the pivot columns of N^k, a maximal independent set
     _, pivots = linalg.row_echelon(nk.mat)
-    rank_im = len(pivots)
     cols = linalg.mat_transpose(nk.mat)
     image = [Section(A, tuple(cols[a])) for a in pivots]
     left_null = linalg.symbolic_nullspace(cols)
@@ -552,7 +550,8 @@ def kernel_subalgebroid_check(N: Endo) -> SubalgebroidReport:
                     i_fail.append(
                         (f"image bracket ({i}, {j}) leaves Im N^{k}", pairing)
                     )
-    decomposition = len(kernel) + rank_im == A.rank
+    # Ker N^k + Im N^k = A: the r x r matrix [kernel | image] has full rank
+    decomposition = linalg.symbolic_rank([X.comps for X in kernel + image]) == A.rank
     return SubalgebroidReport(
         k, kernel, image,
         CheckReport(not k_fail, k_fail),

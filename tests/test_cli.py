@@ -517,3 +517,26 @@ def test_one_process_runs_commands_through_one_parser(monkeypatch, capsys):
             want, without_seconds(fresh.stdout), fresh.stderr), argv
         assert fresh.returncode == want
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_project_fails_a_fiber_map_of_generic_rank_below_the_target_rank(tmp_path, capsys):
+    spec = tmp_path / "zero-fiber-map.json"
+    spec.write_text(json.dumps({
+        "base_vars": ["x"],
+        "frame": ["e1", "e2"],
+        "anchor": [["0"], ["0"]],
+        "bivectors": {"P": {"(e1,e2)": "1"}},
+        "epimorphism": {
+            "name": "zero",
+            "target": {"base_vars": ["u"], "frame": ["f1"], "anchor": [["0"]]},
+            "base_map": {"u": "x"},
+            "fiber_map": [["0", "0"]],
+        },
+    }))
+    code, out, _ = run(capsys, "project", str(spec), "--format", "json")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "epimorphism(zero) well-formed"
+    assert check["verdict"] == "fail"
+    assert check["witness"] == (
+        "fiber map not surjective: generic rank 0 < target rank 1: residual 0")

@@ -18,6 +18,7 @@ from pnalgebroid.reduction import (
     condition_fb_check,
 )
 from pnalgebroid.fixtures import build_toda, build_aff1
+from pnalgebroid import reduction
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,21 @@ def test_validate_names_the_anchors_that_do_not_intertwine():
                              "target coordinate u: residual 1")
 
 
+def test_validate_decides_the_generic_rank_of_the_fiber_map():
+    # zero anchors, so the anchors intertwine for every fiber map
+    x = parse("x")
+    S = LieAlgebroid.from_tables(["x"], ["e1", "e2"], [[ZERO], [ZERO]])
+    line = LieAlgebroid.from_tables(["u"], ["f1"], [[ZERO]])
+    plane = LieAlgebroid.from_tables(["u"], ["f1", "f2"], [[ZERO], [ZERO]])
+    # rank 1 at every point but x = 0, which only sample points can see
+    assert EpimorphismSpec("p", S, line, {"u": x}, [[x, ZERO]]).validate().ok
+    rep = EpimorphismSpec("p", S, line, {"u": x}, [[ZERO, ZERO]]).validate()
+    assert rep.failures == [("fiber map not surjective: generic rank 0 < target rank 1", ZERO)]
+    rep = EpimorphismSpec("q", S, plane, {"u": x}, [[ONE, x], [x, x * x]]).validate()
+    assert rep.failures == [("fiber map not surjective: generic rank 1 < target rank 2", ZERO)]
+    assert EpimorphismSpec("q", S, plane, {"u": x}, [[ONE, x], [x, ONE]]).validate().ok
+
+
 def test_characteristic_rank(toda2):
     pts = sample_points(["q1", "q2", "p1", "p2"], 5, 2)
     assert all(r.rank == 4 for r in characteristic_rank(toda2.lam0, pts))
@@ -272,6 +288,27 @@ def test_kernel_subalgebroid_verdicts_on_aff1(aff1):
     # under the bracket (its torsion is nonzero, so closure is not implied)
     assert not rep.kernel_closed.ok
     assert rep.kernel_closed.witness() is not None
+
+
+def _jordan_block_plus_identity():
+    # N = J_2(0) + 1 on R^3: Ker N^2 = span(Dx, Dy), Im N^2 = span(Dz)
+    A = LieAlgebroid.tangent(["x", "y", "z"])
+    return Endo.from_matrix(A, [[ZERO, ONE, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, ONE]])
+
+
+def test_kernel_subalgebroid_decomposition_ranks_kernel_and_image_together(aff1, monkeypatch):
+    assert kernel_subalgebroid_check(aff1.N).decomposition_ok  # k = 1
+    N = _jordan_block_plus_identity()
+    rep = kernel_subalgebroid_check(N)
+    assert rep.index == 2 and rep.decomposition_ok
+    assert [X.comps for X in rep.kernel_frame + rep.image_frame] == [
+        (ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
+    # at k = 1, below the stable index, Ker N = span(Dx) lies inside
+    # Im N = span(Dx, Dz) although the dimensions add up to 3
+    monkeypatch.setattr(reduction, "symbolic_riesz_index", lambda N: 1)
+    rep = kernel_subalgebroid_check(N)
+    assert len(rep.kernel_frame) + len(rep.image_frame) == 3
+    assert not rep.decomposition_ok and not rep.ok
 
 
 def test_kernel_subalgebroid_closed_for_torsion_free(toda2):
