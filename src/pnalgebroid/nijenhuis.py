@@ -137,15 +137,18 @@ def torsion(N: Endo, X: Section, Y: Section) -> Section:
     return A.bracket(N.apply(X), N.apply(Y)) - N.apply(deformed_bracket(N, X, Y))
 
 
-def _deformed_structure(N: Endo) -> tuple[list, dict[tuple[int, int], list[Expr]]]:
-    """R[c][b], the (h, rho_c(N^h_b)) with rho_c(N^h_b) != 0, each partial
-    derivative of each entry of N taken once; and CN[a, b], the deformed
-    structure functions C^N_ab^h = ([e_a, e_b]_N)^h for a < b, each one dot:
+def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]]]:
+    """cols[b], the (a, N^a_b) with N^a_b != 0; R[c][b], the (h, rho_c(N^h_b))
+    with rho_c(N^h_b) != 0, each partial derivative of each entry of N taken
+    once; and CN[a, b], the deformed structure functions
+    C^N_ab^h = ([e_a, e_b]_N)^h for a < b, each one dot:
 
         C^N_ab^h = sum_c N^c_a C_cb^h + sum_d N^d_b C_ad^h
                    + rho_a(N^h_b) - rho_b(N^h_a) - sum_k N^h_k C_ab^k."""
-    A, r, cols = N.algebroid, len(N.mat), _columns(N)
+    A, r = N.algebroid, len(N.mat)
     C = A._structure_rows
+    cols = [[(a, row[b]) for a, row in enumerate(N.mat) if not row[b].is_zero()]
+            for b in range(r)]
     R: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
     for b, col in enumerate(cols):
         for h, nhb in col:
@@ -165,25 +168,19 @@ def _deformed_structure(N: Endo) -> tuple[list, dict[tuple[int, int], list[Expr]
         _scatter(terms, ONE, R[a][b])
         _scatter(terms, -ONE, R[b][a])
         CN[a, b] = [dot(t) if t else ZERO for t in terms]
-    return R, CN
-
-
-def _columns(N: Endo) -> list[list[tuple[int, Expr]]]:
-    """Per column b, the (a, N^a_b) with N^a_b != 0."""
-    return [[(a, row[b]) for a, row in enumerate(N.mat) if not row[b].is_zero()]
-            for b in range(len(N.mat))]
+    return cols, R, CN
 
 
 def torsion_check(N: Endo) -> CheckReport:
     """Vanishing of the torsion on all frame pairs a < b (tensoriality makes
-    this sufficient), each component one dot over the tables of
-    ``_deformed_structure``; the first three sums are [N e_a, N e_b]^g:
+    this sufficient), each component one dot over ``_frame_tables(N)``;
+    the first three sums are [N e_a, N e_b]^g:
 
         T(e_a, e_b)^g = sum_{c,d} N^c_a N^d_b C_cd^g + sum_c N^c_a rho_c(N^g_b)
                         - sum_d N^d_b rho_d(N^g_a) - sum_h N^g_h C^N_ab^h."""
-    A, r, cols = N.algebroid, len(N.mat), _columns(N)
+    A, r = N.algebroid, len(N.mat)
     C = A._structure_rows
-    R, CN = _deformed_structure(N)
+    cols, R, CN = _frame_tables(N)
     neg = [[(a, -n) for a, n in col] for col in cols]
     failures = []
     for a, b in itertools.combinations(range(r), 2):
@@ -215,7 +212,7 @@ def deformed_algebroid(N: Endo) -> LieAlgebroid:
     anchor = [[dot((N.mat[b][a], A.anchor[b][i]) for b in range(A.rank)) for i in range(A.dim)]
               for a in range(A.rank)]
     structure = {ab: {g: c for g, c in enumerate(row) if not c.is_zero()}
-                 for ab, row in _deformed_structure(N)[1].items()}
+                 for ab, row in _frame_tables(N)[2].items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 
@@ -252,12 +249,12 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
     algebroid of P deformed by N*, so C(theta^a, theta^b) is the structure
     row (a, b) of ``dual_algebroid(NP)`` minus the N*-deformed bracket of
     theta^a and theta^b on ``dual_algebroid(P)``: the structure functions
-    of N* on that algebroid from ``_deformed_structure``."""
+    of N* on that algebroid from ``_frame_tables``."""
     A = P.algebroid
     if NP is None:
         NP = N.push_bivector(P)
     N_star = Endo.from_matrix(dual_algebroid(P), linalg.mat_transpose(N.mat))
-    rhs = _deformed_structure(N_star)[1]
+    rhs = _frame_tables(N_star)[2]
     lhs = dual_algebroid(NP).structure
     failures = []
     for a, b in itertools.combinations(range(A.rank), 2):
