@@ -191,18 +191,20 @@ class LieAlgebroid:
         """Anchor-morphism and Jacobi identities on all frame triples."""
         failures = []
         r, n = self.rank, self.dim
-        # anchor is a morphism: rho([e_a, e_b]) = [rho e_a, rho e_b]
+        # anchor is a morphism: rho([e_a, e_b]) = [rho e_a, rho e_b]; the
+        # derivatives of each anchor entry (b, i) are taken once
+        grads: dict[tuple[int, ...], dict[str, Expr]] = {}
         for a, b in itertools.combinations(range(r), 2):
             for i in range(n):
                 e = (dot((c, self.anchor[g][i]) for g, c in self._structure_rows[a][b])
-                     - self._rho_frame(a, self.anchor[b][i], {})
-                     + self._rho_frame(b, self.anchor[a][i], {}))
+                     - self._rho_frame(a, self.anchor[b][i], grads.setdefault((b, i), {}))
+                     + self._rho_frame(b, self.anchor[a][i], grads.setdefault((a, i), {})))
                 if not e.is_zero():
                     failures.append((f"anchor morphism fails on ({self.frame[a]}, "
                                      f"{self.frame[b]}) component {self.base_vars[i]}", e))
         # Jacobi, one dot per component: the cyclic sum over (x, y, z) of
-        # [e_x, [e_y, e_z]]^g = sum_h C_yz^h C_xh^g + rho_x(C_yz^g)
-        grads: dict[tuple[int, int, int], dict[str, Expr]] = {}
+        # [e_x, [e_y, e_z]]^g = sum_h C_yz^h C_xh^g + rho_x(C_yz^g), the
+        # derivatives of each structure entry (y, z, h) taken once
         for a, b, c in itertools.combinations(range(r), 3):
             terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
