@@ -463,3 +463,47 @@ def test_frame_verdicts_make_no_section_bracket_or_anchor_apply_call(monkeypatch
     P, N = _random_pn_pair(build_aff1().algebroid, random.Random(3))
     assert not concomitant_check(P, N).ok
     assert calls == []
+
+
+# -- [xi, P] from frame tables against schouten_1r ---------------------------
+
+
+def _random_bivector(A, rng, degree=2):
+    return Bivector.from_entries(A, {
+        (a, b): _random_poly(list(A.base_vars), rng, degree)
+        for a in range(A.rank) for b in range(a + 1, A.rank) if rng.random() < 0.7
+    })
+
+
+def frame_schouten(xi, P):
+    """[xi, P]^{ab} = rho_xi(P^{ab}) - L^a_c P^{cb} - P^{ac} L^b_c with
+    L^a_c = rho_c(xi^a) - xi^d C_dc^a, entry by entry."""
+    A, r = P.algebroid, P.algebroid.rank
+    L = [[A.anchor_apply(A.frame_section(c), xi.comps[a])
+          - sum((xi.comps[d] * A.structure[d][c][a] for d in range(r)), ZERO)
+          for c in range(r)] for a in range(r)]
+    return Bivector.from_entries(A, {
+        (a, b): A.anchor_apply(xi, P.mat[a][b])
+        - sum((L[a][c] * P.mat[c][b] + P.mat[a][c] * L[b][c] for c in range(r)), ZERO)
+        for a in range(r) for b in range(a + 1, r)
+    })
+
+
+@pytest.mark.parametrize("case", sorted(FRAME_TABLE_CASES))
+def test_schouten_of_a_section_and_a_bivector_matches_the_frame_formula(case):
+    from pnalgebroid.algebroid import Section
+    from pnalgebroid.poisson import schouten_1r
+
+    A = FRAME_TABLE_CASES[case]()
+    rng = random.Random(f"schouten/{case}")
+    nonzero = 0
+    for k in range(3):
+        degree = 2 if k % 2 else 1
+        xi = Section(A, tuple(ZERO if rng.random() < 0.3
+                              else _random_poly(list(A.base_vars), rng, degree)
+                              for _ in range(A.rank)))
+        P = _random_bivector(A, rng, degree)
+        want = schouten_1r(xi, P)
+        assert frame_schouten(xi, P).mat == want.mat
+        nonzero += not want.is_zero()
+    assert nonzero >= 2

@@ -922,3 +922,57 @@ def test_condition_fb_check_matches_the_per_point_code(case, seed):
         assert np.array_equal(rep.fiber_point, want[0])
         assert (rep.dim_lifted, rep.dim_anchor_image, rep.rank_subbundle, rep.consistent,
                 rep.ill_conditioned) == want[1:]
+
+
+# -- projectability of bivectors against the Schouten route ------------------
+
+
+def _schouten_projectable_failures(epi, P):
+    """The failures of ``projectable_bivector_check`` read from
+    ``schouten_1r(xi, P)`` for each kernel section xi."""
+    from pnalgebroid.poisson import schouten_1r
+
+    out = []
+    for xi in epi.kernel_frame():
+        Q = schouten_1r(xi, P)
+        for a, covector in enumerate(epi.target.frame):
+            pushed = epi.push_components(Q.sharp(epi.pullback_dual_frame(a)))
+            out += [(f"([xi, P])# of pulled-back covector {covector} leaves the kernel "
+                     f"(component {name})", e)
+                    for name, e in zip(epi.target.frame, pushed) if not e.is_zero()]
+    return out
+
+
+def _perturbed(P, rng):
+    """P plus a random bivector on a few frame pairs, with polynomial and
+    exponential entries in the source coordinates."""
+    A = P.algebroid
+    xs = [Expr.var(v) for v in A.base_vars]
+    pairs = [(a, b) for a in range(A.rank) for b in range(a + 1, A.rank)]
+    entries = {}
+    for a, b in rng.sample(pairs, 3):
+        e = Expr.number(rng.choice([-2, -1, 1, 2])) * rng.choice(xs)
+        if rng.random() < 0.5:
+            e = e * Expr.exp_of(rng.choice(xs) - rng.choice(xs))
+        entries[a, b] = e
+    return P + Bivector.from_entries(A, entries)
+
+
+@pytest.mark.parametrize("which", ["epi_flaschka", "epi_atiyah"])
+def test_projectable_bivector_check_matches_the_schouten_route(which):
+    import random
+
+    toda = build_toda(3)
+    epi = getattr(toda, which)
+    rng = random.Random(f"projectable/{which}")
+    bivectors = [toda.lam0, toda.lam1] + [_perturbed(P, rng) for P in (toda.lam0, toda.lam1)
+                                          for _ in range(2)]
+    failing = 0
+    for P in bivectors:
+        want = _schouten_projectable_failures(epi, P)
+        rep = projectable_bivector_check(epi, P)
+        assert rep.failures == want
+        assert rep.ok == (not want)
+        failing += bool(want)
+    # the invariant frame's fiber map is invertible: no kernel section, no failure
+    assert failing >= 3 if which == "epi_flaschka" else failing == 0
