@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .expr import Expr, ONE, ZERO, ExprError, dot
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, _scatter, d_A, timed_check
@@ -12,7 +13,7 @@ from .poisson import (
     Bivector,
     DegenerateBivector,
     _bracket_check,
-    dual_algebroid,
+    _koszul_rows,
     is_poisson,
     koszul_bracket,
 )
@@ -30,6 +31,13 @@ class Endo:
         r = self.algebroid.rank
         if len(self.mat) != r or any(len(row) != r for row in self.mat):
             raise ValueError("endomorphism matrix must be rank x rank")
+
+    @cached_property
+    def _tables(self):
+        """``_frame_tables(self)``, built on first use and cached on this
+        frozen endomorphism like the sparse views of ``LieAlgebroid``, so
+        the torsion and the concomitant share one set of anchor derivatives."""
+        return _frame_tables(self)
 
     @staticmethod
     def identity(A: LieAlgebroid) -> "Endo":
@@ -180,7 +188,7 @@ def torsion_check(N: Endo) -> CheckReport:
                         - sum_d N^d_b rho_d(N^g_a) - sum_h N^g_h C^N_ab^h."""
     A, r = N.algebroid, len(N.mat)
     C = A._structure_rows
-    cols, R, CN = _frame_tables(N)
+    cols, R, CN = N._tables
     neg = [[(a, -n) for a, n in col] for col in cols]
     failures = []
     for a, b in itertools.combinations(range(r), 2):
@@ -212,7 +220,7 @@ def deformed_algebroid(N: Endo) -> LieAlgebroid:
     anchor = [[dot((N.mat[b][a], A.anchor[b][i]) for b in range(A.rank)) for i in range(A.dim)]
               for a in range(A.rank)]
     structure = {ab: {g: c for g, c in enumerate(row) if not c.is_zero()}
-                 for ab, row in _frame_tables(N)[2].items()}
+                 for ab, row in N._tables[2].items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 
@@ -243,26 +251,53 @@ def concomitant(P: Bivector, N: Endo, alpha: KForm, beta: KForm) -> KForm:
 
 def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> CheckReport:
     """The concomitant on all dual frame pairs a < b, components in frame
-    order; ``NP`` is N P when the caller has it.
+    order; ``NP`` is N P when the caller has it.  With K(Q) the Koszul rows
+    of ``_koszul_rows`` and rho_e(N^b_h) read from ``N._tables``, each
+    component is one dot:
 
-    C vanishes exactly when the dual algebroid of NP equals the dual
-    algebroid of P deformed by N*, so C(theta^a, theta^b) is the structure
-    row (a, b) of ``dual_algebroid(NP)`` minus the N*-deformed bracket of
-    theta^a and theta^b on ``dual_algebroid(P)``: the structure functions
-    of N* on that algebroid from ``_frame_tables``."""
-    A = P.algebroid
+        C(theta^a, theta^b)^h = K(NP)_ab^h - sum_c N^a_c K(P)_cb^h - sum_d N^b_d K(P)_ad^h
+                                - sum_e P^{ae} rho_e(N^b_h) + sum_e P^{be} rho_e(N^a_h)
+                                + sum_k N^k_h K(P)_ab^k."""
+    A, r, m = P.algebroid, len(N.mat), P.mat
     if NP is None:
         NP = N.push_bivector(P)
-    N_star = Endo.from_matrix(dual_algebroid(P), linalg.mat_transpose(N.mat))
-    rhs = _frame_tables(N_star)[2]
-    lhs = dual_algebroid(NP).structure
+    R = N._tables[1]
+    # RT[e][b], the (h, rho_e(N^b_h)) with rho_e(N^b_h) != 0
+    RT: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    for e, by_col in enumerate(R):
+        for h, col in enumerate(by_col):
+            for b, v in col:
+                RT[e][b].append((h, v))
+    rows = [[(c, n) for c, n in enumerate(row) if not n.is_zero()] for row in N.mat]
+    neg = [[(c, -n) for c, n in row] for row in rows]
+    prows = [[(e, p) for e, p in enumerate(row) if not p.is_zero()] for row in m]
+    KP = {ab: [(h, k) for h, k in enumerate(row) if not k.is_zero()]
+          for ab, row in _koszul_rows(P).items()}
+
+    def rhs(a, b, terms):
+        for (c, n), (_, minus) in zip(rows[a], neg[a]):  # K(P)_cb = -K(P)_bc
+            if c < b:
+                _scatter(terms, minus, KP[c, b])
+            elif c > b:
+                _scatter(terms, n, KP[b, c])
+        for (d, n), (_, minus) in zip(rows[b], neg[b]):
+            if d > a:
+                _scatter(terms, minus, KP[a, d])
+            elif d < a:
+                _scatter(terms, n, KP[d, a])
+        for e, _ in prows[a]:  # -P^{ae} = P^{ea}
+            _scatter(terms, m[e][a], RT[e][b])
+        for e, p in prows[b]:
+            _scatter(terms, p, RT[e][a])
+        for k, x in KP[a, b]:
+            _scatter(terms, x, rows[k])
+
     failures = []
-    for a, b in itertools.combinations(range(A.rank), 2):
+    for (a, b), row in _koszul_rows(NP, rhs).items():
         failures += [
             (f"concomitant nonzero on dual pair ({A.frame[a]}, {A.frame[b]}) "
              f"component {A.frame[g]}", v)
-            for g, v in enumerate(x - y for x, y in zip(lhs[a][b], rhs[a, b]))
-            if not v.is_zero()
+            for g, v in enumerate(row) if not v.is_zero()
         ]
     return CheckReport(not failures, failures)
 

@@ -28,6 +28,7 @@ from .algebroid import (
     KForm,
     LieAlgebroid,
     Section,
+    _scatter,
     d_A,
     interior,
     lie_derivative,
@@ -184,6 +185,46 @@ def schouten_1r(X: Section, R):
     raise TypeError(f"unsupported multivector type {type(R).__name__}")
 
 
+def _schouten_frame(X: Section, P: Bivector) -> Bivector:
+    """[X, P] of a section and a bivector from the frame tables:
+
+        [X, P]^{ab} = rho(X)(P^{ab}) - L^a_c P^{cb} - P^{ac} L^b_c,
+        L^a_c = (L_X theta^a)_c = rho_c(X^a) - X^d C_dc^a,
+
+    rho(X) from ``anchor_apply``, each L^a_c and each sum over c one dot over
+    the nonzero entries of X and P and the nonzero anchor and structure
+    rows.  Equal to ``schouten_1r(X, P)``."""
+    A, m = P.algebroid, P.mat
+    r = A.rank
+    xs = [(d, x) for d, x in enumerate(X.comps) if not x.is_zero()]
+    # L[a], the (c, L^a_c) with L^a_c != 0
+    lt: list[list[list[tuple[Expr, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    for a, x in xs:
+        grads: dict[str, Expr] = {}
+        for c, anchor in enumerate(A._anchor_rows):
+            for v, rho in anchor:
+                if (dx := grads.get(v)) is None:
+                    dx = grads[v] = x.diff(v)
+                if not dx.is_zero():
+                    lt[a][c].append((rho, dx))
+    for d, x in xs:  # -X^d C_dc^a = X^d C_cd^a
+        for c, plane in enumerate(A._structure_rows):
+            for a, cc in plane[d]:
+                lt[a][c].append((x, cc))
+    L = [[(c, l) for c, t in enumerate(row) if t and not (l := dot(t)).is_zero()]
+         for row in lt]
+    entries: dict[tuple[int, int], Expr] = {}
+    for a, b in itertools.combinations(range(r), 2):
+        terms = [(l, m[b][c]) for c, l in L[a] if not m[b][c].is_zero()]  # -P^{cb} = P^{bc}
+        terms += [(m[c][a], l) for c, l in L[b] if not m[c][a].is_zero()]  # -P^{ac} = P^{ca}
+        e = A.anchor_apply(X, m[a][b])
+        if terms:
+            e = e + dot(terms)
+        if not e.is_zero():
+            entries[a, b] = e
+    return Bivector.from_entries(A, entries)
+
+
 def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
                    *known: list[Expr]) -> tuple[CheckReport, list[Expr]]:
     """The Poisson verdict and residuals of the bilinear frame bracket
@@ -270,14 +311,50 @@ def koszul_bracket(P: Bivector, alpha: KForm, beta: KForm) -> KForm:
     )
 
 
+def _koszul_rows(Q: Bivector, more=None) -> dict[tuple[int, int], list[Expr]]:
+    """The Koszul structure rows K(Q)_ab^g = ([theta^a, theta^b]_Q)_g for
+    a < b, each entry one dot over the nonzero entries of Q and the nonzero
+    anchor and structure rows:
+
+        K(Q)_ab^g = rho_g(Q^{ab}) - Q^{ad} C_dg^b + Q^{bd} C_dg^a,
+
+    antisymmetric in (a, b).  ``more(a, b, terms)``, when given, appends
+    further pairs to ``terms[g]`` before the dots are formed."""
+    A, m = Q.algebroid, Q.mat
+    r = A.rank
+    # CT[d][b], the (g, C_dg^b) with C_dg^b != 0
+    CT: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    for d, plane in enumerate(A._structure_rows):
+        for g, row in enumerate(plane):
+            for b, c in row:
+                CT[d][b].append((g, c))
+    rows = [[(d, q) for d, q in enumerate(row) if not q.is_zero()] for row in m]
+    out = {}
+    for a, b in itertools.combinations(range(r), 2):
+        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        if not (q := m[a][b]).is_zero():
+            grads: dict[str, Expr] = {}
+            for g, anchor in enumerate(A._anchor_rows):
+                for v, rho in anchor:
+                    if (dq := grads.get(v)) is None:
+                        dq = grads[v] = q.diff(v)
+                    if not dq.is_zero():
+                        terms[g].append((rho, dq))
+        for d, _ in rows[a]:  # -Q^{ad} = Q^{da}
+            _scatter(terms, m[d][a], CT[d][b])
+        for d, qbd in rows[b]:
+            _scatter(terms, qbd, CT[d][a])
+        if more is not None:
+            more(a, b, terms)
+        out[a, b] = [dot(t) if t else ZERO for t in terms]
+    return out
+
+
 def dual_algebroid(P: Bivector) -> LieAlgebroid:
     """Algebroid structure on the dual bundle, its frame the dual frame
     theta^a named after the frame of A: the anchor is rho o P#, and the
-    bracket of one-forms is the Koszul bracket, read off the frame formula
-
-        ([theta^a, theta^b]_P)_g = rho_g(P^{ab}) - P^{ad} C_dg^b + P^{bd} C_dg^a
-
-    over the nonzero anchor and structure rows.  Valid when P is Poisson."""
+    bracket of one-forms is the Koszul bracket, its structure rows read from
+    ``_koszul_rows(P)``.  Valid when P is Poisson."""
     A = P.algebroid
     r = A.rank
     m = P.mat
@@ -285,23 +362,7 @@ def dual_algebroid(P: Bivector) -> LieAlgebroid:
         [dot((m[a][b], A.anchor[b][i]) for b in range(r)) for i in range(A.dim)]
         for a in range(r)
     ]
-    # PC[a][g][h] = P^{ad} C_dg^h
-    PC = []
-    for a in range(r):
-        t = [[ZERO] * r for _ in range(r)]
-        for d, pad in enumerate(m[a]):
-            if pad.is_zero():
-                continue
-            for g, row in enumerate(A._structure_rows[d]):
-                for h, c in row:
-                    t[g][h] = t[g][h] + pad * c
-        PC.append(t)
-    structure: dict[tuple[int, int], dict[int, Expr]] = {}
-    for a, b in itertools.combinations(range(r), 2):
-        grads: dict[str, Expr] = {}
-        structure[a, b] = {
-            g: A._rho_frame(g, m[a][b], grads) - PC[a][g][b] + PC[b][g][a] for g in range(r)
-        }
+    structure = {ab: dict(enumerate(row)) for ab, row in _koszul_rows(P).items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 

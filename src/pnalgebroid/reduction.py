@@ -17,9 +17,9 @@ from .expr import Expr, ZERO, ONE, ExprError, dot, rational
 from .algebroid import CheckReport, KForm, LieAlgebroid, Section, interior, lie_derivative
 from .poisson import (
     Bivector,
+    _schouten_frame,
     invert_poisson,
     koszul_bracket,
-    schouten_1r,
 )
 from .nijenhuis import Endo
 from . import linalg
@@ -243,11 +243,12 @@ def projectable_form_check(epi: EpimorphismSpec, alpha: KForm) -> CheckReport:
 
 
 def projectable_bivector_check(epi: EpimorphismSpec, P: Bivector) -> CheckReport:
-    """([xi, P])# must send projectable covectors into the kernel."""
+    """([xi, P])# must send projectable covectors into the kernel; [xi, P]
+    from the frame formula of ``poisson._schouten_frame``."""
     failures = []
     pullbacks = [epi.pullback_dual_frame(a) for a in range(epi.target.rank)]
     for xi in epi.kernel_frame():
-        Q = schouten_1r(xi, P)
+        Q = _schouten_frame(xi, P)
         for covector, beta in zip(epi.target.frame, pullbacks):
             failures += [
                 (f"([xi, P])# of pulled-back covector {covector} leaves the kernel "

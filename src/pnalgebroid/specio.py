@@ -47,22 +47,28 @@ def _names(value: Any, where: str) -> list[str]:
     return [_expect(v, str, where) for v in _expect(value, list, where)]
 
 
-def _matrix(value: Any, rows: int, cols: int, where: str) -> list[list[Expr]]:
+def _matrix(value: Any, rows: int, cols: int, where: str,
+            memo: dict[str, Expr]) -> list[list[Expr]]:
     """A rows x cols array of expression strings."""
     if not isinstance(value, list) or len(value) != rows or any(
         not isinstance(row, list) or len(row) != cols for row in value
     ):
         raise SpecFileError(f"{where}: expected a {rows}x{cols} matrix")
-    return [[_expr(e, f"{where}[{i}]") for e in row] for i, row in enumerate(value)]
+    return [[_expr(e, f"{where}[{i}]", memo) for e in row] for i, row in enumerate(value)]
 
 
-def _expr(text: Any, where: str) -> Expr:
+def _expr(text: Any, where: str, memo: dict[str, Expr]) -> Expr:
+    """The expression ``text``, parsed once per document: ``memo`` maps each
+    string parsed so far to its Expr (immutable, so entries share it)."""
     if not isinstance(text, str):
         raise SpecFileError(f"{where}: expected an expression string, got {text!r}")
-    try:
-        return parse_expr(text)
-    except ExprSyntaxError as e:
-        raise SpecFileError(f"{where}: {e}") from e
+    e = memo.get(text)
+    if e is None:
+        try:
+            e = memo[text] = parse_expr(text)
+        except ExprSyntaxError as err:
+            raise SpecFileError(f"{where}: {err}") from err
+    return e
 
 
 def _pair_key(key: str, names: list[str], where: str) -> tuple[int, int]:
@@ -81,7 +87,8 @@ def _pair_key(key: str, names: list[str], where: str) -> tuple[int, int]:
     return i, j
 
 
-def _algebroid_from_obj(obj: Any, where: str = "algebroid") -> LieAlgebroid:
+def _algebroid_from_obj(obj: Any, memo: dict[str, Expr],
+                        where: str = "algebroid") -> LieAlgebroid:
     _expect(obj, dict, where)
     for req in ("base_vars", "frame", "anchor"):
         if req not in obj:
@@ -104,7 +111,7 @@ def _algebroid_from_obj(obj: Any, where: str = "algebroid") -> LieAlgebroid:
     for a, row in enumerate(anchor_rows):
         if len(_expect(row, list, f"{where}.anchor[{a}]")) != len(base_vars):
             raise SpecFileError(f"{where}: anchor row {a} has wrong length")
-        anchor.append([_expr(e, f"{where}.anchor[{a}]") for e in row])
+        anchor.append([_expr(e, f"{where}.anchor[{a}]", memo) for e in row])
     structure: dict[tuple[int, int], dict[int, Expr]] = {}
     for key, row in _expect(obj.get("structure", {}), dict, f"{where}.structure").items():
         i, j = _pair_key(key, frame, f"{where}.structure")
@@ -119,7 +126,7 @@ def _algebroid_from_obj(obj: Any, where: str = "algebroid") -> LieAlgebroid:
                 raise SpecFileError(
                     f"{where}.structure[{key}]: unknown frame element {gname!r}"
                 )
-            e = _expr(etext, f"{where}.structure[{key}]")
+            e = _expr(etext, f"{where}.structure[{key}]", memo)
             out[g] = out.get(g, ZERO) + (e if sign > 0 else -e)
         structure[(i, j)] = out
     try:
@@ -135,27 +142,28 @@ def parse_document(text: str) -> SpecDocument:
         raise SpecFileError(f"invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise SpecFileError("top level of a spec file must be a JSON object")
-    A = _algebroid_from_obj(obj)
+    memo: dict[str, Expr] = {}
+    A = _algebroid_from_obj(obj, memo)
     doc = SpecDocument(A)
     for name, entries in _expect(obj.get("bivectors", {}), dict, "bivectors").items():
         mat_entries: dict[tuple[int, int], Expr] = {}
         for key, etext in _expect(entries, dict, f"bivectors[{name}]").items():
             i, j = _pair_key(key, list(A.frame), f"bivectors[{name}]")
-            mat_entries[(i, j)] = _expr(etext, f"bivectors[{name}][{key}]")
+            mat_entries[(i, j)] = _expr(etext, f"bivectors[{name}][{key}]", memo)
         try:
             doc.bivectors[name] = Bivector.from_entries(A, mat_entries)
         except ValueError as e:
             raise SpecFileError(f"bivectors[{name}]: {e}") from e
     for name, rows in _expect(obj.get("endomorphisms", {}), dict, "endomorphisms").items():
-        mat = _matrix(rows, A.rank, A.rank, f"endomorphisms[{name}]")
+        mat = _matrix(rows, A.rank, A.rank, f"endomorphisms[{name}]", memo)
         doc.endomorphisms[name] = Endo.from_matrix(A, mat)
     if "epimorphism" in obj:
         epi = obj["epimorphism"]
         if not isinstance(epi, dict) or "target" not in epi:
             raise SpecFileError("epimorphism: missing 'target' block")
-        target = _algebroid_from_obj(epi["target"], "epimorphism.target")
+        target = _algebroid_from_obj(epi["target"], memo, "epimorphism.target")
         base_map = {
-            v: _expr(e, f"epimorphism.base_map[{v}]")
+            v: _expr(e, f"epimorphism.base_map[{v}]", memo)
             for v, e in _expect(epi.get("base_map", {}), dict, "epimorphism.base_map").items()
         }
         if set(base_map) != set(target.base_vars):
@@ -163,7 +171,7 @@ def parse_document(text: str) -> SpecDocument:
                 "epimorphism.base_map: must give one expression per target base variable"
             )
         fiber_map = _matrix(
-            epi.get("fiber_map", []), target.rank, A.rank, "epimorphism.fiber_map"
+            epi.get("fiber_map", []), target.rank, A.rank, "epimorphism.fiber_map", memo
         )
         name = _expect(epi.get("name", "epimorphism"), str, "epimorphism.name")
         doc.epimorphism = EpimorphismSpec(name, A, target, base_map, fiber_map)

@@ -475,24 +475,10 @@ def _random_bivector(A, rng, degree=2):
     })
 
 
-def frame_schouten(xi, P):
-    """[xi, P]^{ab} = rho_xi(P^{ab}) - L^a_c P^{cb} - P^{ac} L^b_c with
-    L^a_c = rho_c(xi^a) - xi^d C_dc^a, entry by entry."""
-    A, r = P.algebroid, P.algebroid.rank
-    L = [[A.anchor_apply(A.frame_section(c), xi.comps[a])
-          - sum((xi.comps[d] * A.structure[d][c][a] for d in range(r)), ZERO)
-          for c in range(r)] for a in range(r)]
-    return Bivector.from_entries(A, {
-        (a, b): A.anchor_apply(xi, P.mat[a][b])
-        - sum((L[a][c] * P.mat[c][b] + P.mat[a][c] * L[b][c] for c in range(r)), ZERO)
-        for a in range(r) for b in range(a + 1, r)
-    })
-
-
 @pytest.mark.parametrize("case", sorted(FRAME_TABLE_CASES))
 def test_schouten_of_a_section_and_a_bivector_matches_the_frame_formula(case):
     from pnalgebroid.algebroid import Section
-    from pnalgebroid.poisson import schouten_1r
+    from pnalgebroid.poisson import _schouten_frame, schouten_1r
 
     A = FRAME_TABLE_CASES[case]()
     rng = random.Random(f"schouten/{case}")
@@ -504,6 +490,58 @@ def test_schouten_of_a_section_and_a_bivector_matches_the_frame_formula(case):
                               for _ in range(A.rank)))
         P = _random_bivector(A, rng, degree)
         want = schouten_1r(xi, P)
-        assert frame_schouten(xi, P).mat == want.mat
+        assert _schouten_frame(xi, P).mat == want.mat
         nonzero += not want.is_zero()
     assert nonzero >= 2
+
+
+# -- what the frame verdicts build ----------------------------------------------
+
+
+def test_concomitant_check_makes_no_dual_algebroid_or_from_tables_call(monkeypatch):
+    from pnalgebroid import poisson
+
+    calls = []
+
+    def refuse(name):
+        return lambda *args: calls.append(name)
+
+    toda = build_toda(3)
+    P, N = _random_pn_pair(build_aff1().algebroid, random.Random(3))
+    monkeypatch.setattr(poisson, "dual_algebroid", refuse("dual_algebroid"))
+    monkeypatch.setattr(LieAlgebroid, "from_tables", staticmethod(refuse("from_tables")))
+    assert concomitant_check(toda.lam0, toda.N).ok
+    assert not concomitant_check(P, N).ok
+    assert calls == []
+
+
+def _counting_frame_tables(monkeypatch):
+    calls = []
+    real = nijenhuis._frame_tables
+
+    def counted(N):
+        calls.append(N)
+        return real(N)
+
+    monkeypatch.setattr(nijenhuis, "_frame_tables", counted)
+    return calls
+
+
+def test_pn_check_builds_the_frame_tables_once_per_endomorphism(monkeypatch):
+    calls = _counting_frame_tables(monkeypatch)
+    toda = build_toda(3)
+    N = Endo(toda.N.algebroid, toda.N.mat)
+    assert pn_check(toda.lam0, N).ok
+    assert len(calls) == 1
+    assert pn_check(toda.lam1, N).ok
+    assert len(calls) == 1
+    assert pn_check(toda.lam0, Endo(toda.N.algebroid, toda.N.mat)).ok
+    assert len(calls) == 2
+
+
+def test_deformed_algebroid_builds_the_frame_tables_once(monkeypatch):
+    calls = _counting_frame_tables(monkeypatch)
+    toda = build_toda(3)
+    B = deformed_algebroid(Endo(toda.N.algebroid, toda.N.mat))
+    assert len(calls) == 1
+    assert B.structure == deformed_algebroid(toda.N).structure

@@ -209,3 +209,53 @@ def test_a_serialized_algebroid_round_trips_or_its_names_are_rejected(e, f, x):
         assert str(exc).startswith(("algebroid.frame: ", "algebroid.base_vars: "))
         return
     assert again == text
+
+
+def _expression_strings(obj, key=None):
+    """Every expression string of a spec object: its string leaves apart
+    from the base variables, the frame names and the epimorphism's name."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _expression_strings(v, k)
+    elif isinstance(obj, list):
+        if key not in ("base_vars", "frame"):
+            for v in obj:
+                yield from _expression_strings(v, key)
+    elif key != "name":
+        yield obj
+
+
+def test_each_distinct_expression_string_is_parsed_once_per_document(monkeypatch):
+    import io
+    from contextlib import redirect_stdout
+
+    from pnalgebroid import cli, specio
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["fixture", "toda", "--n", "5"]) == 0
+    text = out.getvalue()
+    strings = list(_expression_strings(json.loads(text)))
+    calls = []
+    real = specio.parse_expr
+
+    def counted(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(specio, "parse_expr", counted)
+    for _ in range(2):  # the memo lives for one call
+        calls.clear()
+        doc = parse_document(text)
+        assert sorted(calls) == sorted(set(strings))
+    assert len(strings) > 2 * len(set(strings))
+    assert serialize_document(doc) == text
+
+
+def test_a_repeated_bad_string_is_reported_where_it_first_appears():
+    obj = json.loads(MINIMAL)
+    obj["anchor"] = [["1", "x +"], ["x +", "1"]]
+    obj["bivectors"]["P"]["(e1,e2)"] = "x +"
+    with pytest.raises(SpecFileError) as exc:
+        parse_document(json.dumps(obj))
+    assert str(exc.value) == "algebroid.anchor[0]: unexpected token 'end of input' (at position 3)"
