@@ -12,14 +12,19 @@ arguments, so the representation is canonical and zero-equality is decidable
 by inspection.  There is no division node: division is only available as
 exact division (:func:`div_exact`) or by rational constants.
 
-Every rational in a term, ``c`` and the coefficients of ``l`` alike, is
-stored in one form (:func:`rational`): an ``int`` when integral, else a
-``Fraction``.  Most coefficients are integral, and ``int`` hashing and
-arithmetic are much cheaper than ``Fraction``'s.  Division of coefficients
-always goes through ``Fraction``, never ``int / int``.
+An Expr stores its coefficients over one denominator: a dict from term key
+to int numerator, and a positive int denominator that shares no factor with
+all the numerators together (zero is the empty dict over 1).  Each value has
+one such pair, and sums, products, :func:`dot`, :meth:`Expr.diff` and
+scaling by a constant run on ints alone: a rescaled operand costs an int
+product per term, not a ``Fraction`` one.  The coefficients of a linear form
+inside a key, and every rational an Expr hands out (:attr:`Expr.terms`,
+:meth:`Expr.constant_value`, :meth:`Expr.as_linear`), are stored in one form
+(:func:`rational`): an ``int`` when integral, else a ``Fraction``.  Division
+of coefficients always goes through ``Fraction``, never ``int / int``.
 
 A term's key, its monomial and linear form, is interned to a small int, and
-an Expr stores a dict from key id to coefficient.  Sums, products,
+the dict of numerators is keyed by key id.  Sums, products,
 :func:`dot` and :meth:`Expr.diff` work on the ids and never sort; equality
 and hashing compare the dicts as mappings.  The canonical sorted tuple
 :attr:`Expr.terms` is built only when read (printing, serialising,
@@ -35,6 +40,7 @@ import math
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Number = Union[int, Fraction]
@@ -48,7 +54,8 @@ TermKey = tuple[Mono, Lin]
 
 def rational(q) -> Number:
     """The stored form of a rational number: an int when integral, else a
-    Fraction.  Every coefficient an Expr holds passes through here."""
+    Fraction.  Every linear-form coefficient in a key, and every coefficient
+    an Expr takes in or hands out, passes through here."""
     if type(q) is not Fraction:
         if type(q) is int:
             return q
@@ -97,13 +104,15 @@ _ONE = _intern((), ())  # the key of a constant term
 
 # Memoised key products, one row per first key: _PROD[i][j] is the id of key
 # i times key j.  Memoised derivatives: _DIFF[i, v] is d/dv of key i as
-# ((id, factor), ...).  Both tables are cleared together once they hold
-# _TABLE_BOUND entries.  A pass of the big-operand benchmark workload stores
-# about 15,000 products over 5,300 keys, and the same key pairs recur across
-# operations, so the bound keeps a pass's products with room to spare.
+# (q, ((id, p), ...)), the sum of p/q times key id over the pairs, where q is
+# the denominator of v's coefficient in the linear form.  Both tables are
+# cleared together once they hold _TABLE_BOUND entries.  A pass of the
+# big-operand benchmark workload stores about 15,000 products over 5,300
+# keys, and the same key pairs recur across operations, so the bound keeps a
+# pass's products with room to spare.
 _TABLE_BOUND = 1 << 16
 _PROD: dict[int, dict[int, int]] = {}
-_DIFF: dict[tuple[int, str], tuple[tuple[int, Number], ...]] = {}
+_DIFF: dict[tuple[int, str], tuple[int, tuple[tuple[int, int], ...]]] = {}
 _entries = 0
 
 
@@ -151,27 +160,42 @@ def _product(i: int, j: int, row: dict[int, int]) -> int:
     return k
 
 
-def _derivative(i: int, v: str) -> tuple[tuple[int, Number], ...]:
-    """d/dv of key i as (id, factor) pairs, stored in _DIFF."""
+def _derivative(i: int, v: str) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """d/dv of key i as a denominator and (id, numerator) pairs, stored in
+    _DIFF."""
     m, l = _KEYS[i]
     out = []
     md = dict(m)
     e = md.pop(v, 0)
+    lv = dict(l).get(v, 0)
+    q = lv.denominator  # 1 for an int
     if e:
         if e != 1:
             md[v] = e - 1
-        out.append((_intern(tuple(sorted(md.items())), l), e))
-    lv = dict(l).get(v)
-    if lv is not None:
-        out.append((i, lv))
+        out.append((_intern(tuple(sorted(md.items())), l), e * q))
+    if lv:
+        out.append((i, lv.numerator))
     _memo_entry()
-    row = _DIFF[i, v] = tuple(out)
+    row = _DIFF[i, v] = (q, tuple(out))
     return row
 
 
-def _canonical(d: dict[int, Number]) -> dict[int, Number]:
-    """``d`` without its zero coefficients, each stored by :func:`rational`."""
-    return {k: c if type(c) is int else rational(c) for k, c in d.items() if c}
+def _canonical(d: dict[int, int]) -> dict[int, int]:
+    """``d`` without its zero numerators."""
+    return {k: c for k, c in d.items() if c}
+
+
+def _table(d: dict[int, Number]) -> tuple[dict[int, int], int]:
+    """Rational coefficients as the stored pair: nonzero int numerators over
+    the least common denominator, which shares no factor with all of them."""
+    d = {k: rational(c) for k, c in d.items() if c}
+    den = 1
+    for c in d.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den != 1:
+        d = {k: c.numerator * (den // c.denominator) for k, c in d.items()}
+    return d, den
 
 
 class Expr:
@@ -179,17 +203,21 @@ class Expr:
 
     ``Expr(terms)`` builds one from (mono, lin, c) triples.  An Expr is
     immutable and hashable; it stores a dict from interned key id to nonzero
-    coefficient, and equality and hashing compare that dict as a mapping."""
+    int numerator and one denominator, and equality and hashing compare the
+    dict as a mapping and the denominator."""
 
-    # _t: key id -> coefficient.  _terms and _hash are filled on first read.
-    __slots__ = ("_t", "_terms", "_hash")
+    # _t: key id -> numerator; _d: the denominator of every numerator.
+    # _terms and _hash are filled on first read.
+    __slots__ = ("_t", "_d", "_terms", "_hash")
 
     def __init__(self, terms: Iterable[tuple[Mono, Lin, Number]] = ()):
         d: dict[int, Number] = {}
         for m, l, c in terms:
             k = _intern(m, l)
             d[k] = d.get(k, 0) + c
-        _set_t(self, _canonical(d))
+        t, den = _table(d)
+        _set_t(self, t)
+        _set_d(self, den)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -207,7 +235,12 @@ class Expr:
         try:
             return self._terms
         except AttributeError:
-            t = tuple(sorted([_KEYS[i] + (c,) for i, c in self._t.items()]))
+            den = self._d
+            if den == 1:
+                t = tuple(sorted([_KEYS[i] + (c,) for i, c in self._t.items()]))
+            else:
+                t = tuple(sorted([_KEYS[i] + (rational(Fraction(c, den)),)
+                                  for i, c in self._t.items()]))
             _set_terms(self, t)
             return t
 
@@ -218,7 +251,7 @@ class Expr:
         q = rational(q)
         if q == 0:
             return Expr()
-        return _wrap({_ONE: q})
+        return _wrap({_ONE: q.numerator}, q.denominator)
 
     @staticmethod
     def var(name: str) -> "Expr":
@@ -228,7 +261,7 @@ class Expr:
 
     @staticmethod
     def from_terms(d: Mapping[TermKey, Number]) -> "Expr":
-        return _wrap(_canonical({_intern(m, l): c for (m, l), c in d.items()}))
+        return _wrap(*_table({_intern(m, l): c for (m, l), c in d.items()}))
 
     @staticmethod
     def exp_of(argument: "Expr") -> "Expr":
@@ -250,7 +283,7 @@ class Expr:
             return Fraction(0)
         if not self.is_constant():
             raise ExprError(f"not a constant: {self}")
-        return Fraction(self._t[_ONE])
+        return Fraction(self._t[_ONE], self._d)
 
     def variables(self) -> set[str]:
         vs: set[str] = set()
@@ -262,7 +295,7 @@ class Expr:
 
     def as_linear(self) -> Lin:
         """View as an affine form; raise if a term is nonlinear or exponential."""
-        d: dict[str, Number] = {}
+        d: dict[str, int] = {}
         for i, c in self._t.items():
             m, l = _KEYS[i]
             if l:
@@ -274,7 +307,8 @@ class Expr:
                 d[v] = d.get(v, 0) + c
             else:
                 raise ExprError(f"nonlinear term in supposed linear form: {self}")
-        return tuple(sorted((v, rational(c)) for v, c in d.items() if c != 0))
+        den = self._d
+        return tuple(sorted((v, rational(Fraction(c, den))) for v, c in d.items() if c != 0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -287,21 +321,24 @@ class Expr:
             return self
         if not a:
             return other
+        den = self._d
+        if den != other._d:
+            return _combine(a, den, b, other._d, 1)
         if len(a) < len(b):
             a, b = b, a
         d = a.copy()
         for k, c in b.items():
             s = d.get(k, 0) + c
             if s:
-                d[k] = s if type(s) is int else rational(s)
+                d[k] = s
             else:
                 del d[k]
-        return _wrap(d)
+        return _wrap(d) if den == 1 else _reduced(d, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return _wrap({k: -c for k, c in self._t.items()})
+        return _wrap({k: -c for k, c in self._t.items()}, self._d)
 
     def __sub__(self, other) -> "Expr":
         if type(other) is not Expr:
@@ -309,14 +346,17 @@ class Expr:
         b = other._t
         if not b:
             return self
+        den = self._d
+        if den != other._d:
+            return _combine(self._t, den, b, other._d, -1)
         d = self._t.copy()
         for k, c in b.items():
             s = d.get(k, 0) - c
             if s:
-                d[k] = s if type(s) is int else rational(s)
+                d[k] = s
             else:
                 del d[k]
-        return _wrap(d)
+        return _wrap(d) if den == 1 else _reduced(d, den)
 
     def __rsub__(self, other) -> "Expr":
         return _coerce(other).__sub__(self)
@@ -328,20 +368,23 @@ class Expr:
         if not a or not b:
             return ZERO
         if len(b) == 1 and _ONE in b:
-            return self._scaled(b[_ONE])
+            return self._scaled(b[_ONE], other._d)
         if len(a) == 1 and _ONE in a:
-            return other._scaled(a[_ONE])
-        d: dict[int, Number] = {}
+            return other._scaled(a[_ONE], self._d)
+        d: dict[int, int] = {}
         _mul_into(d, a, b)
-        return _wrap(_canonical(d))
+        t, den = _canonical(d), self._d * other._d
+        return _wrap(t) if den == 1 else _reduced(t, den)
 
     __rmul__ = __mul__
 
-    def _scaled(self, k: Number) -> "Expr":
-        # a nonzero constant factor keeps every key and leaves no zero
-        if k == 1:
+    def _scaled(self, num: int, den: int) -> "Expr":
+        # times the nonzero constant num/den: every key stays, none cancels
+        if num == den:
             return self
-        return _wrap({i: rational(c * k) for i, c in self._t.items()})
+        t = {i: c * num for i, c in self._t.items()}
+        den *= self._d
+        return _wrap(t) if den == 1 else _reduced(t, den)
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -351,7 +394,9 @@ class Expr:
                 ((i, c),) = self._t.items()
                 m, l = _KEYS[i]
                 if not m:
-                    inv = _wrap({_intern((), _lin_scale(l, -1)): rational(Fraction(1) / c)})
+                    # 1/(c/d) = d/c, and d shares no factor with c
+                    d = self._d
+                    inv = _wrap({_intern((), _lin_scale(l, -1)): d if c > 0 else -d}, abs(c))
                     return inv ** (-n)
             raise ExprError("negative power of a non-invertible expression")
         out = Expr.number(1)
@@ -377,13 +422,15 @@ class Expr:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Expr.number(other)
-        return self._t == other._t
+        return self._t == other._t and self._d == other._d
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             h = hash(frozenset(self._t.items()))
+            if self._d != 1:
+                h = hash((h, self._d))
             _set_hash(self, h)
             return h
 
@@ -391,14 +438,29 @@ class Expr:
 
     def diff(self, v: str) -> "Expr":
         """Exact partial derivative with respect to the variable ``v``."""
-        d: dict[int, Number] = {}
+        d: dict[int, int] = {}
+        get = d.get
+        # every numerator in d is over `scale`, the lcm of the row
+        # denominators so far; it stays 1 unless v has a non-integral
+        # coefficient in some exponential
+        scale = 1
         for i, c in self._t.items():
             row = _DIFF.get((i, v))
             if row is None:
                 row = _derivative(i, v)
-            for k, f in row:
-                d[k] = d.get(k, 0) + c * f
-        return _wrap(_canonical(d))
+            q, pairs = row
+            if q != scale:
+                if scale % q:
+                    grown = lcm(scale, q)
+                    f = grown // scale
+                    for k in d:
+                        d[k] *= f
+                    scale = grown
+                c *= scale // q
+            for k, f in pairs:
+                d[k] = get(k, 0) + c * f
+        t, den = _canonical(d), self._d * scale
+        return _wrap(t) if den == 1 else _reduced(t, den)
 
     def substitute(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Replace variables by expressions.
@@ -426,7 +488,8 @@ class Expr:
                         arg = arg + Expr.number(k) * Expr.var(v)
                 t = t * Expr.exp_of(arg)
             out = out + t
-        return out
+        # the terms above carry the numerators; divide once by the denominator
+        return out._scaled(1, self._d)
 
     # -- evaluation --------------------------------------------------------
 
@@ -510,20 +573,47 @@ def _lookup(values: Mapping[str, float], v: str) -> float:
         raise ExprError(f"unbound variable {v!r} in evaluation") from None
 
 
-def _wrap(t: dict[int, Number]) -> Expr:
-    """An Expr holding the canonical table ``t`` itself, not a copy."""
+def _wrap(t: dict[int, int], den: int = 1) -> Expr:
+    """An Expr holding the canonical table ``t`` itself, not a copy, over
+    ``den``."""
     e = _new(Expr)
     _set_t(e, t)
+    _set_d(e, den)
     return e
+
+
+def _reduced(t: dict[int, int], den: int) -> Expr:
+    """An Expr of the table ``t`` of nonzero numerators over ``den``, with
+    their common factor divided out."""
+    g = gcd(den, *t.values())
+    if g != 1:
+        den //= g
+        t = {k: c // g for k, c in t.items()}
+    return _wrap(t, den)
 
 
 _new = object.__new__
 _set_t = Expr._t.__set__
+_set_d = Expr._d.__set__
 _set_terms = Expr._terms.__set__
 _set_hash = Expr._hash.__set__
 
 
-def _mul_into(d: dict[int, Number], a: dict[int, Number], b: dict[int, Number]) -> None:
+def _combine(a: dict[int, int], da: int, b: dict[int, int], db: int, sign: int) -> Expr:
+    """a/da + sign * b/db for tables over different denominators."""
+    den = lcm(da, db)
+    fa, fb = den // da, sign * (den // db)
+    d = {k: c * fa for k, c in a.items()}
+    for k, c in b.items():
+        s = d.get(k, 0) + c * fb
+        if s:
+            d[k] = s
+        else:
+            del d[k]
+    return _reduced(d, den)
+
+
+def _mul_into(d: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
     """Add the product of the term tables ``a`` and ``b`` into the table ``d``."""
     get = d.get
     for i, c1 in a.items():
@@ -538,11 +628,27 @@ def _mul_into(d: dict[int, Number], a: dict[int, Number], b: dict[int, Number]) 
 
 
 def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
-    """The sum of ``a * b`` over the pairs, formed in one term table."""
-    d: dict[int, Number] = {}
+    """The sum of ``a * b`` over the pairs, formed in one term table.
+
+    The table is kept over the lcm of the pairs' denominators so far; a pair
+    over another denominator rescales the table only when it grows the lcm."""
+    d: dict[int, int] = {}
+    den = 1
     for a, b in pairs:
-        _mul_into(d, a._t, b._t)
-    return _wrap(_canonical(d))
+        p = a._d * b._d
+        if p == den:
+            _mul_into(d, a._t, b._t)
+            continue
+        if den % p:
+            grown = lcm(den, p)
+            f = grown // den
+            for k in d:
+                d[k] *= f
+            den = grown
+        f = den // p
+        _mul_into(d, {i: c * f for i, c in a._t.items()} if f != 1 else a._t, b._t)
+    t = _canonical(d)
+    return _wrap(t) if den == 1 else _reduced(t, den)
 
 
 ZERO = Expr()
@@ -720,8 +826,8 @@ def _sparse_vec(pairs: Iterable[tuple[str, object]], keys: list[str]):
     return tuple(d.get(k, 0) for k in keys)
 
 
-def _term_order_key(term: tuple[Mono, Lin, Number], mono_vars: list[str], lin_vars: list[str]):
-    m, l, _ = term
+def _term_order_key(key: TermKey, mono_vars: list[str], lin_vars: list[str]):
+    m, l = key
     return (_sparse_vec(m, mono_vars), _sparse_vec(l, lin_vars))
 
 
@@ -737,8 +843,8 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
 
     def leading(e: Expr):
         # keys are distinct, so the maximum does not depend on the table order
-        return max((_KEYS[i] + (c,) for i, c in e._t.items()),
-                   key=lambda t: _term_order_key(t, vars_, lin_vars))
+        i = max(e._t, key=lambda i: _term_order_key(_KEYS[i], vars_, lin_vars))
+        return _KEYS[i] + (Fraction(e._t[i], e._d),)
 
     lt_den = leading(den)
     quot: dict[TermKey, Number] = {}
@@ -760,8 +866,7 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
         if dd:
             raise ExprError("exact division failed (no quotient in class)")
         k = (tuple(sorted(mq.items())), _lin_add(lr, _lin_scale(ld, -1)))
-        c = rational(Fraction(cr, cd))
+        c = rational(cr / cd)
         quot[k] = quot.get(k, 0) + c
-        t = _wrap({_intern(*k): c})
-        rem = rem - t * den
+        rem = rem - Expr.from_terms({k: c}) * den
     raise ExprError("exact division did not terminate")

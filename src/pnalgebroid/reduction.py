@@ -70,6 +70,18 @@ class EpimorphismSpec:
         return tuple(Section(self.source, tuple(v)) for v in basis)
 
     @cached_property
+    def _images(self):
+        """The base map's renamed coordinates and exponential-type images
+        (:func:`_classify_images`)."""
+        return _classify_images(self.base_map)
+
+    @cached_property
+    def _power_systems(self) -> dict[tuple[str, ...], "_PowerSystem"]:
+        """The exponent systems of :func:`rewrite_basic`, one per set of
+        variables, each built on first use."""
+        return {}
+
+    @cached_property
     def _complement(self) -> tuple[Frac, ...]:
         """The projectable complement of the kernel, built on first use and
         shared by the endomorphism check and the projection."""
@@ -127,6 +139,40 @@ def _classify_images(base_map: dict[str, Expr]):
     return renames, exps
 
 
+class _PowerSystem:
+    """The powers n_j with sum_j n_j l_j(v) = k(v) for each variable v of
+    ``hard_vars``, where l_j is the linear form of the j-th exponential-type
+    image: A n = k for the exponent matrix A[v][j] = l_j(v).
+
+    A is eliminated once, on construction: :func:`linalg.row_echelon` of
+    [A | I] gives [E A | E] with E invertible.  When A has full column rank
+    m, E A is a diagonal block over zero rows, so A n = k has a solution
+    exactly when the rows of E k past the m-th vanish, and n_j is then
+    (E k)_j over the j-th diagonal entry.  Otherwise no k has one solution."""
+
+    def __init__(self, exps, hard_vars: tuple[str, ...]):
+        m, size = len(exps), len(hard_vars)
+        rows, pivots = linalg.row_echelon(
+            [[Expr.number(l.get(v, 0)) for _, _, l in exps]
+             + [ONE if c == r else ZERO for c in range(size)]
+             for r, v in enumerate(hard_vars)])
+        full_rank = pivots[:m] == list(range(m))
+        self.m = m if full_rank else None
+        self.diagonal = [rows[j][j].constant_value() for j in range(m)] if full_rank else []
+        self.e = [[rational(x.constant_value()) for x in row[m:]] for row in rows]
+
+    def solve(self, k: list[Fraction]) -> list[Fraction] | None:
+        """The powers for the right-hand side ``k``; None when there are
+        none or many."""
+        if self.m is None:
+            return None
+        nonzero = [(i, x) for i, x in enumerate(k) if x]
+        ek = [sum(row[i] * x for i, x in nonzero) for row in self.e]
+        if any(ek[self.m:]):
+            return None
+        return [Fraction(y) / d for y, d in zip(ek, self.diagonal)]
+
+
 def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
     """Rewrite a source expression in target coordinates.
 
@@ -135,7 +181,8 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
     powers of exponential-type images plus exponentials of renamed
     coordinates.  Raises :class:`NotBasic` otherwise.
     """
-    renames, exps = _classify_images(epi.base_map)
+    renames, exps = epi._images
+    systems = epi._power_systems
     out = ZERO
     for mono, lin, coeff in e.terms:
         t_mono: dict[str, int] = {}
@@ -152,26 +199,21 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
         # exponential-type images, on the non-renamed coordinates
         lvec = dict(lin)
         const = lvec.pop("", Fraction(0))
-        hard_vars = sorted(
+        hard_vars = tuple(sorted(
             {v for v in lvec if v not in renames}
             | {v for _, _, l in exps for v in l if v and v not in renames}
-        )
+        ))
         ns = [Fraction(0)] * len(exps)
         if hard_vars:
-            rows = [
-                [l.get(v, Fraction(0)) for _, _, l in exps] for v in hard_vars
-            ]
-            rhs = [lvec.get(v, Fraction(0)) for v in hard_vars]
-            try:
-                ns = [x.constant_value() for x in linalg.solve_pair(
-                    [[Expr.number(q) for q in row] for row in rows],
-                    [Expr.number(q) for q in rhs],
-                ).exact()]
-            except ExprError:
+            system = systems.get(hard_vars)
+            if system is None:
+                system = systems[hard_vars] = _PowerSystem(exps, hard_vars)
+            ns = system.solve([lvec.get(v, Fraction(0)) for v in hard_vars])
+            if ns is None:
                 raise NotBasic(
                     "exponential factor does not factor through the base map: "
                     f"{Expr((((), lin, 1),))}"
-                ) from None
+                )
         t_lin: dict[str, Fraction] = {}
         for (tgt, cj, lj), nj in zip(exps, ns):
             if nj.denominator != 1 or nj < 0:
