@@ -428,9 +428,7 @@ class Expr:
         try:
             return self._hash
         except AttributeError:
-            h = hash(frozenset(self._t.items()))
-            if self._d != 1:
-                h = hash((h, self._d))
+            h = hash((frozenset(self._t.items()), self._d))
             _set_hash(self, h)
             return h
 

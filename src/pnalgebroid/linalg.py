@@ -2,7 +2,10 @@
 
 Symbolic routines use fraction-free (cross-multiplying) elimination, so no
 division ever happens inside the ring; results that would be fractions are
-returned as a :class:`Frac`, a numerator over a scalar denominator.  Numeric
+returned as a :class:`Frac`, a numerator over a scalar denominator.  The
+determinant, the adjugate and the inverse read one memoized table of minors
+(:class:`_Minors`), each expanded along a row or column with at most one
+nonzero entry when its submatrix has one, else along its first row.  Numeric
 routines work on stacks of matrices, one per sample point: a matrix of
 expressions is compiled once (:class:`CompiledMatrix`) and evaluated a block
 of points at a time, and ranks come from one stacked SVD with the tolerance

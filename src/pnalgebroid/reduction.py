@@ -156,15 +156,15 @@ class _PowerSystem:
             [[Expr.number(l.get(v, 0)) for _, _, l in exps]
              + [ONE if c == r else ZERO for c in range(size)]
              for r, v in enumerate(hard_vars)])
-        full_rank = pivots[:m] == list(range(m))
-        self.m = m if full_rank else None
-        self.diagonal = [rows[j][j].constant_value() for j in range(m)] if full_rank else []
+        self.m = m
+        self.unique = pivots[:m] == list(range(m))
+        self.diagonal = [rows[j][j].constant_value() for j in range(m)] if self.unique else []
         self.e = [[rational(x.constant_value()) for x in row[m:]] for row in rows]
 
     def solve(self, k: list[Fraction]) -> list[Fraction] | None:
         """The powers for the right-hand side ``k``; None when there are
         none or many."""
-        if self.m is None:
+        if not self.unique:
             return None
         nonzero = [(i, x) for i, x in enumerate(k) if x]
         ek = [sum(row[i] * x for i, x in nonzero) for row in self.e]

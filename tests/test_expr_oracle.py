@@ -2,8 +2,12 @@
 calculus, exact division, printing and det/adjugate, on hypothesis-drawn
 expressions with non-integral rational coefficients and exponentials of
 rational-affine forms.  Each drawn Expr is built next to its sympy mirror, so
-the oracle never reads our own printer to learn what an operand is."""
+the oracle never reads our own printer to learn what an operand is.  A
+second oracle, a dict from term key to Fraction, checks the stored form:
+int numerators over one denominator."""
 
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from pnalgebroid import expr, linalg  # noqa: E402
-from pnalgebroid.expr import Expr, ZERO, div_exact, dot, parse  # noqa: E402
+from pnalgebroid.expr import Expr, ONE, ZERO, div_exact, dot, parse  # noqa: E402
 from pnalgebroid.fixtures import build_toda  # noqa: E402
 
 VARS = ["x", "y", "z"]
@@ -234,3 +238,243 @@ def test_each_distinct_key_product_is_computed_once(monkeypatch):
     assert len(misses) == len(set(misses)) == 400
     assert a * b == want and dot([(a, b)] * 3) == 3 * want
     assert len(misses) == 400
+
+
+# -- the stored form against a dict-of-Fraction reference ----------------------
+#
+# An Expr stores int numerators over one denominator.  The reference below is
+# the plain form: a dict from (mono, lin) to a Fraction coefficient, with
+# every operation written out term by term.  Coefficients and linear parts
+# carry mixed denominators, so results need a common denominator, and
+# cancellation must reduce it again.
+
+coeffs = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
+                      max_denominator=12).filter(bool)
+lin_coeffs = st.fractions(min_value=Fraction(-2), max_value=Fraction(2),
+                          max_denominator=3).filter(bool)
+
+
+def _q(c):
+    """A rational in the stored form of linear-part coefficients."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _lin(d: dict) -> tuple:
+    return tuple(sorted((v, _q(c)) for v, c in d.items() if c))
+
+
+def _clean(d: dict) -> dict:
+    return {k: Fraction(c) for k, c in d.items() if c}
+
+
+@st.composite
+def refs(draw, max_terms=4):
+    """A reference expression: {(mono, lin): Fraction}."""
+    d = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = draw(st.dictionaries(st.sampled_from(VARS), st.integers(1, 2), max_size=2))
+        lin = {}
+        if draw(st.booleans()):
+            lin = draw(st.dictionaries(st.sampled_from([""] + VARS), lin_coeffs, max_size=2))
+        key = (tuple(sorted(mono.items())), _lin(lin))
+        d[key] = d.get(key, 0) + draw(coeffs)
+    return _clean(d)
+
+
+def built(r: dict) -> Expr:
+    """The reference expression as an Expr, from its terms."""
+    return Expr([(m, l, c) for (m, l), c in r.items()])
+
+
+def built_by_arithmetic(r: dict) -> Expr:
+    """The reference expression as an Expr, from numbers, variables and
+    exponentials."""
+    out = ZERO
+    for (m, l), c in r.items():
+        t = Expr.number(c)
+        for v, e in m:
+            t = t * Expr.var(v) ** e
+        if l:
+            arg = sum((Expr.number(k) * (Expr.var(v) if v else ONE) for v, k in l), ZERO)
+            t = t * Expr.exp_of(arg)
+        out = out + t
+    return out
+
+
+def ref_of(e: Expr) -> dict:
+    return {(m, l): Fraction(c) for m, l, c in e.terms}
+
+
+def r_add(a: dict, b: dict, sign: int = 1) -> dict:
+    d = dict(a)
+    for k, c in b.items():
+        d[k] = d.get(k, 0) + sign * c
+    return _clean(d)
+
+
+def r_mul(a: dict, b: dict) -> dict:
+    d = {}
+    for (m1, l1), c1 in a.items():
+        for (m2, l2), c2 in b.items():
+            m, l = dict(m1), dict(l1)
+            for v, e in m2:
+                m[v] = m.get(v, 0) + e
+            for v, k in l2:
+                l[v] = l.get(v, 0) + k
+            key = (tuple(sorted(m.items())), _lin(l))
+            d[key] = d.get(key, 0) + c1 * c2
+    return _clean(d)
+
+
+def r_pow(a: dict, n: int) -> dict:
+    out = {((), ()): Fraction(1)}
+    for _ in range(n):
+        out = r_mul(out, a)
+    return out
+
+
+def r_diff(a: dict, v: str) -> dict:
+    d = {}
+    for (m, l), c in a.items():
+        md = dict(m)
+        e = md.pop(v, 0)
+        if e:
+            if e > 1:
+                md[v] = e - 1
+            key = (tuple(sorted(md.items())), l)
+            d[key] = d.get(key, 0) + c * e
+        lv = dict(l).get(v, 0)
+        if lv:
+            d[(m, l)] = d.get((m, l), 0) + c * lv
+    return _clean(d)
+
+
+def r_substitute(a: dict, v: str, k: Fraction, w: str, k0: Fraction) -> dict:
+    """v -> k*w + k0 in every term."""
+    image = _clean({(((w, 1),), ()): k, ((), ()): k0})
+    out = {}
+    for (m, l), c in a.items():
+        t = {((), ()): c}
+        for u, e in m:
+            t = r_mul(t, r_pow(image, e) if u == v else {(((u, e),), ()): Fraction(1)})
+        ld = dict(l)
+        lv = ld.pop(v, 0)
+        ld[w] = ld.get(w, 0) + lv * k
+        ld[""] = ld.get("", 0) + lv * k0
+        out = r_add(out, r_mul(t, {((), _lin(ld)): Fraction(1)}))
+    return out
+
+
+def assert_stored_form(e: Expr) -> None:
+    """The denominator is a positive int sharing no factor with all the
+    numerators, each a nonzero int; zero is the empty table over 1."""
+    t, den = e._t, e._d
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c for c in t.values())
+    assert math.gcd(den, *t.values()) == 1
+    if not t:
+        assert den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(refs(), refs(), coeffs)
+def test_ring_operations_match_the_fraction_reference(ra, rb, k):
+    a, b = built(ra), built(rb)
+    got = {"a": a, "a+b": a + b, "a-b": a - b, "b-a": b - a, "a*b": a * b, "-a": -a,
+           "k*a": Expr.number(k) * a, "a*k": a * k, "a+k": a + k, "k-a": k - a,
+           "dot": dot([(a, b), (b, a), (a, a)]), "a^3": a ** 3, "a-a": a - a}
+    kr = {((), ()): k}
+    want = {"a": ra, "a+b": r_add(ra, rb), "a-b": r_add(ra, rb, -1), "b-a": r_add(rb, ra, -1),
+            "a*b": r_mul(ra, rb), "-a": r_add({}, ra, -1), "k*a": r_mul(kr, ra),
+            "a*k": r_mul(ra, kr), "a+k": r_add(ra, kr), "k-a": r_add(kr, ra, -1),
+            "dot": r_add(r_add(r_mul(ra, rb), r_mul(rb, ra)), r_mul(ra, ra)),
+            "a^3": r_pow(ra, 3), "a-a": {}}
+    for name, e in got.items():
+        assert ref_of(e) == want[name], name
+        assert_stored_form(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(refs(), st.sampled_from(VARS))
+def test_diff_matches_the_fraction_reference(ra, v):
+    # linear parts such as x/2 and 2/3*y put denominators into the factors
+    e = built(ra).diff(v)
+    assert ref_of(e) == r_diff(ra, v)
+    assert_stored_form(e)
+
+
+def test_diff_of_exponentials_with_rational_linear_parts():
+    e = parse("3/4*exp(x/2) + 5*x*exp(2/3*x - y) - 1/6*exp(y/5)")
+    assert e.diff("x") == parse("3/8*exp(x/2) + 5*exp(2/3*x - y) + 10/3*x*exp(2/3*x - y)")
+    assert e.diff("y") == parse("-5*x*exp(2/3*x - y) - 1/30*exp(y/5)")
+    # the halves cancel: d/dx of 2*exp(x/2) is exp(x/2), over denominator 1
+    d = parse("2*exp(x/2)").diff("x")
+    assert d == parse("exp(x/2)") and d._d == 1
+    for f in (e.diff("x"), e.diff("y"), d):
+        assert_stored_form(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(refs(3), st.sampled_from(VARS), coeffs, st.sampled_from(VARS), coeffs)
+def test_substitute_matches_the_fraction_reference(ra, v, k, w, k0):
+    img = Expr.number(k) * Expr.var(w) + Expr.number(k0)
+    e = built(ra).substitute({v: img})
+    assert ref_of(e) == r_substitute(ra, v, k, w, k0)
+    assert_stored_form(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(refs(3), refs(2))
+def test_div_exact_matches_the_fraction_reference(ra, rb):
+    if not rb:
+        return
+    a, b = built(ra), built(rb)
+    q = div_exact(a * b, b)
+    assert ref_of(q) == ra
+    assert_stored_form(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs, st.dictionaries(st.sampled_from([""] + VARS), lin_coeffs, max_size=3),
+       st.integers(1, 3))
+def test_negative_powers_of_exponentials_match_the_fraction_reference(c, lin, n):
+    unit = {((), _lin(lin)): Fraction(c)}
+    inverse = {((), _lin({v: -k for v, k in lin.items()})): 1 / Fraction(c)}
+    e = built(unit) ** -n
+    assert ref_of(e) == r_pow(inverse, n)
+    assert_stored_form(e)
+    assert built(unit) ** n * e == ONE
+
+
+@settings(max_examples=60, deadline=None)
+@given(refs())
+def test_values_built_by_different_routes_are_equal_and_hash_equal(ra):
+    routes = [built(ra), built_by_arithmetic(ra), Expr.from_terms(ra), parse(str(built(ra))),
+              pickle.loads(pickle.dumps(built(ra)))]
+    for e in routes:
+        assert_stored_form(e)
+        assert e == routes[0] and hash(e) == hash(routes[0])
+        assert (e._t, e._d) == (routes[0]._t, routes[0]._d)
+
+
+def test_equal_values_from_different_routes_store_one_form():
+    x = Expr.var("x")
+    half = Expr.number(Fraction(1, 2))
+    cases = [
+        (parse("2/4*x"), half * x),
+        (parse("x/2 + y/3"), half * x + Expr.number(Fraction(1, 3)) * Expr.var("y")),
+        (parse("x/6 + x/3"), half * x),
+        (parse("x/2 + x/2"), x),
+        (parse("3/4*x - 1/4*x + 1/2*y - y/2"), half * x),
+        (parse("x/3 - x/3"), ZERO),
+        (Expr.number(Fraction(6, 4)), parse("3/2")),
+    ]
+    for a, b in cases:
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert (a._t, a._d) == (b._t, b._d)
+        assert_stored_form(a)
+    assert ZERO._d == 1 and (parse("x/3") - parse("x/3"))._d == 1
+    e = parse("1/6*x^2 - 3/4*exp(y/2) + 5")
+    copied = pickle.loads(pickle.dumps(e))
+    assert copied == e and hash(copied) == hash(e) and copied._d == e._d == 12

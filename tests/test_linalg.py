@@ -334,3 +334,140 @@ def test_inverses_read_the_determinant_from_the_minor_table(monkeypatch):
     recursion_operator(t.lam0, t.lam1)
     invert_symplectic(invert_poisson(t.lam0))
     assert calls == []
+
+
+# -- the minor table against first-row cofactor expansion ----------------------
+
+def _first_row_minor(a, rows, cols, memo):
+    """The determinant of ``a`` on two bitmasks by expansion along the first
+    row alone, memoized: the minor table before the sparse-line rule."""
+    if not rows:
+        return ONE
+    key = (rows, cols)
+    if key not in memo:
+        low = rows & -rows
+        row, rest = a[low.bit_length() - 1], rows ^ low
+        total, sign = ZERO, 1
+        for j in range(len(row)):
+            if (cols >> j) & 1:
+                if not row[j].is_zero():
+                    total = total + sign * row[j] * _first_row_minor(a, rest, cols ^ (1 << j), memo)
+                sign = -sign
+        memo[key] = total
+    return memo[key]
+
+
+def _first_row_reference(a):
+    """det, adjugate and the number of minors stored, all from one table."""
+    n, memo = len(a), {}
+    full = (1 << n) - 1
+    d = _first_row_minor(a, full, full, memo)
+    adj = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = _first_row_minor(a, full ^ (1 << j), full ^ (1 << i), memo)
+            adj[i][j] = -cof if (i + j) % 2 else cof
+    return d, adj, len(memo)
+
+
+def _assert_matches_first_row_expansion(a):
+    d, adj, _ = _first_row_reference(a)
+    assert linalg.det(a) == d
+    assert linalg.adjugate(a) == adj
+    if d.is_zero():
+        with pytest.raises(ExprError):
+            linalg.inverse_pair(a)
+    else:
+        inv = linalg.inverse_pair(a)
+        assert inv.num == adj and inv.den == d
+
+
+def _random_matrix(rng, n, zeros):
+    atoms = ["1", "-2", "x", "y", "x*y - 1", "1/2*x", "exp(x - y)", "2/3*exp(y/2)"]
+    return M(*[["0" if rng.random() < zeros else rng.choice(atoms) for _ in range(n)]
+               for _ in range(n)])
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.3, 0.6, 0.85])
+def test_minor_table_matches_first_row_expansion_on_random_matrices(zeros):
+    import random
+
+    rng = random.Random(int(zeros * 100) + 17)
+    for n in range(8):
+        for _ in range(3 if n < 6 else 1):
+            _assert_matches_first_row_expansion(_random_matrix(rng, n, zeros))
+
+
+def test_minor_table_matches_first_row_expansion_on_singular_matrices():
+    import random
+
+    rng = random.Random(5)
+    for n in (1, 2, 4, 6):
+        a = _random_matrix(rng, n, 0.2)
+        zero_row = [list(r) for r in a]
+        zero_row[n // 2] = [ZERO] * n
+        zero_col = [[ZERO if j == n - 1 else e for j, e in enumerate(r)] for r in a]
+        cases = [zero_row, zero_col]
+        if n > 1:
+            repeated = [list(r) for r in a]
+            repeated[-1] = list(repeated[0])
+            cases.append(repeated)
+        for b in cases:
+            assert linalg.det(b).is_zero()
+            _assert_matches_first_row_expansion(b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minor_table_matches_first_row_expansion_on_toda(n):
+    from pnalgebroid.fixtures import build_toda
+
+    N = [list(row) for row in build_toda(n).N.mat]
+    _assert_matches_first_row_expansion(N)
+    NN = linalg.mat_mul(N, N)
+    if n < 5:
+        _assert_matches_first_row_expansion(NN)
+    else:  # N∘N at n = 5 is dense: its adjugate by first-row expansion takes long
+        assert linalg.det(NN) == _first_row_minor(NN, 1023, 1023, {})
+
+
+def test_inverse_of_toda5_stores_at_most_half_the_first_row_minors(monkeypatch):
+    from pnalgebroid.fixtures import build_toda
+
+    N = [list(row) for row in build_toda(5).N.mat]
+    tables = []
+
+    class Recorded(linalg._Minors):
+        def __init__(self, a):
+            super().__init__(a)
+            tables.append(self)
+
+    monkeypatch.setattr(linalg, "_Minors", Recorded)
+    inv = linalg.inverse_pair(N)
+    d, adj, first_row = _first_row_reference(N)
+    assert inv.den == d and inv.num == adj
+    assert first_row == 5596
+    assert len(tables) == 1 and len(tables[0].memo) <= first_row // 2
+
+
+def test_a_column_with_one_nonzero_entry_is_expanded_first(monkeypatch):
+    # the last two columns are full and every other column holds only its
+    # diagonal entry, so each row has two or three nonzero entries: the
+    # columns 0, 1, ..., n - 3 are peeled off one minor each, then the 2x2
+    # block stores itself and its two 1x1 minors.  First-row expansion
+    # branches three ways at each of the first rows instead.
+    n = 8
+    a = M(*[["x" if j == n - 2 else "y + 1" if j == n - 1 else ("2" if j == i else "0")
+             for j in range(n)] for i in range(n)])
+    tables = []
+
+    class Recorded(linalg._Minors):
+        def __init__(self, a):
+            super().__init__(a)
+            tables.append(self)
+
+    monkeypatch.setattr(linalg, "_Minors", Recorded)
+    assert linalg.det(a).is_zero()  # rows n - 2 and n - 1 agree
+    assert len(tables[0].memo) == n + 1
+    a[n - 1][n - 1] = parse("y")
+    assert linalg.det(a) == _first_row_minor(a, 255, 255, {}) == parse("-64*x")
+    assert len(tables[1].memo) == n + 1

@@ -852,6 +852,66 @@ def test_rewrite_basic_witness_prints_the_exponential_once():
     )
 
 
+def _powers_by_solve_pair(exps, hard_vars, k):
+    """The powers as one elimination per right-hand side finds them."""
+    from fractions import Fraction
+
+    from pnalgebroid import linalg
+
+    rows = [[Expr.number(l.get(v, Fraction(0))) for _, _, l in exps] for v in hard_vars]
+    try:
+        x = linalg.solve_pair(rows, [Expr.number(q) for q in k]).exact()
+    except ExprError:
+        return None
+    return [e.constant_value() for e in x]
+
+
+def test_power_system_matches_one_elimination_per_right_hand_side():
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(11)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    systems = [
+        build_toda(4).epi_flaschka._images[1],
+        [("a", 1, {"x": 1, "y": -1}), ("b", 1, {"x": 2, "y": -2})],  # dependent
+        [("a", 1, {"x": half}), ("b", 1, {"x": 1, "y": third, "": 2})],
+        [("a", 1, {"x": 1, "y": 1, "z": 1})],
+        [],
+    ]
+    for exps in systems:
+        hard = tuple(sorted({v for _, _, l in exps for v in l if v} | {"x"}))
+        system = reduction._PowerSystem(exps, hard)
+        for trial in range(40):
+            if trial % 2:  # in the column space: k = A n
+                n = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in exps]
+                k = [sum((q * l.get(v, 0) for q, (_, _, l) in zip(n, exps)), Fraction(0))
+                     for v in hard]
+            else:
+                k = [Fraction(rng.randint(-2, 2), rng.choice((1, 3))) for _ in hard]
+            assert system.solve(k) == _powers_by_solve_pair(exps, hard, k), (exps, k)
+
+
+def test_rewrite_basic_classifies_and_eliminates_once_per_variable_set(monkeypatch):
+    from pnalgebroid import linalg
+
+    t = build_toda(4)
+    want = [rewrite_basic(t.epi_flaschka, e) for e in (t.H0, t.H1)]
+    epi = build_toda(4).epi_flaschka  # a fresh spec, nothing cached yet
+    classified, eliminated = [], []
+    classify, echelon = reduction._classify_images, linalg.row_echelon
+    monkeypatch.setattr(reduction, "_classify_images",
+                        lambda m: classified.append(1) or classify(m))
+    monkeypatch.setattr(linalg, "row_echelon", lambda a: eliminated.append(1) or echelon(a))
+    assert [rewrite_basic(epi, e) for e in (t.H0, t.H1)] == want
+    assert (rewrite_basic(epi, parse("exp(q1 - q3)")) - parse("a1*a2")).is_zero()
+    for text in ("exp(q1)", "q1", "exp(3*q1 - q2)"):
+        with pytest.raises(NotBasic):
+            rewrite_basic(epi, parse(text))
+    # every term above reads the exponent system over q1..q4
+    assert classified == [1] and len(eliminated) == len(epi._power_systems) == 1
+
+
 def test_condition_fb_check_with_no_sections_is_a_rank_zero_subbundle(aff1):
     pts = sample_points(["mu1", "mu2"], 3, 1, {"mu1": (-2, 2), "mu2": (-2, 2)})
     reports = condition_fb_check(aff1.algebroid, [], pts, seed=4)
