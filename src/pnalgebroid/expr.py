@@ -24,10 +24,10 @@ inside a key, and every rational an Expr hands out (:attr:`Expr.terms`,
 of coefficients always goes through ``Fraction``, never ``int / int``.
 
 A term's key, its monomial and linear form, is interned to a small int, and
-the dict of numerators is keyed by key id.  Sums, products,
-:func:`dot` and :meth:`Expr.diff` work on the ids and never sort; equality
-and hashing compare the dicts as mappings.  The canonical sorted tuple
-:attr:`Expr.terms` is built only when read (printing, serialising,
+the dict of numerators is keyed by key id.  Sums, products, :func:`dot` and
+:meth:`Expr.diff` work on the ids and never sort; equality and hashing
+compare the dicts as mappings, and the denominators.  The canonical sorted
+tuple :attr:`Expr.terms` is built only when read (printing, serialising,
 evaluation, compiling a matrix, rewriting in ``reduction``) and kept on the
 Expr.  The same few key pairs recur throughout a computation, so the
 product of two keys and the derivative of a key are memoised in tables that
