@@ -45,8 +45,12 @@ COMMANDS = {
     "project-toda3": ["project", "toda:3"],
     "restrict-leaf-toda2-atiyah-pi0": ["restrict-leaf", "toda:2:atiyah", "--bivector", "pi0"],
     "riesz-aff1": ["riesz", "aff1", "--points", "20", "--seed", "1"],
+    "riesz-aff1-2000": ["riesz", "aff1", "--points", "2000", "--seed", "1"],
     "reduce-fiberwise-toda3-lam0": [
         "reduce-fiberwise", "toda:3", "--bivector", "lam0", "--points", "10", "--seed", "1",
+    ],
+    "reduce-fiberwise-toda5-lam0-300": [
+        "reduce-fiberwise", "toda:5", "--bivector", "lam0", "--points", "300", "--seed", "1",
     ],
     "selftest": ["selftest"],
 }
