@@ -286,11 +286,14 @@ def solve_pair(a: Matrix, b: list[Expr]) -> Frac:
 # ---------------------------------------------------------------------------
 # numeric
 #
-# Sample points are processed in blocks of _BLOCK: each block is one stacked
-# numpy call per step, and the temporaries of a block stay small whatever the
-# number of points.
+# Sample points are processed in blocks: each block is one stacked numpy call
+# per step.  A block holds as many points as fit _BUDGET floats into the
+# widest per-point array of its matrices (their entries, or their terms), so
+# the temporaries of a block stay small whatever the number of points, and a
+# small matrix spreads the fixed cost of each step over many points.  _BUDGET
+# is 128 points of a 10 x 10 matrix.
 
-_BLOCK = 128
+_BUDGET = 12_800
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _HUGE = np.finfo(float).max
 _LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(_HUGE)
@@ -327,11 +330,20 @@ def point_array(points: list[dict[str, float]], names: list[str]) -> np.ndarray:
         raise ExprError(f"unbound variable {e.args[0]!r} in evaluation") from None
 
 
-def blocks(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _block_size(*compiled: CompiledMatrix) -> int:
+    """Points per block for a pass over these compiled matrices: _BUDGET
+    over the largest of their entry and term counts, at least one."""
+    width = max(max(c.shape[0] * c.shape[1], len(c.coeff)) for c in compiled)
+    return max(1, _BUDGET // max(width, 1))
+
+
+def blocks(x: np.ndarray, *compiled: CompiledMatrix) -> Iterator[tuple[int, np.ndarray]]:
     """The rows of a points array in consecutive blocks of the batched
-    numeric path, each with the index of its first row."""
-    for start in range(0, x.shape[0], _BLOCK):
-        yield start, x[start:start + _BLOCK]
+    numeric path over the compiled matrices of the pass, each with the index
+    of its first row."""
+    size = _block_size(*compiled)
+    for start in range(0, x.shape[0], size):
+        yield start, x[start:start + size]
 
 
 class Faults:
@@ -484,11 +496,12 @@ def _rank_of(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     relative to max(sigma_max, 1), with the near-cutoff gap flag."""
     count, k = s.shape
     cutoff = tol * np.maximum(s[:, 0] if k else np.zeros(count), 1.0)
-    rank = np.sum(s > cutoff[:, None], axis=1)
+    rank = np.count_nonzero(s > cutoff[:, None], axis=1)
     ill = np.zeros(count, dtype=bool)
     if k > 1:
-        rows, at = np.arange(count), np.clip(rank, 1, k - 1)
-        above, below = s[rows, at - 1], s[rows, at]
+        at = np.minimum(np.maximum(rank, 1), k - 1)[:, None]
+        above = np.take_along_axis(s, at - 1, axis=1)[:, 0]
+        below = np.take_along_axis(s, at, axis=1)[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             ill = (rank > 0) & (rank < k) & (below > 0) & (above / below < GAP_RATIO)
     return rank, cutoff, ill

@@ -17,6 +17,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -70,7 +71,7 @@ def _stacks(rows, points: list[dict[str, float]]) -> Iterator[tuple[int, np.ndar
     compiled = linalg.CompiledMatrix(rows)
     pts = _as_points(points, compiled)
     faults = linalg.Faults(pts.point)
-    for start, x in linalg.blocks(pts.x):
+    for start, x in linalg.blocks(pts.x, compiled):
         mats, fault = compiled.evaluate(x)
         faults.check(start, fault)
         yield start, mats
@@ -196,7 +197,7 @@ def _riesz_blocks(N: Endo, points: Points | list[dict[str, float]],
     compiled = linalg.CompiledMatrix(N.mat)
     pts = _as_points(points, compiled)
     faults = linalg.Faults(pts.point)
-    for start, x in linalg.blocks(pts.x):
+    for start, x in linalg.blocks(pts.x, compiled):
         mats, fault = compiled.evaluate(compiled.coordinates(x, pts.names))
         rz = _riesz_block(mats, tol)
         faults.check(start, fault, rz.fault)
@@ -271,7 +272,7 @@ def _sample(
     box = box or {}
     lo, hi = np.array([box.get(v, (-1.0, 1.0)) for v in variables],
                       dtype=float).reshape(len(variables), 2).T
-    r = np.array([rng.random() for _ in range(count * len(variables))])
+    r = np.fromiter(iter(rng.random, None), float, count=count * len(variables))
     return Points(variables, lo + (hi - lo) * r.reshape(count, len(variables)))
 
 
@@ -360,20 +361,33 @@ def _fiberwise_blocks(P: Bivector, N: Endo, points: Points | list[dict[str, floa
     cn, cp = linalg.CompiledMatrix(N.mat), linalg.CompiledMatrix(P.mat)
     pts = _as_points(points, cn, cp)
     faults = linalg.Faults(pts.point)
-    for start, x in linalg.blocks(pts.x):
+    for start, x in linalg.blocks(pts.x, cn, cp):
         nmats, n_fault = cn.evaluate(cn.coordinates(x, pts.names))
         rz = _riesz_block(nmats, tol)
         pmats, p_fault = cp.evaluate(cp.coordinates(x, pts.names))
         faults.check(start, n_fault, rz.fault, p_fault)
-        yield start, _fiber_block(rz, nmats, pmats, tol)
+        yield start, _fiber_block(rz, nmats, pmats, tol, not cp.variables)
     faults.finish()
 
 
+def _full_rank(stack: np.ndarray, tol: float,
+               constant: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each matrix of a (points, d, d) stack has rank d, with its
+    sigma_min and cutoff.  A ``constant`` stack holds one matrix at every
+    point: it is decomposed once, and that result stands for every point."""
+    s, rank, cut, _ = linalg.stacked_rank(stack[:1] if constant else stack, tol)
+    shape = stack.shape[:1]
+    return (np.broadcast_to(rank == stack.shape[1], shape), np.broadcast_to(s[:, -1], shape),
+            np.broadcast_to(cut, shape))
+
+
 def _fiber_block(rz: _RieszBlock, nmats: np.ndarray, pmats: np.ndarray,
-                 tol: float) -> _FiberBlock:
+                 tol: float, p_constant: bool) -> _FiberBlock:
     """P~ and N~ and their rank tests, one stack per quotient: at index 0 the
     quotient is all of A, else the image of the stable power.  A
-    zero-dimensional quotient passes both tests, with NaN sigma and cutoff."""
+    zero-dimensional quotient passes both tests, with NaN sigma and cutoff.
+    ``p_constant`` says that P reads no variable: then P~ = P at index 0 is
+    one matrix at every point."""
     count, r = nmats.shape[0], nmats.shape[1]
     p, n = (_Tests(np.ones(count, dtype=bool), np.full(count, math.nan),
                    np.full(count, math.nan)) for _ in range(2))
@@ -392,14 +406,13 @@ def _fiber_block(rz: _RieszBlock, nmats: np.ndarray, pmats: np.ndarray,
         d = p_red.shape[1]
         if not d:
             continue
-        s, rank, cut, _ = linalg.stacked_rank(p_red, tol)
-        p.ok[group], p.sigma[group], p.cutoff[group] = rank == d, s[:, -1], cut
+        p.ok[group], p.sigma[group], p.cutoff[group] = _full_rank(
+            p_red, tol, p_constant and C is None)
         if C is None:
             # N~ = N, whose rank test is the first power's of the Riesz pass
             n.sigma[group], n.cutoff[group] = rz.split.sigma[group], rz.split.cutoff[group]
         else:
-            s, rank, cut, _ = linalg.stacked_rank(n_red, tol)
-            n.ok[group], n.sigma[group], n.cutoff[group] = rank == d, s[:, -1], cut
+            n.ok[group], n.sigma[group], n.cutoff[group] = _full_rank(n_red, tol)
     return _FiberBlock(rz, r - rz.dim_kernel, p, n, reduced)
 
 
@@ -441,13 +454,14 @@ def condition_fb_check(
     names = sorted(set(cs.variables) | (set(cl.variables) - set(ys)))
     pts = Points.of(points, names)
     faults = linalg.Faults(pts.point)
-    for start, x in linalg.blocks(pts.x):
+    for start, x in linalg.blocks(pts.x, cs, cl):
         count = x.shape[0]
         # explicit shapes keep an empty section list a rank-0 subbundle
         span, span_fault = cs.evaluate(cs.coordinates(x, names))
         span = span.reshape(count, len(sections), A.rank).transpose(0, 2, 1)
         # the same draws, in the same order, as one point at a time
-        coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in range(count * len(sections))])
+        coeffs = np.fromiter(iter(partial(rng.uniform, -1.0, 1.0), None), float,
+                             count=count * len(sections))
         y = (span @ coeffs.reshape(count, len(sections), 1))[:, :, 0]
         gens, gens_fault = cl.evaluate(cl.coordinates(np.hstack([x, y]), names + ys))
         faults.check(start, span_fault, gens_fault)

@@ -544,16 +544,69 @@ def test_riesz_and_fiberwise_match_the_previous_per_point_code(case):
             assert riesz_at_point(N, pts[0], 1e-9).ranks == one.ranks
 
 
-@pytest.mark.parametrize("offset", [None, -1, 0, 1])
-@pytest.mark.parametrize("case", [NUMERIC_CASES[3], NUMERIC_CASES[5]], ids=lambda c: c[0])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1, "two-blocks+1"])
+@pytest.mark.parametrize("case", [NUMERIC_CASES[2], NUMERIC_CASES[3], NUMERIC_CASES[5]],
+                         ids=lambda c: c[0])
 def test_batched_path_at_block_boundaries(case, offset):
+    """One point, one block's worth of points and one less and one more, and
+    two blocks and one point, where a block is sized from the matrices of its
+    pass: N for riesz_report, N and P for fiberwise_reduce.  The 10 x 10
+    toda5 blocks are smaller than the 4 x 4 toda2-atiyah ones, and those are
+    smaller than the 3 x 3 jordan ones."""
     from pnalgebroid import linalg
 
     _, A, P, endos = case
-    count = 1 if offset is None else linalg._BLOCK + offset
     for N in endos:
-        _assert_matches_reference(P, N, _case_points(A, count, 7))
+        cn = linalg.CompiledMatrix(N.mat)
+        for size in {linalg._block_size(cn),
+                     linalg._block_size(cn, linalg.CompiledMatrix(P.mat))}:
+            count = (1 if offset is None else 2 * size + 1 if offset == "two-blocks+1"
+                     else size + offset)
+            _assert_matches_reference(P, N, _case_points(A, count, 7))
         assert riesz_report(N, []) == [] and fiberwise_reduce(P, N, []) == []
+
+
+def test_block_size_follows_the_widest_matrix_of_the_pass():
+    import numpy as np
+
+    from pnalgebroid import linalg
+
+    toda5, aff1 = NUMERIC_CASES[2], NUMERIC_CASES[4]
+    # 10 x 10 (38 terms) and 4 x 4 (3 terms): blocks of 128 and 800 points
+    assert linalg._block_size(linalg.CompiledMatrix(toda5[3][0].mat)) == 128
+    assert linalg._block_size(linalg.CompiledMatrix(aff1[3][0].mat)) == 800
+    # a matrix with more terms than entries is sized by its terms
+    many = linalg.CompiledMatrix([[parse(" + ".join(f"x^{k}" for k in range(1, 201)))]])
+    assert linalg._block_size(many) == 64
+    assert linalg._block_size(many, linalg.CompiledMatrix(aff1[3][0].mat)) == 64
+    # an empty matrix still gives blocks of at least one point
+    assert linalg._block_size(linalg.CompiledMatrix([])) >= 1
+    starts = [start for start, _ in linalg.blocks(np.zeros((257, 1)), many)]
+    assert starts == [0, 64, 128, 192, 256]
+
+
+def test_a_constant_bivector_is_ranked_once_at_index_zero_points(monkeypatch):
+    """P reads no variable, so at the points of index 0 (N invertible) its
+    rank test decomposes one copy; the points of index 1 (x = 0) in the same
+    block still get their own P~.  Every report matches the per-point
+    reference."""
+    from pnalgebroid import linalg
+
+    A = LieAlgebroid.tangent(["x", "y"])
+    N = Endo.from_matrix(A, [[parse("x"), ZERO], [ZERO, ONE]])
+    P = Bivector.from_entries(A, {(0, 1): parse("3")})
+    pts = _case_points(A, 40, 5)
+    for i in (0, 7, 39):
+        pts[i]["x"] = 0.0
+    _assert_matches_reference(P, N, pts)
+    shapes = []
+    stacked_rank = linalg.stacked_rank
+    monkeypatch.setattr(linalg, "stacked_rank",
+                        lambda stack, tol: shapes.append(stack.shape) or stacked_rank(stack, tol))
+    reports = fiberwise_reduce(P, N, pts, 1e-9)
+    assert [r.index for r in reports].count(1) == 3
+    assert (1, 2, 2) in shapes and (37, 2, 2) not in shapes
+    assert len({(r.p_sigma_min, r.p_cutoff) for r in reports if r.index == 0}) == 1
 
 
 def _overflow_case():
@@ -979,6 +1032,26 @@ def test_condition_fb_check_matches_the_per_point_code(case, seed):
     pts = _case_points(A, 150, seed)
     got = condition_fb_check(A, sections, pts, seed)
     for rep, want in zip(got, _reference_fb(A, sections, pts, seed), strict=True):
+        assert np.array_equal(rep.fiber_point, want[0])
+        assert (rep.dim_lifted, rep.dim_anchor_image, rep.rank_subbundle, rep.consistent,
+                rep.ill_conditioned) == want[1:]
+
+
+def test_condition_fb_check_across_blocks():
+    """Two blocks and one point: the draws continue from block to block."""
+    import numpy as np
+
+    from pnalgebroid import linalg
+    from pnalgebroid.lifts import lift_section
+
+    _, A, sections = _fb_cases()[0]
+    size = linalg._block_size(
+        linalg.CompiledMatrix([X.comps for X in sections]),
+        linalg.CompiledMatrix([lift_section(A, X, kind).comps
+                               for X in sections for kind in ("c", "v")]))
+    pts = _case_points(A, 2 * size + 1, 11)
+    got = condition_fb_check(A, sections, pts, 11)
+    for rep, want in zip(got, _reference_fb(A, sections, pts, 11), strict=True):
         assert np.array_equal(rep.fiber_point, want[0])
         assert (rep.dim_lifted, rep.dim_anchor_image, rep.rank_subbundle, rep.consistent,
                 rep.ill_conditioned) == want[1:]
