@@ -496,12 +496,13 @@ def _rank_of(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     relative to max(sigma_max, 1), with the near-cutoff gap flag."""
     count, k = s.shape
     cutoff = tol * np.maximum(s[:, 0] if k else np.zeros(count), 1.0)
-    rank = np.count_nonzero(s > cutoff[:, None], axis=1)
+    rank = (s > cutoff[:, None]).sum(axis=1)
     ill = np.zeros(count, dtype=bool)
     if k > 1:
-        at = np.minimum(np.maximum(rank, 1), k - 1)[:, None]
-        above = np.take_along_axis(s, at - 1, axis=1)[:, 0]
-        below = np.take_along_axis(s, at, axis=1)[:, 0]
+        # the flat index of s[i, clip(rank, 1, k - 1)] in each row i
+        at = np.arange(0, count * k, k) + np.minimum(np.maximum(rank, 1), k - 1)
+        flat = s.reshape(-1)
+        above, below = flat[at - 1], flat[at]
         with np.errstate(divide="ignore", invalid="ignore"):
             ill = (rank > 0) & (rank < k) & (below > 0) & (above / below < GAP_RATIO)
     return rank, cutoff, ill
