@@ -5,9 +5,12 @@ the characteristic distribution, and the lifted-distribution count.
 Every routine here is batched: its matrices of expressions are compiled once
 (:class:`pnalgebroid.linalg.CompiledMatrix`) and each block of points is
 evaluated and ranked in stacked numpy calls, under the numeric rank
-conventions of :mod:`pnalgebroid.linalg`.  The points are one float array
-(:class:`Points`) and the results of a block are arrays with one entry per
-point; the report dataclasses are built from them.
+conventions of :mod:`pnalgebroid.linalg`.  A block is sized from the
+matrices of its pass (:func:`pnalgebroid.linalg.blocks`), and a bivector
+that reads no variable is ranked once for all the points where P~ = P.  The
+points are one float array (:class:`Points`) and the results of a block are
+arrays with one entry per point; the report dataclasses are built from them.
+Neither changes a value: each matrix of a stack is decomposed on its own.
 :mod:`pnalgebroid.reduction` re-exports the public names.
 """
 
