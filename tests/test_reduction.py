@@ -579,22 +579,27 @@ def test_block_size_follows_the_widest_matrix_of_the_pass():
     many = linalg.CompiledMatrix([[parse(" + ".join(f"x^{k}" for k in range(1, 201)))]])
     assert linalg._block_size(many) == 64
     assert linalg._block_size(many, linalg.CompiledMatrix(aff1[3][0].mat)) == 64
-    # an empty matrix still gives blocks of at least one point
-    assert linalg._block_size(linalg.CompiledMatrix([])) >= 1
+    # an empty matrix gets the whole budget, a huge one blocks of one point
+    assert linalg._block_size(linalg.CompiledMatrix([])) == 12_800
+    assert linalg._block_size(linalg.CompiledMatrix([[ONE] * 200] * 100)) == 1
     starts = [start for start, _ in linalg.blocks(np.zeros((257, 1)), many)]
     assert starts == [0, 64, 128, 192, 256]
 
 
 def test_a_constant_bivector_is_ranked_once_at_index_zero_points(monkeypatch):
     """P reads no variable, so at the points of index 0 (N invertible) its
-    rank test decomposes one copy; the points of index 1 (x = 0) in the same
-    block still get their own P~.  Every report matches the per-point
+    rank test decomposes one copy.  The points of index 1 (x = 0) in the same
+    block still rank their own P~ = C^T P C, which varies with y there.
+    Every report, sigma_min and cutoff included, matches the per-point
     reference."""
+    import numpy as np
+
     from pnalgebroid import linalg
 
-    A = LieAlgebroid.tangent(["x", "y"])
-    N = Endo.from_matrix(A, [[parse("x"), ZERO], [ZERO, ONE]])
-    P = Bivector.from_entries(A, {(0, 1): parse("3")})
+    A = LieAlgebroid.tangent(["x", "y", "z"])
+    N = Endo.from_matrix(A, [[parse("x"), parse("y"), ZERO], [ZERO, ONE, ZERO],
+                             [ZERO, ZERO, ONE]])
+    P = Bivector.from_entries(A, {(0, 1): parse("3"), (1, 2): ONE})
     pts = _case_points(A, 40, 5)
     for i in (0, 7, 39):
         pts[i]["x"] = 0.0
@@ -605,8 +610,12 @@ def test_a_constant_bivector_is_ranked_once_at_index_zero_points(monkeypatch):
                         lambda stack, tol: shapes.append(stack.shape) or stacked_rank(stack, tol))
     reports = fiberwise_reduce(P, N, pts, 1e-9)
     assert [r.index for r in reports].count(1) == 3
-    assert (1, 2, 2) in shapes and (37, 2, 2) not in shapes
-    assert len({(r.p_sigma_min, r.p_cutoff) for r in reports if r.index == 0}) == 1
+    assert (1, 3, 3) in shapes and (37, 3, 3) not in shapes
+    for values, r in zip(pts, reports):
+        want = _reference_fiberwise(P, N, values, 1e-9)
+        assert np.allclose([r.p_sigma_min, r.p_cutoff], [want["p_sigma_min"], want["p_cutoff"]],
+                           rtol=1e-12, atol=0)
+    assert len({r.p_sigma_min for r in reports if r.index == 1}) == 3
 
 
 def _overflow_case():
@@ -1026,10 +1035,13 @@ def _fb_cases():
 @pytest.mark.parametrize("case", _fb_cases(), ids=lambda c: c[0])
 def test_condition_fb_check_matches_the_per_point_code(case, seed):
     """The same rng draws in the same order: fiber points bit for bit."""
+    _, A, sections = case
+    _assert_fb_matches_reference(A, sections, _case_points(A, 150, seed), seed)
+
+
+def _assert_fb_matches_reference(A, sections, pts, seed):
     import numpy as np
 
-    _, A, sections = case
-    pts = _case_points(A, 150, seed)
     got = condition_fb_check(A, sections, pts, seed)
     for rep, want in zip(got, _reference_fb(A, sections, pts, seed), strict=True):
         assert np.array_equal(rep.fiber_point, want[0])
@@ -1039,8 +1051,6 @@ def test_condition_fb_check_matches_the_per_point_code(case, seed):
 
 def test_condition_fb_check_across_blocks():
     """Two blocks and one point: the draws continue from block to block."""
-    import numpy as np
-
     from pnalgebroid import linalg
     from pnalgebroid.lifts import lift_section
 
@@ -1049,12 +1059,7 @@ def test_condition_fb_check_across_blocks():
         linalg.CompiledMatrix([X.comps for X in sections]),
         linalg.CompiledMatrix([lift_section(A, X, kind).comps
                                for X in sections for kind in ("c", "v")]))
-    pts = _case_points(A, 2 * size + 1, 11)
-    got = condition_fb_check(A, sections, pts, 11)
-    for rep, want in zip(got, _reference_fb(A, sections, pts, 11), strict=True):
-        assert np.array_equal(rep.fiber_point, want[0])
-        assert (rep.dim_lifted, rep.dim_anchor_image, rep.rank_subbundle, rep.consistent,
-                rep.ill_conditioned) == want[1:]
+    _assert_fb_matches_reference(A, sections, _case_points(A, 2 * size + 1, 11), 11)
 
 
 # -- projectability of bivectors against the Schouten route ------------------
