@@ -260,6 +260,46 @@ def test_selftest_fiberwise_row_reads_ill_conditioning(monkeypatch, capsys, flag
     assert code == (0 if flagged is None else 3)
 
 
+@pytest.mark.parametrize("p_fails, n_fails, witness, margin", [
+    # the endomorphism fails first, in the first block; the bivector later, in the second
+    ({13: 0.15}, {9: 0.25},
+     "reduced pair degenerate at {'mu1': 0.30841179446999467, 'mu2': -0.41327810139687937}: "
+     "sigma_min 0.25, cutoff 0.5", 0.3),
+    # both fail at one point: the bivector's test is read first
+    ({17: 0.4}, {17: 0.1},
+     "reduced pair degenerate at {'mu1': -1.7615953201350694, 'mu2': -1.1761651487226938}: "
+     "sigma_min 0.4, cutoff 0.5", 0.2),
+])
+def test_selftest_pair_row_names_the_first_failing_test_of_its_pass(
+        monkeypatch, capsys, p_fails, n_fails, witness, margin):
+    import numpy as np
+    from types import SimpleNamespace
+    from pnalgebroid.pointwise import _Tests
+
+    def tests(start, count, fails):
+        # sigma 1.5 over cutoff 0.5 where a test passes; none decides the last point
+        sigma, cutoff = np.full(count, 1.5), np.full(count, 0.5)
+        sigma[-1] = cutoff[-1] = np.nan
+        for i, s in fails.items():
+            if start <= i < start + count:
+                sigma[i - start] = s
+        return _Tests(np.isnan(sigma) | (sigma > cutoff), sigma, cutoff)
+
+    def two_blocks(P, N, pts):
+        for start, count in ((0, 12), (12, 13)):
+            yield start, SimpleNamespace(
+                p=tests(start, count, p_fails), n=tests(start, count, n_fails),
+                riesz=SimpleNamespace(ill=np.zeros(count, dtype=bool)),
+                dim_quotient=np.full(count, 2))
+
+    monkeypatch.setattr(cli, "_fiberwise_blocks", two_blocks)
+    code, out, _ = run(capsys, "selftest", "--format", "json")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    row = checks["aff1 fiberwise reduction nondegenerate"]
+    assert (row["verdict"], row["witness"], row["margin"]) == ("fail", witness, margin)
+    assert not row["ill_conditioned"] and code == 1
+
+
 def test_report_version_is_the_package_version(capsys):
     assert cli.VERSION is pnalgebroid.__version__
     code, out, _ = run(capsys, "check-algebroid", "aff1", "--format", "json")

@@ -627,20 +627,27 @@ def _overflow_case():
     return A, Bivector.from_entries(A, {(0, 1): ONE}), N
 
 
-@pytest.mark.parametrize("first, second", [("power", "eval"), ("eval", "power")])
+@pytest.mark.parametrize("first, second", [("power", "eval"), ("eval", "power"),
+                                           ("power", "bivector"), ("bivector", "power")])
 @pytest.mark.parametrize("shift", [0, 200])
 def test_non_finite_entry_names_the_first_bad_point(first, second, shift):
     from pnalgebroid import linalg
 
-    _, P, N = _overflow_case()
-    bad = {"power": 0.99, "eval": 2.0}
-    pts = [{"x": 0.0, "y": float(i)} for i in range(shift + 8)]
-    pts[shift + 3]["x"] = bad[first]
-    pts[shift + 5]["x"] = bad[second]
-    for run in (lambda: riesz_report(N, pts), lambda: fiberwise_reduce(P, N, pts)):
+    A, _, N = _overflow_case()
+    # P overflows at y = 1, a stage after N and its powers
+    P = Bivector.from_entries(A, {(0, 1): parse("exp(800*y)")})
+    bad = {"power": ("x", 0.99), "eval": ("x", 2.0), "bivector": ("y", 1.0)}
+    pts = [{"x": 0.0, "y": i / 1000} for i in range(shift + 8)]
+    for i, stage in ((shift + 3, first), (shift + 5, second)):
+        var, value = bad[stage]
+        pts[i][var] = value
+    # riesz_report reads N alone, so it names the first point where N faults
+    first_n = shift + (5 if first == "bivector" else 3)
+    for run, want in ((lambda: riesz_report(N, pts), first_n),
+                      (lambda: fiberwise_reduce(P, N, pts), shift + 3)):
         with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
             run()
-        assert info.value.values is pts[shift + 3]
+        assert info.value.values is pts[want]
 
 
 def test_underflow_is_raised_only_without_a_non_finite_point():
