@@ -11,14 +11,11 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from . import __version__ as VERSION, linalg
 from .expr import ExprError
@@ -32,7 +29,7 @@ from .reduction import (
     projectable_endo_check, project_endo, NotBasic,
 )
 from .pointwise import (
-    TOL_ENV_VAR, default_tolerance, Points, _sample, _riesz_blocks, _fiberwise_blocks,
+    TOL_ENV_VAR, default_tolerance, _sample, _RankFold, _riesz_fold, _fiberwise_fold,
 )
 from .specio import SpecDocument, SpecFileError, load_document, serialize_document
 from .fixtures import build_toda, build_aff1
@@ -76,9 +73,9 @@ class Report:
             ill: bool = False, seconds: float = 0.0) -> None:
         self.checks.append(Check(name, bool(ok), witness, bool(ill), seconds))
 
-    def add_numeric(self, name: str, fold: "_RankFold", ill: bool, seconds: float) -> None:
+    def add_numeric(self, name: str, fold: _RankFold, seconds: float) -> None:
         """A check decided by numeric ranks: its JSON also carries ``margin``."""
-        self.checks.append(Check(name, fold.ok, fold.witness, bool(ill), seconds, True,
+        self.checks.append(Check(name, fold.ok, fold.witness, fold.ill, seconds, True,
                                  fold.margin))
 
     def add_report(self, name: str, rep: CheckReport) -> None:
@@ -224,48 +221,17 @@ def _pick_endo(doc: SpecDocument, name: Optional[str]) -> tuple[str, Endo]:
 
 
 def _timed(report: Report, name: str, fn) -> bool:
-    """Run a check thunk giving (ok, witness, ill), or (fold, ill) for a
-    numeric check, and add its row with its time."""
+    """Run a check thunk giving (ok, witness, ill), or a fold for a numeric
+    check, and add its row with its time."""
     t0 = time.perf_counter()
     result = fn()
     seconds = time.perf_counter() - t0
-    if isinstance(result[0], _RankFold):
-        report.add_numeric(name, *result, seconds)
-        return result[0].ok
+    if isinstance(result, _RankFold):
+        report.add_numeric(name, result, seconds)
+        return result.ok
     ok, witness, ill = result
     report.add(name, ok, witness, ill, seconds)
     return ok
-
-
-class _RankFold:
-    """A numeric check folded over its per-point rank tests a block of points
-    at a time: the verdict, the first failing point as the witness, and the
-    margin."""
-
-    def __init__(self, what: str):
-        self.what, self.ok, self.witness, self.ratio = what, True, None, math.inf
-
-    def block(self, pts: Points, start: int, ok: np.ndarray, sigma: np.ndarray,
-              cutoff: np.ndarray) -> None:
-        """The points of ``pts`` from index ``start`` on: per point one test,
-        or one row of tests folded in row order; ``sigma`` and ``cutoff`` of
-        each, NaN where no rank test decided."""
-        decided = ~np.isnan(sigma)
-        if decided.any():
-            self.ratio = min(self.ratio, float((sigma[decided] / cutoff[decided]).min()))
-        if self.ok and not ok.all():
-            first = np.unravel_index(np.argmin(ok), ok.shape)
-            self.ok = False
-            self.witness = (f"{self.what} at {pts.point(start + int(first[0]))}: "
-                            f"sigma_min {float(sigma[first]):.6g}, "
-                            f"cutoff {float(cutoff[first]):.6g}")
-
-    @property
-    def margin(self) -> Optional[float]:
-        """The smallest sigma_min / cutoff over the deciding rank tests, to 6
-        significant digits: above 1 every test passed with that factor to
-        spare, below 1 one failed.  None when no rank test decided."""
-        return None if self.ratio == math.inf else float(f"{self.ratio:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +370,11 @@ def cmd_riesz(args, report: Report, doc: SpecDocument) -> None:
     variables = list(doc.algebroid.base_vars)
     pts = _sample(variables, args.points, args.seed, _box_for(variables))
     t0 = time.perf_counter()
-    split = _RankFold("image + kernel of the stable power do not span")
-    indices, dims, ill = set(), set(), False
-    # folded one block at a time, never all held at once
-    for start, rz in _riesz_blocks(N, pts):
-        split.block(pts, start, *rz.split)
-        indices.update(rz.index.tolist())
-        dims.update(rz.dim_kernel.tolist())
-        ill = ill or bool(rz.ill.any())
+    split, indices, dims = _riesz_fold(N, pts)
     report.add_numeric(f"riesz({ename}) stable-kernel splitting at {args.points} points",
-                       split, ill, time.perf_counter() - t0)
-    report.payload["indices"] = sorted(indices)
-    report.payload["kernel_dimensions"] = sorted(dims)
+                       split, time.perf_counter() - t0)
+    report.payload["indices"] = indices
+    report.payload["kernel_dimensions"] = dims
 
 
 def cmd_reduce_fiberwise(args, report: Report, doc: SpecDocument) -> None:
@@ -424,21 +383,14 @@ def cmd_reduce_fiberwise(args, report: Report, doc: SpecDocument) -> None:
     variables = list(doc.algebroid.base_vars)
     pts = _sample(variables, args.points, args.seed, _box_for(variables))
     t0 = time.perf_counter()
-    p_fold = _RankFold("reduced bivector degenerate")
-    n_fold = _RankFold("reduced endomorphism singular")
-    dims, ill = set(), False
-    for start, fb in _fiberwise_blocks(P, N, pts):
-        p_fold.block(pts, start, *fb.p)
-        n_fold.block(pts, start, *fb.n)
-        dims.update(fb.dim_quotient.tolist())
-        ill = ill or bool(fb.riesz.ill.any())
+    p_fold, n_fold, _, dims = _fiberwise_fold(P, N, pts)
     # both verdicts come from the one pass over the points, and report its time
     seconds = time.perf_counter() - t0
     report.add_numeric(f"reduced bivector({pname}) nondegenerate at {args.points} points",
-                       p_fold, ill, seconds)
+                       p_fold, seconds)
     report.add_numeric(f"reduced endomorphism({ename}) invertible at {args.points} points",
-                       n_fold, ill, seconds)
-    report.payload["quotient_dimensions"] = sorted(dims)
+                       n_fold, seconds)
+    report.payload["quotient_dimensions"] = dims
 
 
 def cmd_fixture(args, report: Report, doc: SpecDocument) -> None:
@@ -451,28 +403,10 @@ def _verdict(rep, verdict: str = "ok") -> tuple[bool, Optional[str], bool]:
     return getattr(rep, verdict), rep.witness(), False
 
 
-def _stable_kernel_verdict(N: Endo, pts: Points) -> tuple[_RankFold, bool]:
-    fold, ill = _RankFold("no stable kernel of index 1 and dimension 2"), False
-    for start, rz in _riesz_blocks(N, pts):
-        ok = (rz.index == 1) & (rz.dim_kernel == 2) & rz.split.ok
-        fold.block(pts, start, ok, rz.split.sigma, rz.split.cutoff)
-        ill = ill or bool(rz.ill.any())
-    return fold, ill
-
-
-def _fiberwise_verdict(P: Bivector, N: Endo, pts: Points) -> tuple[_RankFold, bool]:
-    fold, ill = _RankFold("reduced pair degenerate"), False
-    for start, fb in _fiberwise_blocks(P, N, pts):
-        # per point the bivector's test, then the endomorphism's
-        fold.block(pts, start, *(np.stack(pair, axis=1) for pair in zip(fb.p, fb.n)))
-        ill = ill or bool(fb.riesz.ill.any())
-    return fold, ill
-
-
 def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
     """Condensed verification suite over the built-in fixtures: one
-    (name, thunk) row per check, each thunk giving (ok, witness, ill), or
-    (fold, ill) for a numeric check."""
+    (name, thunk) row per check, each thunk giving (ok, witness, ill), or a
+    fold for a numeric check."""
     t = build_toda(2)
     a = build_aff1()
     pts = _sample(list(a.algebroid.base_vars), 25, 7, _box_for(list(a.algebroid.base_vars)))
@@ -494,9 +428,9 @@ def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
         ("aff1 projector idempotent",
          lambda: ((a.N.compose(a.N) - a.N).is_zero(), None, False)),
         ("aff1 stable-kernel index 1 at 25 points",
-         lambda: _stable_kernel_verdict(a.N, pts)),
+         lambda: _riesz_fold(a.N, pts, stable=(1, 2))[0]),
         ("aff1 fiberwise reduction nondegenerate",
-         lambda: _fiberwise_verdict(a.P, a.N, pts)),
+         lambda: _fiberwise_fold(a.P, a.N, pts)[2]),
     ]
     for name, thunk in checks:
         _timed(report, name, thunk)

@@ -170,6 +170,38 @@ class _Tests(NamedTuple):
     cutoff: np.ndarray
 
 
+class _RankFold:
+    """A numeric check folded over its per-point rank tests a block of points
+    at a time: the verdict, the first failing point as the witness, the
+    margin, and whether a point of its pass was ill-conditioned."""
+
+    def __init__(self, what: str):
+        self.what, self.ok, self.witness, self.ratio, self.ill = what, True, None, math.inf, False
+
+    def block(self, pts: Points, start: int, ok: np.ndarray, sigma: np.ndarray,
+              cutoff: np.ndarray, ill: np.ndarray) -> None:
+        """The points of ``pts`` from index ``start`` on: per point one test,
+        or one row of tests folded in row order; ``sigma`` and ``cutoff`` of
+        each, NaN where no rank test decided, and the ill flag of each point."""
+        decided = ~np.isnan(sigma)
+        if decided.any():
+            self.ratio = min(self.ratio, float((sigma[decided] / cutoff[decided]).min()))
+        if self.ok and not ok.all():
+            first = np.unravel_index(np.argmin(ok), ok.shape)
+            self.ok = False
+            self.witness = (f"{self.what} at {pts.point(start + int(first[0]))}: "
+                            f"sigma_min {float(sigma[first]):.6g}, "
+                            f"cutoff {float(cutoff[first]):.6g}")
+        self.ill = self.ill or bool(ill.any())
+
+    @property
+    def margin(self) -> float | None:
+        """The smallest sigma_min / cutoff over the deciding rank tests, to 6
+        significant digits: above 1 every test passed with that factor to
+        spare, below 1 one failed.  None when no rank test decided."""
+        return None if self.ratio == math.inf else float(f"{self.ratio:.6g}")
+
+
 @dataclass
 class _RieszBlock:
     """The stable-kernel splitting at a block of points, one entry per point
@@ -220,7 +252,7 @@ def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
     ill = np.zeros(count, dtype=bool)
     fault = np.zeros(count, dtype=np.int8)
     sigma, cutoff = np.full(count, math.nan), np.full(count, math.nan)
-    finished = []           # (points, their N^index) for points of index >= 1
+    finished = []           # (points, their N^index, its rank) for points of index >= 1
     active, prev, prev_rank = np.arange(count), None, np.full(count, r)
     for l in range(1, r + 2):
         with np.errstate(all="ignore"):
@@ -238,7 +270,7 @@ def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
         done = (rank == prev_rank) | (l == r + 1)
         index[active[done]] = l - 1
         if prev is not None and done.any():
-            finished.append((active[done], prev[done]))
+            finished.append((active[done], prev[done], prev_rank[done]))
         active, prev, prev_rank = active[~done], cur[~done], rank[~done]
         if not active.size:
             break
@@ -246,9 +278,9 @@ def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
     direct = np.ones(count, dtype=bool)
     bases = {}
     if finished:
-        split = np.concatenate([i for i, _ in finished])
-        u, s, vt = np.linalg.svd(np.concatenate([p for _, p in finished]))
-        rank = linalg._rank_of(s, tol)[0]
+        split, stable, rank = (np.concatenate(parts) for parts in zip(*finished))
+        # the vectors are the bases; the rank is the one that decided the index
+        u, _, vt = np.linalg.svd(stable)
         dim_kernel[split] = r - rank
         # the direct-sum test, one stacked rank per kernel dimension
         for k in np.unique(rank).tolist():
@@ -260,6 +292,26 @@ def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
             sigma[group], cutoff[group] = s[:, -1], cut
             bases[k] = (group, kernels, images)
     return _RieszBlock(index, dim_kernel, _Tests(direct, sigma, cutoff), ill, ranks, bases, fault)
+
+
+def _riesz_fold(N: Endo, pts: Points,
+                stable: tuple[int, int] | None = None) -> tuple[_RankFold, list[int], list[int]]:
+    """The direct-sum test folded over the points, and the indices and kernel
+    dimensions seen.  With ``stable`` = (index, dimension) a point whose
+    stable kernel has another index or dimension fails the check too."""
+    if stable is None:
+        fold = _RankFold("image + kernel of the stable power do not span")
+    else:
+        fold = _RankFold("no stable kernel of index {} and dimension {}".format(*stable))
+    indices, dims = set(), set()
+    for start, rz in _riesz_blocks(N, pts):
+        ok = rz.split.ok
+        if stable is not None:
+            ok = (rz.index == stable[0]) & (rz.dim_kernel == stable[1]) & ok
+        fold.block(pts, start, ok, rz.split.sigma, rz.split.cutoff, rz.ill)
+        indices.update(rz.index.tolist())
+        dims.update(rz.dim_kernel.tolist())
+    return fold, sorted(indices), sorted(dims)
 
 
 def _sample(
@@ -371,6 +423,24 @@ def _fiberwise_blocks(P: Bivector, N: Endo, points: Points | list[dict[str, floa
         faults.check(start, n_fault, rz.fault, p_fault)
         yield start, _fiber_block(rz, nmats, pmats, tol, not cp.variables)
     faults.finish()
+
+
+def _fiberwise_fold(P: Bivector, N: Endo,
+                    pts: Points) -> tuple[_RankFold, _RankFold, _RankFold, list[int]]:
+    """The rank tests of P~, of N~ and of the pair (per point P~'s test, then
+    N~'s) folded over the points in one pass, and the quotient dimensions
+    seen."""
+    p = _RankFold("reduced bivector degenerate")
+    n = _RankFold("reduced endomorphism singular")
+    pair = _RankFold("reduced pair degenerate")
+    dims = set()
+    for start, fb in _fiberwise_blocks(P, N, pts):
+        ill = fb.riesz.ill
+        p.block(pts, start, *fb.p, ill)
+        n.block(pts, start, *fb.n, ill)
+        pair.block(pts, start, *(np.stack(tests, axis=1) for tests in zip(fb.p, fb.n)), ill)
+        dims.update(fb.dim_quotient.tolist())
+    return p, n, pair, sorted(dims)
 
 
 def _full_rank(stack: np.ndarray, tol: float,

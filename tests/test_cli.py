@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pnalgebroid
-from pnalgebroid import cli
+from pnalgebroid import cli, pointwise
 from pnalgebroid.cli import main
 from pnalgebroid.fixtures import TodaFixture
 from pnalgebroid.specio import parse_document, serialize_document
@@ -231,8 +231,8 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
     from workloads import SELFTEST_CHECKS
 
     calls = []
-    real = cli._riesz_blocks
-    monkeypatch.setattr(cli, "_riesz_blocks", lambda *a: calls.append(a) or real(*a))
+    real = pointwise._riesz_blocks
+    monkeypatch.setattr(pointwise, "_riesz_blocks", lambda *a: calls.append(a) or real(*a))
     code, out, _ = run(capsys, "selftest", "--format", "json")
     assert code == 0
     checks = json.loads(out)["checks"]
@@ -243,7 +243,7 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flagged", [None, 24])
 def test_selftest_fiberwise_row_reads_ill_conditioning(monkeypatch, capsys, flagged):
-    real = cli._fiberwise_blocks
+    real = pointwise._fiberwise_blocks
 
     def flag_one(*args):
         for start, block in real(*args):
@@ -251,7 +251,7 @@ def test_selftest_fiberwise_row_reads_ill_conditioning(monkeypatch, capsys, flag
                 block.riesz.ill[flagged - start] = True
             yield start, block
 
-    monkeypatch.setattr(cli, "_fiberwise_blocks", flag_one)
+    monkeypatch.setattr(pointwise, "_fiberwise_blocks", flag_one)
     code, out, _ = run(capsys, "selftest", "--format", "json")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     row = checks["aff1 fiberwise reduction nondegenerate"]
@@ -292,12 +292,20 @@ def test_selftest_pair_row_names_the_first_failing_test_of_its_pass(
                 riesz=SimpleNamespace(ill=np.zeros(count, dtype=bool)),
                 dim_quotient=np.full(count, 2))
 
-    monkeypatch.setattr(cli, "_fiberwise_blocks", two_blocks)
+    monkeypatch.setattr(pointwise, "_fiberwise_blocks", two_blocks)
     code, out, _ = run(capsys, "selftest", "--format", "json")
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     row = checks["aff1 fiberwise reduction nondegenerate"]
     assert (row["verdict"], row["witness"], row["margin"]) == ("fail", witness, margin)
     assert not row["ill_conditioned"] and code == 1
+
+
+def test_cli_binds_no_numpy():
+    import numpy as np
+
+    bound = [name for name, value in vars(cli).items()
+             if value is np or getattr(value, "__module__", "").startswith("numpy")]
+    assert not bound
 
 
 def test_report_version_is_the_package_version(capsys):

@@ -508,6 +508,8 @@ def _assert_matches_reference(P, N, pts, tol=1e-9):
         want = _reference_fiberwise(P, N, values, tol)
         assert rz.values is values and fr.values is values
         assert rz.ranks == want["ranks"]
+        # the kernel is split at the rank that decided the index
+        assert rz.dim_kernel == N.algebroid.rank - rz.ranks[rz.index]
         assert (rz.index, rz.dim_kernel, rz.direct_sum_ok, rz.ill_conditioned) == (
             want["index"], want["dim_kernel"], want["direct_sum_ok"],
             want["ill_conditioned"])
