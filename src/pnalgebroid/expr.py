@@ -819,6 +819,9 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # exact division
 
+_DIV_STEPS = 20000  # reduction steps of one division before it gives up
+
+
 def _sparse_vec(pairs: Iterable[tuple[str, object]], keys: list[str]):
     d = dict(pairs)
     return tuple(d.get(k, 0) for k in keys)
@@ -829,7 +832,7 @@ def _term_order_key(key: TermKey, mono_vars: list[str], lin_vars: list[str]):
     return (_sparse_vec(m, mono_vars), _sparse_vec(l, lin_vars))
 
 
-def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
+def div_exact(num: Expr, den: Expr) -> Expr:
     """Exact division in the expression ring; raises ExprError when the
     quotient does not exist in the class."""
     if den.is_zero():
@@ -847,7 +850,7 @@ def div_exact(num: Expr, den: Expr, max_steps: int = 20000) -> Expr:
     lt_den = leading(den)
     quot: dict[TermKey, Number] = {}
     rem = num
-    for _ in range(max_steps):
+    for _ in range(_DIV_STEPS):
         if rem.is_zero():
             return Expr.from_terms(quot)
         mr, lr, cr = leading(rem)

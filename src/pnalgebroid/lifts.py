@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, ZERO
+from .expr import Expr, ZERO, dot
 from .algebroid import LieAlgebroid, Section
 from .poisson import Bivector
 from .linalg import evaluate_matrix
@@ -99,11 +99,7 @@ def star_complete_lift(A: LieAlgebroid, X: Section) -> Section:
 def linear_function(A: LieAlgebroid, X: Section) -> Expr:
     """The fiberwise-linear function on the dual total space pairing with X."""
     zs = dual_fiber_vars(A)
-    out = ZERO
-    for a in range(A.rank):
-        if not X.comps[a].is_zero():
-            out = out + X.comps[a] * Expr.var(zs[a])
-    return out
+    return dot((xa, Expr.var(z)) for xa, z in zip(X.comps, zs) if not xa.is_zero())
 
 
 def lift_bivector(A: LieAlgebroid, Q: Bivector, kind: str) -> Bivector:
