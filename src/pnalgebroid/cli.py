@@ -220,7 +220,7 @@ def _pick_endo(doc: SpecDocument, name: Optional[str]) -> tuple[str, Endo]:
     )
 
 
-def _timed(report: Report, name: str, fn) -> bool:
+def _timed(report: Report, name: str, fn) -> None:
     """Run a check thunk giving (ok, witness, ill), or a fold for a numeric
     check, and add its row with its time."""
     t0 = time.perf_counter()
@@ -228,10 +228,8 @@ def _timed(report: Report, name: str, fn) -> bool:
     seconds = time.perf_counter() - t0
     if isinstance(result, _RankFold):
         report.add_numeric(name, result, seconds)
-        return result.ok
-    ok, witness, ill = result
-    report.add(name, ok, witness, ill, seconds)
-    return ok
+    else:
+        report.add(name, *result, seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ conventions of :mod:`pnalgebroid.linalg`.  A block is sized from the
 matrices of its pass (:func:`pnalgebroid.linalg.blocks`), and a bivector
 that reads no variable is ranked once for all the points where P~ = P.  The
 points are one float array (:class:`Points`) and the results of a block are
-arrays with one entry per point; the report dataclasses are built from them.
+arrays with one entry per point; the report dataclasses are built from them,
+and each sampled CLI verdict is folded from them here, one fold per pass.
 Neither changes a value: each matrix of a stack is decomposed on its own.
 :mod:`pnalgebroid.reduction` re-exports the public names.
 """
@@ -299,10 +300,8 @@ def _riesz_fold(N: Endo, pts: Points,
     """The direct-sum test folded over the points, and the indices and kernel
     dimensions seen.  With ``stable`` = (index, dimension) a point whose
     stable kernel has another index or dimension fails the check too."""
-    if stable is None:
-        fold = _RankFold("image + kernel of the stable power do not span")
-    else:
-        fold = _RankFold("no stable kernel of index {} and dimension {}".format(*stable))
+    fold = _RankFold("image + kernel of the stable power do not span" if stable is None
+                     else "no stable kernel of index {} and dimension {}".format(*stable))
     indices, dims = set(), set()
     for start, rz in _riesz_blocks(N, pts):
         ok = rz.split.ok
@@ -435,10 +434,9 @@ def _fiberwise_fold(P: Bivector, N: Endo,
     pair = _RankFold("reduced pair degenerate")
     dims = set()
     for start, fb in _fiberwise_blocks(P, N, pts):
-        ill = fb.riesz.ill
-        p.block(pts, start, *fb.p, ill)
-        n.block(pts, start, *fb.n, ill)
-        pair.block(pts, start, *(np.stack(tests, axis=1) for tests in zip(fb.p, fb.n)), ill)
+        p.block(pts, start, *fb.p, fb.riesz.ill)
+        n.block(pts, start, *fb.n, fb.riesz.ill)
+        pair.block(pts, start, *(np.stack(t, axis=1) for t in zip(fb.p, fb.n)), fb.riesz.ill)
         dims.update(fb.dim_quotient.tolist())
     return p, n, pair, sorted(dims)
 
