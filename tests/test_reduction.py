@@ -278,6 +278,30 @@ def test_symbolic_riesz_index(aff1):
     assert symbolic_riesz_index(aff1.N) == 1
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_riesz_index_and_subalgebroid_check_rank_toda_without_eliminating_n(n, monkeypatch):
+    # the Toda recursion operator is invertible, so its index is 0 and the
+    # splitting is trivially closed; its rank comes from minors, because a
+    # fraction-free elimination of N grows its rows past a thousand terms
+    # at n = 5 and does not finish at n = 6
+    from pnalgebroid import linalg
+
+    N = build_toda(n).N
+    on_n = [list(row) for row in N.mat]
+    echelon = linalg.row_echelon
+
+    def counted(a):
+        if [list(row) for row in a] == on_n:
+            raise AssertionError("row_echelon called on N")
+        return echelon(a)
+
+    monkeypatch.setattr(linalg, "row_echelon", counted)
+    assert symbolic_riesz_index(N) == 0
+    rep = kernel_subalgebroid_check(N)
+    assert rep.index == 0 and rep.ok
+    assert len(rep.image_frame) == 2 * n and not rep.kernel_frame
+
+
 def test_kernel_subalgebroid_verdicts_on_aff1(aff1):
     rep = kernel_subalgebroid_check(aff1.N)
     assert rep.index == 1
