@@ -373,7 +373,9 @@ class Expr:
             return other._scaled(a[_ONE], self._d)
         d: dict[int, int] = {}
         _mul_into(d, a, b)
-        t, den = _canonical(d), self._d * other._d
+        # a one-term factor leaves no zero numerator (see _mul_into)
+        t = d if len(a) == 1 or len(b) == 1 else _canonical(d)
+        den = self._d * other._d
         return _wrap(t) if den == 1 else _reduced(t, den)
 
     __rmul__ = __mul__
@@ -612,8 +614,21 @@ def _combine(a: dict[int, int], da: int, b: dict[int, int], db: int, sign: int) 
 
 
 def _mul_into(d: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
-    """Add the product of the term tables ``a`` and ``b`` into the table ``d``."""
+    """Add the product of the term tables ``a`` and ``b`` into the table ``d``.
+
+    A constant factor keeps the keys of the other table, and no product row
+    is read.  A one-term factor sends distinct keys to distinct products, so
+    into an empty ``d`` their numerators are written, not accumulated; ``d``
+    then holds no zero."""
+    if len(b) == 1 and _ONE in b:
+        a, b = b, a
     get = d.get
+    if len(a) == 1 and _ONE in a:
+        c1 = a[_ONE]
+        for j, c2 in b.items():
+            d[j] = get(j, 0) + c1 * c2
+        return
+    fresh = not d and (len(a) == 1 or len(b) == 1)
     for i, c1 in a.items():
         row = _PROD.get(i)
         if row is None:
@@ -622,7 +637,7 @@ def _mul_into(d: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
             k = row.get(j)
             if k is None:
                 k = _product(i, j, row)
-            d[k] = get(k, 0) + c1 * c2
+            d[k] = c1 * c2 if fresh else get(k, 0) + c1 * c2
 
 
 def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:

@@ -1,12 +1,16 @@
 """Linear algebra helpers over the exact expression ring and over floats.
 
-Symbolic routines use fraction-free (cross-multiplying) elimination, so no
-division ever happens inside the ring; results that would be fractions are
-returned as a :class:`Frac`, a numerator over a scalar denominator.  The
-determinant, the adjugate and the inverse read one memoized table of minors
+Symbolic routines never divide inside the ring; results that would be
+fractions are returned as a :class:`Frac`, a numerator over a scalar
+denominator.  The determinant, the adjugate, the inverse, and the rank and
+pivot columns (:func:`pivot_columns`) read one memoized table of minors
 (:class:`_Minors`), each expanded along a row or column with at most one
-nonzero entry when its submatrix has one, else along its first row.  Numeric
-routines work on stacks of matrices, one per sample point: a matrix of
+nonzero entry when its submatrix has one, else along its first row.  Only
+the nullspace and the linear solve, which read the rows of an echelon form,
+run a fraction-free (cross-multiplying) elimination, whose entries grow with
+each step.  Matrix products sum over the pairs of nonzero factors only.
+
+Numeric routines work on stacks of matrices, one per sample point: a matrix of
 expressions is compiled once (:class:`CompiledMatrix`) and evaluated a block
 of points at a time, and ranks come from one stacked SVD with the tolerance
 policy used throughout: relative to max(sigma_max, 1), with an
@@ -30,14 +34,26 @@ DEFAULT_TOL = 1e-9
 GAP_RATIO = 10.0
 
 
+def _nonzero(v) -> list[tuple[int, Expr]]:
+    """The nonzero entries of a row or column, with their indices."""
+    return [(k, e) for k, e in enumerate(v) if not e.is_zero()]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """The product a @ b; empty operands give an empty product."""
-    cols = list(zip(*b))
-    return [[dot(zip(row, col)) for col in cols] for row in a]
+    """The product a @ b over the pairs of nonzero factors; empty operands
+    give an empty product."""
+    cols = [_nonzero(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        nz = [not e.is_zero() for e in row]
+        out.append([dot([(row[k], e) for k, e in col if nz[k]]) for col in cols])
+    return out
 
 
 def mat_vec(a: Matrix, v: list[Expr]) -> list[Expr]:
-    return [dot(zip(row, v)) for row in a]
+    """The product a @ v over the pairs of nonzero factors."""
+    col = _nonzero(v)
+    return [dot([(row[k], e) for k, e in col if not row[k].is_zero()]) for row in a]
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -49,9 +65,9 @@ def mat_identity(n: int) -> Matrix:
 
 
 class _Minors:
-    """The minors of one square matrix ``a``: ``minor(rows, cols)`` is the
-    determinant of ``a`` restricted to the rows and columns in two bitmasks
-    of equal size.  ``memo`` holds every minor computed so far, so the calls
+    """The minors of one matrix ``a``, square or not: ``minor(rows, cols)``
+    is the determinant of ``a`` restricted to the rows and columns in two
+    bitmasks of equal size.  ``memo`` holds every minor computed so far, so the calls
     on one table share their work.
 
     A minor is expanded along a line (row or column) with at most one
@@ -68,7 +84,7 @@ class _Minors:
         self.a = a
         self.row_nz = [sum(1 << j for j, e in enumerate(row) if not e.is_zero()) for row in a]
         self.col_nz = [sum(1 << i for i, m in enumerate(self.row_nz) if (m >> j) & 1)
-                       for j in range(len(a))]
+                       for j in range(len(a[0]) if a else 0)]
         self.memo: dict[tuple[int, int], Expr] = {}
 
     def minor(self, rows: int, cols: int) -> Expr:
@@ -220,9 +236,39 @@ def row_echelon(a: Matrix) -> tuple[Matrix, list[int]]:
     return rows, pivots
 
 
+def pivot_columns(a: Matrix) -> list[int]:
+    """The pivot columns of :func:`row_echelon`'s form of ``a``, read from
+    its minor table instead: each column independent of the columns before
+    it, so that their number is the rank.
+
+    The pivot minor, on the pivot rows and the pivot columns so far, is
+    nonzero.  Column j is a pivot exactly when some row outside the pivot
+    rows extends it to a nonzero minor on column j: the Schur complement of
+    the pivot minor in that larger minor is the row's entry of the residue
+    of column j after the pivot columns, over the pivot minor.  The first
+    such row joins the pivot rows."""
+    minors = _Minors(a)
+    free = (1 << len(a)) - 1  # the rows outside the pivot rows
+    rows = cols = 0
+    pivots: list[int] = []
+    for j in range(len(minors.col_nz)):
+        col = cols | 1 << j
+        r = free
+        while r:
+            low = r & -r
+            if not minors.minor(rows | low, col).is_zero():
+                rows, cols, free = rows | low, col, free ^ low
+                pivots.append(j)
+                break
+            r ^= low
+        if not free:
+            break
+    return pivots
+
+
 def symbolic_rank(a: Matrix) -> int:
-    _, pivots = row_echelon(a)
-    return len(pivots)
+    """The generic rank of ``a``: its number of pivot columns."""
+    return len(pivot_columns(a))
 
 
 def symbolic_nullspace(a: Matrix) -> list[list[Expr]]:

@@ -104,9 +104,11 @@ class EpimorphismSpec:
         rho = {w: [row[wi].substitute(self.base_map) for row in self.target.anchor]
                for wi, w in enumerate(self.target.base_vars)}  # rho_a^w o pi
         for b in range(self.source.rank):
+            # the sum below runs over the pairs of nonzero factors only
+            col = [(a, row[b]) for a, row in enumerate(self.fiber_map) if not row[b].is_zero()]
             for w in self.target.base_vars:
                 e = (self.source._rho_frame(b, self.base_map[w], {})
-                     - dot((self.fiber_map[a][b], rho_a) for a, rho_a in enumerate(rho[w])))
+                     - dot([(f, rho[w][a]) for a, f in col if not rho[w][a].is_zero()]))
                 if not e.is_zero():
                     failures.append((f"anchors do not intertwine on source frame "
                                      f"{self.source.frame[b]}, target coordinate {w}", e))
@@ -311,7 +313,7 @@ def projectable_complement(epi: EpimorphismSpec) -> list[Frac]:
     """Sections mapping onto the target frame: for each target frame element
     Frac(X_a, d_a) with fiber_map(X_a) = d_a * (a-th unit), d_a a basic
     function.  Used as the projectable complement of the kernel."""
-    _, pivots = linalg.row_echelon(epi.fiber_map)
+    pivots = linalg.pivot_columns(epi.fiber_map)
     kernel = epi.kernel_frame()
     sub = [[row[c] for c in pivots] for row in epi.fiber_map]
     out = []
@@ -567,7 +569,7 @@ def kernel_subalgebroid_check(N: Endo) -> SubalgebroidReport:
     nk = N.power(k)
     kernel = [Section(A, tuple(v)) for v in linalg.symbolic_nullspace(nk.mat)]
     # image frame: the pivot columns of N^k, a maximal independent set
-    _, pivots = linalg.row_echelon(nk.mat)
+    pivots = linalg.pivot_columns(nk.mat)
     cols = linalg.mat_transpose(nk.mat)
     image = [Section(A, tuple(cols[a])) for a in pivots]
     left_null = linalg.symbolic_nullspace(cols)

@@ -395,6 +395,37 @@ def test_ring_operations_match_the_fraction_reference(ra, rb, k):
         assert_stored_form(e)
 
 
+@st.composite
+def shaped_refs(draw):
+    """A reference expression of one of the shapes a product treats apart:
+    empty, a nonzero constant, one term, or any."""
+    shape = draw(st.sampled_from(["empty", "constant", "one-term", "general"]))
+    if shape == "empty":
+        return {}
+    if shape == "constant":
+        return {((), ()): draw(coeffs)}
+    if shape == "one-term":
+        return draw(refs(1).filter(lambda r: len(r) == 1))
+    return draw(refs())
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_refs(), shaped_refs(), shaped_refs())
+def test_products_of_each_shape_match_the_fraction_reference(ra, rb, rc):
+    # each pair of a dot lands in an empty or a filled table
+    a, b, c = built(ra), built(rb), built(rc)
+    got = {"a*b": a * b, "b*a": b * a, "dot(ab)": dot([(a, b)]),
+           "dot(ab,ca,bc)": dot([(a, b), (c, a), (b, c)]),
+           "dot(cc,ab)": dot([(c, c), (a, b)])}
+    ab, ca, bc = r_mul(ra, rb), r_mul(rc, ra), r_mul(rb, rc)
+    want = {"a*b": ab, "b*a": ab, "dot(ab)": ab,
+            "dot(ab,ca,bc)": r_add(r_add(ab, ca), bc),
+            "dot(cc,ab)": r_add(r_mul(rc, rc), ab)}
+    for name, e in got.items():
+        assert ref_of(e) == want[name], name
+        assert_stored_form(e)
+
+
 @settings(max_examples=80, deadline=None)
 @given(refs(), st.sampled_from(VARS))
 def test_diff_matches_the_fraction_reference(ra, v):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnalgebroid.expr import parse, ExprError, ZERO, ONE
 from pnalgebroid import linalg
@@ -36,6 +37,56 @@ def test_mat_mul_and_mat_vec_take_empty_operands():
     assert linalg.mat_mul(M(["x"], ["y"]), [[]]) == [[], []]
     assert linalg.mat_vec([], []) == []
     assert linalg.mat_vec(M([], []), []) == [ZERO, ZERO]
+
+
+ATOMS = ["1", "-2", "x", "y", "x*y - 1", "1/2*x", "exp(x - y)", "2/3*exp(y/2)",
+         "x^2 + exp(x)"]
+entries = st.one_of(st.just("0"), st.sampled_from(ATOMS)).map(parse)
+
+
+@st.composite
+def matrices(draw, max_side=6):
+    """A rectangular matrix, empty when a side is 0, over polynomial and
+    exponential entries; some rows combine earlier rows or are zero, and some
+    columns are zero, so that ranks fall short of both sides."""
+    n, m = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    a = [[draw(entries) for _ in range(m)] for _ in range(n)]
+    for i in range(n):
+        kind = draw(st.sampled_from(["keep", "keep", "combine", "zero"]))
+        if kind == "zero":
+            a[i] = [ZERO] * m
+        elif kind == "combine" and i:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            f, g = draw(entries), draw(entries)
+            a[i] = [f * x + g * y for x, y in zip(a[j], a[k])]
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else ():
+        for row in a:
+            row[j] = ZERO
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_pivot_columns_and_rank_match_the_echelon_form(a):
+    _, pivots = linalg.row_echelon(a)
+    assert linalg.pivot_columns(a) == pivots
+    assert linalg.symbolic_rank(a) == len(pivots)
+
+
+def _dense_product(a, b):
+    m = len(b[0]) if b else 0
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), ZERO) for j in range(m)]
+            for row in a]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_mat_mul_and_mat_vec_match_the_dense_sums(n, k, m, data):
+    a = [[data.draw(entries) for _ in range(k)] for _ in range(n)]
+    b = [[data.draw(entries) for _ in range(m)] for _ in range(k)]
+    v = [data.draw(entries) for _ in range(k)]
+    assert linalg.mat_mul(a, b) == _dense_product(a, b)
+    assert linalg.mat_vec(a, v) == [sum((x * y for x, y in zip(row, v)), ZERO) for row in a]
 
 
 def test_symbolic_rank_and_nullspace():
