@@ -67,8 +67,8 @@ def mat_identity(n: int) -> Matrix:
 class _Minors:
     """The minors of one matrix ``a``, square or not: ``minor(rows, cols)``
     is the determinant of ``a`` restricted to the rows and columns in two
-    bitmasks of equal size.  ``memo`` holds every minor computed so far, so the calls
-    on one table share their work.
+    bitmasks of equal size.  ``memo`` holds every minor computed so far, so
+    the calls on one table share their work.
 
     A minor is expanded along a line (row or column) with at most one
     nonzero entry in its submatrix when there is one: it is then zero, or
@@ -242,11 +242,12 @@ def pivot_columns(a: Matrix) -> list[int]:
     it, so that their number is the rank.
 
     The pivot minor, on the pivot rows and the pivot columns so far, is
-    nonzero.  Column j is a pivot exactly when some row outside the pivot
-    rows extends it to a nonzero minor on column j: the Schur complement of
-    the pivot minor in that larger minor is the row's entry of the residue
-    of column j after the pivot columns, over the pivot minor.  The first
-    such row joins the pivot rows."""
+    nonzero.  Column j is a pivot exactly when some row i outside the pivot
+    rows extends it to a nonzero minor on column j: that minor is the pivot
+    minor times a Schur complement, row i's entry of the residue of column j
+    after the combination of the pivot columns that matches it on the pivot
+    rows, and column j depends on the pivot columns exactly when that
+    residue vanishes.  The first such row joins the pivot rows."""
     minors = _Minors(a)
     free = (1 << len(a)) - 1  # the rows outside the pivot rows
     rows = cols = 0

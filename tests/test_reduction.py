@@ -290,12 +290,12 @@ def test_riesz_index_and_subalgebroid_check_rank_toda_without_eliminating_n(n, m
     on_n = [list(row) for row in N.mat]
     echelon = linalg.row_echelon
 
-    def counted(a):
+    def echelon_except_on_n(a):
         if [list(row) for row in a] == on_n:
             raise AssertionError("row_echelon called on N")
         return echelon(a)
 
-    monkeypatch.setattr(linalg, "row_echelon", counted)
+    monkeypatch.setattr(linalg, "row_echelon", echelon_except_on_n)
     assert symbolic_riesz_index(N) == 0
     rep = kernel_subalgebroid_check(N)
     assert rep.index == 0 and rep.ok
