@@ -1,11 +1,13 @@
 """Bracket/anchor axioms, the Koszul differential and the Cartan calculus."""
 
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnalgebroid.expr import Expr, parse, ZERO, ONE
 from pnalgebroid.algebroid import (
@@ -244,6 +246,61 @@ def test_anchor_apply_and_d_A_match_the_direct_formulas(case):
             got, want = d_A(A, omega), reference_d_A(A, omega)
             assert got.degree == want.degree
             assert got.comps == want.comps
+
+
+RHO_ROW_CASES = {
+    "aff1": lambda: build_aff1().algebroid,
+    "toda3-atiyah": lambda: build_toda(3).atiyah,
+    "toda3-flaschka": lambda: build_toda(3).flaschka,
+    "tangent": lambda: LieAlgebroid.tangent(["x", "y", "z"]),
+    "skewed": skewed_algebroid,
+}
+
+
+@functools.cache
+def rho_row_case(case):
+    return RHO_ROW_CASES[case]()
+
+
+@st.composite
+def base_functions(draw, A):
+    """Zero, a constant, a pure exponential or a few general terms, over the
+    base variables of ``A`` and ``w``, which no anchor row reads."""
+    names = list(A.base_vars) + ["w"]
+    shape = draw(st.sampled_from(["zero", "constant", "exponential", "general"]))
+    if shape == "zero":
+        return ZERO
+    c = Expr.number(Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3))))
+    if shape == "constant":
+        return c
+    out = ZERO
+    for _ in range(1 if shape == "exponential" else draw(st.integers(1, 3))):
+        t = c if shape == "exponential" else Expr.number(draw(st.integers(-3, 3)))
+        if shape == "general":
+            for v in draw(st.lists(st.sampled_from(names), max_size=2)):
+                t = t * Expr.var(v) ** draw(st.integers(1, 2))
+        if shape == "exponential" or draw(st.booleans()):
+            arg = Expr.number(draw(st.integers(-1, 1)))
+            for v in draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True)):
+                arg = arg + Expr.number(Fraction(draw(st.integers(-2, 2)), 2)) * Expr.var(v)
+            t = t * Expr.exp_of(arg)
+        out = out + t
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("case", sorted(RHO_ROW_CASES))
+def test_rho_row_is_the_anchor_times_the_partials(case, data):
+    A = rho_row_case(case)
+    f = data.draw(base_functions(A))
+    got = dict(A._rho_row(f))
+    assert all(not v.is_zero() for v in got.values())
+    for a in range(A.rank):
+        want = ZERO
+        for v, rho in zip(A.base_vars, A.anchor[a]):
+            want = want + rho * f.diff(v)
+        assert got.get(a, ZERO) == want, (a, str(f))
 
 
 def test_cached_rows_leave_equality_and_hash_alone():

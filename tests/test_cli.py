@@ -120,6 +120,27 @@ def test_hierarchy_command(capsys):
     assert "compatible(levels 1,2)" in out
 
 
+def test_hierarchy_fails_sharp_compatibility_with_a_witness_and_checks_no_higher_level(
+        tmp_path, capsys):
+    # N no longer commutes with the sharp map of lam0, so N lam0 is not a bivector
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2")
+    obj = json.loads(out)
+    obj["endomorphisms"]["N"][1][2] = "1"
+    spec = tmp_path / "noncommuting.json"
+    spec.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "hierarchy", str(spec), "--depth", "2", "--format", "json")
+    assert (code, err) == (1, "")
+    assert [(c["name"], c["verdict"], c["witness"]) for c in json.loads(out)["checks"]] == [
+        ("poisson(N^0 lam0)", "pass", None),
+        ("sharp-compatibility(lam0,N)", "fail",
+         "N P# != P# N* on dual pair (Dq1, Dq2): residual -2"),
+    ]
+    # depth 0 reads no N P, so it adds no row
+    code, out, _ = run(capsys, "hierarchy", str(spec), "--depth", "0", "--format", "json")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == ["poisson(N^0 lam0)"]
+
+
 def test_tolerance_env_var_is_reported(monkeypatch, capsys):
     monkeypatch.setenv("PNALGEBROID_TOL", "1e-7")
     code, out, _ = run(

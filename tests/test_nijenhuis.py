@@ -10,7 +10,9 @@ import pytest
 
 from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
 from pnalgebroid.algebroid import LieAlgebroid
-from pnalgebroid.poisson import Bivector, DegenerateBivector, dual_algebroid, is_poisson
+from pnalgebroid.poisson import (
+    Bivector, DegenerateBivector, dual_algebroid, is_poisson, poisson_pair,
+)
 from pnalgebroid.nijenhuis import (
     Endo, torsion, torsion_check, deformed_algebroid, sharp_commutes,
     concomitant, concomitant_check, pn_check, recursion_operator, hierarchy,
@@ -102,6 +104,23 @@ def test_hierarchy_of_bivectors(toda2):
     assert (levels[1][1] - toda2.lam1).is_zero()
     rep = hierarchy_check(toda2.lam0, toda2.N, 3)
     assert rep.ok
+
+
+def test_toda5_verdicts_differentiate_each_entry_along_each_variable_once(monkeypatch):
+    T = build_toda(5)
+    calls, operands = {}, []
+    real = Expr.diff
+
+    def counted(self, v):
+        operands.append(self)  # keeps each id taken below bound to its entry
+        calls[id(self), v] = calls.get((id(self), v), 0) + 1
+        return real(self, v)
+
+    monkeypatch.setattr(Expr, "diff", counted)
+    assert all(rep.ok for rep in poisson_pair(T.lam0, T.lam1))
+    assert pn_check(T.lam0, T.N).ok
+    assert hierarchy_check(T.lam0, T.N, 3).ok
+    assert calls and max(calls.values()) == 1
 
 
 def test_hierarchy_depth_zero_is_valid_and_a_negative_depth_raises(toda2):
