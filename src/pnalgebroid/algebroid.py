@@ -77,22 +77,44 @@ class LieAlgebroid:
             for plane in self.structure
         )
 
-    def _rho_frame(self, a: int, f: Expr, grads: dict[str, Expr]) -> Expr:
-        """rho(e_a)(f) = sum_i rho_a^i df/dx^i over the nonzero anchor entries.
+    @cached_property
+    def _anchor_cols(self) -> dict[str, tuple[tuple[int, Expr], ...]]:
+        """Per base variable v read by some anchor row, the (a, rho_a^v)
+        pairs with rho_a^v != 0."""
+        cols: dict[str, list[tuple[int, Expr]]] = {}
+        for a, row in enumerate(self._anchor_rows):
+            for v, rho in row:
+                cols.setdefault(v, []).append((a, rho))
+        return {v: tuple(col) for v, col in cols.items()}
 
-        ``grads`` caches df/dx^i by base variable; share one dict across the
-        frame elements applied to the same f, so each derivative is taken
-        once."""
-        out = ZERO
-        if f.is_zero():
-            return out
-        for v, rho in self._anchor_rows[a]:
-            g = grads.get(v)
-            if g is None:
-                g = grads[v] = f.diff(v)
-            if not g.is_zero():
-                out = out + rho * g
-        return out
+    @cached_property
+    def _structure_cols(self) -> tuple[tuple[tuple[tuple[int, Expr], ...], ...], ...]:
+        """The transposed structure rows: per frame pair (d, b), the
+        (g, C_dg^b) pairs with C_dg^b != 0."""
+        r = self.rank
+        ct: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
+        for d, plane in enumerate(self._structure_rows):
+            for g, row in enumerate(plane):
+                for b, c in row:
+                    ct[d][b].append((g, c))
+        return tuple(tuple(tuple(col) for col in plane) for plane in ct)
+
+    def _rho_row(self, f: Expr) -> tuple[tuple[int, Expr], ...]:
+        """The (a, rho_a(f)) with rho_a(f) = sum_i rho_a^i df/dx^i != 0, in
+        frame order, each one product or one dot over the sparse gradient of
+        f (kept on f) and the nonzero anchor columns."""
+        cols = self._anchor_cols
+        terms: dict[int, list[tuple[Expr, Expr]]] = {}
+        for v, g in f.gradient:
+            for a, rho in cols.get(v, ()):
+                terms.setdefault(a, []).append((rho, g))
+        out = []
+        for a in sorted(terms):
+            t = terms[a]
+            e = t[0][0] * t[0][1] if len(t) == 1 else dot(t)
+            if not e.is_zero():
+                out.append((a, e))
+        return tuple(out)
 
     # -- constructors ------------------------------------------------------
 
@@ -149,22 +171,13 @@ class LieAlgebroid:
 
     def anchor_apply(self, X: "Section", f: Expr) -> Expr:
         """Derivation of a base function along the image of a section:
-        rho(X)(f) = sum_a X^a sum_i rho_a^i df/dx^i.
-
-        Reads the nonzero anchor entries from a view cached on this frozen
-        algebroid (it lives exactly as long as the algebroid) and takes each
-        partial derivative of f at most once per call."""
-        if f.is_zero():
-            return ZERO
-        grads: dict[str, Expr] = {}
-        out = ZERO
-        for a, xa in enumerate(X.comps):
-            if xa.is_zero():
-                continue
-            t = self._rho_frame(a, f, grads)
-            if not t.is_zero():
-                out = out + xa * t
-        return out
+        rho(X)(f) = sum_i (sum_a X^a rho_a^i) df/dx^i, one dot over the
+        nonzero X^a, the nonzero anchor columns and the sparse gradient of
+        f, which f keeps."""
+        cols, comps = self._anchor_cols, X.comps
+        terms = [(comps[a] * rho, g) for v, g in f.gradient for a, rho in cols.get(v, ())
+                 if not comps[a].is_zero()]
+        return dot(terms) if terms else ZERO
 
     def bracket(self, X: "Section", Y: "Section") -> "Section":
         """Section bracket from the structure functions and anchor:
@@ -191,26 +204,28 @@ class LieAlgebroid:
         """Anchor-morphism and Jacobi identities on all frame triples."""
         failures = []
         r, n = self.rank, self.dim
-        # anchor is a morphism: rho([e_a, e_b]) = [rho e_a, rho e_b]; the
-        # derivatives of each anchor entry (b, i) are taken once
-        grads: dict[tuple[int, ...], dict[str, Expr]] = {}
+        # anchor is a morphism: rho([e_a, e_b]) = [rho e_a, rho e_b], with
+        # R[b][i] the rho-row of the anchor entry rho_b^i
+        R = [[dict(self._rho_row(e)) for e in row] for row in self.anchor]
         for a, b in itertools.combinations(range(r), 2):
             for i in range(n):
                 e = (dot((c, self.anchor[g][i]) for g, c in self._structure_rows[a][b])
-                     - self._rho_frame(a, self.anchor[b][i], grads.setdefault((b, i), {}))
-                     + self._rho_frame(b, self.anchor[a][i], grads.setdefault((a, i), {})))
+                     - R[b][i].get(a, ZERO) + R[a][i].get(b, ZERO))
                 if not e.is_zero():
                     failures.append((f"anchor morphism fails on ({self.frame[a]}, "
                                      f"{self.frame[b]}) component {self.base_vars[i]}", e))
         # Jacobi, one dot per component: the cyclic sum over (x, y, z) of
-        # [e_x, [e_y, e_z]]^g = sum_h C_yz^h C_xh^g + rho_x(C_yz^g), the
-        # derivatives of each structure entry (y, z, h) taken once
+        # [e_x, [e_y, e_z]]^g = sum_h C_yz^h C_xh^g + rho_x(C_yz^g), with
+        # S[y, z, h] the rho-row of the structure entry C_yz^h
+        S = {(y, z, h): dict(self._rho_row(c)) for y, plane in enumerate(self._structure_rows)
+             for z, row in enumerate(plane) for h, c in row}
         for a, b, c in itertools.combinations(range(r), 3):
             terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                 for h, cyz in self._structure_rows[y][z]:
                     _scatter(terms, cyz, self._structure_rows[x][h])
-                    terms[h].append((ONE, self._rho_frame(x, cyz, grads.setdefault((y, z, h), {}))))
+                    if (v := S[y, z, h].get(x)) is not None:
+                        terms[h].append((ONE, v))
             failures += [
                 (f"Jacobi fails on ({self.frame[a]}, {self.frame[b]}, {self.frame[c]}) "
                  f"component {self.frame[g]}", t)
@@ -221,15 +236,18 @@ class LieAlgebroid:
 
 @dataclass
 class CheckReport:
+    """A verdict and its failures, each a message and its nonzero residual,
+    or None for a failure that no residual witnesses."""
+
     ok: bool
-    failures: list[tuple[str, Expr]] = field(default_factory=list)
+    failures: list[tuple[str, Expr | None]] = field(default_factory=list)
     seconds: float = 0.0  # wall time of the check, when run through timed_check
 
     def witness(self) -> str | None:
         if self.ok:
             return None
         msg, e = self.failures[0]
-        return f"{msg}: residual {e}"
+        return msg if e is None else f"{msg}: residual {e}"
 
 
 def _scatter(terms: list[list[tuple[Expr, Expr]]], f: Expr, row) -> None:
@@ -407,23 +425,20 @@ def d_A(A: LieAlgebroid, omega) -> "KForm":
     one-form with components rho(e_a)(f).
 
     Reads the nonzero anchor and structure entries from views cached on the
-    frozen algebroid (they live exactly as long as it does) and takes each
-    partial derivative of each component of omega at most once per call.
+    frozen algebroid (they live exactly as long as it does) and the
+    anchor derivatives of each component of omega from its rho-row.
     """
     if isinstance(omega, Expr):
-        grads: dict[str, Expr] = {}
-        return A.one_form([A._rho_frame(a, omega, grads) for a in range(A.rank)])
+        return KForm(A, 1, {(a,): e for a, e in A._rho_row(omega)})
     k = omega.degree
     r = A.rank
-    grads_of: dict[tuple[int, ...], dict[str, Expr]] = {}
+    rows = {rest: dict(A._rho_row(inner)) for rest, inner in omega.comps.items()}
     d: dict[tuple[int, ...], Expr] = {}
     for idx in itertools.combinations(range(r), k + 1):
         val = ZERO
         for i in range(k + 1):
-            rest = idx[:i] + idx[i + 1 :]
-            inner = omega.comps.get(rest, ZERO)
-            if not inner.is_zero():
-                term = A._rho_frame(idx[i], inner, grads_of.setdefault(rest, {}))
+            row = rows.get(idx[:i] + idx[i + 1 :])
+            if row and (term := row.get(idx[i])) is not None:
                 val = val + (term if i % 2 == 0 else -term)
         for i in range(k + 1):
             for j in range(i + 1, k + 1):

@@ -296,6 +296,8 @@ def cmd_hierarchy(args, report: Report, doc: SpecDocument) -> None:
     rep = hierarchy_check(P, N, args.depth)
     for l, r in rep.levels:
         report.add_report(f"poisson({ename}^{l} {pname})", r)
+    if rep.compatible is not None:
+        report.add_report(f"sharp-compatibility({pname},{ename})", rep.compatible)
     for l, m, r in rep.pairwise:
         report.add_report(f"compatible(levels {l},{m})", r)
 

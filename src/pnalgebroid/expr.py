@@ -207,8 +207,8 @@ class Expr:
     dict as a mapping and the denominator."""
 
     # _t: key id -> numerator; _d: the denominator of every numerator.
-    # _terms and _hash are filled on first read.
-    __slots__ = ("_t", "_d", "_terms", "_hash")
+    # _terms, _hash and _grad are filled on first read.
+    __slots__ = ("_t", "_d", "_terms", "_hash", "_grad")
 
     def __init__(self, terms: Iterable[tuple[Mono, Lin, Number]] = ()):
         d: dict[int, Number] = {}
@@ -243,6 +243,24 @@ class Expr:
                                   for i, c in self._t.items()]))
             _set_terms(self, t)
             return t
+
+    @property
+    def gradient(self) -> tuple[tuple[str, "Expr"], ...]:
+        """The sparse gradient: (v, d/dv of self) for each variable v that
+        self reads, in sorted order, every partial nonzero.  It takes one
+        :meth:`diff` per variable read and is kept on this Expr, so each
+        partial derivative of a value held in a tensor is formed once."""
+        try:
+            return self._grad
+        except AttributeError:
+            g = []
+            for v in sorted(self.variables()):
+                d = self.diff(v)
+                if d._t:
+                    g.append((v, d))
+            g = tuple(g)
+            _set_grad(self, g)
+            return g
 
     # -- constructors ------------------------------------------------------
 
@@ -597,6 +615,7 @@ _set_t = Expr._t.__set__
 _set_d = Expr._d.__set__
 _set_terms = Expr._terms.__set__
 _set_hash = Expr._hash.__set__
+_set_grad = Expr._grad.__set__
 
 
 def _combine(a: dict[int, int], da: int, b: dict[int, int], db: int, sign: int) -> Expr:

@@ -147,8 +147,8 @@ def torsion(N: Endo, X: Section, Y: Section) -> Section:
 
 def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]]]:
     """cols[b], the (a, N^a_b) with N^a_b != 0; R[c][b], the (h, rho_c(N^h_b))
-    with rho_c(N^h_b) != 0, each partial derivative of each entry of N taken
-    once; and CN[a, b], the deformed structure functions
+    with rho_c(N^h_b) != 0, read from the rho-row of each nonzero entry of N;
+    and CN[a, b], the deformed structure functions
     C^N_ab^h = ([e_a, e_b]_N)^h for a < b, each one dot:
 
         C^N_ab^h = sum_c N^c_a C_cb^h + sum_d N^d_b C_ad^h
@@ -160,10 +160,8 @@ def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]
     R: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
     for b, col in enumerate(cols):
         for h, nhb in col:
-            grads: dict[str, Expr] = {}
-            for c in range(r):
-                if not (v := A._rho_frame(c, nhb, grads)).is_zero():
-                    R[c][b].append((h, v))
+            for c, v in A._rho_row(nhb):
+                R[c][b].append((h, v))
     CN = {}
     for a, b in itertools.combinations(range(r), 2):
         terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
@@ -270,7 +268,7 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
                 RT[e][b].append((h, v))
     rows = [[(c, n) for c, n in enumerate(row) if not n.is_zero()] for row in N.mat]
     neg = [[(c, -n) for c, n in row] for row in rows]
-    prows = [[(e, p) for e, p in enumerate(row) if not p.is_zero()] for row in m]
+    prows = P._rows
     KP = {ab: [(h, k) for h, k in enumerate(row) if not k.is_zero()]
           for ab, row in _koszul_rows(P).items()}
 
@@ -351,7 +349,7 @@ def pn_check(P: Bivector, N: Endo) -> PNReport:
         NP = Bivector(P.algebroid, tuple(tuple(row) for row in m))
         conc = timed_check(concomitant_check, P, N, NP)
     else:
-        conc = CheckReport(False, [("skipped: sharp maps do not commute", ZERO)])
+        conc = CheckReport(False, [("skipped: sharp maps do not commute", None)])
     t0 = time.perf_counter()
     d = P.determinant()
     return PNReport(
@@ -392,20 +390,38 @@ def hierarchy(P: Bivector, N: Endo, depth: int) -> list[tuple[int, Bivector]]:
 class HierarchyReport:
     levels: list[tuple[int, CheckReport]]
     pairwise: list[tuple[int, int, CheckReport]]
+    # the failed sharp-compatibility check, when N P is not a bivector;
+    # levels then holds level 0 alone and pairwise is empty
+    compatible: CheckReport | None = None
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for _, r in self.levels) and all(
-            r.ok for _, _, r in self.pairwise
-        )
+        return (all(r.ok for _, r in self.levels)
+                and all(r.ok for _, _, r in self.pairwise)
+                and (self.compatible is None or self.compatible.ok))
 
 
 def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
     """All N^l P Poisson and pairwise compatible up to the requested depth;
     every report carries its own wall time.  A pair's residuals are level i's
     plus level j's, each computed once, plus the mixed bracket's: those of
-    is_poisson(Qi + Qj), failures included."""
-    chain = [Q for _, Q in hierarchy(P, N, depth)]  # N^l P at index l
+    is_poisson(Qi + Qj), failures included.
+
+    Above level 0, N P is contracted once and tested for antisymmetry (sharp
+    compatibility).  When it is not a bivector, the report holds level 0 and
+    the failed check, with its witness, and no higher level is checked."""
+    if depth < 0:
+        raise ValueError(f"hierarchy depth must be nonnegative, got {depth}")
+    chain = [P]  # N^l P at index l
+    if min(depth, P.algebroid.rank):
+        t0 = time.perf_counter()
+        m, defects = _contract(N, P)
+        if defects:
+            comm = sharp_commutes(P, N, defects)
+            comm.seconds = time.perf_counter() - t0
+            return HierarchyReport([(0, timed_check(is_poisson, P))], [], comm)
+        NP = Bivector(P.algebroid, tuple(tuple(row) for row in m))
+        chain += [Q for _, Q in hierarchy(NP, N, depth - 1)]
     own = {}
 
     def check(i, j):

@@ -21,8 +21,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
-from .expr import Expr, ZERO, ExprError, dot
+from .expr import Expr, ONE, ZERO, ExprError, dot
 from .algebroid import (
     CheckReport,
     KForm,
@@ -70,6 +71,23 @@ class Bivector:
 
     def entry(self, a: int, b: int) -> Expr:
         return self.mat[a][b]
+
+    # -- sparse views, cached on the frozen instance like the views of
+    # ``LieAlgebroid``: every bracket table built on P reads them
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, Expr], ...], ...]:
+        """Per a, the (b, P^{ab}) with P^{ab} != 0."""
+        return tuple(tuple((b, e) for b, e in enumerate(row) if not e.is_zero())
+                     for row in self.mat)
+
+    @cached_property
+    def _rho_rows(self) -> dict[tuple[int, int], tuple[tuple[int, Expr], ...]]:
+        """Per frame pair a < b, the rho-row of P^{ab}: the (d, rho_d(P^{ab}))
+        with rho_d(P^{ab}) != 0."""
+        A = self.algebroid
+        return {(a, b): A._rho_row(self.mat[a][b])
+                for a, b in itertools.combinations(range(A.rank), 2)}
 
     def apply(self, alpha: KForm, beta: KForm) -> Expr:
         """P(alpha, beta) = alpha_a beta_b P^{ab}."""
@@ -192,21 +210,16 @@ def _schouten_frame(X: Section, P: Bivector) -> Bivector:
         L^a_c = (L_X theta^a)_c = rho_c(X^a) - X^d C_dc^a,
 
     rho(X) from ``anchor_apply``, each L^a_c and each sum over c one dot over
-    the nonzero entries of X and P and the nonzero anchor and structure
-    rows.  Equal to ``schouten_1r(X, P)``."""
+    the nonzero entries of X and P, the rho-rows of the X^a and the nonzero
+    structure rows.  Equal to ``schouten_1r(X, P)``."""
     A, m = P.algebroid, P.mat
     r = A.rank
     xs = [(d, x) for d, x in enumerate(X.comps) if not x.is_zero()]
     # L[a], the (c, L^a_c) with L^a_c != 0
     lt: list[list[list[tuple[Expr, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
     for a, x in xs:
-        grads: dict[str, Expr] = {}
-        for c, anchor in enumerate(A._anchor_rows):
-            for v, rho in anchor:
-                if (dx := grads.get(v)) is None:
-                    dx = grads[v] = x.diff(v)
-                if not dx.is_zero():
-                    lt[a][c].append((rho, dx))
+        for c, v in A._rho_row(x):
+            lt[a][c].append((ONE, v))
     for d, x in xs:  # -X^d C_dc^a = X^d C_cd^a
         for c, plane in enumerate(A._structure_rows):
             for a, cc in plane[d]:
@@ -239,24 +252,20 @@ def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
     of (P, P) and (Q, Q) added, the mixed ones are those of P + Q."""
     A = pairs[0][0].algebroid
     r = A.rank
-    rows = {id(Q): [[(d, e) for d, e in enumerate(row) if not e.is_zero()] for row in Q.mat]
-            for pair in pairs for Q in pair}
     # B[y, z][x], y < z, each entry one dot over its terms; x in {y, z} is never read
     B: dict[tuple[int, int], list[Expr]] = {}
     for y, z in itertools.combinations(range(r), 2):
         terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
         for P, Q in pairs:
-            grads: dict[str, Expr] = {}
-            for d in range(r):
-                v = A._rho_frame(d, Q.mat[y][z], grads)
-                if not v.is_zero():  # P^{xd} is nonzero where P^{dx} is, P antisymmetric
-                    for x, _ in rows[id(P)][d]:
-                        terms[x].append((P.mat[x][d], v))
-            for d, pyd in rows[id(P)][y]:
-                for e, qze in rows[id(Q)][z]:
+            m, rows = P.mat, P._rows
+            for d, v in Q._rho_rows[y, z]:
+                for x, _ in rows[d]:  # P^{xd} is nonzero where P^{dx} is, P antisymmetric
+                    terms[x].append((m[x][d], v))
+            for d, pyd in rows[y]:
+                for e, qze in Q._rows[z]:
                     for g, c in A._structure_rows[d][e]:
                         terms[g].append((pyd * c, qze))
-        B[y, z] = [ZERO if x in (y, z) else dot(t) for x, t in enumerate(terms)]
+        B[y, z] = [ZERO if x in (y, z) or not t else dot(t) for x, t in enumerate(terms)]
     triples = list(itertools.combinations(range(r), 3))
     residuals = [sum(es, B[b, c][a] - B[a, c][b] + B[a, b][c])
                  for (a, b, c), *es in zip(triples, *known)]
@@ -322,24 +331,12 @@ def _koszul_rows(Q: Bivector, more=None) -> dict[tuple[int, int], list[Expr]]:
     further pairs to ``terms[g]`` before the dots are formed."""
     A, m = Q.algebroid, Q.mat
     r = A.rank
-    # CT[d][b], the (g, C_dg^b) with C_dg^b != 0
-    CT: list[list[list[tuple[int, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
-    for d, plane in enumerate(A._structure_rows):
-        for g, row in enumerate(plane):
-            for b, c in row:
-                CT[d][b].append((g, c))
-    rows = [[(d, q) for d, q in enumerate(row) if not q.is_zero()] for row in m]
+    CT, rows = A._structure_cols, Q._rows
     out = {}
     for a, b in itertools.combinations(range(r), 2):
         terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
-        if not (q := m[a][b]).is_zero():
-            grads: dict[str, Expr] = {}
-            for g, anchor in enumerate(A._anchor_rows):
-                for v, rho in anchor:
-                    if (dq := grads.get(v)) is None:
-                        dq = grads[v] = q.diff(v)
-                    if not dq.is_zero():
-                        terms[g].append((rho, dq))
+        for g, v in Q._rho_rows[a, b]:
+            terms[g].append((ONE, v))
         for d, _ in rows[a]:  # -Q^{ad} = Q^{da}
             _scatter(terms, m[d][a], CT[d][b])
         for d, qbd in rows[b]:

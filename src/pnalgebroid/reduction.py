@@ -103,11 +103,13 @@ class EpimorphismSpec:
         failures = []
         rho = {w: [row[wi].substitute(self.base_map) for row in self.target.anchor]
                for wi, w in enumerate(self.target.base_vars)}  # rho_a^w o pi
+        # the source anchor derivatives rho_b(pi^w), from the rho-row of pi^w
+        drho = {w: dict(self.source._rho_row(self.base_map[w])) for w in self.target.base_vars}
         for b in range(self.source.rank):
             # the sum below runs over the pairs of nonzero factors only
             col = [(a, row[b]) for a, row in enumerate(self.fiber_map) if not row[b].is_zero()]
             for w in self.target.base_vars:
-                e = (self.source._rho_frame(b, self.base_map[w], {})
+                e = (drho[w].get(b, ZERO)
                      - dot([(f, rho[w][a]) for a, f in col if not rho[w][a].is_zero()]))
                 if not e.is_zero():
                     failures.append((f"anchors do not intertwine on source frame "
@@ -115,10 +117,10 @@ class EpimorphismSpec:
         generic = linalg.symbolic_rank(self.fiber_map)
         if generic < self.target.rank:
             failures.append((f"fiber map not surjective: generic rank {generic} "
-                             f"< target rank {self.target.rank}", ZERO))
+                             f"< target rank {self.target.rank}", None))
         for start, mats in _stacks(self.fiber_map, points) if points else ():
             rank = linalg.stacked_rank(mats, tol)[1]
-            failures += [(f"fiber map not surjective at sample point {points[start + i]}", ZERO)
+            failures += [(f"fiber map not surjective at sample point {points[start + i]}", None)
                          for i in (rank < self.target.rank).nonzero()[0].tolist()]
         return CheckReport(not failures, failures)
 
@@ -441,7 +443,7 @@ def _flat_sign_for(omega: Frac, sharps: list[Section], covs: list[KForm],
             for X, alpha in zip(sharps, covs)
         ):
             return s, CheckReport(True, [])
-    return None, CheckReport(False, [(message, ZERO)])
+    return None, CheckReport(False, [(message, None)])
 
 
 def restrict_to_leaf(P: Bivector, N: Endo | None, leaf: LeafSpec) -> LeafRestriction:

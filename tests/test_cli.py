@@ -608,4 +608,4 @@ def test_project_fails_a_fiber_map_of_generic_rank_below_the_target_rank(tmp_pat
     assert check["name"] == "epimorphism(zero) well-formed"
     assert check["verdict"] == "fail"
     assert check["witness"] == (
-        "fiber map not surjective: generic rank 0 < target rank 1: residual 0")
+        "fiber map not surjective: generic rank 0 < target rank 1")

@@ -213,7 +213,9 @@ def test_pn_check_skips_the_concomitant_when_sharps_do_not_commute(toda2, monkey
     rep = pn_check(toda2.lam0, bad)
     assert len(calls) == 1
     assert rep.compatible.failures == want
-    assert rep.concomitant.failures == [("skipped: sharp maps do not commute", ZERO)]
+    # a skipped check has no residual, and its witness is the message alone
+    assert rep.concomitant.failures == [("skipped: sharp maps do not commute", None)]
+    assert rep.concomitant.witness() == "skipped: sharp maps do not commute"
 
 
 # -- concomitant_check (dual algebroids) against the textbook concomitant ----

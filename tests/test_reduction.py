@@ -162,9 +162,9 @@ def test_validate_decides_the_generic_rank_of_the_fiber_map():
     # rank 1 at every point but x = 0, which only sample points can see
     assert EpimorphismSpec("p", S, line, {"u": x}, [[x, ZERO]]).validate().ok
     rep = EpimorphismSpec("p", S, line, {"u": x}, [[ZERO, ZERO]]).validate()
-    assert rep.failures == [("fiber map not surjective: generic rank 0 < target rank 1", ZERO)]
+    assert rep.failures == [("fiber map not surjective: generic rank 0 < target rank 1", None)]
     rep = EpimorphismSpec("q", S, plane, {"u": x}, [[ONE, x], [x, x * x]]).validate()
-    assert rep.failures == [("fiber map not surjective: generic rank 1 < target rank 2", ZERO)]
+    assert rep.failures == [("fiber map not surjective: generic rank 1 < target rank 2", None)]
     assert EpimorphismSpec("q", S, plane, {"u": x}, [[ONE, x], [x, ONE]]).validate().ok
 
 
