@@ -32,6 +32,11 @@ evaluation, compiling a matrix, rewriting in ``reduction``) and kept on the
 Expr.  The same few key pairs recur throughout a computation, so the
 product of two keys and the derivative of a key are memoised in tables that
 are cleared when they reach a fixed size.
+
+:attr:`Expr.gradient`, the nonzero partial derivatives along the variables
+an Expr reads, is likewise formed on first read and kept: the anchor
+derivatives of the algebroid calculus are built from it, so a tensor entry
+is differentiated once per variable it reads, not once per use.
 """
 
 from __future__ import annotations

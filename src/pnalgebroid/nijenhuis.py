@@ -249,7 +249,9 @@ def concomitant(P: Bivector, N: Endo, alpha: KForm, beta: KForm) -> KForm:
 
 def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> CheckReport:
     """The concomitant on all dual frame pairs a < b, components in frame
-    order; ``NP`` is N P when the caller has it.  With K(Q) the Koszul rows
+    order; ``NP`` is N P when the caller has it.  N P must be a bivector
+    (``sharp_commutes``); otherwise forming it raises ExprError, and
+    ``pn_check`` reports the concomitant as skipped.  With K(Q) the Koszul rows
     of ``_koszul_rows`` and rho_e(N^b_h) read from ``N._tables``, each
     component is one dot:
 

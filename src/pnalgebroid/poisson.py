@@ -322,8 +322,8 @@ def koszul_bracket(P: Bivector, alpha: KForm, beta: KForm) -> KForm:
 
 def _koszul_rows(Q: Bivector, more=None) -> dict[tuple[int, int], list[Expr]]:
     """The Koszul structure rows K(Q)_ab^g = ([theta^a, theta^b]_Q)_g for
-    a < b, each entry one dot over the nonzero entries of Q and the nonzero
-    anchor and structure rows:
+    a < b, each entry one dot over the rho-rows and nonzero entries of Q
+    (cached on Q) and the transposed structure rows:
 
         K(Q)_ab^g = rho_g(Q^{ab}) - Q^{ad} C_dg^b + Q^{bd} C_dg^a,
 
