@@ -112,7 +112,7 @@ def test_toda5_verdicts_differentiate_each_entry_along_each_variable_once(monkey
     real = Expr.diff
 
     def counted(self, v):
-        operands.append(self)  # keeps each id taken below bound to its entry
+        operands.append(self)  # keeps each entry alive, so no id below is reused
         calls[id(self), v] = calls.get((id(self), v), 0) + 1
         return real(self, v)
 
