@@ -375,14 +375,18 @@ def recursion_operator(P0: Bivector, P1: Bivector) -> linalg.Frac:
     return linalg.Frac(Endo.from_matrix(A, num), inv.den)
 
 
-def hierarchy(P: Bivector, N: Endo, depth: int) -> list[tuple[int, Bivector]]:
-    """The bivectors N^l P for l = 0..depth (depth >= 0, capped at the rank)."""
+def _top_level(P: Bivector, depth: int) -> int:
+    """The highest hierarchy level checked: depth (>= 0), capped at the rank."""
     if depth < 0:
         raise ValueError(f"hierarchy depth must be nonnegative, got {depth}")
-    depth = min(depth, P.algebroid.rank)
+    return min(depth, P.algebroid.rank)
+
+
+def hierarchy(P: Bivector, N: Endo, depth: int) -> list[tuple[int, Bivector]]:
+    """The bivectors N^l P for l = 0..depth (depth >= 0, capped at the rank)."""
     out = [(0, P)]
     current = P
-    for l in range(1, depth + 1):
+    for l in range(1, _top_level(P, depth) + 1):
         current = N.push_bivector(current)
         out.append((l, current))
     return out
@@ -412,10 +416,9 @@ def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
     Above level 0, N P is contracted once and tested for antisymmetry (sharp
     compatibility).  When it is not a bivector, the report holds level 0 and
     the failed check, with its witness, and no higher level is checked."""
-    if depth < 0:
-        raise ValueError(f"hierarchy depth must be nonnegative, got {depth}")
+    top = _top_level(P, depth)
     chain = [P]  # N^l P at index l
-    if min(depth, P.algebroid.rank):
+    if top:
         t0 = time.perf_counter()
         m, defects = _contract(N, P)
         if defects:
@@ -423,7 +426,7 @@ def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
             comm.seconds = time.perf_counter() - t0
             return HierarchyReport([(0, timed_check(is_poisson, P))], [], comm)
         NP = Bivector(P.algebroid, tuple(tuple(row) for row in m))
-        chain += [Q for _, Q in hierarchy(NP, N, depth - 1)]
+        chain += [Q for _, Q in hierarchy(NP, N, top - 1)]
     own = {}
 
     def check(i, j):

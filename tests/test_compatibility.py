@@ -85,7 +85,7 @@ def test_pair_verdicts_equal_is_poisson_of_the_sum(case, monkeypatch):
     seen = {"level fails": 0, "sum fails": 0, "pass": 0}
     for chain in draws:
         # hierarchy_check reads level 0 and, N being the identity, N P = P,
-        # then the levels above from hierarchy(N P, N, depth - 1); hand it the draw
+        # then the levels above from hierarchy(N P, N, top - 1); hand it the draw
         monkeypatch.setattr(nijenhuis, "hierarchy",
                             lambda P, N, depth: list(enumerate(chain[1:], 1)))
         rep = hierarchy_check(chain[0], N, 2)

@@ -123,6 +123,18 @@ def test_toda5_verdicts_differentiate_each_entry_along_each_variable_once(monkey
     assert calls and max(calls.values()) == 1
 
 
+def test_hierarchy_check_caps_its_levels_at_the_rank(toda2):
+    def shape(rep):
+        return [l for l, _ in rep.levels], [(i, j) for i, j, _ in rep.pairwise]
+
+    rank = toda2.lam0.algebroid.rank
+    capped = shape(hierarchy_check(toda2.lam0, toda2.N, rank))
+    assert capped[0] == list(range(rank + 1))
+    assert len(capped[1]) == (rank + 1) * rank // 2
+    assert shape(hierarchy_check(toda2.lam0, toda2.N, rank + 1)) == capped
+    assert [l for l, _ in hierarchy(toda2.lam0, toda2.N, rank + 1)] == capped[0]
+
+
 def test_hierarchy_depth_zero_is_valid_and_a_negative_depth_raises(toda2):
     assert hierarchy(toda2.lam0, toda2.N, 0) == [(0, toda2.lam0)]
     assert hierarchy_check(toda2.lam0, toda2.N, 0).ok
