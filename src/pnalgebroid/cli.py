@@ -26,7 +26,7 @@ from .poisson import (
 from .nijenhuis import pn_check, recursion_operator, hierarchy_check, Endo
 from .reduction import (
     LeafSpec, restrict_to_leaf, projectable_bivector_check, project_bivector,
-    projectable_endo_check, project_endo, NotBasic,
+    projectable_endo_check, project_endo,
 )
 from .pointwise import (
     TOL_ENV_VAR, default_tolerance, _sample, _RankFold, _riesz_fold, _fiberwise_fold,
@@ -89,8 +89,8 @@ class Report:
             return 3
         return 0
 
-    def emit(self, fmt: str, out=None) -> None:
-        out = out if out is not None else sys.stdout
+    def emit(self, fmt: str) -> None:
+        out = sys.stdout
         if fmt == "json":
             obj = {
                 "command": self.command,
@@ -256,13 +256,18 @@ def cmd_check_poisson(args, report: Report, doc: SpecDocument) -> None:
         report.add_report(f"poisson({name})", timed_check(is_poisson, doc.bivectors[name]))
 
 
-def _run_pn(args, report: Report, doc: SpecDocument, want_sn: bool) -> None:
+def _pick_pn(doc: SpecDocument, args) -> tuple[str, Bivector, str, Endo]:
+    """The (P, N) of ``--bivector`` and ``--endo``; a document holding a
+    compatible pair and no ``--bivector`` is checked against the first one."""
     if args.bivector is None and len(doc.bivectors) == 2:
-        # a document holding a compatible pair: check against the first one
         pname, P = sorted(doc.bivectors.items())[0]
     else:
         pname, P = _pick_bivector(doc, args.bivector)
-    ename, N = _pick_endo(doc, args.endo)
+    return (pname, P, *_pick_endo(doc, args.endo))
+
+
+def _run_pn(args, report: Report, doc: SpecDocument, want_sn: bool) -> None:
+    pname, P, ename, N = _pick_pn(doc, args)
     rep = pn_check(P, N)
     report.add_report(f"poisson({pname})", rep.poisson)
     report.add_report(f"torsion({ename})", rep.torsion)
@@ -288,11 +293,7 @@ def cmd_check_sn(args, report: Report, doc: SpecDocument) -> None:
 def cmd_hierarchy(args, report: Report, doc: SpecDocument) -> None:
     if args.depth < 0:
         raise UsageError(f"--depth must be nonnegative, got {args.depth}")
-    if args.bivector is None and len(doc.bivectors) == 2:
-        pname, P = sorted(doc.bivectors.items())[0]
-    else:
-        pname, P = _pick_bivector(doc, args.bivector)
-    ename, N = _pick_endo(doc, args.endo)
+    pname, P, ename, N = _pick_pn(doc, args)
     rep = hierarchy_check(P, N, args.depth)
     for l, r in rep.levels:
         report.add_report(f"poisson({ename}^{l} {pname})", r)
@@ -338,7 +339,7 @@ def cmd_project(args, report: Report, doc: SpecDocument) -> None:
                 t0 = time.perf_counter()
                 try:
                     out[name] = project(epi, obj, check=False)
-                except NotBasic as e:
+                except ExprError as e:  # NotBasic, or entries outside the class
                     report.add(f"project {kind}({name})", False, str(e),
                                seconds=time.perf_counter() - t0)
     if projected.bivectors or projected.endomorphisms:

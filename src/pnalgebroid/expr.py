@@ -886,6 +886,16 @@ def div_exact(num: Expr, den: Expr) -> Expr:
         i = max(e._t, key=lambda i: _term_order_key(_KEYS[i], vars_, lin_vars))
         return _KEYS[i] + (Fraction(e._t[i], e._d),)
 
+    def coords(key: TermKey):
+        return sum(_term_order_key(key, vars_, lin_vars), ())
+
+    def box(e: Expr):
+        return [(min(c), max(c)) for c in zip(*(coords(_KEYS[i]) for i in e._t))]
+
+    # Newton polytopes add, N(q * den) = N(q) + N(den): were num = q * den,
+    # each coordinate of each term of q would lie between these bounds, so a
+    # quotient term outside them ends a division that would not terminate
+    bounds = [(lo - dlo, hi - dhi) for (lo, hi), (dlo, dhi) in zip(box(num), box(den))]
     lt_den = leading(den)
     quot: dict[TermKey, Number] = {}
     rem = num
@@ -906,6 +916,8 @@ def div_exact(num: Expr, den: Expr) -> Expr:
         if dd:
             raise ExprError("exact division failed (no quotient in class)")
         k = (tuple(sorted(mq.items())), _lin_add(lr, _lin_scale(ld, -1)))
+        if not all(lo <= x <= hi for x, (lo, hi) in zip(coords(k), bounds)):
+            raise ExprError("exact division failed (no quotient in class)")
         c = rational(cr / cd)
         quot[k] = quot.get(k, 0) + c
         rem = rem - Expr.from_terms({k: c}) * den

@@ -41,7 +41,7 @@ class Endo:
 
     @staticmethod
     def identity(A: LieAlgebroid) -> "Endo":
-        return Endo(A, tuple(tuple(linalg.mat_identity(A.rank)[i]) for i in range(A.rank)))
+        return Endo.from_matrix(A, linalg.mat_identity(A.rank))
 
     @staticmethod
     def from_matrix(A: LieAlgebroid, mat) -> "Endo":
@@ -106,27 +106,29 @@ class Endo:
 
         Requires N o P# = P# o N* (antisymmetry of the result); raises
         otherwise."""
-        m, defects = _contract(self, P)
-        if defects:
+        NP = _contract(self, P)[1]
+        if NP is None:
             raise ExprError(
                 "N P is not antisymmetric: N does not commute with the sharp map"
             )
-        return Bivector(self.algebroid, tuple(tuple(row) for row in m))
+        return NP
 
 
-def _contract(N: Endo, P: Bivector) -> tuple[linalg.Matrix, list[tuple[int, int, Expr]]]:
-    """The matrix (N P)^{ab} = N^a_c P^{cb}, with its nonzero symmetric parts
-    (a, b, (N P)^{ab} + (N P)^{ba}) for a <= b; N o P# = P# o N* exactly
-    when that list is empty."""
+def _contract(N: Endo, P: Bivector) -> tuple[CheckReport, Bivector | None]:
+    """Sharp compatibility N o P# = P# o N*, decided by forming the matrix
+    (N P)^{ab} = N^a_c P^{cb} once: the timed report, one failure per
+    nonzero symmetric part (N P)^{ab} + (N P)^{ba} with a <= b, and the
+    bivector N P when the check holds, None otherwise."""
+    t0 = time.perf_counter()
     m = linalg.mat_mul(N.mat, P.mat)
-    r = len(m)
-    defects = []
-    for a in range(r):
-        for b in range(a, r):
-            e = m[a][b] + m[b][a]
-            if not e.is_zero():
-                defects.append((a, b, e))
-    return m, defects
+    frame = P.algebroid.frame
+    failures = []
+    for a, b in itertools.combinations_with_replacement(range(len(m)), 2):
+        e = m[a][b] + m[b][a]
+        if not e.is_zero():
+            failures.append((f"N P# != P# N* on dual pair ({frame[a]}, {frame[b]})", e))
+    rep = CheckReport(not failures, failures, time.perf_counter() - t0)
+    return rep, Bivector(P.algebroid, tuple(map(tuple, m))) if rep.ok else None
 
 
 def deformed_bracket(N: Endo, X: Section, Y: Section) -> Section:
@@ -215,24 +217,15 @@ def deformed_algebroid(N: Endo) -> LieAlgebroid:
     if not rep.ok:
         raise ExprError(f"cannot deform: {rep.witness()}")
     A = N.algebroid
-    anchor = [[dot((N.mat[b][a], A.anchor[b][i]) for b in range(A.rank)) for i in range(A.dim)]
-              for a in range(A.rank)]
+    anchor = linalg.mat_mul(linalg.mat_transpose(N.mat), A.anchor)
     structure = {ab: {g: c for g, c in enumerate(row) if not c.is_zero()}
                  for ab, row in N._tables[2].items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 
-def sharp_commutes(P: Bivector, N: Endo, defects=None) -> CheckReport:
-    """N o P# = P# o N*, equivalently N P antisymmetric; ``defects`` are the
-    symmetric parts from ``_contract(N, P)`` when the caller has them."""
-    frame = P.algebroid.frame
-    if defects is None:
-        defects = _contract(N, P)[1]
-    failures = [
-        (f"N P# != P# N* on dual pair ({frame[a]}, {frame[b]})", e)
-        for a, b, e in defects
-    ]
-    return CheckReport(not failures, failures)
+def sharp_commutes(P: Bivector, N: Endo) -> CheckReport:
+    """N o P# = P# o N*, equivalently N P antisymmetric (``_contract``)."""
+    return _contract(N, P)[0]
 
 
 def concomitant(P: Bivector, N: Endo, alpha: KForm, beta: KForm) -> KForm:
@@ -343,12 +336,8 @@ def pn_check(P: Bivector, N: Endo) -> PNReport:
     carries its own wall time."""
     poisson = timed_check(is_poisson, P)
     tors = timed_check(torsion_check, N)
-    t0 = time.perf_counter()
-    m, defects = _contract(N, P)
-    comm = sharp_commutes(P, N, defects)
-    comm.seconds = time.perf_counter() - t0
-    if comm.ok:
-        NP = Bivector(P.algebroid, tuple(tuple(row) for row in m))
+    comm, NP = _contract(N, P)
+    if NP is not None:
         conc = timed_check(concomitant_check, P, N, NP)
     else:
         conc = CheckReport(False, [("skipped: sharp maps do not commute", None)])
@@ -419,13 +408,9 @@ def hierarchy_check(P: Bivector, N: Endo, depth: int) -> HierarchyReport:
     top = _top_level(P, depth)
     chain = [P]  # N^l P at index l
     if top:
-        t0 = time.perf_counter()
-        m, defects = _contract(N, P)
-        if defects:
-            comm = sharp_commutes(P, N, defects)
-            comm.seconds = time.perf_counter() - t0
+        comm, NP = _contract(N, P)
+        if NP is None:
             return HierarchyReport([(0, timed_check(is_poisson, P))], [], comm)
-        NP = Bivector(P.algebroid, tuple(tuple(row) for row in m))
         chain += [Q for _, Q in hierarchy(NP, N, top - 1)]
     own = {}
 

@@ -26,7 +26,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .expr import dot
 from .algebroid import LieAlgebroid, Section
 from .poisson import Bivector
 from .nijenhuis import Endo
@@ -85,20 +84,10 @@ def _stacks(rows, points: list[dict[str, float]]) -> Iterator[tuple[int, np.ndar
 # ---------------------------------------------------------------------------
 # characteristic distribution
 
-def characteristic_rank(
-    P: Bivector, points: list[dict[str, float]], tol: float | None = None
-) -> list[RankResult]:
+def characteristic_rank(P: Bivector, points: list[dict[str, float]]) -> list[RankResult]:
     """Pointwise rank of the characteristic distribution rho(P#(dual))."""
-    tol = default_tolerance() if tol is None else tol
-    A = P.algebroid
-    r, n = A.rank, A.dim
-    rows = [
-        [
-            dot((P.mat[a][b], A.anchor[b][i]) for b in range(r))
-            for i in range(n)
-        ]
-        for a in range(r)
-    ]
+    rows = linalg.mat_mul(P.mat, P.algebroid.anchor)
+    tol = default_tolerance()
     return [res for _, mats in _stacks(rows, points) for res in linalg.rank_results(mats, tol)]
 
 
@@ -506,7 +495,6 @@ def condition_fb_check(
     sections: list[Section],
     points: list[dict[str, float]],
     seed: int,
-    tol: float | None = None,
 ) -> list[FBPointReport]:
     """Dimension count for the lifted distribution of a subbundle B spanned
     by the given sections: at points of B the lifted distribution should
@@ -514,7 +502,7 @@ def condition_fb_check(
     (the count is necessary, not sufficient, for the structural condition)."""
     from .lifts import fiber_vars, lift_section
 
-    tol = default_tolerance() if tol is None else tol
+    tol = default_tolerance()
     rng = random.Random(seed)
     out = []
     ys = fiber_vars(A)

@@ -353,12 +353,7 @@ def dual_algebroid(P: Bivector) -> LieAlgebroid:
     bracket of one-forms is the Koszul bracket, its structure rows read from
     ``_koszul_rows(P)``.  Valid when P is Poisson."""
     A = P.algebroid
-    r = A.rank
-    m = P.mat
-    anchor = [
-        [dot((m[a][b], A.anchor[b][i]) for b in range(r)) for i in range(A.dim)]
-        for a in range(r)
-    ]
+    anchor = linalg.mat_mul(P.mat, A.anchor)
     structure = {ab: dict(enumerate(row)) for ab, row in _koszul_rows(P).items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 

@@ -609,3 +609,39 @@ def test_project_fails_a_fiber_map_of_generic_rank_below_the_target_rank(tmp_pat
     assert check["verdict"] == "fail"
     assert check["witness"] == (
         "fiber map not surjective: generic rank 0 < target rank 1")
+
+
+def test_check_sn_derives_the_recursion_operator_of_an_input_with_no_endomorphism(
+        tmp_path, capsys):
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--block", "atiyah")
+    obj = json.loads(out)
+    del obj["endomorphisms"]
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "check-sn", str(spec), "--format", "json")
+    assert code == 0
+    assert [(c["name"], c["verdict"]) for c in json.loads(out)["checks"]] == [
+        ("poisson(pi0)", "pass"),
+        ("torsion(recursion(pi0,pi1))", "pass"),
+        ("sharp-compatibility(pi0,recursion(pi0,pi1))", "pass"),
+        ("concomitant(pi0,recursion(pi0,pi1))", "pass"),
+        ("nondegenerate(pi0)", "pass"),
+    ]
+
+
+def test_project_fails_an_endomorphism_whose_image_leaves_the_expression_class(
+        tmp_path, capsys):
+    # with this fiber map the pushed endomorphism has entries over 1 + exp(q1),
+    # which the class cannot divide out: a failed row, not an escaping ExprError
+    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--epi", "atiyah")
+    obj = json.loads(out)
+    obj["epimorphism"]["fiber_map"][0][0] = "exp(q1) + 1"
+    spec = tmp_path / "fiber-map.json"
+    spec.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "project", str(spec), "--format", "json")
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["projectable endomorphism(N)"]["verdict"] == "pass"
+    assert checks["project endomorphism(N)"]["verdict"] == "fail"
+    assert checks["project endomorphism(N)"]["witness"] == (
+        "exact division failed (no quotient in class)")

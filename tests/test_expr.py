@@ -117,6 +117,16 @@ def test_exact_division_roundtrip(a, b):
     assert (q - a).is_zero()
 
 
+def test_exact_division_outside_the_class_fails_without_running_out_its_steps():
+    # 1 / (1 + exp(x)) is a series in exp(-x) with no last term: its terms
+    # leave the bounds that num = q * den puts on each coordinate of q
+    for num, den in (("1", "1 + exp(x)"), ("x", "2*exp(x) - exp(2*x)")):
+        with pytest.raises(ExprError, match="no quotient in class"):
+            div_exact(parse(num), parse(den))
+    q = div_exact(parse("1 - exp(3*x)"), parse("1 - exp(x)"))
+    assert (q - parse("1 + exp(x) + exp(2*x)")).is_zero()
+
+
 def test_substitute_keeps_class_closed():
     a = parse("x*exp(x - y)")
     out = a.substitute({"x": parse("2*z + 1")})

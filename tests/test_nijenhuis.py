@@ -578,3 +578,11 @@ def test_deformed_algebroid_builds_the_frame_tables_once(monkeypatch):
     B = deformed_algebroid(Endo(toda.N.algebroid, toda.N.mat))
     assert len(calls) == 1
     assert B.structure == deformed_algebroid(toda.N).structure
+
+
+def test_pn_report_witness_names_the_first_failing_check():
+    a = build_aff1()
+    rep = pn_check(a.P, a.N)
+    assert rep.poisson.ok and not rep.torsion.ok and not rep.ok
+    assert rep.witness() == "[torsion] torsion nonzero on (xi2, eps2) component eps1: residual 1"
+    assert pn_check(build_toda(2).lam0, build_toda(2).N).witness() is None

@@ -388,3 +388,19 @@ def test_dual_algebroid_keeps_frame_names_apart_from_base_variables():
     D = dual_algebroid(P)
     assert D.frame == ("e1", "e2")
     assert D.check_algebroid().ok
+
+
+def test_symplectic_check_witness_names_the_first_failure():
+    A = LieAlgebroid.tangent(["x", "y", "z", "w"])
+
+    def form(entry):
+        m = [[ZERO] * 4 for _ in range(4)]
+        m[0][1], m[1][0] = parse(entry), -parse(entry)
+        return two_form_from_matrix(A, m)
+
+    rep = symplectic_check(form("z"))  # z dx^dy: d(z dx^dy) = dz^dx^dy
+    assert not rep.ok and not rep.closed
+    assert rep.witness() == "two-form not closed at frame triple (0, 1, 2): 1"
+    rep = symplectic_check(form("1"))  # closed, of rank 2 on a rank-4 bundle
+    assert not rep.ok and rep.closed
+    assert rep.witness() == "two-form is degenerate (zero determinant): 0"
