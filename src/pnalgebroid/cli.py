@@ -324,7 +324,10 @@ def cmd_project(args, report: Report, doc: SpecDocument) -> None:
         raise UsageError(
             f"input's epimorphism is named {epi.name!r}, not {args.epi!r}"
         )
-    report.add_report(f"epimorphism({epi.name}) well-formed", timed_check(epi.validate))
+    rep = timed_check(epi.validate)
+    report.add_report(f"epimorphism({epi.name}) well-formed", rep)
+    if not rep.ok:
+        return  # nothing is checked or projected through an ill-formed map
     projected = SpecDocument(epi.target)
     for kind, items, check, project, out in (
         ("bivector", doc.bivectors, projectable_bivector_check, project_bivector,

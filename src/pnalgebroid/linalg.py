@@ -21,6 +21,7 @@ gap.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -537,6 +538,46 @@ def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
     return mats[0]
 
 
+# A stacked SVD is split along its points into contiguous parts of at least
+# _PART matrices, at most one per CPU available to the process; the caller's
+# thread decomposes the first part and a pool, built on the first stack that
+# splits, the others.  Each matrix is still one gesdd call of its own, so the
+# results are those of one call on the whole stack, bit for bit.  Splitting
+# pays from about _PART matrices on (see the sweep in BENCH_23.json).
+
+_PART = 64
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None
+
+
+def stacked_svd(stack: np.ndarray, compute_uv: bool = False):
+    """``np.linalg.svd(stack, compute_uv=compute_uv)`` of a (points, n, m)
+    stack, its parts decomposed at the same time (see _PART).  An error is
+    raised once every part has finished: the first part's to fail."""
+    count = stack.shape[0]
+    parts = min(_CPUS, count // _PART)
+    if parts <= 1:
+        return np.linalg.svd(stack, compute_uv=compute_uv)
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="stacked_svd")
+    bounds = [count * i // parts for i in range(parts + 1)]
+    rest = [_pool.submit(np.linalg.svd, stack[a:b], compute_uv=compute_uv)
+            for a, b in zip(bounds[1:-1], bounds[2:])]
+    try:
+        first = np.linalg.svd(stack[:bounds[1]], compute_uv=compute_uv)
+    except Exception as e:
+        first = e
+    results = [first] + [f.exception() or f.result() for f in rest]
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    if compute_uv:
+        return tuple(np.concatenate(arrays) for arrays in zip(*results))
+    return np.concatenate(results)
+
+
 def _rank_of(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ranks, cutoffs and ill-conditioned flags from stacked descending
     singular values (points x k): the cutoff rule of every numeric verdict,
@@ -557,8 +598,8 @@ def _rank_of(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def stacked_rank(stack: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Singular values, ranks, cutoffs and ill-conditioned flags of each
-    matrix of a (points, n, m) stack, from one SVD call."""
-    s = np.linalg.svd(stack, compute_uv=False)
+    matrix of a (points, n, m) stack, from one stacked SVD."""
+    s = stacked_svd(stack)
     return (s, *_rank_of(s, tol))
 
 

@@ -270,7 +270,7 @@ def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
     if finished:
         split, stable, rank = (np.concatenate(parts) for parts in zip(*finished))
         # the vectors are the bases; the rank is the one that decided the index
-        u, _, vt = np.linalg.svd(stable)
+        u, _, vt = linalg.stacked_svd(stable, compute_uv=True)
         dim_kernel[split] = r - rank
         # the direct-sum test, one stacked rank per kernel dimension
         for k in np.unique(rank).tolist():

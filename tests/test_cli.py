@@ -329,6 +329,23 @@ def test_cli_binds_no_numpy():
     assert not bound
 
 
+def test_exact_commands_start_no_thread():
+    """``check-pn toda:2`` and ``selftest`` build no SVD stack large enough to
+    split, so a fresh process that runs both has imported no thread pool and
+    runs one thread."""
+    src = Path(pnalgebroid.__file__).resolve().parent.parent
+    script = (
+        "import contextlib, io, sys, threading\n"
+        "from pnalgebroid.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['check-pn', 'toda:2']), main(['selftest'])]\n"
+        "print(codes, 'concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.stdout, proc.stderr) == ("[0, 0] False 1\n", "")
+
+
 def test_report_version_is_the_package_version(capsys):
     assert cli.VERSION is pnalgebroid.__version__
     code, out, _ = run(capsys, "check-algebroid", "aff1", "--format", "json")
@@ -631,8 +648,35 @@ def test_check_sn_derives_the_recursion_operator_of_an_input_with_no_endomorphis
 
 def test_project_fails_an_endomorphism_whose_image_leaves_the_expression_class(
         tmp_path, capsys):
-    # with this fiber map the pushed endomorphism has entries over 1 + exp(q1),
-    # which the class cannot divide out: a failed row, not an escaping ExprError
+    # the epimorphism is well formed (zero anchors intertwine), and the pushed
+    # endomorphism has an entry over 1 + exp(x), which the class cannot divide
+    # out: a failed row, not an escaping ExprError
+    spec = tmp_path / "fiber-map.json"
+    spec.write_text(json.dumps({
+        "base_vars": ["x"],
+        "frame": ["e1", "e2"],
+        "anchor": [["0"], ["0"]],
+        "endomorphisms": {"N": [["0", "1"], ["0", "0"]]},
+        "epimorphism": {
+            "name": "scale",
+            "target": {"base_vars": ["u"], "frame": ["f1", "f2"], "anchor": [["0"], ["0"]]},
+            "base_map": {"u": "x"},
+            "fiber_map": [["1", "0"], ["0", "1 + exp(x)"]],
+        },
+    }))
+    code, out, err = run(capsys, "project", str(spec), "--format", "json")
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["epimorphism(scale) well-formed"]["verdict"] == "pass"
+    assert checks["projectable endomorphism(N)"]["verdict"] == "pass"
+    assert checks["project endomorphism(N)"]["verdict"] == "fail"
+    assert checks["project endomorphism(N)"]["witness"] == (
+        "exact division failed (no quotient in class)")
+
+
+def test_project_checks_nothing_through_an_ill_formed_epimorphism(tmp_path, capsys):
+    # anchors that do not intertwine: the epimorphism's failed row, with its
+    # witness, is the only row, and nothing is projected
     code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--epi", "atiyah")
     obj = json.loads(out)
     obj["epimorphism"]["fiber_map"][0][0] = "exp(q1) + 1"
@@ -640,8 +684,13 @@ def test_project_fails_an_endomorphism_whose_image_leaves_the_expression_class(
     spec.write_text(json.dumps(obj))
     code, out, err = run(capsys, "project", str(spec), "--format", "json")
     assert (code, err) == (1, "")
-    checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["projectable endomorphism(N)"]["verdict"] == "pass"
-    assert checks["project endomorphism(N)"]["verdict"] == "fail"
-    assert checks["project endomorphism(N)"]["witness"] == (
-        "exact division failed (no quotient in class)")
+    report = json.loads(out)
+    assert [(c["name"], c["verdict"], c["witness"]) for c in report["checks"]] == [
+        ("epimorphism(atiyah) well-formed", "fail",
+         "anchors do not intertwine on source frame Dq1, target coordinate a1: "
+         "residual -1 - exp(q1) + exp(q1 - q2)")]
+    assert "projected" not in report.get("result", {})
+    code, out, _ = run(capsys, "project", str(spec))
+    assert code == 1 and out.splitlines() == [
+        "FAIL  epimorphism(atiyah) well-formed  -- anchors do not intertwine on source "
+        "frame Dq1, target coordinate a1: residual -1 - exp(q1) + exp(q1 - q2)"]

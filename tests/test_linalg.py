@@ -317,6 +317,89 @@ def test_stacked_rank_rule_matches_the_per_matrix_rule():
         assert [reference(row, 1e-9) for row in s] == list(zip(rank, cutoff, ill))
 
 
+def _svd_stack(count, kind, seed=5):
+    rng = np.random.default_rng(seed)
+    if kind == "4x2-view":
+        # a strided view, as condition_fb_check's gens[:, ::2, :A.dim]
+        return rng.standard_normal((count, 8, 3))[:, ::2, :2]
+    n = {"10x10": 10, "4x4": 4}[kind]
+    return rng.standard_normal((count, n, n))
+
+
+_PART = linalg._PART
+_SVD_COUNTS = {"0": 0, "1": 1, "PART-1": _PART - 1, "2*PART": 2 * _PART,
+               "2*PART+1": 2 * _PART + 1, "3*PART": 3 * _PART}
+
+
+@pytest.mark.parametrize("kind", ["10x10", "4x4", "4x2-view"])
+@pytest.mark.parametrize("count", sorted(_SVD_COUNTS))
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stacked_svd_equals_one_svd_call_bit_for_bit(monkeypatch, cpus, count, kind):
+    monkeypatch.setattr(linalg, "_CPUS", cpus)
+    stack = _svd_stack(_SVD_COUNTS[count], kind)
+    calls = []
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    want = real(stack, compute_uv=False)
+    got = linalg.stacked_svd(stack)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # one call per part, in contiguous parts of at least _PART matrices
+    assert len(calls) == max(1, min(cpus, len(stack) // _PART))
+    assert sum(calls) == len(stack) and (len(calls) == 1 or min(calls) >= _PART)
+    want = real(stack)
+    got = linalg.stacked_svd(stack, compute_uv=True)
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("nan_parts", [[-1], [0, -1]])
+def test_stacked_svd_raises_the_first_failing_part_once_every_part_is_done(
+        monkeypatch, nan_parts):
+    import threading
+    import time
+
+    monkeypatch.setattr(linalg, "_CPUS", 3)
+    stack = _svd_stack(3 * _PART, "4x4")
+    for p in nan_parts:
+        stack[(p % 3 + 1) * _PART - 1] = np.nan  # the last matrix of part p
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.svd(stack, compute_uv=False)
+    real, lock = np.linalg.svd, threading.Lock()
+    running, raised = [0], []
+
+    def slow(a, *args, **kwargs):
+        # the parts off the calling thread finish late; each failure is kept
+        # with the first point of its part
+        with lock:
+            running[0] += 1
+        try:
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return real(a, *args, **kwargs)
+        except np.linalg.LinAlgError as e:
+            start = a.__array_interface__["data"][0] - stack.__array_interface__["data"][0]
+            raised.append((e, start // stack.strides[0]))
+            raise
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(np.linalg, "svd", slow)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge") as info:
+        linalg.stacked_svd(stack)
+    assert running[0] == 0
+    assert sorted(start for _, start in raised) == sorted(
+        p % 3 * _PART for p in nan_parts)
+    assert [start for e, start in raised if e is info.value] == [
+        min(p % 3 for p in nan_parts) * _PART]
+
+
 # -- Frac: one numerator over a scalar denominator ----------------------------
 
 _A = LieAlgebroid.tangent(["x", "y"])

@@ -612,6 +612,61 @@ def test_block_size_follows_the_widest_matrix_of_the_pass():
     assert starts == [0, 64, 128, 192, 256]
 
 
+def _bits(x):
+    """A report field as its exact bits: arrays by dtype, shape and bytes,
+    floats by their hex form, NaN included."""
+    import numpy as np
+
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return float.hex(x)
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_bits(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_reports_are_bit_for_bit_with_one_svd_part_and_with_many(monkeypatch, seed):
+    """Every field of every riesz, fiberwise and FB report at 1,500 points
+    is the same when each stacked SVD is one call (one CPU) and when it is
+    split into parts (two CPUs)."""
+    import dataclasses
+
+    import numpy as np
+
+    from pnalgebroid import linalg
+
+    t5, a = build_toda(5), build_aff1()
+    cases = [(t5.tangent, t5.lam0, t5.N, t5.epi_flaschka.kernel_frame()),
+             (a.algebroid, a.P, a.N, a.kernel_basis)]
+    calls = []
+    real = np.linalg.svd
+
+    def counted(stack, *args, **kwargs):
+        calls.append(len(stack))
+        return real(stack, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(linalg, "_CPUS", cpus)
+        calls.clear()
+        out = []
+        for A, P, N, sections in cases:
+            pts = _case_points(A, 1500, seed)
+            for reports in (riesz_report(N, pts), fiberwise_reduce(P, N, pts),
+                            condition_fb_check(A, sections, pts, seed)):
+                assert len(reports) == 1500
+                out.append([{f.name: _bits(getattr(r, f.name)) for f in dataclasses.fields(r)}
+                            for r in reports])
+        runs[cpus] = out, len(calls)
+    assert runs[1][0] == runs[2][0]
+    assert runs[2][1] > runs[1][1]  # the second run decomposed stacks in parts
+
+
 def test_a_constant_bivector_is_ranked_once_at_index_zero_points(monkeypatch):
     """P reads no variable, so at the points of index 0 (N invertible) its
     rank test decomposes one copy.  The points of index 1 (x = 0) in the same
