@@ -694,3 +694,47 @@ def test_project_checks_nothing_through_an_ill_formed_epimorphism(tmp_path, caps
     assert code == 1 and out.splitlines() == [
         "FAIL  epimorphism(atiyah) well-formed  -- anchors do not intertwine on source "
         "frame Dq1, target coordinate a1: residual -1 - exp(q1) + exp(q1 - q2)"]
+
+
+_BRANCH_SPECS = {
+    # a document with no bivectors
+    "{no-bivectors}": {"base_vars": ["x"], "frame": ["e"], "anchor": [["1"]]},
+    # exp(1000 x) overflows a float at the points that seed 3 samples
+    "{overflow}": {"base_vars": ["x"], "frame": ["e"], "anchor": [["1"]],
+                   "endomorphisms": {"N": [["exp(1000*x)"]]}},
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["check-pn", "toda:2", "--bivector", "nope"], 2, "no bivector named 'nope' in the input"),
+    (["check-poisson", "toda:2", "--bivector", "nope"], 2,
+     "no bivector named 'nope' in the input"),
+    (["check-pn", "toda:2", "--endo", "M"], 2, "no endomorphism named 'M' in the input"),
+    (["recursion", "toda:2", "--bivectors", "lam0", "nope"], 2,
+     "no bivector named 'nope' in the input"),
+    (["restrict-leaf", "toda:2"], 2,
+     "input has several bivectors; pick one with --bivector (available: lam0, lam1)"),
+    (["check-poisson", "{no-bivectors}"], 2, "input has no bivectors"),
+    (["project", "toda:2", "--epi", "atiyah"], 2,
+     "input's epimorphism is named 'flaschka', not 'atiyah'"),
+    (["check-pn", "toda:x"], 2, "bad fixture name 'toda:x' (expected toda:<n>[:block])"),
+    (["check-pn", "toda:2:foo"], 2, "unknown toda block 'foo'"),
+    (["restrict-leaf", "toda:2:flaschka", "--bivector", "lam0"], 1,
+     "FAIL  restrict-leaf(lam0)  -- bivector is degenerate; kernel covector witness: "
+     "(-a1)*th_Db1 + (-a1)*th_Db2"),
+    (["riesz", "{overflow}", "--points", "20", "--seed", "3"], 3, "  [ill-conditioned]"),
+])
+def test_cli_branches_exit_with_their_code_and_message(tmp_path, capsys, argv, code, message):
+    """A usage error is one ``error:`` line on stderr and nothing on stdout;
+    a failed or ill-conditioned check is a report line on stdout."""
+    for i, arg in enumerate(argv):
+        if arg in _BRANCH_SPECS:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(_BRANCH_SPECS[arg]))
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert (out, err) == ("", f"error: {message}\n")
+    else:
+        assert err == "" and message in out

@@ -1,15 +1,17 @@
 """Endomorphism calculus: torsion, deformed brackets, concomitant,
 recursion operators and hierarchies."""
 
+import functools
 import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
-from pnalgebroid.algebroid import LieAlgebroid
+from pnalgebroid.algebroid import KForm, LieAlgebroid
 from pnalgebroid.poisson import (
     Bivector, DegenerateBivector, dual_algebroid, is_poisson, poisson_pair,
 )
@@ -179,6 +181,117 @@ def test_apply_matches_the_dense_product():
         X = Section(A, tuple(sparse_entry() for _ in range(r)))
         dense = [sum((N.mat[a][b] * X.comps[b] for b in range(r)), ZERO) for a in range(r)]
         assert N.apply(X).comps == tuple(dense)
+
+
+def _skewed3():
+    # the skewed algebroid of test_algebroid.py: non-constant anchor and
+    # structure entries (not a Lie algebroid: the routes are compared as
+    # formulas)
+    x, y = parse("x"), parse("y")
+    return LieAlgebroid.from_tables(
+        ["x", "y"],
+        ["e1", "e2", "e3"],
+        [[x, ONE], [ZERO, y * Expr.exp_of(x)], [ZERO, ZERO]],
+        {(0, 1): {2: x}, (0, 2): {0: y, 2: ONE}, (1, 2): {1: x * y}},
+    )
+
+
+def _toda3_pair():
+    t = build_toda(3)
+    return t.tangent, t.lam1, t.N
+
+
+def _aff1_pair():
+    a = build_aff1()
+    return a.algebroid, a.P, a.N
+
+
+CONTRACTION_CASES = {
+    "toda3": _toda3_pair,
+    "aff1": _aff1_pair,
+    "skewed": lambda: (_skewed3(), None, None),
+}
+
+
+def _sparse_expr(A, rng):
+    """Zero half the time, else one or two terms c x^k [exp(y)] with c in
+    (1/2)Z, so that sums over several denominators occur."""
+    if rng.random() < 0.5:
+        return ZERO
+    out = ZERO
+    for _ in range(rng.randint(1, 2)):
+        t = Expr.number(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])))
+        t = t * Expr.var(rng.choice(A.base_vars)) ** rng.randint(0, 2)
+        if rng.random() < 0.3:
+            t = t * Expr.exp_of(Expr.var(rng.choice(A.base_vars)))
+        out = out + t
+    return out
+
+
+def _sparse_form(A, degree, rng):
+    # zero components are stored too: a contraction must skip them
+    return KForm(A, degree, {idx: _sparse_expr(A, rng)
+                             for idx in itertools.combinations(range(A.rank), degree)})
+
+
+def _dense_sum(terms):
+    return sum(terms, ZERO)
+
+
+def dense_bracket(A, X, Y):
+    """[X, Y]^g = X^a Y^b C_ab^g + rho(X)(Y^g) - rho(Y)(X^g), every sum over
+    all indices, rho(S)(f) = S^a rho_a^i df/dx^i."""
+    r = A.rank
+
+    def rho(S, f):
+        return _dense_sum(S.comps[a] * A.anchor[a][i] * f.diff(v)
+                          for a in range(r) for i, v in enumerate(A.base_vars))
+
+    return tuple(
+        _dense_sum(X.comps[a] * Y.comps[b] * A.structure[a][b][g]
+                   for a in range(r) for b in range(r))
+        + rho(X, Y.comps[g]) - rho(Y, X.comps[g])
+        for g in range(r)
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
+def test_contractions_match_their_dense_sums(case):
+    """N, N*, P#, P(., .), interior products and the section bracket against
+    the textbook sums over every index, on seeded sparse inputs."""
+    from pnalgebroid.algebroid import Section, interior
+
+    A, P0, N0 = CONTRACTION_CASES[case]()
+    r = A.rank
+    rng = random.Random(f"contractions/{case}")
+    for k in range(5):
+        P = P0 if k == 0 and P0 is not None else Bivector.from_entries(
+            A, {(a, b): _sparse_expr(A, rng) for a, b in itertools.combinations(range(r), 2)})
+        N = N0 if k == 0 and N0 is not None else Endo.from_matrix(
+            A, [[_sparse_expr(A, rng) for _ in range(r)] for _ in range(r)])
+        X, Y = (Section(A, tuple(_sparse_expr(A, rng) for _ in range(r))) for _ in range(2))
+        alpha, beta = _sparse_form(A, 1, rng), _sparse_form(A, 1, rng)
+        al = [alpha.entry((a,)) for a in range(r)]
+        be = [beta.entry((a,)) for a in range(r)]
+
+        assert N.apply(X).comps == tuple(
+            _dense_sum(N.mat[a][b] * X.comps[b] for b in range(r)) for a in range(r))
+        assert N.dual_apply(alpha).comps == A.one_form(
+            [_dense_sum(al[c] * N.mat[c][b] for c in range(r)) for b in range(r)]).comps
+        assert P.sharp(alpha).comps == tuple(
+            _dense_sum(al[a] * P.mat[a][b] for a in range(r)) for b in range(r))
+        assert P.apply(alpha, beta) == _dense_sum(
+            al[a] * be[b] * P.mat[a][b] for a in range(r) for b in range(r))
+        for degree in range(1, min(r, 3) + 1):
+            omega = _sparse_form(A, degree, rng)
+            want = {
+                idx: e for idx in itertools.combinations(range(r), degree - 1)
+                if not (e := _dense_sum(X.comps[b] * omega.entry((b,) + idx)
+                                        for b in range(r))).is_zero()
+            }
+            got = interior(X, omega)
+            assert (got.degree, got.comps) == (degree - 1, want)
+        assert A.bracket(X, Y).comps == dense_bracket(A, X, Y)
 
 
 def test_push_bivector_and_sharp_commutes_agree(toda2):
@@ -586,3 +699,53 @@ def test_pn_report_witness_names_the_first_failing_check():
     assert rep.poisson.ok and not rep.torsion.ok and not rep.ok
     assert rep.witness() == "[torsion] torsion nonzero on (xi2, eps2) component eps1: residual 1"
     assert pn_check(build_toda(2).lam0, build_toda(2).N).witness() is None
+
+
+# -- metamorphic: N and N + cI give the same torsion and concomitant --------
+
+
+@functools.cache
+def _metamorphic_pair(case):
+    if case == "toda3":
+        t = build_toda(3)
+        return t.lam0, t.N
+    a = build_aff1()
+    return a.P, a.N
+
+
+@settings(max_examples=24, deadline=5000)
+@given(case=st.sampled_from(["aff1", "toda3"]), rng=st.randoms(use_true_random=False),
+       c=st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2)]))
+def test_shifting_n_by_a_constant_multiple_of_the_identity_moves_no_verdict(case, rng, c):
+    """T_{N+cI} = T_N, and the concomitant is linear in N and zero at I, so
+    the torsion, sharp-compatibility and concomitant verdicts, failure lists
+    included, and the textbook torsion and concomitant are those of N."""
+    from pnalgebroid.algebroid import Section
+
+    P, N0 = _metamorphic_pair(case)
+    A = P.algebroid
+    r, xs = A.rank, list(A.base_vars)
+    mat = [list(row) for row in N0.mat]
+    if rng.random() < 0.5:
+        # one or two entries moved: sharp compatibility almost always fails
+        for _ in range(rng.randint(1, 2)):
+            a, b = rng.randrange(r), rng.randrange(r)
+            mat[a][b] = mat[a][b] + _random_poly(xs, rng, 2)
+    else:
+        # plus f I: N P stays a bivector, and a nonconstant f moves the concomitant
+        f = _random_poly(xs, rng, 2)
+        for a in range(r):
+            mat[a][a] = mat[a][a] + f
+    N = Endo.from_matrix(A, mat)
+    shifted = Endo.from_matrix(A, [[e + Expr.number(c) if a == b else e
+                                    for b, e in enumerate(row)] for a, row in enumerate(mat)])
+
+    assert torsion_check(shifted).failures == torsion_check(N).failures
+    compatible = sharp_commutes(P, N)
+    assert sharp_commutes(P, shifted).failures == compatible.failures
+    X, Y = (Section(A, tuple(_random_poly(xs, rng, 1) for _ in range(r))) for _ in range(2))
+    assert torsion(shifted, X, Y) == torsion(N, X, Y)
+    if compatible.ok:
+        assert concomitant_check(P, shifted).failures == concomitant_check(P, N).failures
+        alpha, beta = (A.one_form([_random_poly(xs, rng, 1) for _ in range(r)]) for _ in range(2))
+        assert concomitant(P, shifted, alpha, beta).comps == concomitant(P, N, alpha, beta).comps

@@ -48,6 +48,28 @@ def test_rewrite_basic_rejects_nonbasic_with_witness(toda2):
         rewrite_basic(toda2.epi_flaschka, parse("exp(3*q1 - q2)"))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_project_section_sends_the_bihamiltonian_fields_to_the_reduced_ones(n):
+    """The Flaschka map pushes X_H = P#(dH) of the canonical pair to the
+    Hamiltonian field of the reduced pair with the reduced Hamiltonian."""
+    from pnalgebroid.poisson import hamiltonian_section
+
+    t = build_toda(n)
+    for P, P_bar in ((t.lam0, t.lam0_bar), (t.lam1, t.lam1_bar)):
+        for H, H_bar in ((t.H0, t.H0_bar), (t.H1, t.H1_bar)):
+            got = project_section(t.epi_flaschka, hamiltonian_section(P, H))
+            assert got.algebroid is t.flaschka
+            assert got.comps == hamiltonian_section(P_bar, H_bar).comps
+
+
+def test_project_section_rejects_a_component_outside_the_base_map(toda2):
+    A, epi = toda2.tangent, toda2.epi_flaschka
+    X = A.section([ZERO, ZERO, parse("q1"), ZERO])  # q1 Dp1, pushed to q1 Db1
+    assert [str(e) for e in epi.push_components(X)] == ["0", "q1", "0"]
+    with pytest.raises(NotBasic):
+        project_section(epi, X)
+
+
 def test_epimorphism_validation(toda2):
     assert toda2.epi_flaschka.validate().ok
     assert toda2.epi_atiyah.validate().ok
