@@ -31,7 +31,7 @@ from .reduction import (
 from .pointwise import (
     TOL_ENV_VAR, default_tolerance, _sample, _RankFold, _riesz_fold, _fiberwise_fold,
 )
-from .specio import SpecDocument, SpecFileError, load_document, serialize_document
+from .specio import SpecDocument, SpecFileError, parse_document, serialize_document
 from .fixtures import build_toda, build_aff1
 
 # sampling boxes keeping fixture points away from singular loci
@@ -170,10 +170,13 @@ def resolve_input(spec: str) -> tuple[SpecDocument, str]:
             raise UsageError(f"bad fixture name {spec!r} (expected toda:<n>[:block])")
         block = parts[2] if len(parts) > 2 else "canonical"
         return _toda_document(n, block, "flaschka"), f"fixture:{spec}"
-    doc = load_document(spec)
-    with open(spec, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-    return doc, f"sha256:{digest}"
+    # read once: a pipe such as /dev/stdin gives its bytes to one reader only
+    try:
+        with open(spec, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise SpecFileError(f"cannot read {spec}: {e}") from e
+    return parse_document(data.decode()), f"sha256:{hashlib.sha256(data).hexdigest()[:16]}"
 
 
 def _pick_bivector(doc: SpecDocument, name: Optional[str]) -> tuple[str, Bivector]:

@@ -738,3 +738,20 @@ def test_cli_branches_exit_with_their_code_and_message(tmp_path, capsys, argv, c
         assert (out, err) == ("", f"error: {message}\n")
     else:
         assert err == "" and message in out
+
+
+def test_a_spec_piped_into_stdin_is_hashed_from_the_bytes_it_parses():
+    # a pipe can be read once: hashing it after parsing used to hash no bytes
+    import hashlib
+
+    src = Path(pnalgebroid.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "pnalgebroid.cli"]
+    spec = subprocess.run([*cmd, "fixture", "aff1"], capture_output=True, check=True,
+                          timeout=300, env=env).stdout
+    proc = subprocess.run([*cmd, "check-poisson", "/dev/stdin", "--format", "json"],
+                          input=spec, capture_output=True, timeout=300, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    report = json.loads(proc.stdout)
+    assert report["inputs"] == "sha256:" + hashlib.sha256(spec).hexdigest()[:16]
+    assert [c["name"] for c in report["checks"]] == ["poisson(P)"]
