@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .expr import Expr, ZERO, ONE, dot
+from .expr import Expr, ZERO, ONE, _nonzero, dot
 
 
 @dataclass(frozen=True)
@@ -181,22 +181,17 @@ class LieAlgebroid:
 
     def bracket(self, X: "Section", Y: "Section") -> "Section":
         """Section bracket from the structure functions and anchor:
-        [X, Y]^g = X^a Y^b C_ab^g + rho(X)(Y^g) - rho(Y)(X^g)."""
-        comps = [
-            self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
-            for xg, yg in zip(X.comps, Y.comps)
-        ]
-        for a, xa in enumerate(X.comps):
-            if xa.is_zero():
-                continue
-            for b, yb in enumerate(Y.comps):
-                row = self._structure_rows[a][b]
-                if not row or yb.is_zero():
-                    continue
-                xy = xa * yb
-                for g, c in row:
-                    comps[g] = comps[g] + xy * c
-        return Section(self, tuple(comps))
+        [X, Y]^g = X^a Y^b C_ab^g + rho(X)(Y^g) - rho(Y)(X^g), the structure
+        sum one dot per component over the nonzero X^a Y^b and C_ab^g."""
+        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(self.rank)]
+        for a, xa in _nonzero(X.comps):
+            for yb, row in zip(Y.comps, self._structure_rows[a]):
+                if row and not yb.is_zero():
+                    _scatter(terms, xa * yb, row)
+        return Section(self, tuple(
+            (dot(t) if t else ZERO) + self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
+            for t, xg, yg in zip(terms, X.comps, Y.comps)
+        ))
 
     # -- verification ------------------------------------------------------
 
@@ -254,6 +249,16 @@ def _scatter(terms: list[list[tuple[Expr, Expr]]], f: Expr, row) -> None:
     """Append the pair (f, x) to ``terms[h]`` for each (h, x) in ``row``."""
     for h, x in row:
         terms[h].append((f, x))
+
+
+def _spread(coeffs, rows) -> list[Expr]:
+    """The components of sum_a f_a rows[a] over the (a, f_a) of ``coeffs``,
+    each one dot: every nonzero f_a is spread over the (b, x) of rows[a]."""
+    terms: list[list[tuple[Expr, Expr]]] = [[] for _ in rows]
+    for a, f in coeffs:
+        if not f.is_zero():
+            _scatter(terms, f, rows[a])
+    return [dot(t) if t else ZERO for t in terms]
 
 
 def timed_check(check, *args) -> CheckReport:
@@ -330,22 +335,18 @@ class KForm:
         return c if sign > 0 else -c
 
     def __call__(self, *sections: Section) -> Expr:
+        """omega(X_1, ..., X_k), the sum over the stored indices I and their
+        orderings J of sign(J) omega_I X_1^{J_1} ... X_k^{J_k}, one dot."""
         if len(sections) != self.degree:
             raise ValueError(f"form of degree {self.degree} applied to {len(sections)} sections")
-        r = self.algebroid.rank
-        out = ZERO
+        pairs = []
         for idx, c in self.comps.items():
-            if c.is_zero():
-                continue
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(perm)
-                prod = c if sign > 0 else -c
-                for slot, which in enumerate(perm):
-                    prod = prod * sections[slot].comps[idx[which]]
-                    if prod.is_zero():
-                        break
-                out = out + prod
-        return out
+            for perm in itertools.permutations(idx):
+                prod = c if _perm_sign(perm) > 0 else -c
+                for X, i in zip(sections, perm):
+                    prod = prod * X.comps[i]
+                pairs.append((prod, ONE))
+        return dot(pairs)
 
     def __add__(self, other: "KForm") -> "KForm":
         _same(self, other)
@@ -372,19 +373,18 @@ class KForm:
         return all(v.is_zero() for v in self.comps.values())
 
     def wedge(self, other: "KForm") -> "KForm":
+        """(a ^ b)_I, one dot per index I over the pairs of stored
+        components on disjoint indices that make up I."""
         _same(self, other)
-        k, l = self.degree, other.degree
-        d: dict[tuple[int, ...], Expr] = {}
+        terms: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
         for ia, ca in self.comps.items():
             for ib, cb in other.comps.items():
-                if set(ia) & set(ib):
-                    continue
-                idx = ia + ib
-                order = tuple(sorted(idx))
-                sign = _perm_sign(idx)
-                val = ca * cb if sign > 0 else -(ca * cb)
-                d[order] = d.get(order, ZERO) + val
-        return KForm(self.algebroid, k + l, _prune(d))
+                if not set(ia) & set(ib):
+                    idx = ia + ib
+                    terms.setdefault(tuple(sorted(idx)), []).append(
+                        (ca if _perm_sign(idx) > 0 else -ca, cb))
+        return KForm(self.algebroid, self.degree + other.degree,
+                     _prune({idx: dot(t) for idx, t in terms.items()}))
 
     def __str__(self) -> str:
         if not self.comps:
@@ -455,22 +455,15 @@ def d_A(A: LieAlgebroid, omega) -> "KForm":
 
 
 def interior(X: Section, omega: KForm) -> KForm:
-    """Interior product i_X omega (first slot)."""
+    """Interior product i_X omega (first slot): (i_X omega)_I = X^b omega_bI,
+    one dot per index I over the nonzero X^b."""
     if omega.degree == 0:
         raise ValueError("interior product undefined on degree-0 forms")
-    A = omega.algebroid
-    d: dict[tuple[int, ...], Expr] = {}
-    for idx in itertools.combinations(range(A.rank), omega.degree - 1):
-        val = ZERO
-        for b in range(A.rank):
-            if X.comps[b].is_zero():
-                continue
-            e = omega.entry((b,) + idx)
-            if not e.is_zero():
-                val = val + X.comps[b] * e
-        if not val.is_zero():
-            d[idx] = val
-    return KForm(A, omega.degree - 1, d)
+    A, xs = omega.algebroid, _nonzero(X.comps)
+    return KForm(A, omega.degree - 1, _prune({
+        idx: dot((x, omega.entry((b,) + idx)) for b, x in xs)
+        for idx in itertools.combinations(range(A.rank), omega.degree - 1)
+    }))
 
 
 def lie_derivative(X: Section, omega):

@@ -492,7 +492,7 @@ class Expr:
         expressions (otherwise the result would leave the class).
         """
         mapping = {v: _coerce(e) for v, e in mapping.items()}
-        out = Expr()
+        pairs = []  # per term, its monomial part and its exponential part
         for i, c in self._t.items():
             m, l = _KEYS[i]
             t = Expr.number(c)
@@ -509,10 +509,9 @@ class Expr:
                         arg = arg + Expr.number(k) * img
                     else:
                         arg = arg + Expr.number(k) * Expr.var(v)
-                t = t * Expr.exp_of(arg)
-            out = out + t
+            pairs.append((t, Expr.exp_of(arg) if l else ONE))
         # the terms above carry the numerators; divide once by the denominator
-        return out._scaled(1, self._d)
+        return dot(pairs)._scaled(1, self._d)
 
     # -- evaluation --------------------------------------------------------
 
@@ -686,6 +685,11 @@ def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
         _mul_into(d, {i: c * f for i, c in a._t.items()} if f != 1 else a._t, b._t)
     t = _canonical(d)
     return _wrap(t) if den == 1 else _reduced(t, den)
+
+
+def _nonzero(v) -> list[tuple[int, Expr]]:
+    """The nonzero entries of a row or column, with their indices."""
+    return [(k, e) for k, e in enumerate(v) if not e.is_zero()]
 
 
 ZERO = Expr()

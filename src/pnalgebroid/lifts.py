@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import Expr, ZERO, dot
+from .expr import Expr, ONE, ZERO, dot
 from .algebroid import LieAlgebroid, Section
 from .poisson import Bivector
 from .linalg import evaluate_matrix
@@ -110,24 +110,25 @@ def lift_bivector(A: LieAlgebroid, Q: Bivector, kind: str) -> Bivector:
     n, r = A.dim, A.rank
     if kind == "c":
         ec = [lift_section(A, A.frame_section(a), "c").comps for a in range(r)]
-    entries: dict[tuple[int, int], Expr] = {}
+    # per (i, j), the pairs whose products sum to the coefficient of d_i ^ d_j
+    terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
 
-    def add(i: int, j: int, e: Expr) -> None:  # e d_i ^ d_j
-        if i != j:
-            entries[(i, j)] = entries.get((i, j), ZERO) + e
+    def add(i: int, j: int, f: Expr, x: Expr) -> None:  # f x d_i ^ d_j
+        if i != j and not x.is_zero():
+            terms.setdefault((i, j), []).append((f, x))
 
     for a in range(r):
         for b in range(a + 1, r):
             q = Q.mat[a][b]
             if q.is_zero():
                 continue
-            add(n + a, n + b, lift_function(A, q, kind))
+            add(n + a, n + b, ONE, lift_function(A, q, kind))
             if kind == "c":
                 # e_a^c ^ e_b^v + e_a^v ^ e_b^c
                 for i in range(n + r):
-                    add(i, n + b, q * ec[a][i])
-                    add(n + a, i, q * ec[b][i])
-    return Bivector.from_entries(total_space(A), entries)
+                    add(i, n + b, q, ec[a][i])
+                    add(n + a, i, q, ec[b][i])
+    return Bivector.from_entries(total_space(A), {ij: dot(t) for ij, t in terms.items()})
 
 
 def fb_generators(

@@ -27,17 +27,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .expr import Expr, ZERO, ONE, ExprError, div_exact, dot
+from .expr import Expr, ZERO, ONE, ExprError, _nonzero, div_exact, dot
 
 Matrix = list[list[Expr]]
 
 DEFAULT_TOL = 1e-9
 GAP_RATIO = 10.0
-
-
-def _nonzero(v) -> list[tuple[int, Expr]]:
-    """The nonzero entries of a row or column, with their indices."""
-    return [(k, e) for k, e in enumerate(v) if not e.is_zero()]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

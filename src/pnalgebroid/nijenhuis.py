@@ -7,8 +7,10 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expr import Expr, ONE, ZERO, ExprError, dot
-from .algebroid import CheckReport, KForm, LieAlgebroid, Section, _scatter, d_A, timed_check
+from .expr import Expr, ONE, ZERO, ExprError, _nonzero, dot
+from .algebroid import (
+    CheckReport, KForm, LieAlgebroid, Section, _scatter, _spread, d_A, timed_check,
+)
 from .poisson import (
     Bivector,
     DegenerateBivector,
@@ -48,28 +50,17 @@ class Endo:
         return Endo(A, tuple(tuple(row) for row in mat))
 
     def apply(self, X: Section) -> Section:
-        """(N X)^a = N^a_b X^b over the nonzero X^b and N^a_b."""
-        r = self.algebroid.rank
-        comps = [ZERO] * r
-        for b, xb in enumerate(X.comps):
-            if xb.is_zero():
-                continue
-            for a in range(r):
-                if not self.mat[a][b].is_zero():
-                    comps[a] = comps[a] + self.mat[a][b] * xb
-        return Section(self.algebroid, tuple(comps))
+        """(N X)^a = N^a_b X^b, one dot per component over the nonzero X^b
+        and N^a_b."""
+        return Section(self.algebroid, tuple(linalg.mat_vec(self.mat, X.comps)))
 
     def dual_apply(self, alpha: KForm) -> KForm:
-        """Transpose action on one-forms: (N* a)_b = a_c N^c_b."""
+        """Transpose action on one-forms: (N* a)_b = a_c N^c_b, one dot per
+        component: each nonzero a_c is spread over the nonzero N^c_b of row c."""
         if alpha.degree != 1:
             raise ValueError("dual endomorphism acts on one-forms")
-        r = self.algebroid.rank
-        comps = [ZERO] * r
-        for (c,), v in alpha.comps.items():
-            for b in range(r):
-                if not self.mat[c][b].is_zero():
-                    comps[b] = comps[b] + v * self.mat[c][b]
-        return self.algebroid.one_form(comps)
+        coeffs = ((c, v) for (c,), v in alpha.comps.items())
+        return self.algebroid.one_form(_spread(coeffs, [_nonzero(row) for row in self.mat]))
 
     def compose(self, other: "Endo") -> "Endo":
         return Endo.from_matrix(

@@ -30,6 +30,7 @@ from .algebroid import (
     LieAlgebroid,
     Section,
     _scatter,
+    _spread,
     d_A,
     interior,
     lie_derivative,
@@ -90,28 +91,18 @@ class Bivector:
                 for a, b in itertools.combinations(range(A.rank), 2)}
 
     def apply(self, alpha: KForm, beta: KForm) -> Expr:
-        """P(alpha, beta) = alpha_a beta_b P^{ab}."""
-        _check_one_form(alpha)
+        """P(alpha, beta) = alpha_a beta_b P^{ab} = (P#alpha)^b beta_b, one dot
+        over the nonzero beta_b."""
+        x = self.sharp(alpha).comps
         _check_one_form(beta)
-        out = ZERO
-        for (a,), ca in alpha.comps.items():
-            for (b,), cb in beta.comps.items():
-                e = self.mat[a][b]
-                if not e.is_zero():
-                    out = out + ca * cb * e
-        return out
+        return dot((x[b], cb) for (b,), cb in beta.comps.items() if not cb.is_zero())
 
     def sharp(self, alpha: KForm) -> Section:
-        """(P#alpha)^b = alpha_a P^{ab}."""
+        """(P#alpha)^b = alpha_a P^{ab}, one dot per component: each nonzero
+        alpha_a is spread over the nonzero P^{ab} of row a."""
         _check_one_form(alpha)
-        r = self.algebroid.rank
-        comps = [ZERO] * r
-        for (a,), ca in alpha.comps.items():
-            for b in range(r):
-                e = self.mat[a][b]
-                if not e.is_zero():
-                    comps[b] = comps[b] + ca * e
-        return Section(self.algebroid, tuple(comps))
+        coeffs = ((a, ca) for (a,), ca in alpha.comps.items())
+        return Section(self.algebroid, tuple(_spread(coeffs, self._rows)))
 
     def __add__(self, other: "Bivector") -> "Bivector":
         return Bivector(

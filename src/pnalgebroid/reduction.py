@@ -181,7 +181,7 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
     """
     renames, exps = epi._images
     systems = epi._power_systems
-    out = ZERO
+    terms: dict[tuple, Fraction] = {}
     for mono, lin, coeff in e.terms:
         t_mono: dict[str, int] = {}
         c = Fraction(coeff)
@@ -236,7 +236,8 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
             t_lin[""] = t_lin.get("", Fraction(0)) + const
         key_mono = tuple(sorted((v, k) for v, k in t_mono.items() if k))
         key_lin = tuple(sorted((v, rational(k)) for v, k in t_lin.items() if k))
-        out = out + Expr.from_terms({(key_mono, key_lin): c})
+        terms[key_mono, key_lin] = terms.get((key_mono, key_lin), 0) + c
+    out = Expr.from_terms(terms)
     if not (out.substitute(epi.base_map) - e).is_zero():
         raise NotBasic("rewriting verification failed (expression is not basic)")
     return out
