@@ -252,11 +252,10 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
         for h, col in enumerate(by_col):
             for b, v in col:
                 RT[e][b].append((h, v))
-    rows = [[(c, n) for c, n in enumerate(row) if not n.is_zero()] for row in N.mat]
+    rows = [_nonzero(row) for row in N.mat]
     neg = [[(c, -n) for c, n in row] for row in rows]
     prows = P._rows
-    KP = {ab: [(h, k) for h, k in enumerate(row) if not k.is_zero()]
-          for ab, row in _koszul_rows(P).items()}
+    KP = {ab: _nonzero(row) for ab, row in _koszul_rows(P).items()}
 
     def rhs(a, b, terms):
         for (c, n), (_, minus) in zip(rows[a], neg[a]):  # K(P)_cb = -K(P)_bc

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expr import Expr, ONE, ZERO, ExprError, dot
+from .expr import Expr, ONE, ZERO, ExprError, _nonzero, dot
 from .algebroid import (
     CheckReport,
     KForm,
@@ -79,8 +79,7 @@ class Bivector:
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, Expr], ...], ...]:
         """Per a, the (b, P^{ab}) with P^{ab} != 0."""
-        return tuple(tuple((b, e) for b, e in enumerate(row) if not e.is_zero())
-                     for row in self.mat)
+        return tuple(tuple(_nonzero(row)) for row in self.mat)
 
     @cached_property
     def _rho_rows(self) -> dict[tuple[int, int], tuple[tuple[int, Expr], ...]]:
@@ -205,7 +204,7 @@ def _schouten_frame(X: Section, P: Bivector) -> Bivector:
     structure rows.  Equal to ``schouten_1r(X, P)``."""
     A, m = P.algebroid, P.mat
     r = A.rank
-    xs = [(d, x) for d, x in enumerate(X.comps) if not x.is_zero()]
+    xs = _nonzero(X.comps)
     # L[a], the (c, L^a_c) with L^a_c != 0
     lt: list[list[list[tuple[Expr, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
     for a, x in xs:

@@ -255,10 +255,42 @@ def dense_bracket(A, X, Y):
     )
 
 
+def _sign(seq):
+    return -1 if sum(a > b for a, b in itertools.combinations(seq, 2)) % 2 else 1
+
+
+def dense_wedge(a, b):
+    """(a ^ b)_I = sum over the a.degree-subsets S of I of
+    sign(S, I - S) a_S b_{I - S}."""
+    A, k = a.algebroid, a.degree + b.degree
+    out = {}
+    for idx in itertools.combinations(range(A.rank), k):
+        e = _dense_sum(
+            _sign(S + rest) * a.entry(S) * b.entry(rest)
+            for S in itertools.combinations(idx, a.degree)
+            for rest in [tuple(i for i in idx if i not in S)])
+        if not e.is_zero():
+            out[idx] = e
+    return out
+
+
+def dense_evaluation(omega, sections):
+    """omega(X_1, ..., X_k) = omega_{i_1 ... i_k} X_1^{i_1} ... X_k^{i_k},
+    summed over every index tuple."""
+    total = ZERO
+    for idx in itertools.product(range(omega.algebroid.rank), repeat=omega.degree):
+        t = omega.entry(idx)
+        for X, i in zip(sections, idx):
+            t = t * X.comps[i]
+        total = total + t
+    return total
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACTION_CASES))
 def test_contractions_match_their_dense_sums(case):
-    """N, N*, P#, P(., .), interior products and the section bracket against
-    the textbook sums over every index, on seeded sparse inputs."""
+    """N, N*, P#, P(., .), interior and wedge products, a form on sections and
+    the section bracket against the textbook sums over every index, on
+    seeded sparse inputs."""
     from pnalgebroid.algebroid import Section, interior
 
     A, P0, N0 = CONTRACTION_CASES[case]()
@@ -269,7 +301,7 @@ def test_contractions_match_their_dense_sums(case):
             A, {(a, b): _sparse_expr(A, rng) for a, b in itertools.combinations(range(r), 2)})
         N = N0 if k == 0 and N0 is not None else Endo.from_matrix(
             A, [[_sparse_expr(A, rng) for _ in range(r)] for _ in range(r)])
-        X, Y = (Section(A, tuple(_sparse_expr(A, rng) for _ in range(r))) for _ in range(2))
+        X, Y, Z = (Section(A, tuple(_sparse_expr(A, rng) for _ in range(r))) for _ in range(3))
         alpha, beta = _sparse_form(A, 1, rng), _sparse_form(A, 1, rng)
         al = [alpha.entry((a,)) for a in range(r)]
         be = [beta.entry((a,)) for a in range(r)]
@@ -291,6 +323,10 @@ def test_contractions_match_their_dense_sums(case):
             }
             got = interior(X, omega)
             assert (got.degree, got.comps) == (degree - 1, want)
+            assert omega(*[X, Y, Z][:degree]) == dense_evaluation(omega, [X, Y, Z][:degree])
+            if degree < r:
+                got = alpha.wedge(omega)
+                assert (got.degree, got.comps) == (degree + 1, dense_wedge(alpha, omega))
         assert A.bracket(X, Y).comps == dense_bracket(A, X, Y)
 
 
