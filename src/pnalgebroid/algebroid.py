@@ -110,8 +110,7 @@ class LieAlgebroid:
                 terms.setdefault(a, []).append((rho, g))
         out = []
         for a in sorted(terms):
-            t = terms[a]
-            e = t[0][0] * t[0][1] if len(t) == 1 else dot(t)
+            e = dot(terms[a])
             if not e.is_zero():
                 out.append((a, e))
         return tuple(out)
@@ -177,7 +176,7 @@ class LieAlgebroid:
         cols, comps = self._anchor_cols, X.comps
         terms = [(comps[a] * rho, g) for v, g in f.gradient for a, rho in cols.get(v, ())
                  if not comps[a].is_zero()]
-        return dot(terms) if terms else ZERO
+        return dot(terms)
 
     def bracket(self, X: "Section", Y: "Section") -> "Section":
         """Section bracket from the structure functions and anchor:
@@ -189,7 +188,7 @@ class LieAlgebroid:
                 if row and not yb.is_zero():
                     _scatter(terms, xa * yb, row)
         return Section(self, tuple(
-            (dot(t) if t else ZERO) + self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
+            dot(t) + self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
             for t, xg, yg in zip(terms, X.comps, Y.comps)
         ))
 
@@ -224,7 +223,7 @@ class LieAlgebroid:
             failures += [
                 (f"Jacobi fails on ({self.frame[a]}, {self.frame[b]}, {self.frame[c]}) "
                  f"component {self.frame[g]}", t)
-                for g, t in enumerate(dot(t) if t else ZERO for t in terms) if not t.is_zero()
+                for g, t in enumerate(map(dot, terms)) if not t.is_zero()
             ]
         return CheckReport(not failures, failures)
 
@@ -258,7 +257,7 @@ def _spread(coeffs, rows) -> list[Expr]:
     for a, f in coeffs:
         if not f.is_zero():
             _scatter(terms, f, rows[a])
-    return [dot(t) if t else ZERO for t in terms]
+    return [dot(t) for t in terms]
 
 
 def timed_check(check, *args) -> CheckReport:

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__ as VERSION, linalg
 from .expr import ExprError
@@ -32,7 +32,7 @@ from .pointwise import (
     TOL_ENV_VAR, default_tolerance, _sample, _RankFold, _riesz_fold, _fiberwise_fold,
 )
 from .specio import SpecDocument, SpecFileError, parse_document, serialize_document
-from .fixtures import build_toda, build_aff1
+from .fixtures import TodaFixture, SemidirectFixture, build_toda, build_aff1
 
 # sampling boxes keeping fixture points away from singular loci
 DEFAULT_BOXES = {"a": (0.5, 2.0), "mu": (-2.0, 2.0)}
@@ -410,36 +410,49 @@ def _verdict(rep, verdict: str = "ok") -> tuple[bool, Optional[str], bool]:
     return getattr(rep, verdict), rep.witness(), False
 
 
-def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
-    """Condensed verification suite over the built-in fixtures: one
+def _zero(diff: Bivector | Endo) -> tuple[bool, Optional[str], bool]:
+    """A difference of bivectors or of endomorphisms as (ok, witness, ill),
+    ok when it is zero; the witness names its first nonzero entry."""
+    frame = diff.algebroid.frame
+    for a, row in enumerate(diff.mat):
+        for b, e in enumerate(row):
+            if not e.is_zero():
+                return False, f"entry ({frame[a]}, {frame[b]}) differs by {e}", False
+    return True, None, False
+
+
+def selftest_rows(t: TodaFixture, a: SemidirectFixture) -> list[tuple[str, Callable]]:
+    """The paper's checks on a Toda fixture and on a semidirect fixture: one
     (name, thunk) row per check, each thunk giving (ok, witness, ill), or a
-    fold for a numeric check."""
-    t = build_toda(2)
-    a = build_aff1()
+    fold for a numeric check.  ``selftest`` runs them on toda:2 and aff1."""
+    toda = f"toda{t.n}"
     pts = _sample(list(a.algebroid.base_vars), 25, 7, _box_for(list(a.algebroid.base_vars)))
-    checks = [
-        *((f"toda2 poisson({name})", lambda P=P: _verdict(is_poisson(P)))
+    return [
+        *((f"{toda} poisson({name})", lambda P=P: _verdict(is_poisson(P)))
           for name, P in (("lam0", t.lam0), ("lam1", t.lam1),
                           ("pi0", t.pi0), ("pi1", t.pi1))),
-        ("toda2 compatible(lam0,lam1)",
+        (f"{toda} compatible(lam0,lam1)",
          lambda: _verdict(are_compatible(t.lam0, t.lam1))),
-        ("toda2 recursion(lam0,lam1) = N",
-         lambda: ((recursion_operator(t.lam0, t.lam1).exact() - t.N).is_zero(), None, False)),
-        ("toda2 pn(lam0,N)", lambda: _verdict(pn_check(t.lam0, t.N))),
-        ("toda2 project(lam0) = lam0_bar",
-         lambda: ((project_bivector(t.epi_flaschka, t.lam0) - t.lam0_bar).is_zero(),
-                  None, False)),
-        ("toda2 sn(pi0,N_A)",
+        (f"{toda} recursion(lam0,lam1) = N",
+         lambda: _zero(recursion_operator(t.lam0, t.lam1).exact() - t.N)),
+        (f"{toda} pn(lam0,N)", lambda: _verdict(pn_check(t.lam0, t.N))),
+        (f"{toda} project(lam0) = lam0_bar",
+         lambda: _zero(project_bivector(t.epi_flaschka, t.lam0) - t.lam0_bar)),
+        (f"{toda} sn(pi0,N_A)",
          lambda: _verdict(pn_check(t.pi0, t.recursion_atiyah().exact()), "sn")),
         ("aff1 two-form symplectic", lambda: _verdict(symplectic_check(a.omega))),
-        ("aff1 projector idempotent",
-         lambda: ((a.N.compose(a.N) - a.N).is_zero(), None, False)),
+        ("aff1 projector idempotent", lambda: _zero(a.N.compose(a.N) - a.N)),
         ("aff1 stable-kernel index 1 at 25 points",
          lambda: _riesz_fold(a.N, pts, stable=(1, 2))[0]),
         ("aff1 fiberwise reduction nondegenerate",
          lambda: _fiberwise_fold(a.P, a.N, pts)[2]),
     ]
-    for name, thunk in checks:
+
+
+def cmd_selftest(args, report: Report, doc: SpecDocument) -> None:
+    """Condensed verification suite: the rows of :func:`selftest_rows` on
+    toda:2 and aff1."""
+    for name, thunk in selftest_rows(build_toda(2), build_aff1()):
         _timed(report, name, thunk)
 
 

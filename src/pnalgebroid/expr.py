@@ -664,10 +664,16 @@ def _mul_into(d: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
 
 
 def dot(pairs: Iterable[tuple[Expr, Expr]]) -> Expr:
-    """The sum of ``a * b`` over the pairs, formed in one term table.
+    """The sum of ``a * b`` over the pairs, formed in one term table: the
+    shared ZERO for no pair, ``a * b`` (with its constant and one-term
+    paths) for one pair.
 
     The table is kept over the lcm of the pairs' denominators so far; a pair
     over another denominator rescales the table only when it grows the lcm."""
+    if type(pairs) is not list:
+        pairs = list(pairs)
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else ZERO
     d: dict[int, int] = {}
     den = 1
     for a, b in pairs:

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expr import Expr, ONE, ZERO, ExprError, _nonzero, dot
+from .expr import Expr, ONE, ExprError, _nonzero, dot
 from .algebroid import (
     CheckReport, KForm, LieAlgebroid, Section, _scatter, _spread, d_A, timed_check,
 )
@@ -166,7 +166,7 @@ def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]
             _scatter(terms, x, cols[k])
         _scatter(terms, ONE, R[a][b])
         _scatter(terms, -ONE, R[b][a])
-        CN[a, b] = [dot(t) if t else ZERO for t in terms]
+        CN[a, b] = [dot(t) for t in terms]
     return cols, R, CN
 
 
@@ -196,7 +196,7 @@ def torsion_check(N: Endo) -> CheckReport:
                 _scatter(terms, cn, neg[h])
         failures += [
             (f"torsion nonzero on ({A.frame[a]}, {A.frame[b]}) component {A.frame[g]}", t)
-            for g, t in enumerate(dot(t) if t else ZERO for t in terms) if not t.is_zero()
+            for g, t in enumerate(map(dot, terms)) if not t.is_zero()
         ]
     return CheckReport(not failures, failures)
 

@@ -112,18 +112,15 @@ class RieszPointReport:
     cutoff: float = math.nan
 
 
-def riesz_at_point(N: Endo, values: dict[str, float], tol: float | None = None) -> RieszPointReport:
+def riesz_at_point(N: Endo, values: dict[str, float]) -> RieszPointReport:
     """Stable-kernel index at one point: first k with rank N^k = rank N^{k+1}
-    (k = 0 exactly when N is invertible there).  Raises
-    linalg.NonFiniteEntry when N or one of its powers is not finite there."""
-    return riesz_report(N, [values], tol)[0]
+    (k = 0 exactly when N is invertible there), ranks cut at
+    :func:`default_tolerance`.  Raises linalg.NonFiniteEntry when N or one of
+    its powers is not finite there."""
+    return riesz_report(N, [values])[0]
 
 
-def riesz_report(
-    N: Endo,
-    points: list[dict[str, float]],
-    tol: float | None = None,
-) -> list[RieszPointReport]:
+def riesz_report(N: Endo, points: list[dict[str, float]]) -> list[RieszPointReport]:
     """:func:`riesz_at_point` at every point, batched: N is compiled once,
     and each block of points is evaluated, raised to its powers and
     decomposed in stacked numpy calls.  Raises linalg.NonFiniteEntry naming
@@ -134,7 +131,7 @@ def riesz_report(
     kernel0, image0 = np.zeros((r, 0)), np.eye(r)
     kernel0.flags.writeable = image0.flags.writeable = False
     out = []
-    for start, rz in _riesz_blocks(N, points, tol):
+    for start, rz in _riesz_blocks(N, points):
         count = rz.index.size
         kernels, images = [kernel0] * count, [image0] * count
         for group, ker, img in rz.bases.values():
@@ -213,12 +210,12 @@ class _RieszBlock:
     fault: np.ndarray
 
 
-def _riesz_blocks(N: Endo, points: Points | list[dict[str, float]],
-                  tol: float | None = None) -> Iterator[tuple[int, _RieszBlock]]:
+def _riesz_blocks(N: Endo,
+                  points: Points | list[dict[str, float]]) -> Iterator[tuple[int, _RieszBlock]]:
     """The Riesz splitting one block of points at a time, each with the index
     of its first point, so that a caller folding the blocks holds one of
     them.  An underflow is raised after the last block (see linalg.Faults)."""
-    tol = default_tolerance() if tol is None else tol
+    tol = default_tolerance()
     compiled = linalg.CompiledMatrix(N.mat)
     pts = _as_points(points, compiled)
     faults = linalg.Faults(pts.point)
@@ -350,12 +347,7 @@ class FiberReport:
     n_cutoff: float = math.nan
 
 
-def fiberwise_reduce(
-    P: Bivector,
-    N: Endo,
-    points: list[dict[str, float]],
-    tol: float | None = None,
-) -> list[FiberReport]:
+def fiberwise_reduce(P: Bivector, N: Endo, points: list[dict[str, float]]) -> list[FiberReport]:
     """Pointwise quotient by the stable kernel of N, with the bivector and
     the endomorphism pushed to the quotient (identified with the image of
     the stable power via an orthonormal basis C: P~ = C^T P C, N~ = C^T N C).
@@ -366,7 +358,7 @@ def fiberwise_reduce(
     point, in sample order, at which N, a needed power of N, or P is not
     finite (or N or P underflows)."""
     out = []
-    for start, fb in _fiberwise_blocks(P, N, points, tol):
+    for start, fb in _fiberwise_blocks(P, N, points):
         count = fb.dim_quotient.size
         p_tilde, n_tilde = [None] * count, [None] * count
         for group, p_red, n_red in fb.reduced:
@@ -397,10 +389,10 @@ class _FiberBlock:
     reduced: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _fiberwise_blocks(P: Bivector, N: Endo, points: Points | list[dict[str, float]],
-                      tol: float | None = None) -> Iterator[tuple[int, _FiberBlock]]:
+def _fiberwise_blocks(P: Bivector, N: Endo,
+                      points: Points | list[dict[str, float]]) -> Iterator[tuple[int, _FiberBlock]]:
     """The fiberwise quotient one block of points at a time, as _riesz_blocks."""
-    tol = default_tolerance() if tol is None else tol
+    tol = default_tolerance()
     cn, cp = linalg.CompiledMatrix(N.mat), linalg.CompiledMatrix(P.mat)
     pts = _as_points(points, cn, cp)
     faults = linalg.Faults(pts.point)

@@ -214,15 +214,13 @@ def _schouten_frame(X: Section, P: Bivector) -> Bivector:
         for c, plane in enumerate(A._structure_rows):
             for a, cc in plane[d]:
                 lt[a][c].append((x, cc))
-    L = [[(c, l) for c, t in enumerate(row) if t and not (l := dot(t)).is_zero()]
+    L = [[(c, l) for c, t in enumerate(row) if not (l := dot(t)).is_zero()]
          for row in lt]
     entries: dict[tuple[int, int], Expr] = {}
     for a, b in itertools.combinations(range(r), 2):
         terms = [(l, m[b][c]) for c, l in L[a] if not m[b][c].is_zero()]  # -P^{cb} = P^{bc}
         terms += [(m[c][a], l) for c, l in L[b] if not m[c][a].is_zero()]  # -P^{ac} = P^{ca}
-        e = A.anchor_apply(X, m[a][b])
-        if terms:
-            e = e + dot(terms)
+        e = A.anchor_apply(X, m[a][b]) + dot(terms)
         if not e.is_zero():
             entries[a, b] = e
     return Bivector.from_entries(A, entries)
@@ -255,7 +253,7 @@ def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
                 for e, qze in Q._rows[z]:
                     for g, c in A._structure_rows[d][e]:
                         terms[g].append((pyd * c, qze))
-        B[y, z] = [ZERO if x in (y, z) or not t else dot(t) for x, t in enumerate(terms)]
+        B[y, z] = [ZERO if x in (y, z) else dot(t) for x, t in enumerate(terms)]
     triples = list(itertools.combinations(range(r), 3))
     residuals = [sum(es, B[b, c][a] - B[a, c][b] + B[a, b][c])
                  for (a, b, c), *es in zip(triples, *known)]
@@ -333,7 +331,7 @@ def _koszul_rows(Q: Bivector, more=None) -> dict[tuple[int, int], list[Expr]]:
             _scatter(terms, qbd, CT[d][a])
         if more is not None:
             more(a, b, terms)
-        out[a, b] = [dot(t) if t else ZERO for t in terms]
+        out[a, b] = [dot(t) for t in terms]
     return out
 
 

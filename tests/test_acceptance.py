@@ -1,7 +1,9 @@
 """Acceptance gate: the end-to-end verdicts the package promises on its
 built-in fixtures, with independent oracles for the closed-form values.
 
-Each test ends in one pass/fail assertion per promised verdict."""
+The paper's own checks are the rows of ``cli.selftest_rows``, the table that
+``selftest`` runs on toda:2 and aff1; here they run at every Toda size.  Each
+test ends in one pass/fail assertion per promised verdict."""
 
 import math
 import random
@@ -9,16 +11,16 @@ import random
 import numpy as np
 import pytest
 
-from pnalgebroid.expr import Expr, Point, parse, ZERO, ONE
+from pnalgebroid import cli
+from pnalgebroid.expr import Expr, ExprError, Point, parse, ZERO, ONE
 from pnalgebroid.algebroid import LieAlgebroid, Section, KForm, d_A
 from pnalgebroid.poisson import (
-    Bivector, is_poisson, are_compatible, koszul_bracket, dual_algebroid,
-    induced_base_poisson, symplectic_check, invert_poisson,
-    DegenerateBivector, two_form_matrix,
+    Bivector, koszul_bracket, dual_algebroid, induced_base_poisson,
+    symplectic_check, invert_poisson, DegenerateBivector, two_form_matrix,
 )
 from pnalgebroid.nijenhuis import (
-    Endo, torsion_check, concomitant_check, pn_check, recursion_operator,
-    hierarchy, hierarchy_check, bihamiltonian_check, sharp_commutes,
+    Endo, pn_check, recursion_operator, hierarchy, hierarchy_check,
+    bihamiltonian_check, sharp_commutes,
 )
 from pnalgebroid.lifts import (
     lift_section, star_complete_lift, linear_function, total_space,
@@ -32,16 +34,45 @@ from pnalgebroid.fixtures import build_toda, build_aff1
 
 TOL = 1e-10
 SIZES = (2, 3, 4)
+TODA = {n: build_toda(n) for n in SIZES}
+AFF1 = build_aff1()
 
 
 @pytest.fixture(scope="module")
 def toda():
-    return {n: build_toda(n) for n in SIZES}
+    return TODA
 
 
 @pytest.fixture(scope="module")
 def aff1():
-    return build_aff1()
+    return AFF1
+
+
+# -- 0. the selftest table ----------------------------------------------------
+
+# the recursion operator of (pi0, pi1) has Laurent entries for n >= 3, which
+# the polynomial expression class cannot hold yet
+NOT_POLYNOMIAL = ("toda3 sn(pi0,N_A)", "toda4 sn(pi0,N_A)")
+
+
+def _table_rows():
+    """The Toda rows of the selftest table at every size, the aff1 rows once."""
+    for n in SIZES:
+        for name, thunk in cli.selftest_rows(TODA[n], AFF1):
+            if n == SIZES[0] or not name.startswith("aff1 "):
+                marks = (pytest.mark.xfail(raises=ExprError, strict=True,
+                                           reason="ROADMAP item 1")
+                         if name in NOT_POLYNOMIAL else ())
+                yield pytest.param(name, thunk, id=name, marks=marks)
+
+
+@pytest.mark.parametrize("name, thunk", _table_rows())
+def test_selftest_table_row(name, thunk):
+    """Each row as ``selftest`` runs it: through ``cli._timed`` into a report."""
+    report = cli.Report("selftest", "", 0.0)
+    cli._timed(report, name, thunk)
+    (row,) = report.checks
+    assert row.ok and not row.ill_conditioned, row.witness
 
 
 # -- independent oracles ------------------------------------------------------
@@ -76,15 +107,11 @@ def random_box_points(variables, count, seed, box=None):
 
 
 # -- 1. the canonical pair is Poisson-Nijenhuis on all three sizes -----------
+# (its verdicts are the table's poisson, compatible and pn rows)
 
 @pytest.mark.parametrize("n", SIZES)
 def test_criterion_1_canonical_pair_is_pn(toda, n):
     t = toda[n]
-    assert is_poisson(t.lam0).ok, "lam0 fails the Poisson condition"
-    assert is_poisson(t.lam1).ok, "lam1 fails the Poisson condition"
-    assert are_compatible(t.lam0, t.lam1).ok, "lam0 + lam1 is not Poisson"
-    assert torsion_check(t.N).ok, "the recursion tensor has torsion"
-    assert concomitant_check(t.lam0, t.N).ok, "concomitant (lam0, N) is nonzero"
     assert _max_concomitant_residual(t, 200, seed=17) < TOL, (
         "numeric concomitant residual exceeds 1e-10"
     )
@@ -120,22 +147,14 @@ def _max_concomitant_residual(t, count, seed):
 
 
 # -- 2. the recursion operator reproduces the closed-form tensor -------------
-
-@pytest.mark.parametrize("n", SIZES)
-def test_criterion_2_recursion_operator_closed_form(toda, n):
-    t = toda[n]
-    got = recursion_operator(t.lam0, t.lam1).exact()
-    assert (got - t.N).is_zero(), "recursion operator differs from the closed form"
-
+# (the table's recursion row)
 
 # -- 3. projection to the quotient coordinates -------------------------------
+# (lam0's projection is the table's project row)
 
 @pytest.mark.parametrize("n", SIZES)
 def test_criterion_3_bivectors_project_endo_does_not(toda, n):
     t = toda[n]
-    assert (project_bivector(t.epi_flaschka, t.lam0) - t.lam0_bar).is_zero(), (
-        "lam0 does not project to lam0_bar"
-    )
     assert (project_bivector(t.epi_flaschka, t.lam1) - t.lam1_bar).is_zero(), (
         "lam1 does not project to lam1_bar"
     )
@@ -186,11 +205,10 @@ def test_criterion_5_invariant_frame_structures(toda, n):
 
 
 def test_criterion_5_invariant_frame_is_sn(toda):
-    # the recursion operator of (pi0, pi1) has polynomial entries only for
-    # two sites; the operator-level verdicts run there
+    # the SN verdict is the table's sn row; the recursion operator of
+    # (pi0, pi1) has polynomial entries only for two sites
     t = toda[2]
     rep = pn_check(t.pi0, t.recursion_atiyah().exact())
-    assert rep.sn, rep.witness() or "pair (pi0, N_A) is not symplectic-Nijenhuis"
     assert (rep.determinant - parse("a1^2")).is_zero(), "det pi0 != a1^2"
 
 
@@ -284,13 +302,12 @@ def test_criterion_8_frame_element_coordinate_formulas(toda):
 # -- 9. the semidirect fixture and its pointwise reduction -------------------
 
 def test_criterion_9_aff1_reduction(aff1):
+    # the symplectic and projector verdicts are the table's aff1 rows
     rep = symplectic_check(aff1.omega)
-    assert rep.ok and rep.closed, "the pairing two-form is not symplectic"
     assert (rep.determinant - ONE).is_zero(), "det omega != 1"
-    assert (aff1.N.compose(aff1.N) - aff1.N).is_zero(), "N is not a projector"
 
     pts = sample_points(["mu1", "mu2"], 100, 7, {"mu1": (-2, 2), "mu2": (-2, 2)})
-    reports = riesz_report(aff1.N, pts, tol=1e-9)
+    reports = riesz_report(aff1.N, pts)
     assert all(r.index == 1 for r in reports), "stable index != 1 somewhere"
     assert all(r.dim_kernel == 2 for r in reports), "dim ker != 2 somewhere"
 
@@ -301,7 +318,7 @@ def test_criterion_9_aff1_reduction(aff1):
     rows = [list(X.comps) for X in aff1.kernel_basis] + hand
     assert linalg.symbolic_rank(rows) == 2, "kernel span differs from hand basis"
 
-    fr = fiberwise_reduce(aff1.P, aff1.N, pts, tol=1e-9)
+    fr = fiberwise_reduce(aff1.P, aff1.N, pts)
     assert all(r.dim_quotient == 2 for r in fr), "quotient dimension != 2"
     assert all(r.p_nondegenerate for r in fr), "reduced bivector degenerate"
     assert all(

@@ -262,6 +262,29 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_a_failing_table_row_carries_a_witness():
+    from dataclasses import replace
+
+    from pnalgebroid.fixtures import build_aff1, build_toda
+    from pnalgebroid.nijenhuis import Endo
+
+    def doubled(N):
+        return Endo.from_matrix(N.algebroid, [[2 * e for e in row] for row in N.mat])
+
+    # 2N still pairs with lam0, and 2N keeps N's stable kernel, so one row
+    # of each fixture fails: 2N is not the recursion operator, nor idempotent
+    t, a = build_toda(2), build_aff1()
+    t, a = replace(t, N=doubled(t.N)), replace(a, N=doubled(a.N))
+    report = cli.Report("selftest", "", 0.0)
+    for name, thunk in cli.selftest_rows(t, a):
+        cli._timed(report, name, thunk)
+    failed = {c.name: c.witness for c in report.checks if not c.ok}
+    assert failed == {
+        "toda2 recursion(lam0,lam1) = N": "entry (Dq1, Dq1) differs by -p1",
+        "aff1 projector idempotent": "entry (xi1, xi1) differs by 2",
+    }
+
+
 @pytest.mark.parametrize("flagged", [None, 24])
 def test_selftest_fiberwise_row_reads_ill_conditioning(monkeypatch, capsys, flagged):
     real = pointwise._fiberwise_blocks

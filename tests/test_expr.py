@@ -243,6 +243,16 @@ def test_results_do_not_depend_on_the_order_of_construction(es, rnd):
     assert_same(dot(pairs), sum((a * b for a, b in pairs), ZERO))
 
 
+def test_dot_of_no_pair_is_zero_and_of_one_pair_the_product():
+    assert dot([]) is ZERO and dot(iter(())) is ZERO
+    operands = [ZERO, Expr.number(Fraction(-3, 2)), parse("2/3*x^2*exp(y)"),
+                parse("x - 1/2*y + exp(-z)")]
+    for a in operands:
+        for b in operands:
+            assert_same(dot([(a, b)]), a * b)
+            assert_same(dot((p for p in [(a, b)])), a * b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_exp_exprs(), exprs(), rationals, st.sampled_from(VARS))
 def test_terms_are_sorted_after_every_operation(a, b, k, v):

@@ -542,16 +542,16 @@ def _case_points(A, count, seed):
                          {v: (0.5, 2.0) for v in A.base_vars if v.startswith("a")})
 
 
-def _assert_matches_reference(P, N, pts, tol=1e-9):
+def _assert_matches_reference(P, N, pts):
     """The batched riesz_report and fiberwise_reduce against the per-point
     reference: equal integers and flags, and floats to a few ulps (the
     stacked products and SVDs sum in another order)."""
     import numpy as np
 
-    riesz, fiber = riesz_report(N, pts, tol), fiberwise_reduce(P, N, pts, tol)
+    riesz, fiber = riesz_report(N, pts), fiberwise_reduce(P, N, pts)
     assert len(riesz) == len(fiber) == len(pts)
     for values, rz, fr in zip(pts, riesz, fiber):
-        want = _reference_fiberwise(P, N, values, tol)
+        want = _reference_fiberwise(P, N, values, default_tolerance())
         assert rz.values is values and fr.values is values
         assert rz.ranks == want["ranks"]
         # the kernel is split at the rank that decided the index
@@ -588,8 +588,8 @@ def test_riesz_and_fiberwise_match_the_previous_per_point_code(case):
         pts = _case_points(A, 24, seed)
         for N in endos:
             _assert_matches_reference(P, N, pts)
-            one, = riesz_report(N, pts[:1], 1e-9)
-            assert riesz_at_point(N, pts[0], 1e-9).ranks == one.ranks
+            one, = riesz_report(N, pts[:1])
+            assert riesz_at_point(N, pts[0]).ranks == one.ranks
 
 
 @pytest.mark.parametrize("offset", [None, -1, 0, 1, "two-blocks+1"])
@@ -711,11 +711,11 @@ def test_a_constant_bivector_is_ranked_once_at_index_zero_points(monkeypatch):
     stacked_rank = linalg.stacked_rank
     monkeypatch.setattr(linalg, "stacked_rank",
                         lambda stack, tol: shapes.append(stack.shape) or stacked_rank(stack, tol))
-    reports = fiberwise_reduce(P, N, pts, 1e-9)
+    reports = fiberwise_reduce(P, N, pts)
     assert [r.index for r in reports].count(1) == 3
     assert (1, 3, 3) in shapes and (37, 3, 3) not in shapes
     for values, r in zip(pts, reports):
-        want = _reference_fiberwise(P, N, values, 1e-9)
+        want = _reference_fiberwise(P, N, values, default_tolerance())
         assert np.allclose([r.p_sigma_min, r.p_cutoff], [want["p_sigma_min"], want["p_cutoff"]],
                            rtol=1e-12, atol=0)
     assert len({r.p_sigma_min for r in reports if r.index == 1}) == 3
