@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -33,6 +32,16 @@ from .pointwise import (
 )
 from .specio import SpecDocument, SpecFileError, parse_document, serialize_document
 from .fixtures import TodaFixture, SemidirectFixture, build_toda, build_aff1
+
+# The input digest's SHA-256: hashlib would load OpenSSL's libcrypto, a few MB
+# resident, into every process for this one digest.
+try:
+    from _sha2 import sha256 as _sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 # sampling boxes keeping fixture points away from singular loci
 DEFAULT_BOXES = {"a": (0.5, 2.0), "mu": (-2.0, 2.0)}
@@ -153,6 +162,11 @@ def _toda_document(n: int, block: str, epi: str) -> SpecDocument:
     return doc
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The hex SHA-256 of ``data``, from the interpreter's built-in module."""
+    return _sha256(data).hexdigest()
+
+
 def resolve_input(spec: str) -> tuple[SpecDocument, str]:
     """A positional input is a builtin fixture name (aff1, toda:<n>[:block])
     or a spec-file path.  Returns the document and a digest of the input."""
@@ -176,7 +190,7 @@ def resolve_input(spec: str) -> tuple[SpecDocument, str]:
             data = fh.read()
     except OSError as e:
         raise SpecFileError(f"cannot read {spec}: {e}") from e
-    return parse_document(data.decode()), f"sha256:{hashlib.sha256(data).hexdigest()[:16]}"
+    return parse_document(data.decode()), f"sha256:{_sha256_hex(data)[:16]}"
 
 
 def _pick_bivector(doc: SpecDocument, name: Optional[str]) -> tuple[str, Bivector]:

@@ -888,6 +888,8 @@ def div_exact(num: Expr, den: Expr) -> Expr:
         raise ZeroDivisionError("exact division by zero")
     if num.is_zero():
         return ZERO
+    if len(den._t) == 1:
+        return _div_term(num, den)
     vars_ = sorted(num.variables() | den.variables())
     lin_vars = [""] + vars_
 
@@ -932,3 +934,27 @@ def div_exact(num: Expr, den: Expr) -> Expr:
         quot[k] = quot.get(k, 0) + c
         rem = rem - Expr.from_terms({k: c}) * den
     raise ExprError("exact division did not terminate")
+
+
+def _div_term(num: Expr, den: Expr) -> Expr:
+    """``div_exact`` by a one-term ``den``: each term of ``num`` is divided on
+    its own, its exponents less den's, its linear form less den's and its
+    coefficient over den's.  Distinct terms give distinct quotients."""
+    ((i, c),) = den._t.items()
+    md, ld = _KEYS[i]
+    neg = _lin_scale(ld, -1)
+    scale = den._d if c > 0 else -den._d
+    t: dict[int, int] = {}
+    for j, n in num._t.items():
+        m, l = _KEYS[j]
+        if md:
+            e = dict(m)
+            for v, p in md:
+                q = e.pop(v, 0) - p
+                if q < 0:
+                    raise ExprError("exact division failed (no quotient in class)")
+                if q:
+                    e[v] = q
+            m = tuple(sorted(e.items()))
+        t[_intern(m, _lin_add(l, neg))] = n * scale
+    return _reduced(t, num._d * abs(c))

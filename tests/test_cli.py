@@ -352,21 +352,36 @@ def test_cli_binds_no_numpy():
     assert not bound
 
 
-def test_exact_commands_start_no_thread():
-    """``check-pn toda:2`` and ``selftest`` build no SVD stack large enough to
-    split, so a fresh process that runs both has imported no thread pool and
-    runs one thread."""
+def test_exact_commands_start_no_thread(tmp_path):
+    """``check-pn`` on toda:2 and on its spec file, and ``selftest``, build no
+    SVD stack large enough to split, so a fresh process that runs them has
+    imported no thread pool and runs one thread.  The spec file's digest
+    comes from the interpreter's own SHA-256: no OpenSSL binding is loaded."""
     src = Path(pnalgebroid.__file__).resolve().parent.parent
+    spec = tmp_path / "toda2.json"
     script = (
         "import contextlib, io, sys, threading\n"
         "from pnalgebroid.cli import main\n"
+        "with open(sys.argv[1], 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        "    codes = [main(['fixture', 'toda', '--n', '2'])]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['check-pn', 'toda:2']), main(['selftest'])]\n"
-        "print(codes, 'concurrent.futures' in sys.modules, threading.active_count())\n"
+        "    codes += [main(['check-pn', sys.argv[1]]), main(['check-pn', 'toda:2']),\n"
+        "              main(['selftest'])]\n"
+        "print(codes, 'concurrent.futures' in sys.modules, threading.active_count(),\n"
+        "      '_hashlib' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert (proc.stdout, proc.stderr) == ("[0, 0] False 1\n", "")
+    proc = subprocess.run([sys.executable, "-c", script, str(spec)], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.stdout, proc.stderr) == ("[0, 0, 0, 0] False 1 False\n", "")
+
+
+def test_the_input_digest_is_the_sha256_of_the_bytes(capsys):
+    import hashlib
+
+    code, spec, _ = run(capsys, "fixture", "toda", "--n", "2")
+    assert code == 0
+    for data in (b"", spec.encode(), "\u00e4\u2202\u222b \U0001d4d7".encode()):
+        assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_report_version_is_the_package_version(capsys):

@@ -127,6 +127,39 @@ def test_exact_division_outside_the_class_fails_without_running_out_its_steps():
     assert (q - parse("1 + exp(x) + exp(2*x)")).is_zero()
 
 
+def _quotient_or_error(num: Expr, den: Expr):
+    try:
+        return div_exact(num, den)
+    except ExprError as e:
+        return str(e)
+
+
+@st.composite
+def one_terms(draw):
+    """One nonzero term, its exponential's form rational in y."""
+    t = draw(exprs(max_terms=1).filter(lambda e: not e.is_zero()))
+    return t * Expr.exp_of(Expr.number(draw(rationals)) * Expr.var("y"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(max_terms=4), one_terms(), st.booleans(),
+       st.sampled_from(["1 + x", "exp(x) - 2*y", "z^2 - exp(-y/2)"]))
+def test_division_by_one_term_agrees_with_long_division(num, den, multiple, g):
+    """A one-term divisor divides each term of num on its own; times a
+    two-term g, the same quotient comes out of the leading-term loop, or
+    neither division has one."""
+    if multiple:
+        num = num * den
+    g = parse(g)
+    direct = _quotient_or_error(num, den)
+    long = _quotient_or_error(num * g, den * g)
+    if isinstance(direct, str):
+        assert direct == "exact division failed (no quotient in class)"
+        assert isinstance(long, str)
+    else:
+        assert long == direct and direct * den == num
+
+
 def test_substitute_keeps_class_closed():
     a = parse("x*exp(x - y)")
     out = a.substitute({"x": parse("2*z + 1")})

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pnalgebroid.expr import Expr, ExprError, parse, ZERO, ONE
 from pnalgebroid.algebroid import KForm, LieAlgebroid
 from pnalgebroid.poisson import (
-    Bivector, DegenerateBivector, dual_algebroid, is_poisson, poisson_pair,
+    Bivector, DegenerateBivector, are_compatible, dual_algebroid, is_poisson, poisson_pair,
 )
 from pnalgebroid.nijenhuis import (
     Endo, torsion, torsion_check, deformed_algebroid, sharp_commutes,
@@ -785,3 +785,37 @@ def test_shifting_n_by_a_constant_multiple_of_the_identity_moves_no_verdict(case
         assert concomitant_check(P, shifted).failures == concomitant_check(P, N).failures
         alpha, beta = (A.one_form([_random_poly(xs, rng, 1) for _ in range(r)]) for _ in range(2))
         assert concomitant(P, shifted, alpha, beta).comps == concomitant(P, N, alpha, beta).comps
+
+
+# -- metamorphic: P and cP give the same verdicts ----------------------------
+
+
+@functools.cache
+def _scaling_case(case):
+    """(P0, P1, N): a Poisson pair and a Nijenhuis candidate for P0.  On aff1,
+    P1 = N P is Poisson but not compatible with P, and the concomitant fails."""
+    if case == "aff1":
+        a = build_aff1()
+        return a.P, a.N.push_bivector(a.P), a.N
+    t = build_toda(int(case[-1]))
+    return t.lam0, t.lam1, t.N
+
+
+@pytest.mark.parametrize("c", [Fraction(-2, 3), Fraction(5), Fraction(1, 7)], ids=str)
+@pytest.mark.parametrize("case", ["toda2", "toda3", "aff1"])
+def test_scaling_p_by_a_nonzero_constant_moves_no_verdict(case, c):
+    """[cP, cP] = c^2 [P, P], [cP0, P1] = c [P0, P1] and the concomitant is
+    linear in P, so every Poisson, compatibility and PN verdict stays, and
+    each failing concomitant component is c times that of P."""
+    P0, P1, N = _scaling_case(case)
+    k = Expr.number(c)
+    cP0 = P0.map(lambda e: e * k)
+    assert is_poisson(cP0).ok == is_poisson(P0).ok
+    assert are_compatible(cP0, P1).ok == are_compatible(P0, P1).ok
+    scaled, plain = pn_check(cP0, N), pn_check(P0, N)
+    for name in ("poisson", "torsion", "compatible", "concomitant"):
+        assert getattr(scaled, name).ok == getattr(plain, name).ok, name
+    assert (scaled.ok, scaled.nondegenerate) == (plain.ok, plain.nondegenerate)
+    if case == "aff1":
+        assert plain.concomitant.failures
+        assert scaled.concomitant.failures == [(msg, e * k) for msg, e in plain.concomitant.failures]
