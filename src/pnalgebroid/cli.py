@@ -572,6 +572,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
 
     try:
+        tolerance = default_tolerance()
         if args.command == "fixture":
             if args.fixture == "toda":
                 doc = _toda_document(args.n, args.block, args.epi)
@@ -589,7 +590,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = Report(
         command=args.command,
         inputs_digest=digest,
-        tolerance=default_tolerance(),
+        tolerance=tolerance,
         seed=getattr(args, "seed", None),
     )
     t0 = time.perf_counter()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -533,40 +534,83 @@ def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
     return mats[0]
 
 
-# A stacked SVD is split along its points into contiguous parts of at least
-# _PART matrices, at most one per CPU available to the process; the caller's
-# thread decomposes the first part and a pool, built on the first stack that
-# splits, the others.  Each matrix is still one gesdd call of its own, so the
-# results are those of one call on the whole stack, bit for bit.  Splitting
-# pays from about _PART matrices on (see the sweep in BENCH_23.json).
+# A stacked SVD is split into two contiguous halves when its work on one
+# thread, matrices x (_OVERHEAD + entries per matrix), reaches _SPLIT and the
+# process may run on more than one CPU (its affinity mask, so that
+# `taskset -c 0` gives one part): the caller's thread decomposes the first
+# half and one helper thread, started by the first stack that splits, the
+# second.  Below _SPLIT the split loses: the hand-off costs more than half
+# the work, and numpy (2.4) keeps the GIL through a stack whose singular
+# values number 500 or fewer, so two such halves run one after the other.
+# The constants come from the sweep in BENCH_27.json.  Each matrix is still
+# one gesdd call of its own, so the results are those of one call on the
+# whole stack, bit for bit.
 
-_PART = 64
+_OVERHEAD = 32
+_SPLIT = 13_000
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None
+_jobs = None  # the helper thread's job queue
+_start = threading.Lock()
+
+
+def _serve(jobs) -> None:
+    """The helper thread: decompose each queued part and put its result, or
+    the exception it raised, on the part's own reply queue."""
+    while True:
+        part, compute_uv, reply = jobs.get()
+        try:
+            reply.put(np.linalg.svd(part, compute_uv=compute_uv))
+        except BaseException as e:
+            reply.put(e)
+
+
+def _submit(part: np.ndarray, compute_uv: bool):
+    """Queue ``part`` for the helper thread, starting it on first use; its
+    decomposition or exception arrives on the returned queue.  `queue` is
+    imported here, so that a process that never splits a stack does not
+    load it."""
+    import queue
+
+    global _jobs
+    with _start:
+        if _jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="stacked_svd",
+                             daemon=True).start()
+            _jobs = jobs
+    reply = queue.SimpleQueue()
+    _jobs.put((part, compute_uv, reply))
+    return reply
+
+
+def _forget_helper() -> None:
+    """In a forked child the helper thread does not exist: the next split
+    starts the child's own."""
+    global _jobs, _start
+    _jobs, _start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def stacked_svd(stack: np.ndarray, compute_uv: bool = False):
     """``np.linalg.svd(stack, compute_uv=compute_uv)`` of a (points, n, m)
-    stack, its parts decomposed at the same time (see _PART).  An error is
-    raised once every part has finished: the first part's to fail."""
-    count = stack.shape[0]
-    parts = min(_CPUS, count // _PART)
-    if parts <= 1:
+    stack, its two halves decomposed at the same time when the stack is
+    large enough (see _SPLIT).  An error is raised once both halves have
+    finished: the first half's, if both failed."""
+    count, n, m = stack.shape
+    if _CPUS < 2 or count * (_OVERHEAD + n * m) < _SPLIT:
         return np.linalg.svd(stack, compute_uv=compute_uv)
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="stacked_svd")
-    bounds = [count * i // parts for i in range(parts + 1)]
-    rest = [_pool.submit(np.linalg.svd, stack[a:b], compute_uv=compute_uv)
-            for a, b in zip(bounds[1:-1], bounds[2:])]
+    half = (count + 1) // 2
+    reply = _submit(stack[half:], compute_uv)
     try:
-        first = np.linalg.svd(stack[:bounds[1]], compute_uv=compute_uv)
+        first = np.linalg.svd(stack[:half], compute_uv=compute_uv)
     except Exception as e:
         first = e
-    results = [first] + [f.exception() or f.result() for f in rest]
+    results = [first, reply.get()]
     for r in results:
-        if isinstance(r, Exception):
+        if isinstance(r, BaseException):
             raise r
     if compute_uv:
         return tuple(np.concatenate(arrays) for arrays in zip(*results))

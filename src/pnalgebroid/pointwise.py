@@ -36,7 +36,20 @@ TOL_ENV_VAR = "PNALGEBROID_TOL"
 
 
 def default_tolerance() -> float:
-    return float(os.environ.get(TOL_ENV_VAR, linalg.DEFAULT_TOL))
+    """The numeric tolerance: the variable PNALGEBROID_TOL when it is set,
+    else linalg.DEFAULT_TOL.  Raises ValueError naming the variable unless it
+    reads as a finite float strictly between 0 and 1."""
+    text = os.environ.get(TOL_ENV_VAR)
+    if text is None:
+        return linalg.DEFAULT_TOL
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < 1:  # also false for nan
+        raise ValueError(f"{TOL_ENV_VAR} must be a number strictly between 0 and 1, "
+                         f"not {text!r}")
+    return tol
 
 
 class Points:

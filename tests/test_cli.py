@@ -150,6 +150,21 @@ def test_tolerance_env_var_is_reported(monkeypatch, capsys):
     assert json.loads(out)["tolerance"] == 1e-7
 
 
+@pytest.mark.parametrize("tol", ["abc", "", "-1", "0", "1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [["check-pn", "toda:2"],
+                                  ["riesz", "aff1", "--points", "5", "--seed", "1"],
+                                  ["selftest"]], ids=["check-pn", "riesz", "selftest"])
+def test_a_bad_tolerance_is_a_usage_error(monkeypatch, capsys, argv, tol):
+    """A tolerance that is not a finite number strictly between 0 and 1 is
+    refused before any check runs: exit 2, the variable named, no report."""
+    monkeypatch.setenv("PNALGEBROID_TOL", tol)
+    with pytest.raises(ValueError, match="PNALGEBROID_TOL"):
+        pointwise.default_tolerance()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: PNALGEBROID_TOL ") and "Traceback" not in err
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -373,6 +388,32 @@ def test_exact_commands_start_no_thread(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(spec)], capture_output=True,
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
     assert (proc.stdout, proc.stderr) == ("[0, 0, 0, 0] False 1 False\n", "")
+
+
+def test_a_sampled_command_splits_its_svds_without_a_thread_pool(tmp_path):
+    """``riesz`` on a toda:5 spec file at 1,500 points splits its 128-point
+    blocks' SVDs, so a fresh process that runs it has started the one helper
+    thread, when it may run on two CPUs, and has imported neither
+    ``concurrent.futures`` nor ``logging``."""
+    src = Path(pnalgebroid.__file__).resolve().parent.parent
+    spec = tmp_path / "toda5.json"
+    script = (
+        "import contextlib, io, sys, threading\n"
+        "from pnalgebroid import linalg\n"
+        "from pnalgebroid.cli import main\n"
+        "with open(sys.argv[1], 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        "    main(['fixture', 'toda', '--n', '5'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['riesz', sys.argv[1], '--points', '1500', '--seed', '1'])\n"
+        "print(code, 'concurrent.futures' in sys.modules, 'logging' in sys.modules,\n"
+        "      threading.active_count(), min(linalg._CPUS, 2))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(spec)], capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
+    code, futures, logging, threads, cpus = proc.stdout.split()
+    assert proc.stderr == ""
+    assert (code, futures, logging) == ("0", "False", "False")
+    assert threads == cpus  # the main thread, and the helper when it may split
 
 
 def test_the_input_digest_is_the_sha256_of_the_bytes(capsys):

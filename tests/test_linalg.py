@@ -1,6 +1,10 @@
 """Fraction-free symbolic linear algebra and the SVD rank policy."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from pnalgebroid.algebroid import KForm, LieAlgebroid, Section
 from pnalgebroid.linalg import Frac
 from pnalgebroid.nijenhuis import Endo
 from pnalgebroid.poisson import Bivector
+
+_SRC = str(Path(linalg.__file__).resolve().parent.parent)
 
 
 def M(*rows):
@@ -326,9 +332,32 @@ def _svd_stack(count, kind, seed=5):
     return rng.standard_normal((count, n, n))
 
 
-_PART = linalg._PART
-_SVD_COUNTS = {"0": 0, "1": 1, "PART-1": _PART - 1, "2*PART": 2 * _PART,
-               "2*PART+1": 2 * _PART + 1, "3*PART": 3 * _PART}
+def _entries(kind):
+    return {"10x10": 100, "4x4": 16, "4x2-view": 8}[kind]
+
+
+def _least_split(kind):
+    """The fewest matrices of this kind whose stack splits."""
+    return -(-linalg._SPLIT // (linalg._OVERHEAD + _entries(kind)))
+
+
+def _first_points(stack, calls):
+    """The point each decomposed part of ``stack`` starts at, from the data
+    address of each array ``calls`` recorded, with its length."""
+    base = stack.__array_interface__["data"][0]
+    return sorted(((a.__array_interface__["data"][0] - base) // stack.strides[0], len(a))
+                  for a in calls)
+
+
+def _part(kind):
+    """The larger half of the smallest stack of this kind that splits."""
+    return (_least_split(kind) + 1) // 2
+
+
+_SVD_COUNTS = {"0": lambda k: 0, "1": lambda k: 1, "PART-1": lambda k: _part(k) - 1,
+               "2*PART": lambda k: 2 * _part(k), "2*PART+1": lambda k: 2 * _part(k) + 1,
+               "3*PART": lambda k: 3 * _part(k), "least-1": lambda k: _least_split(k) - 1,
+               "least": _least_split}
 
 
 @pytest.mark.parametrize("kind", ["10x10", "4x4", "4x2-view"])
@@ -336,21 +365,25 @@ _SVD_COUNTS = {"0": 0, "1": 1, "PART-1": _PART - 1, "2*PART": 2 * _PART,
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_stacked_svd_equals_one_svd_call_bit_for_bit(monkeypatch, cpus, count, kind):
     monkeypatch.setattr(linalg, "_CPUS", cpus)
-    stack = _svd_stack(_SVD_COUNTS[count], kind)
+    stack = _svd_stack(_SVD_COUNTS[count](kind), kind)
     calls = []
     real = np.linalg.svd
 
     def counted(a, *args, **kwargs):
-        calls.append(a.shape[0])
+        calls.append(a)
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     want = real(stack, compute_uv=False)
     got = linalg.stacked_svd(stack)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    # one call per part, in contiguous parts of at least _PART matrices
-    assert len(calls) == max(1, min(cpus, len(stack) // _PART))
-    assert sum(calls) == len(stack) and (len(calls) == 1 or min(calls) >= _PART)
+    # a stack of at least _least_split matrices is split, when more than one
+    # CPU is available, into two contiguous halves, the first one the larger
+    n = len(stack)
+    if cpus > 1 and n >= _least_split(kind):
+        assert _first_points(stack, calls) == [(0, (n + 1) // 2), ((n + 1) // 2, n // 2)]
+    else:
+        assert len(calls) == 1 and calls[0] is stack
     want = real(stack)
     got = linalg.stacked_svd(stack, compute_uv=True)
     assert len(got) == 3
@@ -358,23 +391,24 @@ def test_stacked_svd_equals_one_svd_call_bit_for_bit(monkeypatch, cpus, count, k
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("nan_parts", [[-1], [0, -1]])
+@pytest.mark.parametrize("nan_parts", [[-1], [0, -1], [0]])
 def test_stacked_svd_raises_the_first_failing_part_once_every_part_is_done(
         monkeypatch, nan_parts):
     import threading
     import time
 
-    monkeypatch.setattr(linalg, "_CPUS", 3)
-    stack = _svd_stack(3 * _PART, "4x4")
+    monkeypatch.setattr(linalg, "_CPUS", 2)
+    half = _least_split("4x4")
+    stack = _svd_stack(2 * half, "4x4")
     for p in nan_parts:
-        stack[(p % 3 + 1) * _PART - 1] = np.nan  # the last matrix of part p
+        stack[(p % 2 + 1) * half - 1] = np.nan  # the last matrix of part p
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
         np.linalg.svd(stack, compute_uv=False)
     real, lock = np.linalg.svd, threading.Lock()
     running, raised = [0], []
 
     def slow(a, *args, **kwargs):
-        # the parts off the calling thread finish late; each failure is kept
+        # the part off the calling thread finishes late; each failure is kept
         # with the first point of its part
         with lock:
             running[0] += 1
@@ -383,8 +417,7 @@ def test_stacked_svd_raises_the_first_failing_part_once_every_part_is_done(
                 time.sleep(0.05)
             return real(a, *args, **kwargs)
         except np.linalg.LinAlgError as e:
-            start = a.__array_interface__["data"][0] - stack.__array_interface__["data"][0]
-            raised.append((e, start // stack.strides[0]))
+            raised.append((e, _first_points(stack, [a])[0][0]))
             raise
         finally:
             with lock:
@@ -394,10 +427,95 @@ def test_stacked_svd_raises_the_first_failing_part_once_every_part_is_done(
     with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge") as info:
         linalg.stacked_svd(stack)
     assert running[0] == 0
-    assert sorted(start for _, start in raised) == sorted(
-        p % 3 * _PART for p in nan_parts)
+    assert sorted(start for _, start in raised) == sorted(p % 2 * half for p in nan_parts)
     assert [start for e, start in raised if e is info.value] == [
-        min(p % 3 for p in nan_parts) * _PART]
+        min(p % 2 for p in nan_parts) * half]
+
+
+def test_stacked_svd_answers_each_concurrent_caller_with_its_own_stack(monkeypatch):
+    """Four threads splitting stacks at once share one helper thread; each
+    gets the decomposition of its own stack, bit for bit."""
+    import threading
+
+    monkeypatch.setattr(linalg, "_CPUS", 2)
+    stacks = [_svd_stack(_least_split("4x4") + i, "4x4", seed=i) for i in range(4)]
+    wants = [(np.linalg.svd(s, compute_uv=False), np.linalg.svd(s)) for s in stacks]
+    start, wrong = threading.Barrier(len(stacks)), []
+
+    def caller(i):
+        start.wait()
+        for call in range(40):
+            uv = call % 3 == 0
+            got = linalg.stacked_svd(stacks[i], compute_uv=uv)
+            want = wants[i][1] if uv else (wants[i][0],)
+            if not all(np.array_equal(g, w) for g, w in zip(got if uv else (got,), want)):
+                wrong.append((i, call))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(stacks))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_after_a_split_splits_its_own_stacks(monkeypatch):
+    """The helper thread is not carried into a forked child: a child of a
+    process that has split a stack starts its own and finishes."""
+    import signal
+    import time
+
+    monkeypatch.setattr(linalg, "_CPUS", 2)
+    stack = _svd_stack(4 * _least_split("10x10"), "10x10")
+    want = np.linalg.svd(stack, compute_uv=False)
+    assert np.array_equal(linalg.stacked_svd(stack), want)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child leaves through os._exit
+        code = 2
+        try:
+            code = 0 if np.array_equal(linalg.stacked_svd(stack), want) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+def test_the_helper_thread_starts_once_per_process():
+    """Four threads whose first split stacks arrive together start one
+    helper thread, and later splits start no other."""
+    script = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from pnalgebroid import linalg\n"
+        "linalg._CPUS = 2\n"
+        "count = -(-linalg._SPLIT // (linalg._OVERHEAD + 16))\n"
+        "stack = np.random.default_rng(1).standard_normal((count, 4, 4))\n"
+        "start = threading.Barrier(4)\n"
+        "def caller():\n"
+        "    start.wait()\n"
+        "    for _ in range(20):\n"
+        "        linalg.stacked_svd(stack)\n"
+        "threads = [threading.Thread(target=caller) for _ in range(4)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "linalg.stacked_svd(stack, compute_uv=True)\n"
+        "print(sorted(t.name for t in threading.enumerate()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=_SRC))
+    assert (proc.stdout, proc.stderr) == ("['MainThread', 'stacked_svd']\n", "")
 
 
 # -- Frac: one numerator over a scalar denominator ----------------------------
