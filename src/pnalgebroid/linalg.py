@@ -425,9 +425,10 @@ class CompiledMatrix:
     Every term c * x^m * exp(l) of every entry becomes a float coefficient,
     a row of the exponential's linear part L and constant l0, and the index
     of its entry; each variable keeps the terms it divides with their
-    exponents.  A block of points X is then one ``exp(X @ L.T + l0)``, one
-    multiply per variable with a nonzero exponent, and one sum per entry in
-    term order.
+    exponents, or None when every one of them is 1.  A block of points X is
+    then one ``exp(X @ L.T + l0)``, one multiply per variable with a nonzero
+    exponent (by the coordinate itself when the exponents are None, which
+    is bit for bit ``x ** 1.0``), and one sum per entry in term order.
     """
 
     def __init__(self, rows):
@@ -457,9 +458,12 @@ class CompiledMatrix:
                 else:
                     self.offset[k] = float(q)
         self.lin = lin if lin.any() or self.offset.any() else None
-        # per variable: the terms it divides, and its exponent in each
+        # per variable: the terms it divides, and its exponent in each (None
+        # when all are 1)
         self.powers = [(col[v], np.array([k for k, _ in ks], dtype=np.intp),
-                        np.array([float(e) for _, e in ks])) for v, ks in sorted(powers.items())]
+                        None if all(e == 1 for _, e in ks)
+                        else np.array([float(e) for _, e in ks]))
+                       for v, ks in sorted(powers.items())]
 
     def coordinates(self, x: np.ndarray, names: list[str]) -> np.ndarray:
         """The columns of ``x``, a (points, names) array, that this matrix
@@ -482,7 +486,7 @@ class CompiledMatrix:
             arg = None if self.lin is None else x @ self.lin.T + self.offset
             t = np.ones((count, len(self.coeff))) if arg is None else np.exp(arg)
             for v, ks, e in self.powers:
-                t[:, ks] *= x[:, v, None] ** e
+                t[:, ks] *= x[:, v, None] if e is None else x[:, v, None] ** e
             t *= self.coeff
             # only points with a term below the normal range, or not finite,
             # need a second look
@@ -512,6 +516,7 @@ class CompiledMatrix:
         sign = np.broadcast_to(np.sign(self.coeff), t.shape).copy()
         logx = np.log(np.abs(x))
         for v, ks, e in self.powers:
+            e = 1.0 if e is None else e
             logmag[:, ks] += e * logx[:, v, None]
             sign[:, ks] *= np.sign(x[:, v, None]) ** e
         lost = (((np.abs(t) < _TINY) & (logmag >= _LOG_TINY))

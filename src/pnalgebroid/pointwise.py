@@ -282,8 +282,9 @@ def _riesz_block(mats: np.ndarray, tol: float) -> _RieszBlock:
         # the vectors are the bases; the rank is the one that decided the index
         u, _, vt = linalg.stacked_svd(stable, compute_uv=True)
         dim_kernel[split] = r - rank
-        # the direct-sum test, one stacked rank per kernel dimension
-        for k in np.unique(rank).tolist():
+        # the direct-sum test, one stacked rank per kernel dimension, in
+        # ascending rank (grouped in Python: np.unique imports numpy.ma)
+        for k in sorted(set(rank.tolist())):
             sel = rank == k
             group, kernels, images = split[sel], vt[sel, k:].transpose(0, 2, 1), u[sel, :, :k]
             s, full, cut, il = linalg.stacked_rank(np.concatenate([kernels, images], axis=2), tol)

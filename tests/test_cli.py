@@ -369,9 +369,8 @@ def test_cli_binds_no_numpy():
 
 def test_exact_commands_start_no_thread(tmp_path):
     """``check-pn`` on toda:2 and on its spec file, and ``selftest``, build no
-    SVD stack large enough to split, so a fresh process that runs them has
-    imported no thread pool and runs one thread.  The spec file's digest
-    comes from the interpreter's own SHA-256: no OpenSSL binding is loaded."""
+    SVD stack large enough to split, so a fresh process that runs them runs
+    one thread (the modules they load are in the import budget below)."""
     src = Path(pnalgebroid.__file__).resolve().parent.parent
     spec = tmp_path / "toda2.json"
     script = (
@@ -382,19 +381,18 @@ def test_exact_commands_start_no_thread(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes += [main(['check-pn', sys.argv[1]]), main(['check-pn', 'toda:2']),\n"
         "              main(['selftest'])]\n"
-        "print(codes, 'concurrent.futures' in sys.modules, threading.active_count(),\n"
-        "      '_hashlib' in sys.modules)\n"
+        "print(codes, threading.active_count())\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(spec)], capture_output=True,
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert (proc.stdout, proc.stderr) == ("[0, 0, 0, 0] False 1 False\n", "")
+    assert (proc.stdout, proc.stderr) == ("[0, 0, 0, 0] 1\n", "")
 
 
 def test_a_sampled_command_splits_its_svds_without_a_thread_pool(tmp_path):
     """``riesz`` on a toda:5 spec file at 1,500 points splits its 128-point
     blocks' SVDs, so a fresh process that runs it has started the one helper
-    thread, when it may run on two CPUs, and has imported neither
-    ``concurrent.futures`` nor ``logging``."""
+    thread, when it may run on two CPUs (that no thread pool is imported on
+    the way is in the import budget below)."""
     src = Path(pnalgebroid.__file__).resolve().parent.parent
     spec = tmp_path / "toda5.json"
     script = (
@@ -405,15 +403,52 @@ def test_a_sampled_command_splits_its_svds_without_a_thread_pool(tmp_path):
         "    main(['fixture', 'toda', '--n', '5'])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(['riesz', sys.argv[1], '--points', '1500', '--seed', '1'])\n"
-        "print(code, 'concurrent.futures' in sys.modules, 'logging' in sys.modules,\n"
-        "      threading.active_count(), min(linalg._CPUS, 2))\n"
+        "print(code, threading.active_count(), min(linalg._CPUS, 2))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, str(spec)], capture_output=True,
                           text=True, timeout=300, env=dict(os.environ, PYTHONPATH=str(src)))
-    code, futures, logging, threads, cpus = proc.stdout.split()
+    code, threads, cpus = proc.stdout.split()
     assert proc.stderr == ""
-    assert (code, futures, logging) == ("0", "False", "False")
+    assert code == "0"
     assert threads == cpus  # the main thread, and the helper when it may split
+
+
+# Modules no command may load: numpy.ma (the first np.unique imports it),
+# numpy.random, a thread pool and the logging it imports, and OpenSSL.
+_IMPORT_BUDGET = ("numpy.ma", "numpy.random", "concurrent.futures", "logging",
+                  "_hashlib", "_ssl")
+
+
+def test_no_command_loads_a_module_outside_the_import_budget(tmp_path):
+    """A fresh process runs ``fixture``, ``check-pn`` on a spec file,
+    ``selftest``, and ``riesz`` and ``reduce-fiberwise`` on aff1 and on
+    toda:5 at 1,500 points (of Riesz index 1 and 0), and
+    has loaded none of the modules of ``_IMPORT_BUDGET``, nor any submodule
+    of them.  A failure lists every module the commands added."""
+    src = Path(pnalgebroid.__file__).resolve().parent.parent
+    spec = tmp_path / "toda2.json"
+    sampled = [["riesz", "aff1"], ["reduce-fiberwise", "aff1"], ["riesz", "toda:5"],
+               ["reduce-fiberwise", "toda:5", "--bivector", "lam0"]]
+    sampled = [[*argv, "--points", "1500", "--seed", "1"] for argv in sampled]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from pnalgebroid.cli import main\n"
+        "before = set(sys.modules)\n"
+        "with open(sys.argv[1], 'w') as fh, contextlib.redirect_stdout(fh):\n"
+        "    codes = [main(['fixture', 'toda', '--n', '2'])]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes += [main(['check-pn', sys.argv[1]]), main(['selftest'])]\n"
+        "    codes += [main(argv) for argv in json.loads(sys.argv[2])]\n"
+        "print(json.dumps([codes, sorted(sys.modules), sorted(set(sys.modules) - before)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(spec), json.dumps(sampled)],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stderr == ""
+    codes, loaded, added = json.loads(proc.stdout)
+    assert codes == [0] * 7
+    over = [m for m in loaded if any(m == b or m.startswith(b + ".") for b in _IMPORT_BUDGET)]
+    assert not over, f"loaded {over}; the commands added {added}"
 
 
 def test_the_input_digest_is_the_sha256_of_the_bytes(capsys):

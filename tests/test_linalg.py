@@ -208,6 +208,44 @@ def test_compiled_matrix_handles_constants_empty_rows_and_no_points():
     assert xs.evaluate(xs.coordinates(both, ["y", "x"]))[0].tolist() == [[[3.0]]]
 
 
+def test_exponents_of_one_multiply_by_the_coordinate_bit_for_bit(monkeypatch):
+    """A variable whose every exponent is 1 multiplies its terms by the
+    coordinate itself, not by ``x ** 1.0``; the matrices, fault codes and the
+    log-magnitude recomputation (``_log_terms``) are those of raising every
+    variable to its exponents, bit for bit."""
+    import copy
+
+    rows = M(["w*x^2*y - 3/2*w*exp(x - 2*y)", "z*x + y^3", "x^400*w*exp(500*y)"],
+             ["-w*z*x^401*exp(500*y)", "w", "z^2*w + x"])
+    compiled = linalg.CompiledMatrix(rows)
+    ones = {compiled.variables[v] for v, _, e in compiled.powers if e is None}
+    assert ones == {"w"} and len(compiled.powers) == 4  # x, y, z keep their exponents
+    parent = copy.copy(compiled)
+    parent.powers = [(v, ks, np.ones(len(ks)) if e is None else e)
+                     for v, ks, e in compiled.powers]
+    rng = np.random.default_rng(5)
+    points = [dict(zip("wxyz", map(float, p))) for p in rng.uniform(-2, 2, (30, 4))]
+    # 0.1^400 flushes to 0 before exp(500) scales it up; a zero coordinate
+    points += [{"w": -1.5, "x": -0.1, "y": 1.0, "z": 0.5},
+               {"w": 0.0, "x": 0.3, "y": -0.2, "z": 0.0}]
+    x = linalg.point_array(points, compiled.variables)
+    seen = []
+    real = linalg.CompiledMatrix._log_terms
+
+    def spy(self, x, arg, t):
+        seen.append(len(x))
+        return real(self, x, arg, t)
+
+    monkeypatch.setattr(linalg.CompiledMatrix, "_log_terms", spy)
+    got, want = compiled.evaluate(x), parent.evaluate(x)
+    assert seen and seen[0] == seen[1] >= 1
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
+    # recomputed from the log-magnitude, not 0, with the sign of w = -1.5
+    tiny = math.exp(400 * math.log(0.1) + 500)
+    assert np.isclose(got[0][30, 0, 2], -1.5 * tiny, rtol=1e-12, atol=0)
+    assert np.isclose(got[0][30, 1, 0], -0.75 * tiny / 10, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("entry, values, underflows", [
     ("exp(1000*x)", {"x": -0.7312715117751976}, True),    # a subnormal, 2.6e-318
     ("exp(1000*x)", {"x": -0.8689}, True),                # flushed to 0

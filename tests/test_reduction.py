@@ -777,6 +777,52 @@ def test_the_jordan_cases_reach_index_three_and_two():
     assert riesz_at_point(mixed, values).index == 2
 
 
+def test_riesz_block_groups_the_stable_ranks_in_ascending_order(monkeypatch):
+    """One stack mixes the nilpotent N (index 3, stable rank 0), the mixed N
+    (index 2, stable rank 1) and an invertible N (index 0), the stable ranks
+    coming 1 first.  ``bases`` holds the ranks in ascending order, and each
+    group's kernels, images, sigma and cutoff are those of grouping the
+    stable stack with np.unique, bit for bit."""
+    import numpy as np
+
+    from pnalgebroid import linalg, pointwise
+
+    _, _, (nilpotent, mixed) = _jordan_pair()
+    invertible = [[ONE, parse("x"), ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, parse("2")]]
+    stack = []
+    for x, y in [(0.3, -0.7), (1.1, 0.4), (-0.5, 2.0), (0.9, -1.3)]:
+        for rows in (mixed.mat, nilpotent.mat, invertible):
+            stack.append(linalg.evaluate_matrix(rows, {"x": x, "y": y, "z": 0.0}))
+    mats, tol = np.array(stack), default_tolerance()
+    svds = []
+    real = linalg.stacked_svd
+
+    def spy(stable, compute_uv=False):
+        out = real(stable, compute_uv=compute_uv)
+        if compute_uv:
+            svds.append(out)
+        return out
+
+    monkeypatch.setattr(linalg, "stacked_svd", spy)
+    rz = pointwise._riesz_block(mats, tol)
+    assert rz.index.tolist() == [2, 3, 0] * 4
+    # the stable stack holds the points of index 1, 2, ... in point order
+    split = np.concatenate([np.flatnonzero(rz.index == l) for l in range(1, 4)])
+    rank = rz.ranks[split, rz.index[split]]
+    (u, _, vt), = svds
+    assert list(rz.bases) == np.unique(rank).tolist() == [0, 1]
+    for k in np.unique(rank).tolist():
+        sel = rank == k
+        kernels, images = vt[sel, k:].transpose(0, 2, 1), u[sel, :, :k]
+        s, _, cut, _ = linalg.stacked_rank(np.concatenate([kernels, images], axis=2), tol)
+        group, got_kernels, got_images = rz.bases[k]
+        assert group.tolist() == split[sel].tolist()
+        assert got_kernels.tobytes() == kernels.tobytes()
+        assert got_images.tobytes() == images.tobytes()
+        assert rz.split.sigma[group].tobytes() == s[:, -1].tobytes()
+        assert rz.split.cutoff[group].tobytes() == cut.tobytes()
+
+
 # -- the CLI's numeric rows against a fold of the per-point reference ---------
 
 def _write_spec(tmp_path, name, body):
