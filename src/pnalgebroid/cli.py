@@ -200,9 +200,11 @@ def _pick_bivector(doc: SpecDocument, name: Optional[str]) -> tuple[str, Bivecto
         return name, doc.bivectors[name]
     if len(doc.bivectors) == 1:
         return next(iter(doc.bivectors.items()))
+    if not doc.bivectors:
+        raise UsageError("input has no bivectors")
     raise UsageError(
         "input has several bivectors; pick one with --bivector "
-        f"(available: {', '.join(sorted(doc.bivectors)) or 'none'})"
+        f"(available: {', '.join(sorted(doc.bivectors))})"
     )
 
 

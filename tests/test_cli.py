@@ -810,9 +810,14 @@ def test_project_checks_nothing_through_an_ill_formed_epimorphism(tmp_path, caps
         "frame Dq1, target coordinate a1: residual -1 - exp(q1) + exp(q1 - q2)"]
 
 
+_GAP_OVERFLOW = {"base_vars": ["x"], "frame": ["Dx", "Dy"], "anchor": [["1"], ["0"]],
+                 "endomorphisms": {"N": [["10000000000", "0"], ["0", "exp(-690)"]]}}
+
 _BRANCH_SPECS = {
     # a document with no bivectors
     "{no-bivectors}": {"base_vars": ["x"], "frame": ["e"], "anchor": [["1"]]},
+    # the gap between the singular values 1e10 and e^-690 overflows a float
+    "{gap-overflow}": _GAP_OVERFLOW,
     # exp(1000 x) overflows a float at the points that seed 3 samples
     "{overflow}": {"base_vars": ["x"], "frame": ["e"], "anchor": [["1"]],
                    "endomorphisms": {"N": [["exp(1000*x)"]]}},
@@ -837,6 +842,9 @@ _BRANCH_SPECS = {
      "FAIL  restrict-leaf(lam0)  -- bivector is degenerate; kernel covector witness: "
      "(-a1)*th_Db1 + (-a1)*th_Db2"),
     (["riesz", "{overflow}", "--points", "20", "--seed", "3"], 3, "  [ill-conditioned]"),
+    (["reduce-fiberwise", "{gap-overflow}", "--points", "3", "--seed", "1"], 2,
+     "input has no bivectors"),
+    (["restrict-leaf", "{no-bivectors}"], 2, "input has no bivectors"),
 ])
 def test_cli_branches_exit_with_their_code_and_message(tmp_path, capsys, argv, code, message):
     """A usage error is one ``error:`` line on stderr and nothing on stdout;
@@ -852,6 +860,32 @@ def test_cli_branches_exit_with_their_code_and_message(tmp_path, capsys, argv, c
         assert (out, err) == ("", f"error: {message}\n")
     else:
         assert err == "" and message in out
+
+
+def test_a_singular_value_gap_beyond_the_float_range_warns_nothing(tmp_path, capsys):
+    # 1e10 over e^-690 overflows a float: the gap reads inf, which is not
+    # ill-conditioned, and numpy's overflow warning used to reach stderr
+    import hashlib
+    import warnings
+
+    spec = tmp_path / "gap.json"
+    spec.write_text(json.dumps(_GAP_OVERFLOW))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "riesz", str(spec), "--points", "3", "--seed", "1",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    for check in report["checks"]:
+        del check["seconds"]
+    digest = hashlib.sha256(spec.read_bytes()).hexdigest()[:16]
+    assert report == {
+        "command": "riesz", "inputs": f"sha256:{digest}", "version": "0.1.0",
+        "tolerance": 1e-09, "seed": 1,
+        "checks": [{"name": "riesz(N) stable-kernel splitting at 3 points", "verdict": "pass",
+                    "witness": None, "ill_conditioned": False, "margin": 1e9}],
+        "result": {"indices": [1], "kernel_dimensions": [1]},
+    }
 
 
 def test_a_spec_piped_into_stdin_is_hashed_from_the_bytes_it_parses():

@@ -126,6 +126,17 @@ def test_inverse_pair():
     assert prod[0][1].is_zero()
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (3, 2)])
+def test_det_adjugate_and_inverse_reject_a_non_square_matrix(shape):
+    # a 1 x 3 determinant used to read 1, and a 3 x 2 one raised IndexError
+    a = M(*[["x + 1" if i == j else str(i + j) for j in range(shape[1])]
+            for i in range(shape[0])])
+    for f in (linalg.det, linalg.adjugate, linalg.inverse_pair):
+        with pytest.raises(ValueError, match=f"non-square matrix: {shape[0]} x {shape[1]}$"):
+            f(a)
+    assert linalg.pivot_columns(a) == list(range(min(shape)))
+
+
 def test_numeric_rank_flags_ill_conditioning():
     clean = np.diag([1.0, 1e-30])
     res = linalg.numeric_rank(clean, 1e-9)
@@ -722,10 +733,8 @@ def test_minor_table_matches_first_row_expansion_on_toda(n):
         assert linalg.det(NN) == _first_row_minor(NN, 1023, 1023, {})
 
 
-def test_inverse_of_toda5_stores_at_most_half_the_first_row_minors(monkeypatch):
-    from pnalgebroid.fixtures import build_toda
-
-    N = [list(row) for row in build_toda(5).N.mat]
+def _recorded_tables(monkeypatch):
+    """The minor tables built from now on, in order."""
     tables = []
 
     class Recorded(linalg._Minors):
@@ -734,11 +743,126 @@ def test_inverse_of_toda5_stores_at_most_half_the_first_row_minors(monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(linalg, "_Minors", Recorded)
+    return tables
+
+
+def test_inverse_of_toda5_stores_at_most_half_the_first_row_minors(monkeypatch):
+    from pnalgebroid.fixtures import build_toda
+
+    N = [list(row) for row in build_toda(5).N.mat]
+    tables = _recorded_tables(monkeypatch)
     inv = linalg.inverse_pair(N)
     d, adj, first_row = _first_row_reference(N)
     assert inv.den == d and inv.num == adj
     assert first_row == 5596
-    assert len(tables) == 1 and len(tables[0].memo) <= first_row // 2
+    assert len(tables) == 1 and len(tables[0].memo) <= 1125
+    linalg.det(linalg.mat_mul(N, N))
+    assert len(tables) == 2 and len(tables[1].memo) <= 827
+
+
+# the minors stored with expansion along the first row after the rule for a
+# line with at most one nonzero entry, and at most as many with the rule of
+# _Minors: inverse_pair of Toda's N and det of N∘N, by n
+_STORED = {"inverse N": {3: (123, 115), 4: (464, 364), 5: (1650, 1125), 6: (5314, 3435)},
+           "det N∘N": {3: (46, 14), 4: (259, 225), 5: (1092, 827)}}
+
+
+@pytest.mark.parametrize("what, n", [(w, n) for w in _STORED for n in _STORED[w]])
+def test_the_minor_table_stores_fewer_minors_on_toda(monkeypatch, what, n):
+    from pnalgebroid.fixtures import build_toda
+
+    N = [list(row) for row in build_toda(n).N.mat]
+    tables = _recorded_tables(monkeypatch)
+    if what == "inverse N":
+        linalg.inverse_pair(N)
+    else:
+        linalg.det(linalg.mat_mul(N, N))
+    before, bound = _STORED[what][n]
+    assert len(tables) == 1 and len(tables[0].memo) <= bound < before
+
+
+# -- permutation equivariance ----------------------------------------------------
+
+def _permuted(a, sigma, tau):
+    """P a Q for the permutation matrices with (P a Q)[i][j] = a[sigma[i]][tau[j]]."""
+    return [[a[s][t] for t in tau] for s in sigma]
+
+
+def _sign(perm):
+    seen, sign = set(), 1
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        if length and not length % 2:
+            sign = -sign
+    return sign
+
+
+def _assert_equivariant(a, rng, count, with_adjugate=True):
+    """det(PAQ) = sgn P sgn Q det A and adj(PAQ) = sgn P sgn Q Q^-1 adj(A) P^-1,
+    for the reversal and ``count`` random pairs of permutations: each sends
+    the expansion of the minor table down other lines."""
+    n = len(a)
+    d = linalg.det(a)
+    adj = linalg.adjugate(a) if with_adjugate else None
+    perms = [(list(range(n))[::-1], list(range(n)))]
+    for _ in range(count):
+        perms.append((rng.sample(range(n), n), rng.sample(range(n), n)))
+    for sigma, tau in perms:
+        b = _permuted(a, sigma, tau)
+        s = _sign(sigma) * _sign(tau)
+        assert linalg.det(b) == (d if s > 0 else -d)
+        if with_adjugate:
+            # adj(PAQ)[i][j] = s adj(A)[tau[i]][sigma[j]]
+            want = _permuted(adj, tau, sigma)
+            assert linalg.adjugate(b) == (want if s > 0 else [[-e for e in row] for row in want])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_det_and_adjugate_are_permutation_equivariant_on_toda(n):
+    import random
+
+    from pnalgebroid.fixtures import build_toda
+
+    rng = random.Random(n)
+    N = [list(row) for row in build_toda(n).N.mat]
+    _assert_equivariant(N, rng, 3)
+    # the adjugate of the dense N∘N at n = 5 takes over a second
+    _assert_equivariant(linalg.mat_mul(N, N), rng, 2 if n < 5 else 1, with_adjugate=n < 5)
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.4, 0.7])
+def test_det_and_adjugate_are_permutation_equivariant_on_random_matrices(zeros):
+    import random
+
+    rng = random.Random(int(zeros * 10) + 31)
+    for n in range(1, 7):
+        _assert_equivariant(_random_matrix(rng, n, zeros), rng, 2)
+
+
+# -- the minor table against elimination mod p -----------------------------------
+
+@pytest.mark.parametrize("what, n", [("N", n) for n in range(2, 7)]
+                         + [("N∘N", n) for n in range(2, 6)])
+def test_det_and_adjugate_agree_with_elimination_mod_p_on_toda(what, n):
+    # sizes the first-row reference skips: the adjugates of N at n = 6 and the
+    # determinant of N∘N at n = 5
+    from modular import Shadow, adjugate_mod, det_mod
+    from pnalgebroid.fixtures import build_toda
+
+    a = [list(row) for row in build_toda(n).N.mat]
+    if what == "N∘N":
+        a = linalg.mat_mul(a, a)
+    d = linalg.det(a)
+    adj = linalg.adjugate(a) if what == "N" or n < 5 else None
+    for seed in (1, 2):
+        shadow = Shadow([e for row in a for e in row], seed)
+        am = shadow.matrix(a)
+        assert shadow(d) == det_mod(am) != 0
+        if adj is not None:
+            assert shadow.matrix(adj) == adjugate_mod(am)
 
 
 def test_a_column_with_one_nonzero_entry_is_expanded_first(monkeypatch):
@@ -750,14 +874,7 @@ def test_a_column_with_one_nonzero_entry_is_expanded_first(monkeypatch):
     n = 8
     a = M(*[["x" if j == n - 2 else "y + 1" if j == n - 1 else ("2" if j == i else "0")
              for j in range(n)] for i in range(n)])
-    tables = []
-
-    class Recorded(linalg._Minors):
-        def __init__(self, a):
-            super().__init__(a)
-            tables.append(self)
-
-    monkeypatch.setattr(linalg, "_Minors", Recorded)
+    tables = _recorded_tables(monkeypatch)
     assert linalg.det(a).is_zero()  # rows n - 2 and n - 1 agree
     assert len(tables[0].memo) == n + 1
     a[n - 1][n - 1] = parse("y")
