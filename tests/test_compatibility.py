@@ -11,13 +11,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pnalgebroid import nijenhuis
 from pnalgebroid.algebroid import CheckReport, LieAlgebroid
 from pnalgebroid.expr import Expr, ONE, ZERO, parse
 from pnalgebroid.fixtures import build_aff1, build_toda
 from pnalgebroid.nijenhuis import Endo, hierarchy_check
-from pnalgebroid.poisson import Bivector, are_compatible, is_poisson
+from pnalgebroid.poisson import Bivector, _bracket_check, are_compatible, is_poisson
 
 
 def action():
@@ -120,3 +121,62 @@ def test_no_verdict_forms_a_bivector_sum(monkeypatch):
     assert calls == []
     t.lam0 + t.lam1  # the count sees a sum when one is formed
     assert calls == [1]
+
+
+def dense_bracket(A, pairs):
+    """B[y, z][x] = sum_d P^{xd} rho_d(Q^{yz}) + sum_{d,e} P^{yd} Q^{ze} C_de^x
+    summed over the (P, Q) in ``pairs``, for every x, y, z, from the
+    definition: rho_d(f) = sum_i rho_d^i df/dx^i, every sum dense."""
+    r = A.rank
+
+    def rho(d, f):
+        return sum((A.anchor[d][i] * f.diff(v) for i, v in enumerate(A.base_vars)), ZERO)
+
+    B = {}
+    for x, y, z in itertools.product(range(r), repeat=3):
+        total = ZERO
+        for P, Q in pairs:
+            for d in range(r):
+                total = total + P.mat[x][d] * rho(d, Q.mat[y][z])
+                for e in range(r):
+                    total = total + P.mat[y][d] * Q.mat[z][e] * A.structure[d][e][x]
+        B[y, z, x] = total
+    return B
+
+
+def dense_residuals(A, pairs, *known):
+    """B[b, c][a] - B[a, c][b] + B[a, b][c] plus the ``known`` entries, per
+    frame triple a < b < c in ``itertools.combinations`` order."""
+    B = dense_bracket(A, pairs)
+    return [sum(es, B[b, c, a] - B[a, c, b] + B[a, b, c])
+            for (a, b, c), *es in zip(itertools.combinations(range(A.rank), 3), *known)]
+
+
+@st.composite
+def sparse_bivectors(draw, A):
+    """About one frame pair in three carries c * x^i * y^j, as ``random_bivector``."""
+    entries = {}
+    for a, b in itertools.combinations(range(A.rank), 2):
+        if draw(st.integers(0, 2)) == 0:
+            x, y = draw(st.sampled_from(A.base_vars)), draw(st.sampled_from(A.base_vars))
+            entries[a, b] = (Expr.number(draw(st.sampled_from([-2, -1, 1, 2])))
+                             * Expr.var(x) ** draw(st.integers(0, 1))
+                             * Expr.var(y) ** draw(st.integers(0, 1)))
+    return Bivector.from_entries(A, entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bracket_residuals_equal_the_dense_reference(data):
+    """``_bracket_check``'s residual list, for one bivector and for a mixed
+    pair with the two levels' residuals as ``known``, equals the dense sums
+    entry for entry, and its failures are the nonzero entries in order."""
+    A = ALGEBROIDS[data.draw(st.sampled_from(sorted(ALGEBROIDS)))]()
+    P, Q = data.draw(sparse_bivectors(A)), data.draw(sparse_bivectors(A))
+    own = [dense_residuals(A, [(R, R)]) for R in (P, Q)]
+    for pairs, known in (([(P, P)], []), ([(P, Q), (Q, P)], own)):
+        rep, got = _bracket_check(pairs, *known)
+        want = dense_residuals(A, pairs, *known)
+        assert got == want
+        assert [e for _, e in rep.failures] == [e for e in want if not e.is_zero()]
+        assert rep.ok == all(e.is_zero() for e in want)
