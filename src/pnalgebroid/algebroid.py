@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,16 +105,10 @@ class LieAlgebroid:
         frame order, each one product or one dot over the sparse gradient of
         f (kept on f) and the nonzero anchor columns."""
         cols = self._anchor_cols
-        terms: dict[int, list[tuple[Expr, Expr]]] = {}
+        terms = defaultdict(list)
         for v, g in f.gradient:
-            for a, rho in cols.get(v, ()):
-                terms.setdefault(a, []).append((rho, g))
-        out = []
-        for a in sorted(terms):
-            e = dot(terms[a])
-            if not e.is_zero():
-                out.append((a, e))
-        return tuple(out)
+            _scatter(terms, g, cols.get(v, ()))
+        return tuple(_dots(terms))
 
     # -- constructors ------------------------------------------------------
 
@@ -125,20 +120,25 @@ class LieAlgebroid:
         structure: dict[tuple[int, int], dict[int, Expr]] | None = None,
     ) -> "LieAlgebroid":
         """Build from an anchor table and a sparse antisymmetric structure
-        table keyed by frame index pairs (a, b) with a < b."""
+        table keyed by frame index pairs (a, b) with a < b.  Every row
+        (a, b) that no structure entry touches is one shared zero row."""
         r = len(frame)
-        C = [[[ZERO for _ in range(r)] for _ in range(r)] for _ in range(r)]
+        C: dict[tuple[int, int], list[Expr]] = {}
         for (a, b), row in (structure or {}).items():
             if a == b:
                 raise ValueError("structure functions must be off-diagonal")
+            ab = C.setdefault((a, b), [ZERO] * r)
+            ba = C.setdefault((b, a), [ZERO] * r)
             for g, e in row.items():
-                C[a][b][g] = C[a][b][g] + e
-                C[b][a][g] = C[b][a][g] - e
+                ab[g] = ab[g] + e
+                ba[g] = ba[g] - e
+        zero = (ZERO,) * r
         return LieAlgebroid(
             tuple(base_vars),
             tuple(frame),
             tuple(tuple(row) for row in anchor),
-            tuple(tuple(tuple(x for x in row) for row in plane) for plane in C),
+            tuple(tuple(tuple(C[a, b]) if (a, b) in C else zero for b in range(r))
+                  for a in range(r)),
         )
 
     @staticmethod
@@ -182,48 +182,56 @@ class LieAlgebroid:
         """Section bracket from the structure functions and anchor:
         [X, Y]^g = X^a Y^b C_ab^g + rho(X)(Y^g) - rho(Y)(X^g), the structure
         sum one dot per component over the nonzero X^a Y^b and C_ab^g."""
-        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(self.rank)]
+        terms = defaultdict(list)
         for a, xa in _nonzero(X.comps):
             for yb, row in zip(Y.comps, self._structure_rows[a]):
                 if row and not yb.is_zero():
                     _scatter(terms, xa * yb, row)
         return Section(self, tuple(
-            dot(t) + self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
-            for t, xg, yg in zip(terms, X.comps, Y.comps)
+            (dot(terms[g]) if g in terms else ZERO)
+            + self.anchor_apply(X, yg) - self.anchor_apply(Y, xg)
+            for g, (xg, yg) in enumerate(zip(X.comps, Y.comps))
         ))
 
     # -- verification ------------------------------------------------------
 
     def check_algebroid(self) -> "CheckReport":
-        """Anchor-morphism and Jacobi identities on all frame triples."""
+        """Anchor-morphism and Jacobi identities on all frame triples, each
+        nonzero component one dot over its own terms (``_dots``)."""
         failures = []
-        r, n = self.rank, self.dim
-        # anchor is a morphism: rho([e_a, e_b]) = [rho e_a, rho e_b], with
-        # R[b][i] the rho-row of the anchor entry rho_b^i
-        R = [[dict(self._rho_row(e)) for e in row] for row in self.anchor]
+        r, C = self.rank, self._structure_rows
+        # anchor is a morphism: rho([e_a, e_b])^i = sum_g C_ab^g rho_g^i equals
+        # [rho e_a, rho e_b]^i = rho_a(rho_b^i) - rho_b(rho_a^i), with R[b] the
+        # (i, rho-row of rho_b^i) of the nonzero anchor entries
+        anchor = [_nonzero(row) for row in self.anchor]
+        R = [[(i, dict(self._rho_row(e))) for i, e in row] for row in anchor]
+        minus = -ONE
         for a, b in itertools.combinations(range(r), 2):
-            for i in range(n):
-                e = (dot((c, self.anchor[g][i]) for g, c in self._structure_rows[a][b])
-                     - R[b][i].get(a, ZERO) + R[a][i].get(b, ZERO))
-                if not e.is_zero():
-                    failures.append((f"anchor morphism fails on ({self.frame[a]}, "
-                                     f"{self.frame[b]}) component {self.base_vars[i]}", e))
-        # Jacobi, one dot per component: the cyclic sum over (x, y, z) of
+            terms = defaultdict(list)
+            for g, c in C[a][b]:
+                _scatter(terms, c, anchor[g])
+            for x, y, sign in ((a, b, minus), (b, a, ONE)):
+                for i, row in R[y]:
+                    if (v := row.get(x)) is not None:
+                        terms[i].append((sign, v))
+            failures += [(f"anchor morphism fails on ({self.frame[a]}, {self.frame[b]}) "
+                          f"component {self.base_vars[i]}", e) for i, e in _dots(terms)]
+        # Jacobi: the cyclic sum over (x, y, z) of
         # [e_x, [e_y, e_z]]^g = sum_h C_yz^h C_xh^g + rho_x(C_yz^g), with
         # S[y, z, h] the rho-row of the structure entry C_yz^h
-        S = {(y, z, h): dict(self._rho_row(c)) for y, plane in enumerate(self._structure_rows)
+        S = {(y, z, h): dict(self._rho_row(c)) for y, plane in enumerate(C)
              for z, row in enumerate(plane) for h, c in row}
         for a, b, c in itertools.combinations(range(r), 3):
-            terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+            terms = defaultdict(list)
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                for h, cyz in self._structure_rows[y][z]:
-                    _scatter(terms, cyz, self._structure_rows[x][h])
+                for h, cyz in C[y][z]:
+                    _scatter(terms, cyz, C[x][h])
                     if (v := S[y, z, h].get(x)) is not None:
                         terms[h].append((ONE, v))
             failures += [
                 (f"Jacobi fails on ({self.frame[a]}, {self.frame[b]}, {self.frame[c]}) "
                  f"component {self.frame[g]}", t)
-                for g, t in enumerate(map(dot, terms)) if not t.is_zero()
+                for g, t in _dots(terms)
             ]
         return CheckReport(not failures, failures)
 
@@ -244,20 +252,29 @@ class CheckReport:
         return msg if e is None else f"{msg}: residual {e}"
 
 
-def _scatter(terms: list[list[tuple[Expr, Expr]]], f: Expr, row) -> None:
-    """Append the pair (f, x) to ``terms[h]`` for each (h, x) in ``row``."""
+def _scatter(terms: defaultdict, f: Expr, row) -> None:
+    """Append the pair (f, x) to ``terms[h]`` for each (h, x) in ``row``:
+    ``terms`` is a ``defaultdict(list)`` keyed by the residual or component
+    a term feeds, so that only the keys with a term are ever present."""
     for h, x in row:
         terms[h].append((f, x))
 
 
+def _dots(terms: defaultdict) -> list[tuple[int, Expr]]:
+    """The (h, e) with e = the dot of ``terms[h]`` nonzero, h ascending: one
+    dot per key that has a term; a key with none is never dotted."""
+    return [(h, e) for h in sorted(terms) if not (e := dot(terms[h])).is_zero()]
+
+
 def _spread(coeffs, rows) -> list[Expr]:
     """The components of sum_a f_a rows[a] over the (a, f_a) of ``coeffs``,
-    each one dot: every nonzero f_a is spread over the (b, x) of rows[a]."""
-    terms: list[list[tuple[Expr, Expr]]] = [[] for _ in rows]
+    each one dot: every nonzero f_a is spread over the (b, x) of rows[a]; a
+    component with no term is ZERO."""
+    terms = defaultdict(list)
     for a, f in coeffs:
         if not f.is_zero():
             _scatter(terms, f, rows[a])
-    return [dot(t) for t in terms]
+    return [dot(terms[b]) if b in terms else ZERO for b in range(len(rows))]
 
 
 def timed_check(check, *args) -> CheckReport:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .expr import Expr, ONE, ExprError, _nonzero, dot
+from .expr import Expr, ONE, ExprError, _nonzero
 from .algebroid import (
-    CheckReport, KForm, LieAlgebroid, Section, _scatter, _spread, d_A, timed_check,
+    CheckReport, KForm, LieAlgebroid, Section, _dots, _scatter, _spread, d_A, timed_check,
 )
 from .poisson import (
     Bivector,
@@ -138,14 +139,17 @@ def torsion(N: Endo, X: Section, Y: Section) -> Section:
     return A.bracket(N.apply(X), N.apply(Y)) - N.apply(deformed_bracket(N, X, Y))
 
 
-def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]]]:
+def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[tuple[int, Expr]]]]:
     """cols[b], the (a, N^a_b) with N^a_b != 0; R[c][b], the (h, rho_c(N^h_b))
     with rho_c(N^h_b) != 0, read from the rho-row of each nonzero entry of N;
-    and CN[a, b], the deformed structure functions
-    C^N_ab^h = ([e_a, e_b]_N)^h for a < b, each one dot:
+    and CN[a, b], the nonzero deformed structure functions
+    C^N_ab^h = ([e_a, e_b]_N)^h for a < b as (h, C^N_ab^h) in ascending h,
 
         C^N_ab^h = sum_c N^c_a C_cb^h + sum_d N^d_b C_ad^h
-                   + rho_a(N^h_b) - rho_b(N^h_a) - sum_k N^h_k C_ab^k."""
+                   + rho_a(N^h_b) - rho_b(N^h_a) - sum_k N^h_k C_ab^k,
+
+    each one dot over its own nonzero terms; an entry with none is never
+    dotted."""
     A, r = N.algebroid, len(N.mat)
     C = A._structure_rows
     cols = [[(a, row[b]) for a, row in enumerate(N.mat) if not row[b].is_zero()]
@@ -157,7 +161,7 @@ def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]
                 R[c][b].append((h, v))
     CN = {}
     for a, b in itertools.combinations(range(r), 2):
-        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        terms = defaultdict(list)
         for c, nca in cols[a]:
             _scatter(terms, nca, C[c][b])
         for d, ndb in cols[b]:
@@ -166,14 +170,14 @@ def _frame_tables(N: Endo) -> tuple[list, list, dict[tuple[int, int], list[Expr]
             _scatter(terms, x, cols[k])
         _scatter(terms, ONE, R[a][b])
         _scatter(terms, -ONE, R[b][a])
-        CN[a, b] = [dot(t) for t in terms]
+        CN[a, b] = _dots(terms)
     return cols, R, CN
 
 
 def torsion_check(N: Endo) -> CheckReport:
     """Vanishing of the torsion on all frame pairs a < b (tensoriality makes
-    this sufficient), each component one dot over ``_frame_tables(N)``;
-    the first three sums are [N e_a, N e_b]^g:
+    this sufficient), read from ``_frame_tables(N)``, each nonzero component
+    one dot over its own terms; the first three sums are [N e_a, N e_b]^g:
 
         T(e_a, e_b)^g = sum_{c,d} N^c_a N^d_b C_cd^g + sum_c N^c_a rho_c(N^g_b)
                         - sum_d N^d_b rho_d(N^g_a) - sum_h N^g_h C^N_ab^h."""
@@ -183,7 +187,7 @@ def torsion_check(N: Endo) -> CheckReport:
     neg = [[(a, -n) for a, n in col] for col in cols]
     failures = []
     for a, b in itertools.combinations(range(r), 2):
-        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        terms = defaultdict(list)
         for c, nca in cols[a]:
             for d, ndb in cols[b]:
                 if C[c][d]:
@@ -191,12 +195,11 @@ def torsion_check(N: Endo) -> CheckReport:
             _scatter(terms, nca, R[c][b])
         for d, ndb in neg[b]:
             _scatter(terms, ndb, R[d][a])
-        for h, cn in enumerate(CN[a, b]):
-            if not cn.is_zero():
-                _scatter(terms, cn, neg[h])
+        for h, cn in CN[a, b]:
+            _scatter(terms, cn, neg[h])
         failures += [
             (f"torsion nonzero on ({A.frame[a]}, {A.frame[b]}) component {A.frame[g]}", t)
-            for g, t in enumerate(map(dot, terms)) if not t.is_zero()
+            for g, t in _dots(terms)
         ]
     return CheckReport(not failures, failures)
 
@@ -209,8 +212,7 @@ def deformed_algebroid(N: Endo) -> LieAlgebroid:
         raise ExprError(f"cannot deform: {rep.witness()}")
     A = N.algebroid
     anchor = linalg.mat_mul(linalg.mat_transpose(N.mat), A.anchor)
-    structure = {ab: {g: c for g, c in enumerate(row) if not c.is_zero()}
-                 for ab, row in N._tables[2].items()}
+    structure = {ab: dict(row) for ab, row in N._tables[2].items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 
@@ -236,8 +238,8 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
     order; ``NP`` is N P when the caller has it.  N P must be a bivector
     (``sharp_commutes``); otherwise forming it raises ExprError, and
     ``pn_check`` reports the concomitant as skipped.  With K(Q) the Koszul rows
-    of ``_koszul_rows`` and rho_e(N^b_h) read from ``N._tables``, each
-    component is one dot:
+    of ``_koszul_rows`` (nonzero entries only) and rho_e(N^b_h) read from
+    ``N._tables``, each nonzero component is one dot over its own terms:
 
         C(theta^a, theta^b)^h = K(NP)_ab^h - sum_c N^a_c K(P)_cb^h - sum_d N^b_d K(P)_ad^h
                                 - sum_e P^{ae} rho_e(N^b_h) + sum_e P^{be} rho_e(N^a_h)
@@ -255,7 +257,7 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
     rows = [_nonzero(row) for row in N.mat]
     neg = [[(c, -n) for c, n in row] for row in rows]
     prows = P._rows
-    KP = {ab: _nonzero(row) for ab, row in _koszul_rows(P).items()}
+    KP = _koszul_rows(P)
 
     def rhs(a, b, terms):
         for (c, n), (_, minus) in zip(rows[a], neg[a]):  # K(P)_cb = -K(P)_bc
@@ -280,7 +282,7 @@ def concomitant_check(P: Bivector, N: Endo, NP: Bivector | None = None) -> Check
         failures += [
             (f"concomitant nonzero on dual pair ({A.frame[a]}, {A.frame[b]}) "
              f"component {A.frame[g]}", v)
-            for g, v in enumerate(row) if not v.is_zero()
+            for g, v in row
         ]
     return CheckReport(not failures, failures)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,7 @@ from .algebroid import (
     KForm,
     LieAlgebroid,
     Section,
+    _dots,
     _scatter,
     _spread,
     d_A,
@@ -206,16 +208,14 @@ def _schouten_frame(X: Section, P: Bivector) -> Bivector:
     r = A.rank
     xs = _nonzero(X.comps)
     # L[a], the (c, L^a_c) with L^a_c != 0
-    lt: list[list[list[tuple[Expr, Expr]]]] = [[[] for _ in range(r)] for _ in range(r)]
+    lt = [defaultdict(list) for _ in range(r)]
     for a, x in xs:
-        for c, v in A._rho_row(x):
-            lt[a][c].append((ONE, v))
+        _scatter(lt[a], ONE, A._rho_row(x))
     for d, x in xs:  # -X^d C_dc^a = X^d C_cd^a
         for c, plane in enumerate(A._structure_rows):
             for a, cc in plane[d]:
                 lt[a][c].append((x, cc))
-    L = [[(c, l) for c, t in enumerate(row) if not (l := dot(t)).is_zero()]
-         for row in lt]
+    L = [_dots(row) for row in lt]
     entries: dict[tuple[int, int], Expr] = {}
     for a, b in itertools.combinations(range(r), 2):
         terms = [(l, m[b][c]) for c, l in L[a] if not m[b][c].is_zero()]  # -P^{cb} = P^{bc}
@@ -237,29 +237,44 @@ def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
     B[b, c][a] - B[a, c][b] + B[a, b][c] plus its entry in each ``known``
     residual list (``itertools.combinations`` order).  B(P, P) gives
     (1/2) [P, P] and B(P, Q) + B(Q, P) the mixed bracket; with the residuals
-    of (P, P) and (Q, Q) added, the mixed ones are those of P + Q."""
+    of (P, P) and (Q, Q) added, the mixed ones are those of P + Q.
+
+    No B entry is formed: each term of B[y, z][x], y < z and x outside
+    {y, z}, goes straight to the terms of its sorted triple, negated when
+    y < x < z by reading the other entry of P or Q (both antisymmetric).
+    Each residual is then one dot over its own nonzero terms and its nonzero
+    ``known`` entries; a residual with none is ZERO and is never dotted."""
     A = pairs[0][0].algebroid
-    r = A.rank
-    # B[y, z][x], y < z, each entry one dot over its terms; x in {y, z} is never read
-    B: dict[tuple[int, int], list[Expr]] = {}
+    r, C = A.rank, A._structure_rows
+    terms = defaultdict(list)
     for y, z in itertools.combinations(range(r), 2):
-        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
+        # per x, its sorted triple and whether the term is negated
+        slots = [None if x in (y, z) else
+                 ((x, y, z), False) if x < y else ((y, z, x), False) if x > z else
+                 ((y, x, z), True)
+                 for x in range(r)]
         for P, Q in pairs:
-            m, rows = P.mat, P._rows
+            m, rows, q = P.mat, P._rows, Q.mat
             for d, v in Q._rho_rows[y, z]:
-                for x, _ in rows[d]:  # P^{xd} is nonzero where P^{dx} is, P antisymmetric
-                    terms[x].append((m[x][d], v))
+                for x, pdx in rows[d]:  # P^{xd} = -P^{dx}
+                    if (slot := slots[x]) is not None:
+                        key, neg = slot
+                        terms[key].append((pdx if neg else m[x][d], v))
             for d, pyd in rows[y]:
                 for e, qze in Q._rows[z]:
-                    for g, c in A._structure_rows[d][e]:
-                        terms[g].append((pyd * c, qze))
-        B[y, z] = [ZERO if x in (y, z) else dot(t) for x, t in enumerate(terms)]
-    triples = list(itertools.combinations(range(r), 3))
-    residuals = [sum(es, B[b, c][a] - B[a, c][b] + B[a, b][c])
-                 for (a, b, c), *es in zip(triples, *known)]
+                    for x, c in C[d][e]:
+                        if (slot := slots[x]) is not None:
+                            key, neg = slot
+                            terms[key].append((pyd * c, q[e][z] if neg else qze))
+    residuals = []
+    for abc, *es in zip(itertools.combinations(range(r), 3), *known):
+        t = terms.get(abc, [])
+        t += [(e, ONE) for e in es if not e.is_zero()]
+        residuals.append(dot(t) if t else ZERO)
     failures = [(f"Poisson condition fails against dual covector {A.frame[a]} on pair "
                  f"({A.frame[b]}, {A.frame[c]})", e)
-                for (a, b, c), e in zip(triples, residuals) if not e.is_zero()]
+                for (a, b, c), e in zip(itertools.combinations(range(r), 3), residuals)
+                if not e.is_zero()]
     return CheckReport(not failures, failures), residuals
 
 
@@ -308,30 +323,32 @@ def koszul_bracket(P: Bivector, alpha: KForm, beta: KForm) -> KForm:
     )
 
 
-def _koszul_rows(Q: Bivector, more=None) -> dict[tuple[int, int], list[Expr]]:
+def _koszul_rows(Q: Bivector, more=None) -> dict[tuple[int, int], list[tuple[int, Expr]]]:
     """The Koszul structure rows K(Q)_ab^g = ([theta^a, theta^b]_Q)_g for
-    a < b, each entry one dot over the rho-rows and nonzero entries of Q
-    (cached on Q) and the transposed structure rows:
+    a < b, read from the rho-rows and nonzero entries of Q (cached on Q) and
+    the transposed structure rows:
 
         K(Q)_ab^g = rho_g(Q^{ab}) - Q^{ad} C_dg^b + Q^{bd} C_dg^a,
 
-    antisymmetric in (a, b).  ``more(a, b, terms)``, when given, appends
-    further pairs to ``terms[g]`` before the dots are formed."""
+    antisymmetric in (a, b).  Each row holds its nonzero entries alone, the
+    (g, K(Q)_ab^g) in ascending g, each one dot over its own nonzero terms;
+    an entry with no term is never dotted.  ``more(a, b, terms)``, when
+    given, appends further pairs to ``terms[g]`` (a ``defaultdict(list)``)
+    before the dots are formed."""
     A, m = Q.algebroid, Q.mat
     r = A.rank
     CT, rows = A._structure_cols, Q._rows
     out = {}
     for a, b in itertools.combinations(range(r), 2):
-        terms: list[list[tuple[Expr, Expr]]] = [[] for _ in range(r)]
-        for g, v in Q._rho_rows[a, b]:
-            terms[g].append((ONE, v))
+        terms = defaultdict(list)
+        _scatter(terms, ONE, Q._rho_rows[a, b])
         for d, _ in rows[a]:  # -Q^{ad} = Q^{da}
             _scatter(terms, m[d][a], CT[d][b])
         for d, qbd in rows[b]:
             _scatter(terms, qbd, CT[d][a])
         if more is not None:
             more(a, b, terms)
-        out[a, b] = [dot(t) for t in terms]
+        out[a, b] = _dots(terms)
     return out
 
 
@@ -342,7 +359,7 @@ def dual_algebroid(P: Bivector) -> LieAlgebroid:
     ``_koszul_rows(P)``.  Valid when P is Poisson."""
     A = P.algebroid
     anchor = linalg.mat_mul(P.mat, A.anchor)
-    structure = {ab: dict(enumerate(row)) for ab, row in _koszul_rows(P).items()}
+    structure = {ab: dict(row) for ab, row in _koszul_rows(P).items()}
     return LieAlgebroid.from_tables(list(A.base_vars), list(A.frame), anchor, structure)
 
 

@@ -71,7 +71,16 @@ def _expr(text: Any, where: str, memo: dict[str, Expr]) -> Expr:
     return e
 
 
-def _pair_key(key: str, names: list[str], where: str) -> tuple[int, int]:
+def _index(names: list[str] | tuple[str, ...]) -> dict[str, int]:
+    """Each name's index in ``names``, the first one for a repeated name
+    (as ``list.index`` reads it)."""
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)
+    return index
+
+
+def _pair_key(key: str, names: dict[str, int], where: str) -> tuple[int, int]:
     s = key.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise SpecFileError(f"{where}: key {key!r} is not of the form '(a,b)'")
@@ -79,8 +88,8 @@ def _pair_key(key: str, names: list[str], where: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise SpecFileError(f"{where}: key {key!r} is not of the form '(a,b)'")
     try:
-        i, j = names.index(parts[0]), names.index(parts[1])
-    except ValueError:
+        i, j = names[parts[0]], names[parts[1]]
+    except KeyError:
         raise SpecFileError(f"{where}: key {key!r} names an unknown frame element")
     if i == j:
         raise SpecFileError(f"{where}: key {key!r} repeats a frame element")
@@ -113,16 +122,17 @@ def _algebroid_from_obj(obj: Any, memo: dict[str, Expr],
             raise SpecFileError(f"{where}: anchor row {a} has wrong length")
         anchor.append([_expr(e, f"{where}.anchor[{a}]", memo) for e in row])
     structure: dict[tuple[int, int], dict[int, Expr]] = {}
+    index = _index(frame)
     for key, row in _expect(obj.get("structure", {}), dict, f"{where}.structure").items():
-        i, j = _pair_key(key, frame, f"{where}.structure")
+        i, j = _pair_key(key, index, f"{where}.structure")
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
         out: dict[int, Expr] = dict(structure.get((i, j), {}))
         for gname, etext in _expect(row, dict, f"{where}.structure[{key}]").items():
             try:
-                g = frame.index(gname)
-            except ValueError:
+                g = index[gname]
+            except KeyError:
                 raise SpecFileError(
                     f"{where}.structure[{key}]: unknown frame element {gname!r}"
                 )
@@ -145,10 +155,11 @@ def parse_document(text: str) -> SpecDocument:
     memo: dict[str, Expr] = {}
     A = _algebroid_from_obj(obj, memo)
     doc = SpecDocument(A)
+    index = _index(A.frame)
     for name, entries in _expect(obj.get("bivectors", {}), dict, "bivectors").items():
         mat_entries: dict[tuple[int, int], Expr] = {}
         for key, etext in _expect(entries, dict, f"bivectors[{name}]").items():
-            i, j = _pair_key(key, list(A.frame), f"bivectors[{name}]")
+            i, j = _pair_key(key, index, f"bivectors[{name}]")
             mat_entries[(i, j)] = _expr(etext, f"bivectors[{name}][{key}]", memo)
         try:
             doc.bivectors[name] = Bivector.from_entries(A, mat_entries)
