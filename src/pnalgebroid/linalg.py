@@ -612,14 +612,16 @@ def evaluate_matrix(rows, values: dict[str, float]) -> np.ndarray:
 # `taskset -c 0` gives one part): the caller's thread decomposes the first
 # half and one helper thread, started by the first stack that splits, the
 # second.  Below _SPLIT the split loses: the hand-off costs more than half
-# the work, and numpy (2.4) keeps the GIL through a stack whose singular
-# values number 500 or fewer, so two such halves run one after the other.
-# The constants come from the sweep in BENCH_27.json.  Each matrix is still
-# one gesdd call of its own, so the results are those of one call on the
-# whole stack, bit for bit.
+# the work.  numpy (2.4) also keeps the GIL through a stack without vectors
+# whose singular values number _GIL or fewer, so two such halves would run
+# one after the other: a stack without vectors is split only when each half's
+# p x min(n, m) exceeds _GIL.  The constants come from the sweep in
+# BENCH_27.json.  Each matrix is still one gesdd call of its own, so the
+# results are those of one call on the whole stack, bit for bit.
 
 _OVERHEAD = 32
 _SPLIT = 13_000
+_GIL = 500
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _jobs = None  # the helper thread's job queue
 _start = threading.Lock()
@@ -669,10 +671,11 @@ if hasattr(os, "register_at_fork"):
 def stacked_svd(stack: np.ndarray, compute_uv: bool = False):
     """``np.linalg.svd(stack, compute_uv=compute_uv)`` of a (points, n, m)
     stack, its two halves decomposed at the same time when the stack is
-    large enough (see _SPLIT).  An error is raised once both halves have
+    large enough (see _SPLIT and _GIL).  An error is raised once both halves have
     finished: the first half's, if both failed."""
     count, n, m = stack.shape
-    if _CPUS < 2 or count * (_OVERHEAD + n * m) < _SPLIT:
+    if (_CPUS < 2 or count * (_OVERHEAD + n * m) < _SPLIT
+            or not compute_uv and count // 2 * min(n, m) <= _GIL):
         return np.linalg.svd(stack, compute_uv=compute_uv)
     half = (count + 1) // 2
     reply = _submit(stack[half:], compute_uv)

@@ -385,6 +385,17 @@ def _entries(kind):
     return {"10x10": 100, "4x4": 16, "4x2-view": 8}[kind]
 
 
+def _singular_values(kind):
+    """The singular values of one matrix of this kind, min(n, m)."""
+    return {"10x10": 10, "4x4": 4, "4x2-view": 2}[kind]
+
+
+def _window(kind):
+    """The most matrices of this kind whose smaller half holds at most _GIL
+    singular values: a stack without vectors this large is not split."""
+    return 2 * (linalg._GIL // _singular_values(kind)) + 1
+
+
 def _least_split(kind):
     """The fewest matrices of this kind whose stack splits."""
     return -(-linalg._SPLIT // (linalg._OVERHEAD + _entries(kind)))
@@ -406,7 +417,7 @@ def _part(kind):
 _SVD_COUNTS = {"0": lambda k: 0, "1": lambda k: 1, "PART-1": lambda k: _part(k) - 1,
                "2*PART": lambda k: 2 * _part(k), "2*PART+1": lambda k: 2 * _part(k) + 1,
                "3*PART": lambda k: 3 * _part(k), "least-1": lambda k: _least_split(k) - 1,
-               "least": _least_split}
+               "least": _least_split, "window": _window, "window+1": lambda k: _window(k) + 1}
 
 
 @pytest.mark.parametrize("kind", ["10x10", "4x4", "4x2-view"])
@@ -427,17 +438,26 @@ def test_stacked_svd_equals_one_svd_call_bit_for_bit(monkeypatch, cpus, count, k
     got = linalg.stacked_svd(stack)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     # a stack of at least _least_split matrices is split, when more than one
-    # CPU is available, into two contiguous halves, the first one the larger
+    # CPU is available, into two contiguous halves, the first one the larger;
+    # a stack without vectors only when each half holds more than _GIL
+    # singular values (numpy keeps the GIL through smaller ones)
     n = len(stack)
-    if cpus > 1 and n >= _least_split(kind):
-        assert _first_points(stack, calls) == [(0, (n + 1) // 2), ((n + 1) // 2, n // 2)]
+    halves = [(0, (n + 1) // 2), ((n + 1) // 2, n // 2)]
+    split = cpus > 1 and n >= _least_split(kind)
+    if split and n // 2 * _singular_values(kind) > linalg._GIL:
+        assert _first_points(stack, calls) == halves
     else:
         assert len(calls) == 1 and calls[0] is stack
+    calls.clear()
     want = real(stack)
     got = linalg.stacked_svd(stack, compute_uv=True)
     assert len(got) == 3
     for g, w in zip(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
+    if split:
+        assert _first_points(stack, calls) == halves
+    else:
+        assert len(calls) == 1 and calls[0] is stack
 
 
 @pytest.mark.parametrize("nan_parts", [[-1], [0, -1], [0]])
