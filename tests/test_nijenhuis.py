@@ -819,3 +819,51 @@ def test_scaling_p_by_a_nonzero_constant_moves_no_verdict(case, c):
     if case == "aff1":
         assert plain.concomitant.failures
         assert scaled.concomitant.failures == [(msg, e * k) for msg, e in plain.concomitant.failures]
+
+
+# -- the hierarchy against its modular shadow -------------------------------------
+
+@pytest.mark.parametrize("n, perturbed", [(2, False), (3, False), (4, False),
+                                          (2, True), (3, True)])
+def test_hierarchy_residuals_vanish_where_their_modular_shadow_does(monkeypatch, n, perturbed):
+    """Level by level and pair by pair, each exact residual of
+    ``hierarchy_check`` is zero exactly when the textbook Poisson defect of
+    N^l P (or of the pair's sum) is zero mod p, at two seeded points.  The
+    levels mod p come from the jets of P and N by the product rule, so the
+    shadow shares neither the arithmetic nor the grouping of the frame
+    tables.  N + p1 I keeps N P antisymmetric but breaks the hierarchy."""
+    from modular import Shadow, jet_matrix, jet_product, jet_sum, poisson_residuals_mod
+
+    t = build_toda(n)
+    P, N = t.lam0, t.N
+    A = P.algebroid
+    if perturbed:
+        N = N + Endo.identity(A).map(lambda x: x * Expr.var("p1"))
+    calls = []
+    real = nijenhuis._bracket_check
+
+    def record(pairs, *known):
+        rep, residuals = real(pairs, *known)
+        calls.append(residuals)
+        return rep, residuals
+
+    monkeypatch.setattr(nijenhuis, "_bracket_check", record)
+    rep = hierarchy_check(P, N, 4)
+    top = len(rep.levels)
+    labels = [(l, l) for l in range(top)] + list(itertools.combinations(range(top), 2))
+    assert len(calls) == len(labels)
+    assert ([r.ok for _, r in rep.levels] + [r.ok for _, _, r in rep.pairwise]
+            == [all(e.is_zero() for e in res) for res in calls])
+    assert rep.ok != perturbed
+    exprs = [e for m in (P.mat, N.mat, A.anchor) for row in m for e in row]
+    exprs += [e for plane in A.structure for row in plane for e in row]
+    for seed in (1, 2):
+        shadow = Shadow(exprs, seed)
+        nj = jet_matrix(shadow, N.mat, A.base_vars)
+        chain = [jet_matrix(shadow, P.mat, A.base_vars)]
+        while len(chain) < top:
+            chain.append(jet_product(nj, chain[-1]))
+        for (i, j), exact in zip(labels, calls):
+            S = chain[i] if i == j else jet_sum(chain[i], chain[j])
+            modular = poisson_residuals_mod(shadow, A, S)
+            assert [e.is_zero() for e in exact] == [v == 0 for v in modular], (i, j, seed)
