@@ -22,7 +22,7 @@ import itertools
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .expr import Expr, ONE, ZERO, ExprError, _nonzero, dot
 from .algebroid import (
@@ -226,6 +226,16 @@ def _schouten_frame(X: Section, P: Bivector) -> Bivector:
     return Bivector.from_entries(A, entries)
 
 
+@cache
+def _triple_slots(r: int) -> dict[tuple[int, int], tuple]:
+    """Per frame pair y < z of rank r, per x: None for x in {y, z}, else the
+    sorted triple of {x, y, z} and whether B[y, z][x] enters its residual
+    negated (y < x < z)."""
+    return {(y, z): tuple(None if x in (y, z) else (tuple(sorted((x, y, z))), y < x < z)
+                          for x in range(r))
+            for y, z in itertools.combinations(range(r), 2)}
+
+
 def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
                    *known: list[Expr]) -> tuple[CheckReport, list[Expr]]:
     """The Poisson verdict and residuals of the bilinear frame bracket
@@ -247,12 +257,7 @@ def _bracket_check(pairs: list[tuple[Bivector, Bivector]],
     A = pairs[0][0].algebroid
     r, C = A.rank, A._structure_rows
     terms = defaultdict(list)
-    for y, z in itertools.combinations(range(r), 2):
-        # per x, its sorted triple and whether the term is negated
-        slots = [None if x in (y, z) else
-                 ((x, y, z), False) if x < y else ((y, z, x), False) if x > z else
-                 ((y, x, z), True)
-                 for x in range(r)]
+    for (y, z), slots in _triple_slots(r).items():
         for P, Q in pairs:
             m, rows, q = P.mat, P._rows, Q.mat
             for d, v in Q._rho_rows[y, z]:
