@@ -48,18 +48,7 @@ class Shadow:
         self.b = {v: rng.randrange(1, P) for v in sorted(names | {""})}  # "": exp(1 / D)
 
     def __call__(self, e) -> int:
-        total = 0
-        for mono, lin, c in e.terms:
-            value = _residue(c)
-            for v, m in mono:
-                value = value * pow(self.a[v], m, P) % P
-            for v, q in lin:
-                k = q * self.den
-                if _denominator(k) != 1:
-                    raise ValueError(f"exponent denominator of {e} does not divide {self.den}")
-                value = value * pow(self.b[v], int(k), P) % P
-            total += value
-        return total % P
+        return sum(self._term(*t) for t in e.terms) % P
 
     def matrix(self, a) -> list[list[int]]:
         return [[self(e) for e in row] for row in a]
@@ -143,7 +132,7 @@ def poisson_residuals_mod(shadow: Shadow, A, S: list[list[Jet]]) -> list[int]:
     the gradient of the jet of f."""
     r = A.rank
     rho = shadow.matrix(A.anchor)
-    C = [[shadow.matrix([row])[0] for row in plane] for plane in A.structure]
+    C = [shadow.matrix(plane) for plane in A.structure]
     val = [[x.value for x in row] for row in S]
 
     def along(d, f: Jet) -> int:
