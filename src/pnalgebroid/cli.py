@@ -152,11 +152,8 @@ def _toda_document(n: int, block: str, epi: str) -> SpecDocument:
             t.flaschka, bivectors={"lam0": t.lam0_bar, "lam1": t.lam1_bar}
         )
     elif block == "atiyah":
-        doc = SpecDocument(t.atiyah, bivectors={"pi0": t.pi0, "pi1": t.pi1})
-        try:
-            doc.endomorphisms["N"] = t.recursion_atiyah().exact()
-        except ExprError:
-            pass  # the recursion operator is genuinely rational for n >= 3
+        doc = SpecDocument(t.atiyah, bivectors={"pi0": t.pi0, "pi1": t.pi1},
+                           endomorphisms={"N": t.recursion_atiyah().exact()})
     else:
         raise UsageError(f"unknown toda block {block!r}")
     return doc
@@ -232,7 +229,13 @@ def _pick_endo(doc: SpecDocument, name: Optional[str]) -> tuple[str, Endo]:
     if not doc.endomorphisms and len(doc.bivectors) == 2:
         n0, p0, n1, p1 = _pick_pair(doc, None)
         frac = recursion_operator(p0, p1)
-        return f"recursion({n0},{n1})", frac.exact()
+        try:
+            return f"recursion({n0},{n1})", frac.exact()
+        except ExprError as e:
+            raise UsageError(
+                f"the recursion operator of ({n0}, {n1}) is not in the expression "
+                f"class: {e}"
+            ) from None
     raise UsageError(
         "input has no unique endomorphism; pick one with --endo "
         f"(available: {', '.join(sorted(doc.endomorphisms)) or 'none'})"

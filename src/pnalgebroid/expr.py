@@ -4,13 +4,15 @@ An :class:`Expr` is a finite sum of terms
 
     c * x1^m1 * ... * xk^mk * exp(l)
 
-where ``c`` is a rational number, the ``mi`` are nonnegative integers and
-``l`` is a rational-affine form in the variables.  The class is closed under
-addition, multiplication, integer powers, partial differentiation and
-substitution by affine expressions; products of exponentials merge their
-arguments, so the representation is canonical and zero-equality is decidable
-by inspection.  There is no division node: division is only available as
-exact division (:func:`div_exact`) or by rational constants.
+where ``c`` is a rational number, the ``mi`` are nonzero integers (a term is
+a Laurent monomial times an exponential) and ``l`` is a rational-affine form
+in the variables.  The class is closed under addition, multiplication,
+integer powers, partial differentiation and substitution by affine
+expressions; products of exponentials merge their arguments, so the
+representation is canonical and zero-equality is decidable by inspection.
+Every one-term Expr is a unit, its inverse negating its exponents and its
+linear form.  There is no division node: division is only available as exact
+division (:func:`div_exact`) or by rational constants.
 
 An Expr stores its coefficients over one denominator: a dict from term key
 to int numerator, and a positive int denominator that shares no factor with
@@ -49,7 +51,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 Number = Union[int, Fraction]
-# A monomial is a sorted tuple of (variable, exponent) with exponent >= 1.
+# A monomial is a sorted tuple of (variable, exponent), each exponent a
+# nonzero integer.
 Mono = tuple[tuple[str, int], ...]
 # A linear form is a sorted tuple of (variable, coefficient); the empty
 # variable name "" holds the constant part of the exponent.
@@ -204,7 +207,8 @@ def _table(d: dict[int, Number]) -> tuple[dict[int, int], int]:
 
 
 class Expr:
-    """Canonical sum of rational-coefficient monomial-times-exponential terms.
+    """Canonical sum of rational-coefficient Laurent-monomial-times-exponential
+    terms.
 
     ``Expr(terms)`` builds one from (mono, lin, c) triples.  An Expr is
     immutable and hashable; it stores a dict from interned key id to nonzero
@@ -415,15 +419,11 @@ class Expr:
         if not isinstance(n, int):
             raise ExprError("only integer powers are supported")
         if n < 0:
-            if len(self._t) == 1:
-                ((i, c),) = self._t.items()
-                m, l = _KEYS[i]
-                if not m:
-                    # 1/(c/d) = d/c, and d shares no factor with c
-                    d = self._d
-                    inv = _wrap({_intern((), _lin_scale(l, -1)): d if c > 0 else -d}, abs(c))
-                    return inv ** (-n)
-            raise ExprError("negative power of a non-invertible expression")
+            # a one-term Expr is a unit: its inverse negates its exponents
+            # and its linear form; no other Expr has an inverse in the class
+            if len(self._t) != 1:
+                raise ExprError("negative power of a non-invertible expression")
+            return _div_term(ONE, self) ** -n
         out = Expr.number(1)
         base = self
         while n:
@@ -517,7 +517,8 @@ class Expr:
 
     def evaluate(self, point: "Point"):
         """Evaluate at a point; returns a float, or a :class:`DualValue` when
-        the point carries infinitesimal seeds."""
+        the point carries infinitesimal seeds.  A negative power of a
+        variable that is 0 at the point raises ``ZeroDivisionError``."""
         if not point.dual:
             return self._eval_real(point.values)
         val = self._eval_real(point.values)
@@ -908,26 +909,16 @@ def div_exact(num: Expr, den: Expr) -> Expr:
     # each coordinate of each term of q would lie between these bounds, so a
     # quotient term outside them ends a division that would not terminate
     bounds = [(lo - dlo, hi - dhi) for (lo, hi), (dlo, dhi) in zip(box(num), box(den))]
-    lt_den = leading(den)
+    md, ld, cd = leading(den)
+    inv_md, neg_ld = _inverse_key(md, ld)
     quot: dict[TermKey, Number] = {}
     rem = num
     for _ in range(_DIV_STEPS):
         if rem.is_zero():
             return Expr.from_terms(quot)
         mr, lr, cr = leading(rem)
-        md, ld, cd = lt_den
-        # monomial part must divide; exponential parts always do (units)
-        dd = dict(md)
-        mq: dict[str, int] = {}
-        for v, e in mr:
-            q = e - dd.pop(v, 0)
-            if q < 0:
-                raise ExprError("exact division failed (no quotient in class)")
-            if q:
-                mq[v] = q
-        if dd:
-            raise ExprError("exact division failed (no quotient in class)")
-        k = (tuple(sorted(mq.items())), _lin_add(lr, _lin_scale(ld, -1)))
+        # every term is a unit, so the leading terms always divide
+        k = (_mono_mul(mr, inv_md), _lin_add(lr, neg_ld))
         if not all(lo <= x <= hi for x, (lo, hi) in zip(coords(k), bounds)):
             raise ExprError("exact division failed (no quotient in class)")
         c = rational(cr / cd)
@@ -936,25 +927,20 @@ def div_exact(num: Expr, den: Expr) -> Expr:
     raise ExprError("exact division did not terminate")
 
 
+def _inverse_key(m: Mono, l: Lin) -> TermKey:
+    """The key of the inverse of the unit x^m * exp(l)."""
+    return tuple([(v, -e) for v, e in m]), _lin_scale(l, -1)
+
+
 def _div_term(num: Expr, den: Expr) -> Expr:
     """``div_exact`` by a one-term ``den``: each term of ``num`` is divided on
     its own, its exponents less den's, its linear form less den's and its
     coefficient over den's.  Distinct terms give distinct quotients."""
     ((i, c),) = den._t.items()
-    md, ld = _KEYS[i]
-    neg = _lin_scale(ld, -1)
+    inv, neg = _inverse_key(*_KEYS[i])
     scale = den._d if c > 0 else -den._d
     t: dict[int, int] = {}
     for j, n in num._t.items():
         m, l = _KEYS[j]
-        if md:
-            e = dict(m)
-            for v, p in md:
-                q = e.pop(v, 0) - p
-                if q < 0:
-                    raise ExprError("exact division failed (no quotient in class)")
-                if q:
-                    e[v] = q
-            m = tuple(sorted(e.items()))
-        t[_intern(m, _lin_add(l, neg))] = n * scale
+        t[_intern(_mono_mul(m, inv) if inv else m, _lin_add(l, neg))] = n * scale
     return _reduced(t, num._d * abs(c))

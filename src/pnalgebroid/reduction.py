@@ -214,7 +214,7 @@ def rewrite_basic(epi: EpimorphismSpec, e: Expr) -> Expr:
                 )
         t_lin: dict[str, Fraction] = {}
         for (tgt, cj, lj), nj in zip(exps, ns):
-            if nj.denominator != 1 or nj < 0:
+            if nj.denominator != 1:
                 raise NotBasic(
                     f"exponential image {tgt} would need power {nj}; "
                     "not expressible in the target class"

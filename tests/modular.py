@@ -1,11 +1,12 @@
 """A modular shadow of the exact expression ring: each Expr read in F_p.
 
 The field is F_p with p = 2^61 - 1.  At a seeded point, the variable x_v
-goes to a random a_v, exp(x_v / D) to a random nonzero b_v and exp(1 / D)
-to a random nonzero f, where D is the lcm of the exponent denominators of
-the expressions the shadow is built for.  Distinct canonical terms are
-distinct monomials in these algebraically independent values, so the map is
-a ring homomorphism of the class: an exact zero reads 0 at every point, and
+goes to a random nonzero a_v, exp(x_v / D) to a random nonzero b_v and
+exp(1 / D) to a random nonzero f, where D is the lcm of the exponent
+denominators of the expressions the shadow is built for.  Distinct canonical
+terms are distinct Laurent monomials in these algebraically independent
+values, so the map is a ring homomorphism of the class (a negative power
+reads as an inverse mod p): an exact zero reads 0 at every point, and
 a nonzero Expr reads 0 at a random point with probability at most deg / p
 (Schwartz-Zippel).  It shares no arithmetic with ``pnalgebroid.expr``, so a
 determinant read here and one computed by Gaussian elimination mod p check
@@ -44,7 +45,8 @@ class Shadow:
         self.den = den
         # sorted, so that one seed draws the same point whatever the order
         # of the expressions
-        self.a = {v: rng.randrange(P) for v in sorted(names) if v}
+        # a_v nonzero, so that a negative power of x_v reads as an inverse
+        self.a = {v: rng.randrange(1, P) for v in sorted(names) if v}
         self.b = {v: rng.randrange(1, P) for v in sorted(names | {""})}  # "": exp(1 / D)
 
     def __call__(self, e) -> int:
@@ -55,8 +57,8 @@ class Shadow:
 
     def jet(self, e, variables) -> "Jet":
         """The 1-jet of ``e``: its value and its derivatives along
-        ``variables``, term by term: x_v^m contributes m x_v^(m - 1) and
-        exp(q x_v) contributes q exp(q x_v)."""
+        ``variables``, term by term: x_v^m contributes m x_v^(m - 1), for
+        any integer m, and exp(q x_v) contributes q exp(q x_v)."""
         grad = dict.fromkeys(variables, 0)
         value = 0
         for mono, lin, c in e.terms:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pnalgebroid import cli
-from pnalgebroid.expr import Expr, ExprError, Point, parse, ZERO, ONE
+from pnalgebroid.expr import Expr, Point, parse, ZERO, ONE
 from pnalgebroid.algebroid import LieAlgebroid, Section, KForm, d_A
 from pnalgebroid.poisson import (
     Bivector, koszul_bracket, dual_algebroid, induced_base_poisson,
@@ -50,20 +50,12 @@ def aff1():
 
 # -- 0. the selftest table ----------------------------------------------------
 
-# the recursion operator of (pi0, pi1) has Laurent entries for n >= 3, which
-# the polynomial expression class cannot hold yet
-NOT_POLYNOMIAL = ("toda3 sn(pi0,N_A)", "toda4 sn(pi0,N_A)")
-
-
 def _table_rows():
     """The Toda rows of the selftest table at every size, the aff1 rows once."""
     for n in SIZES:
         for name, thunk in cli.selftest_rows(TODA[n], AFF1):
             if n == SIZES[0] or not name.startswith("aff1 "):
-                marks = (pytest.mark.xfail(raises=ExprError, strict=True,
-                                           reason="ROADMAP item 1")
-                         if name in NOT_POLYNOMIAL else ())
-                yield pytest.param(name, thunk, id=name, marks=marks)
+                yield pytest.param(name, thunk, id=name)
 
 
 @pytest.mark.parametrize("name, thunk", _table_rows())
@@ -205,11 +197,14 @@ def test_criterion_5_invariant_frame_structures(toda, n):
 
 
 def test_criterion_5_invariant_frame_is_sn(toda):
-    # the SN verdict is the table's sn row; the recursion operator of
-    # (pi0, pi1) has polynomial entries only for two sites
-    t = toda[2]
-    rep = pn_check(t.pi0, t.recursion_atiyah().exact())
-    assert (rep.determinant - parse("a1^2")).is_zero(), "det pi0 != a1^2"
+    # the recursion operator of (pi0, pi1) is N_A = pi1 pi0^-1 over det pi0 =
+    # a1^2 ... a_{n-1}^2, a monomial, so its entries are Laurent polynomials
+    for n in SIZES:
+        t = toda[n]
+        rep = pn_check(t.pi0, t.recursion_atiyah().exact())
+        assert rep.sn, (n, rep.witness())
+        want = parse("*".join(f"a{i+1}^2" for i in range(n - 1)))
+        assert (rep.determinant - want).is_zero(), f"det pi0 != prod a_i^2 at n = {n}"
 
 
 # -- 6. the bi-Hamiltonian ladder ---------------------------------------------

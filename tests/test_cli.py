@@ -12,7 +12,7 @@ import pytest
 import pnalgebroid
 from pnalgebroid import cli, pointwise
 from pnalgebroid.cli import main
-from pnalgebroid.fixtures import TodaFixture
+from pnalgebroid.fixtures import build_toda
 from pnalgebroid.specio import parse_document, serialize_document
 
 
@@ -280,7 +280,7 @@ def test_selftest_runs_each_check_of_its_table_once(monkeypatch, capsys):
 def test_a_failing_table_row_carries_a_witness():
     from dataclasses import replace
 
-    from pnalgebroid.fixtures import build_aff1, build_toda
+    from pnalgebroid.fixtures import build_aff1
     from pnalgebroid.nijenhuis import Endo
 
     def doubled(N):
@@ -477,16 +477,13 @@ def test_the_distribution_version_is_the_package_version():
     assert conf["project"]["version"] == pnalgebroid.__version__
 
 
-def test_toda_atiyah_fixture_omits_only_a_rational_recursion_operator(monkeypatch):
-    assert "N" in cli._toda_document(2, "atiyah", "flaschka").endomorphisms
-    assert not cli._toda_document(3, "atiyah", "flaschka").endomorphisms
-
-    def broken(self):
-        raise RuntimeError("not a division failure")
-
-    monkeypatch.setattr(TodaFixture, "recursion_atiyah", broken)
-    with pytest.raises(RuntimeError):
-        cli._toda_document(2, "atiyah", "flaschka")
+def test_toda_atiyah_fixture_stores_the_laurent_recursion_operator():
+    # N_A = pi1 pi0^-1 over det pi0 = a1^2 a2^2: entries such as
+    # a1*a2^-1*b1 - a1*a2^-1*b2
+    t = build_toda(3)
+    N = cli._toda_document(3, "atiyah", "flaschka").endomorphisms["N"]
+    assert N.mat == t.recursion_atiyah().exact().mat
+    assert any(e < 0 for row in N.mat for entry in row for m, _, _ in entry.terms for _, e in m)
 
 
 def test_project_builds_the_complement_and_the_kernel_once(tmp_path, capsys, monkeypatch):
@@ -514,28 +511,32 @@ def test_project_builds_the_complement_and_the_kernel_once(tmp_path, capsys, mon
 
 
 def test_the_paper_example_projects_to_the_invariant_frame_and_is_sn(tmp_path, capsys):
-    # Toda n = 2: project the canonical PN pair along the invariant-frame
-    # epimorphism, then decide the projected pair symplectic-Nijenhuis
-    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--epi", "atiyah")
-    spec = tmp_path / "toda2-atiyah.json"
-    spec.write_text(out)
-    code, out, _ = run(capsys, "project", str(spec), "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert [c["verdict"] for c in report["checks"]] == ["pass"] * 4
-    projected = report["result"]["projected"]
+    # project the canonical PN pair along the invariant-frame epimorphism,
+    # then decide the projected pair symplectic-Nijenhuis; for n >= 3 the
+    # projected N has Laurent entries (det pi0 = a1^2 ... a_{n-1}^2)
+    for n in (2, 3, 4, 5):
+        code, out, _ = run(capsys, "fixture", "toda", "--n", str(n), "--epi", "atiyah")
+        spec = tmp_path / f"toda{n}-atiyah.json"
+        spec.write_text(out)
+        code, out, _ = run(capsys, "project", str(spec), "--format", "json")
+        assert code == 0, n
+        report = json.loads(out)
+        assert [c["verdict"] for c in report["checks"]] == ["pass"] * 4, n
+        projected = report["result"]["projected"]
 
-    code, out, _ = run(capsys, "fixture", "toda", "--n", "2", "--block", "atiyah")
-    block = json.loads(out)
-    block["bivectors"] = {name.replace("pi", "lam"): P
-                          for name, P in block["bivectors"].items()}
-    assert projected == block
+        # project keeps the source's bivector names; the block names them pi0, pi1
+        code, out, _ = run(capsys, "fixture", "toda", "--n", str(n), "--block", "atiyah")
+        block = json.loads(out)
+        block["bivectors"] = {name.replace("pi", "lam"): P
+                              for name, P in block["bivectors"].items()}
+        assert projected == block, n
 
-    reduced = tmp_path / "projected.json"
-    reduced.write_text(json.dumps(projected))
-    code, out, _ = run(capsys, "check-sn", str(reduced), "--format", "json")
-    assert code == 0
-    assert [c["verdict"] for c in json.loads(out)["checks"]] == ["pass"] * 5
+        reduced = tmp_path / f"projected{n}.json"
+        reduced.write_text(json.dumps(projected))
+        code, out, _ = run(capsys, "check-sn", str(reduced), "--bivector", "lam0",
+                           "--format", "json")
+        assert code == 0, n
+        assert [c["verdict"] for c in json.loads(out)["checks"]] == ["pass"] * 5, n
 
 
 def test_underflowing_evaluation_exits_three_naming_the_point(tmp_path, capsys):
@@ -903,3 +904,16 @@ def test_a_spec_piped_into_stdin_is_hashed_from_the_bytes_it_parses():
     report = json.loads(proc.stdout)
     assert report["inputs"] == "sha256:" + hashlib.sha256(spec).hexdigest()[:16]
     assert [c["name"] for c in report["checks"]] == ["poisson(P)"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_invariant_frame_passes_every_exact_command_and_has_index_zero(capsys, n):
+    # N_A, stored with the atiyah block, has Laurent entries for n >= 3
+    spec = f"toda:{n}:atiyah"
+    for argv in (["check-sn"], ["check-pn"], ["hierarchy", "--depth", "3"]):
+        code, out, err = run(capsys, argv[0], spec, *argv[1:], "--format", "json")
+        assert code == 0, (argv, err)
+        assert all(c["verdict"] == "pass" for c in json.loads(out)["checks"]), argv
+    code, out, _ = run(capsys, "riesz", spec, "--points", "20", "--seed", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["indices"] == [0]

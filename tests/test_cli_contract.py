@@ -30,12 +30,20 @@ COMMANDS = [
 ]
 
 
-# toda:2 with either epimorphism, the toda:2 atiyah block, and aff1
+def _without_endomorphisms(doc):
+    doc.endomorphisms.clear()
+    return doc
+
+
+# toda:2 with either epimorphism, the toda:2 atiyah block, aff1, and the
+# toda:3 atiyah block without its N, so that the commands derive N from the
+# two bivectors (det pi0 is a monomial until a draw replaces an entry)
 BASES = [json.loads(serialize_document(doc)) for doc in (
     cli._toda_document(2, "canonical", "flaschka"),
     cli._toda_document(2, "canonical", "atiyah"),
     cli._toda_document(2, "atiyah", "flaschka"),
     cli.resolve_input("aff1")[0],
+    _without_endomorphisms(cli._toda_document(3, "atiyah", "flaschka")),
 )]
 
 
@@ -63,7 +71,8 @@ def documents(draw):
     map entries replaced by generated expressions."""
     obj = json.loads(json.dumps(draw(st.sampled_from(BASES))))
     frame, variables = obj["frame"], obj["base_vars"]
-    spots = ["bivector", "endomorphism"] + (["fiber map"] if "epimorphism" in obj else [])
+    spots = (["bivector"] + (["endomorphism"] if obj.get("endomorphisms") else [])
+             + (["fiber map"] if "epimorphism" in obj else []))
     for _ in range(draw(st.integers(1, 3))):
         spot = draw(st.sampled_from(spots))
         entry = draw(expressions(variables))
@@ -111,3 +120,17 @@ def test_every_command_keeps_the_exit_code_contract(obj):
             else:
                 assert not failed, (argv, checks)
                 assert any(c["ill_conditioned"] for c in checks) == (code == 3), (argv, checks)
+
+
+def test_a_recursion_operator_outside_the_class_exits_two(tmp_path):
+    # N = P1 P0^-1 = I / (1 + x): det P0 = (1 + x)^2 is no monomial
+    spec = tmp_path / "pair.json"
+    spec.write_text(json.dumps({
+        "base_vars": ["x", "y"], "frame": ["Dx", "Dy"], "anchor": [["1", "0"], ["0", "1"]],
+        "bivectors": {"P0": {"(Dx,Dy)": "1 + x"}, "P1": {"(Dx,Dy)": "1"}},
+    }))
+    for argv in (["check-sn"], ["hierarchy", "--depth", "2"], ["riesz", "--points", "5", "--seed", "1"]):
+        code, out, err = _run([argv[0], str(spec), *argv[1:], "--format", "json"])
+        assert (code, out) == (2, ""), (argv, code, err)
+        assert err.startswith("error: the recursion operator of (P0, P1) is not in the "
+                              "expression class"), err

@@ -1,6 +1,6 @@
 """Ring axioms, calculus rules and parser round-trips for the closed
-expression class (rational coefficients, monomials, exponentials of affine
-forms)."""
+expression class (rational coefficients, Laurent monomials, exponentials of
+affine forms)."""
 
 import copy
 import functools
@@ -96,8 +96,10 @@ def test_division_by_constant_and_exact():
     assert ((a / 2) - parse("x^2 + 2*x")).is_zero()
     q = div_exact(parse("x^2 - y^2"), parse("x - y"))
     assert (q - parse("x + y")).is_zero()
+    # a one-term divisor is a unit: the quotient may be Laurent
+    assert div_exact(parse("x^2 + 1"), parse("x")) == parse("x + x^-1")
     with pytest.raises(ExprError):
-        div_exact(parse("x^2 + 1"), parse("x"))
+        div_exact(parse("x^2 + 1"), parse("x + 1"))
 
 
 def test_exact_division_with_exponentials():

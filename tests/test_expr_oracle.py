@@ -30,14 +30,16 @@ def _q(c: Fraction):
 
 
 @st.composite
-def pairs(draw, max_terms=3):
-    """An Expr and the same expression built in sympy."""
+def pairs(draw, max_terms=3, laurent=False):
+    """An Expr and the same expression built in sympy; with ``laurent``, a
+    variable factor may come with exponent -1."""
     e, s = ZERO, sympy.Integer(0)
     for _ in range(draw(st.integers(0, max_terms))):
         c = draw(rationals)
         t, ts = Expr.number(c), _q(c)
         for v in draw(st.lists(st.sampled_from(VARS), max_size=2)):
-            t, ts = t * Expr.var(v), ts * SYM[v]
+            k = -1 if laurent and draw(st.booleans()) else 1
+            t, ts = t * Expr.var(v) ** k, ts * SYM[v] ** k
         if draw(st.booleans()):
             k0 = draw(rationals)
             lin, lins = Expr.number(k0), _q(k0)
@@ -115,6 +117,43 @@ def test_div_exact_inverts_mul(a, b):
     q = div_exact(ea * eb, eb)
     assert q == ea
     assert same(to_sympy(q) * sb, sa * sb)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs(laurent=True), pairs(laurent=True), st.sampled_from(VARS))
+def test_laurent_terms_match_sympy(a, b, v):
+    (ea, sa), (eb, sb) = a, b
+    assert same(to_sympy(ea * eb - ea), sa * sb - sa)
+    assert same(to_sympy(ea.diff(v)), sympy.diff(sa, SYM[v]))
+    assert parse(str(ea)) == ea
+    if not eb.is_zero():
+        assert div_exact(ea * eb, eb) == ea
+
+
+def test_division_with_a_negative_exponent_in_the_quotient():
+    x, y = SYM["x"], SYM["y"]
+    q = div_exact(parse("(x + y^2)*(x^-1 + y)"), parse("x + y^2"))
+    assert q == parse("x^-1 + y")
+    assert same(to_sympy(q), 1 / x + y)
+
+
+def test_division_with_no_laurent_quotient_raises():
+    # x^2 + 1 = (x + 1)(x - 1) + 2 and x + 1 is no unit, so no Laurent
+    # polynomial q has q (x + 1) = x^2 + 1
+    x = SYM["x"]
+    assert sympy.denom(sympy.cancel((x**2 + 1) / (x + 1))) == x + 1
+    with pytest.raises(expr.ExprError, match="no quotient in class"):
+        div_exact(parse("x^2 + 1"), parse("x + 1"))
+
+
+def test_a_negative_exponent_parses_and_prints_back():
+    e = parse("a2^-1")
+    assert str(e) == "a2^-1"
+    assert parse(str(e)) == e
+    assert same(to_sympy(e), 1 / sympy.Symbol("a2"))
+    assert parse("a1*a2^-1*b1 - a1*a2^-1*b2") * parse("a2") == parse("a1*b1 - a1*b2")
+    with pytest.raises(expr.ExprSyntaxError):
+        parse("a2^(-1)")
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pnalgebroid.expr import parse, ExprError, ZERO, ONE
+from pnalgebroid.expr import Point, parse, ExprError, ZERO, ONE
 from pnalgebroid import linalg
 from pnalgebroid.algebroid import KForm, LieAlgebroid, Section
 from pnalgebroid.linalg import Frac
@@ -317,6 +318,19 @@ def test_a_term_beyond_the_float_range_still_overflows(entry, values):
 def test_a_zero_variable_makes_an_overflowing_factor_exactly_zero():
     got = linalg.evaluate_matrix(M(["x^400*exp(1000)", "1"]), {"x": 0.0})
     assert got.tolist() == [[0.0, 1.0]]
+
+
+def test_a_negative_power_of_a_zero_variable_is_not_finite_and_warns_nothing():
+    # x^-1 is inf at x = 0; its log-magnitude is recomputed inside the
+    # evaluation's errstate, so no RuntimeWarning escapes
+    values = {"x": 0.0, "y": 1.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(linalg.NonFiniteEntry, match="overflows") as info:
+            linalg.evaluate_matrix(M(["x^-1 + y"]), values)
+    assert info.value.values == values
+    with pytest.raises(ZeroDivisionError):
+        parse("x^-1 + y").evaluate(Point(values))
 
 
 def test_a_recomputed_overflow_keeps_the_fault_order():

@@ -823,19 +823,25 @@ def test_scaling_p_by_a_nonzero_constant_moves_no_verdict(case, c):
 
 # -- the hierarchy against its modular shadow -------------------------------------
 
-@pytest.mark.parametrize("n, perturbed", [(2, False), (3, False), (4, False),
-                                          (2, True), (3, True)])
-def test_hierarchy_residuals_vanish_where_their_modular_shadow_does(monkeypatch, n, perturbed):
+@pytest.mark.parametrize("frame, n, perturbed", [
+    *(pytest.param("canonical", n, perturbed, id=f"{n}-{perturbed}")
+      for n, perturbed in ((2, False), (3, False), (4, False), (2, True), (3, True))),
+    pytest.param("atiyah", 3, False, id="atiyah-3"),
+    pytest.param("atiyah", 4, False, id="atiyah-4")])
+def test_hierarchy_residuals_vanish_where_their_modular_shadow_does(monkeypatch, frame, n,
+                                                                    perturbed):
     """Level by level and pair by pair, each exact residual of
     ``hierarchy_check`` is zero exactly when the textbook Poisson defect of
     N^l P (or of the pair's sum) is zero mod p, at two seeded points.  The
     levels mod p come from the jets of P and N by the product rule, so the
     shadow shares neither the arithmetic nor the grouping of the frame
-    tables.  N + p1 I keeps N P antisymmetric but breaks the hierarchy."""
+    tables.  N + p1 I keeps N P antisymmetric but breaks the hierarchy.  On
+    the atiyah frame (P = pi0, N = N_A) the anchor is not injective and the
+    levels have Laurent entries, read mod p as inverses."""
     from modular import Shadow, jet_matrix, jet_product, jet_sum, poisson_residuals_mod
 
     t = build_toda(n)
-    P, N = t.lam0, t.N
+    P, N = (t.lam0, t.N) if frame == "canonical" else (t.pi0, t.recursion_atiyah().exact())
     A = P.algebroid
     if perturbed:
         N = N + Endo.identity(A).map(lambda x: x * Expr.var("p1"))
